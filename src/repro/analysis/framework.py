@@ -10,8 +10,8 @@ a stable JSON report schema, and rule-hit counters through
 byte-compatible in their report formats and CLI behaviour (pinned by
 ``tests/test_lint_regression.py``).
 
-The primitive types -- :class:`~repro.lint.findings.Finding`,
-:class:`~repro.lint.baseline.Baseline`, the suppression parser and the
+The primitive types -- :class:`~repro.analysis.findings.Finding`,
+:class:`~repro.analysis.baseline.Baseline`, the suppression parser and the
 import-alias resolver -- are re-exported here so analysis packages have
 a single import surface.
 """

@@ -406,8 +406,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         # Authenticated shares need real payloads (a tag over a synthetic
         # share authenticates nothing), so --auth implies --real.
         synthetic=not (args.real or args.auth),
-        sender_batch_limit=args.batch_limit,
-        batch_reconstruct=not args.no_batch_reconstruct,
         auth=args.auth,
     )
     report = run_fleet(shards=args.shards, obs=obs, **kwargs)
@@ -692,14 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--auth", action="store_true",
         help="arm authenticated shares per cell with tenant-isolated flow "
         "keys (implies --real; see docs/AUTH.md)",
-    )
-    fleet.add_argument(
-        "--batch-limit", type=int, default=8,
-        help="symbols per split_many call on the send hot path (default 8)",
-    )
-    fleet.add_argument(
-        "--no-batch-reconstruct", action="store_true",
-        help="reconstruct per symbol instead of coalescing same-instant completions",
     )
     fleet.add_argument(
         "--parity-check", action="store_true",

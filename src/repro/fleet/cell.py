@@ -69,8 +69,8 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         params: JSON-able cell description -- ``cell`` (index), ``flows``
             and ``tenants`` (descriptor dicts, see :mod:`repro.fleet.spec`),
             plus the shared knobs ``channels``, ``loss``, ``delay``,
-            ``rate``, ``symbol_size``, ``synthetic``, ``sender_batch_limit``,
-            ``batch_reconstruct``, ``quantum`` and ``queue_limit``; the
+            ``rate``, ``symbol_size``, ``synthetic``, ``quantum`` and
+            ``queue_limit``; the
             optional ``auth`` knob (present only when armed, so existing
             cell seeds are untouched) authenticates every share under a
             cell root key derived from the cell's own seed.
@@ -110,8 +110,6 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         mu=1.0,
         symbol_size=symbol_size,
         share_synthetic=synthetic,
-        sender_batch_limit=int(params["sender_batch_limit"]),
-        batch_reconstruct=bool(params["batch_reconstruct"]),
         auth=auth_config,
     )
     node_a, node_b = network.node_pair(config, registry)

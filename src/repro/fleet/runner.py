@@ -127,8 +127,6 @@ class FleetRunner:
         rate: float = 64.0,
         symbol_size: int = 64,
         synthetic: bool = True,
-        sender_batch_limit: int = 8,
-        batch_reconstruct: bool = True,
         quantum: float = 1.0,
         queue_limit: int = 64,
         auth: bool = False,
@@ -136,7 +134,7 @@ class FleetRunner:
         """Admit, shard, execute and merge one fleet.
 
         The keyword knobs describe the per-cell environment (channel
-        shape, symbol size, batching) and become part of every cell's
+        shape, symbol size, mux) and become part of every cell's
         sweep-point parameters -- changing any of them changes every
         cell's derived seed, exactly like editing a sweep grid.  ``auth``
         arms authenticated shares (docs/AUTH.md) and requires real
@@ -172,8 +170,6 @@ class FleetRunner:
             "rate": rate,
             "symbol_size": symbol_size,
             "synthetic": synthetic,
-            "sender_batch_limit": sender_batch_limit,
-            "batch_reconstruct": batch_reconstruct,
             "quantum": quantum,
             "queue_limit": queue_limit,
         }

@@ -9,20 +9,16 @@ package proves a class of hazards absent at lint time, in the spirit of
 the paper's own methodology (guarantees derived statically from the
 model rather than observed empirically).
 
-The subsystem is a small AST-based static-analysis framework:
+The subsystem is a small set of determinism rules on top of the shared
+static-analysis framework (:mod:`repro.analysis`: the :class:`Finding`
+record, import-alias resolution, ``# lint:`` directives and the JSON
+baseline of grandfathered findings, which ships empty -- see
+docs/LINTING.md):
 
-* :mod:`repro.lint.findings` -- the :class:`Finding` record (file, line,
-  column, rule id, message) with a stable JSON round-trip.
 * :mod:`repro.lint.rules` -- the :class:`Rule` base class and registry.
-* :mod:`repro.lint.resolve` -- import-alias collection and dotted-name
-  resolution (``np.random.seed`` -> ``numpy.random.seed``).
 * :mod:`repro.lint.checks` -- the determinism rule catalogue
   (``wall-clock``, ``unseeded-rng``, ``unordered-iteration``,
   ``env-read``, ``mutable-default``, ``float-eq``).
-* :mod:`repro.lint.suppressions` -- ``# lint: disable=<rule>`` (per
-  line) and ``# lint: file-disable=<rule>`` (per file) directives.
-* :mod:`repro.lint.baseline` -- a JSON baseline of grandfathered
-  findings (ships empty; see docs/LINTING.md).
 * :mod:`repro.lint.engine` -- the single-pass visitor that walks the
   tree once per file and dispatches every node to the interested rules.
 * :mod:`repro.lint.cli` -- the ``repro-model lint`` entry point.
@@ -34,12 +30,12 @@ byte-identical output.  CI gates on ``repro-model lint`` exiting zero
 (see ``.github/workflows/ci.yml`` and docs/LINTING.md).
 """
 
-from repro.lint.baseline import Baseline
+from repro.analysis.baseline import Baseline
+from repro.analysis.findings import Finding
+from repro.analysis.suppressions import FileSuppressions
 from repro.lint.checks import default_rules
 from repro.lint.engine import LintEngine, LintReport, lint_paths
-from repro.lint.findings import Finding
 from repro.lint.rules import Rule, all_rules, get_rule, register
-from repro.lint.suppressions import FileSuppressions
 
 __all__ = [
     "Baseline",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List
 
-from repro.lint.findings import Finding
+from repro.analysis.findings import Finding
 from repro.lint.rules import FileContext, Rule, all_rules, register
 
 __all__ = ["default_rules"]

@@ -19,7 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.analysis.framework import print_report
-from repro.lint.baseline import Baseline
+from repro.analysis.baseline import Baseline
 from repro.lint.checks import default_rules
 from repro.lint.engine import LintEngine
 

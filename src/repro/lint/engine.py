@@ -22,17 +22,17 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis import framework
+from repro.analysis.baseline import Baseline
+from repro.analysis.findings import Finding
 from repro.analysis.framework import (
     PARSE_ERROR,
     AnalysisReport,
     collect_aliases,
     split_suppressed,
 )
-from repro.lint.baseline import Baseline
+from repro.analysis.suppressions import BAD_DIRECTIVE, parse_suppressions
 from repro.lint.checks import default_rules
-from repro.lint.findings import Finding
 from repro.lint.rules import FileContext, Rule
-from repro.lint.suppressions import BAD_DIRECTIVE, parse_suppressions
 
 __all__ = ["LintEngine", "LintReport", "lint_paths", "PARSE_ERROR"]
 

@@ -3,7 +3,7 @@
 A rule is a small stateless object: it declares which ``ast`` node
 types it wants (``node_types``), which part of the tree it polices
 (``includes`` path prefixes, with an ``allowlist`` of exemptions), and
-a ``visit`` hook that yields :class:`~repro.lint.findings.Finding`
+a ``visit`` hook that yields :class:`~repro.analysis.findings.Finding`
 records.  The engine parses each file once and dispatches every node to
 every interested rule, so adding a rule never adds a parse or a walk.
 
@@ -17,9 +17,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Sequence, Tuple, Type
 
-from repro.lint.findings import Finding
-from repro.lint.resolve import qualified_name
-from repro.lint.suppressions import FileSuppressions
+from repro.analysis.findings import Finding
+from repro.analysis.resolve import qualified_name
+from repro.analysis.suppressions import FileSuppressions
 
 __all__ = ["FileContext", "Rule", "all_rules", "get_rule", "register"]
 
@@ -30,7 +30,7 @@ class FileContext:
     Attributes:
         relpath: path relative to the lint root, forward slashes.
         source_lines: the file's source lines (for message snippets).
-        aliases: import-alias map (see :mod:`repro.lint.resolve`).
+        aliases: import-alias map (see :mod:`repro.analysis.resolve`).
         suppressions: parsed ``# lint:`` directives.
     """
 

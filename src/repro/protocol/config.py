@@ -51,22 +51,6 @@ class ProtocolConfig:
             the receiver waits for ``k + 2e`` shares and decodes robustly
             (see :mod:`repro.sharing.robust`); requires real Shamir
             payloads and ``⌊µ⌋ >= ⌊κ⌋ + 2e`` so enough shares exist.
-        sender_batch_limit: how many queued symbols the sender may split in
-            one :meth:`~repro.sharing.base.SecretSharingScheme.split_many`
-            call (1 = split per symbol, today's behaviour).  Batching
-            amortizes the GF(256) work across symbols and is bit-identical
-            to the per-symbol path -- same wire bytes, same stats -- because
-            ``split_many`` preserves the exact per-secret rng draw order and
-            transmission still checks channel readiness per symbol (see
-            docs/FLEET.md; the fleet workload runs with a large batch).
-        batch_reconstruct: when True, the receiver coalesces symbols that
-            complete at the same simulation instant and reconstructs them
-            in one :meth:`~repro.sharing.base.SecretSharingScheme.reconstruct_many`
-            call.  Delivery times, order, payloads and stats are identical
-            to the per-symbol path (the flush runs at the same timestamp);
-            only the Python/GF overhead drops.  Ignored in synthetic,
-            Byzantine-robust and finite-CPU modes, which keep per-symbol
-            completion semantics.
         auth: when set, every transmitted share carries a keyed MAC
             (:mod:`repro.protocol.auth`) and the receiver verifies before
             reassembly: bad-tag shares are dropped as *erasures*, so with
@@ -90,8 +74,6 @@ class ProtocolConfig:
     cpu_share_cost: float = 1.0
     cpu_reconstruct_cost_per_k: float = 1.0
     byzantine_tolerance: int = 0
-    sender_batch_limit: int = 1
-    batch_reconstruct: bool = False
     auth: Optional[AuthConfig] = None
 
     def __post_init__(self) -> None:
@@ -115,8 +97,6 @@ class ProtocolConfig:
                 f"scheme {self.scheme.name!r} cannot operate at κ={self.kappa}, "
                 f"µ={self.mu} (needs support for k={k_min}, m={m_max})"
             )
-        if self.sender_batch_limit < 1:
-            raise ValueError("sender_batch_limit must be at least 1")
         if self.byzantine_tolerance < 0:
             raise ValueError("byzantine_tolerance must be nonnegative")
         if self.byzantine_tolerance > 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.netsim.engine import Engine, Event
 from repro.netsim.host import CpuModel
@@ -166,12 +166,6 @@ class ReassemblyBuffer:
             :func:`repro.sharing.robust.reconstruct_with_erasures` when
             Byzantine tolerance is on.  Recovery then survives up to
             ``m - k`` corrupted channels instead of ``floor((m-k)/2)``.
-        batch_reconstruct: when True, symbols completing at the same
-            simulation instant are decoded together through
-            :meth:`~repro.sharing.base.SecretSharingScheme.reconstruct_many`
-            (same timestamp, order, payloads and stats as the per-symbol
-            path).  Only effective without a CPU model, synthetic mode or
-            Byzantine tolerance.
     """
 
     def __init__(
@@ -186,7 +180,6 @@ class ReassemblyBuffer:
         share_cost: float = 1.0,
         reconstruct_cost_per_k: float = 1.0,
         byzantine_tolerance: int = 0,
-        batch_reconstruct: bool = False,
         authenticator: Optional[ShareAuthenticator] = None,
     ):
         self.engine = engine
@@ -233,14 +226,6 @@ class ReassemblyBuffer:
         #: when the table was full.  Shares for them are *late*, not new.
         self._closed: Set[Tuple[int, int]] = set()
         self._closed_order: Deque[Tuple[int, int]] = deque()
-        self.batch_reconstruct = (
-            batch_reconstruct
-            and not synthetic
-            and byzantine_tolerance == 0
-            and (cpu is None or cpu.capacity is None)
-        )
-        self._flush_pending: List[_Entry] = []
-        self._flush_scheduled = False
 
     @property
     def pending(self) -> int:
@@ -376,16 +361,6 @@ class ReassemblyBuffer:
         if entry.repair_rounds > 0:
             self.stats.repair_recovered += 1
 
-        if self.batch_reconstruct:
-            # Coalesce completions at this instant; the flush event fires
-            # at the same timestamp, so delivery time and order match the
-            # inline path while the GF work batches across symbols.
-            self._flush_pending.append(entry)
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                self.engine.schedule(0.0, self._flush_batch)
-            return
-
         def finish() -> None:
             if self.synthetic:
                 payload: Optional[bytes] = None
@@ -439,34 +414,6 @@ class ReassemblyBuffer:
             self.on_deliver_flow(entry.flow, entry.seq, payload, delay)
         else:
             self.on_deliver(entry.seq, payload, delay)
-
-    def _flush_batch(self) -> None:
-        """Reconstruct every completion coalesced at this instant.
-
-        ``reconstruct_many`` buckets the groups by geometry internally and
-        returns exactly what per-group ``reconstruct`` calls would, so the
-        delivered payloads are bit-identical to the inline path.  A group
-        that cannot reconstruct falls back to the per-symbol error
-        accounting without poisoning its batch.
-        """
-        batch = self._flush_pending
-        self._flush_pending = []
-        self._flush_scheduled = False
-        groups = [list(entry.shares.values()) for entry in batch]
-        try:
-            payloads = self.scheme.reconstruct_many(groups)
-        except ReconstructionError:
-            payloads = []
-            for group in groups:
-                try:
-                    payloads.append(self.scheme.reconstruct(group))
-                except ReconstructionError:
-                    payloads.append(None)
-        for entry, payload in zip(batch, payloads):
-            if payload is None:
-                self.stats.reconstruction_errors += 1
-                continue
-            self._deliver(entry, payload)
 
     def _remember_closed(self, key: Tuple[int, int]) -> None:
         self._closed.add(key)

@@ -107,7 +107,6 @@ class RemicssNode:
             share_cost=config.cpu_share_cost,
             reconstruct_cost_per_k=config.cpu_reconstruct_cost_per_k,
             byzantine_tolerance=config.byzantine_tolerance,
-            batch_reconstruct=config.batch_reconstruct,
             # Both directions of a pair derive the same per-flow keys from
             # config.auth's root key, so A's tags verify at B and back.
             authenticator=self.sender.authenticator,

@@ -96,7 +96,7 @@ class SenderStats:
 class _PendingSymbol:
     """A source symbol waiting in the sender's queue."""
 
-    __slots__ = ("seq", "payload", "offered_at", "k", "m", "subset", "flow", "shares")
+    __slots__ = ("seq", "payload", "offered_at", "k", "m", "subset", "flow")
 
     def __init__(self, seq: int, payload: Optional[bytes], offered_at: float, flow: int = 0):
         self.seq = seq
@@ -106,8 +106,6 @@ class _PendingSymbol:
         self.k: Optional[int] = None
         self.m: Optional[int] = None
         self.subset: Optional[FrozenSet[int]] = None
-        #: Shares prefetched by the batch split path (None = not split yet).
-        self.shares: Optional[List[Optional[Share]]] = None
 
     def __repr__(self) -> str:
         # The queued plaintext must not leak through logs or debugger
@@ -245,15 +243,11 @@ class ShareSender:
         failover swaps the sampler, the head may be waiting on a subset
         containing a quarantined channel (a head-of-line stall that would
         only clear when the dead channel recovers); re-sampling under the
-        new schedule lets it proceed over the survivors.  Prefetched
-        batch state is discarded along with the parameters: anything not
-        yet transmitted re-samples (and re-splits) under the new schedule,
-        matching what the per-symbol path would have done.
+        new schedule lets it proceed over the survivors.
         """
         for queued in self._source:
             queued.k = queued.m = None
             queued.subset = None
-            queued.shares = None
         self._pump()
 
     # -- the pipeline -------------------------------------------------------------
@@ -295,40 +289,6 @@ class ShareSender:
         pair = (symbol.k, symbol.m)
         self.schedule_picks[pair] = self.schedule_picks.get(pair, 0) + 1
 
-    def _ensure_shares(self, symbol: _PendingSymbol) -> List[Optional[Share]]:
-        """The symbol's shares, splitting (a batch) on first use.
-
-        With ``sender_batch_limit > 1``, the head symbol's split is
-        amortized: queued symbols that sample the same (k, m) are split in
-        the same :meth:`split_many` call and carry their shares until they
-        transmit.  ``split_many`` draws the per-secret randomness in queue
-        order, and parameter sampling uses a separate named stream, so the
-        emitted wire bytes are bit-identical to the per-symbol path.
-        Transmission (and therefore channel readiness, drops and ordering)
-        stays strictly per symbol.
-        """
-        if symbol.shares is not None:
-            return symbol.shares
-        batch = [symbol]
-        limit = self.config.sender_batch_limit
-        if limit > 1:
-            for queued in self._source:
-                if len(batch) >= limit:
-                    break
-                if queued.shares is not None or queued.payload is None:
-                    break
-                if queued.k is None:
-                    self._sample(queued)
-                if (queued.k, queued.m) != (symbol.k, symbol.m):
-                    break
-                batch.append(queued)
-        groups = self.config.scheme.split_many(
-            [member.payload for member in batch], symbol.k, symbol.m, self.rng
-        )
-        for member, group in zip(batch, groups):
-            member.shares = list(group)
-        return symbol.shares
-
     def _choose_ports(self, symbol: _PendingSymbol) -> Optional[List[ChannelPort]]:
         """The ports to use for this symbol, or None if not all are ready."""
         if symbol.subset is None:
@@ -359,7 +319,7 @@ class ShareSender:
         if self.config.share_synthetic:
             shares: List[Optional[Share]] = [None] * symbol.m
         else:
-            shares = self._ensure_shares(symbol)
+            shares = self.config.scheme.split(symbol.payload, symbol.k, symbol.m, self.rng)
         for position, port in enumerate(chosen):
             index = position + 1
             meta = {

@@ -4,8 +4,8 @@
 :func:`repro.fleet.spec.synthesize_fleet`), executes it through
 :class:`~repro.fleet.runner.FleetRunner`, and returns the merged
 :class:`~repro.fleet.runner.FleetReport`.  This is the engine behind
-``repro fleet`` and ``benchmarks/bench_fleet.py``; the docs live in
-docs/FLEET.md.
+``repro fleet`` and the ledger's ``fleet_synth``/``fleet_auth`` workloads
+(``benchmarks/ledger``); the docs live in docs/FLEET.md.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ def run_fleet(
     rate: float = 64.0,
     symbol_size: int = 64,
     synthetic: bool = True,
-    sender_batch_limit: int = 8,
-    batch_reconstruct: bool = True,
     quantum: float = 1.0,
     queue_limit: int = 64,
     auth: bool = False,
@@ -53,9 +51,6 @@ def run_fleet(
         symbol_size: payload bytes per source symbol.
         synthetic: True skips real share payloads (pure scale runs);
             False splits and reconstructs real secrets.
-        sender_batch_limit: symbols per ``split_many`` call on the send
-            hot path (bit-identical to 1; see docs/FLEET.md).
-        batch_reconstruct: coalesce same-instant reconstructions.
         auth: arm authenticated shares per cell (requires
             ``synthetic=False``; tenant flows get isolated per-flow MAC
             keys -- see docs/AUTH.md).
@@ -83,8 +78,6 @@ def run_fleet(
         rate=rate,
         symbol_size=symbol_size,
         synthetic=synthetic,
-        sender_batch_limit=sender_batch_limit,
-        batch_reconstruct=batch_reconstruct,
         quantum=quantum,
         queue_limit=queue_limit,
         auth=auth,

@@ -12,8 +12,8 @@ import textwrap
 
 import pytest
 
+from repro.analysis.resolve import collect_aliases, qualified_name
 from repro.lint import Baseline, Finding, LintEngine, lint_paths
-from repro.lint.resolve import collect_aliases, qualified_name
 
 SCOPED = "src/repro/netsim/fixture.py"
 

@@ -15,9 +15,10 @@ import json
 
 import pytest
 
+from repro.analysis.findings import Finding
+from repro.analysis.suppressions import parse_suppressions
 from repro.lint import Baseline, LintEngine
 from repro.lint.cli import main as lint_main
-from repro.lint.findings import Finding
 
 WALL_CLOCK_MESSAGE = (
     "wall-clock read time.time() is nondeterministic; use simulated time, "
@@ -156,27 +157,10 @@ class TestBaselineBytes:
 
 
 class TestImportPaths:
-    """The pre-refactor module layout keeps working (re-export shims)."""
-
-    def test_legacy_imports_resolve(self):
-        from repro.lint.baseline import Baseline as LegacyBaseline
-        from repro.lint.findings import Finding as LegacyFinding
-        from repro.lint.resolve import collect_aliases, qualified_name
-        from repro.lint.suppressions import FileSuppressions, parse_suppressions
-
-        from repro.analysis import framework
-
-        assert LegacyBaseline is framework.Baseline
-        assert LegacyFinding is framework.Finding
-        assert FileSuppressions is framework.FileSuppressions
-        assert parse_suppressions is framework.parse_suppressions
-        assert collect_aliases is framework.collect_aliases
-        assert callable(qualified_name)
+    """Directive diagnostics keep their wording at the shared parser."""
 
     def test_lint_directive_messages_unchanged(self):
-        suppressions = __import__(
-            "repro.lint.suppressions", fromlist=["parse_suppressions"]
-        ).parse_suppressions(["x = 1  # lint: disable=not-a-rule"], ["wall-clock"])
+        suppressions = parse_suppressions(["x = 1  # lint: disable=not-a-rule"], ["wall-clock"])
         ((line, column, message),) = suppressions.bad_directives
         assert line == 1
         assert message == "unknown rule(s) in lint directive: not-a-rule"

@@ -1,16 +1,7 @@
-"""Batched sharing is bit-identical to the per-datagram path.
+"""Stats JSON shape: single-flow callers keep the historical dict shape.
 
-The ISSUE acceptance criterion: routing the sender hot path through
-``split_many`` (and the receive path through ``reconstruct_many``) must
-change *nothing* observable -- same wire shares, same delivery order,
-same delays, same stats -- because ``split_many`` preserves the exact
-per-secret rng draw order and parameter sampling lives on a separate
-named stream.  These tests run the same seeded simulation twice with
-only the batch knobs flipped and compare everything.
-
-Also the stats JSON shape regression (satellite 6): single-flow callers
-keep the historical dict shape -- no ``flows`` key appears until a
-nonzero flow actually carries traffic.
+No ``flows`` key appears in either direction until a nonzero flow
+actually carries traffic.
 """
 
 from repro.core.channel import Channel, ChannelSet
@@ -20,118 +11,27 @@ from repro.protocol.receiver import ReceiverStats
 from repro.protocol.remicss import PointToPointNetwork
 from repro.protocol.sender import SenderStats
 
-SYMBOLS = 24
 
-
-def run_once(sender_batch_limit=1, batch_reconstruct=False, seed=5, symbols=SYMBOLS):
-    """One seeded A -> B run; returns (transmit trace, delivery trace,
-    sender stats, receiver stats, split_many call sizes).
-
-    Slow channels plus a burst of offers keep the source queue deep, so a
-    batching sender genuinely has multiple queued symbols to split at
-    once; κ = µ = 2 keeps every queued symbol's (k, m) equal so batches
-    actually form.
-    """
+def run_once(seed=5, symbols=4):
+    """One seeded flow-0 A -> B run; returns (sender stats, receiver stats)."""
     channels = ChannelSet(
         Channel(risk=0.1, loss=0.0, delay=0.02, rate=4.0) for _ in range(3)
     )
     registry = RngRegistry(seed)
-    config = ProtocolConfig(
-        kappa=2.0,
-        mu=2.0,
-        symbol_size=64,
-        share_synthetic=False,
-        sender_batch_limit=sender_batch_limit,
-        batch_reconstruct=batch_reconstruct,
-    )
+    config = ProtocolConfig(kappa=2.0, mu=2.0, symbol_size=64)
     network = PointToPointNetwork(
         channels, config.symbol_size, registry, queue_limit=2
     )
     node_a, node_b = network.node_pair(config, registry)
-
-    split_sizes = []
-    inner_split = config.scheme.split_many
-
-    def counting_split(secrets, k, m, rng):
-        split_sizes.append(len(secrets))
-        return inner_split(secrets, k, m, rng)
-
-    config.scheme.split_many = counting_split
-
-    transmitted = []
-    node_a.sender.on_transmit = (
-        lambda flow, seq, k, m, offered_at, shares: transmitted.append(
-            (flow, seq, k, m, offered_at, tuple(shares))
-        )
-    )
-    delivered = []
-    node_b.on_deliver(
-        lambda seq, payload, delay: delivered.append((seq, payload, delay))
-    )
-
     payload_rng = registry.stream("test.payload")
     for _ in range(symbols):
         assert node_a.send(payload_rng.bytes(config.symbol_size))
     network.engine.run()
-    del config.scheme.split_many  # restore the class method on the instance
-    return (
-        transmitted,
-        delivered,
-        node_a.sender.stats.as_dict(),
-        node_b.receiver.stats.as_dict(),
-        split_sizes,
-    )
-
-
-class TestBatchedSenderIdentity:
-    def test_batched_path_is_bit_identical(self):
-        """batch_limit 8 vs 1: every transmitted Share (index, data, k),
-        every delivered (seq, payload, delay) and both stat dicts match
-        exactly."""
-        tx_one, rx_one, s_one, r_one, _ = run_once(sender_batch_limit=1)
-        tx_bat, rx_bat, s_bat, r_bat, _ = run_once(sender_batch_limit=8)
-        assert tx_bat == tx_one
-        assert rx_bat == rx_one
-        assert s_bat == s_one
-        assert r_bat == r_one
-        assert rx_one, "sanity: traffic was delivered"
-
-    def test_split_many_really_batches(self):
-        """The hot path demonstrably goes through one split_many call for
-        several queued symbols -- not a degenerate length-1 loop."""
-        _, _, _, _, sizes_one = run_once(sender_batch_limit=1)
-        _, _, _, _, sizes_bat = run_once(sender_batch_limit=8)
-        assert all(size == 1 for size in sizes_one)
-        assert max(sizes_bat) > 1
-        assert sum(sizes_bat) == sum(sizes_one) == SYMBOLS
-        assert len(sizes_bat) < len(sizes_one)
-
-    def test_batch_limit_respected(self):
-        _, _, _, _, sizes = run_once(sender_batch_limit=4)
-        assert max(sizes) <= 4
-
-
-class TestBatchedReconstructIdentity:
-    def test_reconstruct_many_path_is_identical(self):
-        tx_off, rx_off, s_off, r_off, _ = run_once(batch_reconstruct=False)
-        tx_on, rx_on, s_on, r_on, _ = run_once(batch_reconstruct=True)
-        assert rx_on == rx_off
-        assert tx_on == tx_off
-        assert s_on == s_off
-        assert r_on == r_off
-
-    def test_both_knobs_together(self):
-        _, rx_plain, s_plain, r_plain, _ = run_once()
-        _, rx_both, s_both, r_both, _ = run_once(
-            sender_batch_limit=8, batch_reconstruct=True
-        )
-        assert rx_both == rx_plain
-        assert s_both == s_plain
-        assert r_both == r_plain
+    return node_a.sender.stats.as_dict(), node_b.receiver.stats.as_dict()
 
 
 class TestStatsJsonShape:
-    """Satellite 6: pre-fleet callers see the exact historical JSON."""
+    """Pre-fleet callers see the exact historical JSON."""
 
     HISTORICAL_SENDER_KEYS = {
         "symbols_offered", "symbols_sent", "source_drops", "shares_sent",
@@ -166,6 +66,7 @@ class TestStatsJsonShape:
     def test_single_flow_simulation_keeps_historical_shape(self):
         """End to end: a flow-0-only run serialises with no flows block in
         either direction, so existing reports and baselines are stable."""
-        _, _, sender_dict, receiver_dict, _ = run_once(symbols=4)
+        sender_dict, receiver_dict = run_once()
         assert "flows" not in sender_dict
         assert "flows" not in receiver_dict
+        assert receiver_dict["symbols_delivered"] == 4
