@@ -3,37 +3,47 @@
 The scalar field in :mod:`repro.gf.gf256` and the generic polynomial code in
 :mod:`repro.gf.poly` are the *reference oracle*: correct, simple, and slow.
 This module re-expresses the two sharing primitives -- polynomial evaluation
-and Lagrange interpolation -- as numpy table translations over ``uint8``
-arrays so a whole datagram batch (every byte position x every share point)
-moves through the field in a handful of vectorized passes, mirroring the
-``BatchReconstruction`` idiom of batched-MPC systems.
+and Lagrange interpolation -- as numpy table gathers over ``uint8`` arrays
+so a whole datagram (every byte position x every share point) moves through
+the field in a few vectorized passes.
 
-Everything here is *exact* field arithmetic over the same AES-polynomial
-log/antilog tables the scalar path builds, so batch results are bit-identical
-to the scalar oracle byte for byte -- a property the test suite
-(``tests/test_sharing_batch_equiv.py``) enforces, because the privacy model
-(``H(Y) = H(X)``, Sec. III-C of the paper) assumes exact field semantics.
+Everything here is *exact* field arithmetic derived from the same
+AES-polynomial log/antilog tables the scalar path builds, so batch results
+are bit-identical to the scalar oracle byte for byte -- a property the test
+suite (``tests/test_sharing_batch_equiv.py``) enforces, because the privacy
+model (``H(Y) = H(X)``, Sec. III-C of the paper) assumes exact field
+semantics.
 
-Table layout:
+Table layout and kernels:
 
-* ``EXP_TABLE`` is the antilog table doubled to length 510 so that
-  ``EXP_TABLE[log a + log b]`` needs no ``% 255`` in products.
-* ``LOG_TABLE`` is ``int16`` (sums of two logs stay in range) with the
-  meaningless ``log 0`` entry pinned to 0; every kernel masks zero operands
-  back to zero explicitly rather than trusting that sentinel.
+* ``MUL_TABLE`` is the full 256x256 ``uint8`` product table (64 KiB, built
+  once at import): ``MUL_TABLE[a, b] == a * b``.  Row 0 and column 0 are
+  zero by construction, so no kernel needs a zero-operand mask, and
+  ``MUL_TABLE[c]`` is the 256-entry "multiply by c" translation.
+* ``eval_poly_at_points`` runs XOR-Horner once per evaluation point ``x``:
+  ``acc = MUL_TABLE[x].take(acc) ^ coeffs[j]`` -- one gather and one XOR
+  per coefficient over the whole byte row.
+* ``lagrange_interpolate`` reads the basis ``l_i(x)`` for its node set from
+  a bounded cache (share-index sets repeat on every symbol), then returns
+  ``XOR_i MUL_TABLE[l_i(x)].take(ys[i])``.
+* ``EXP_TABLE``/``LOG_TABLE`` (the antilog table doubled to length 510, and
+  ``int16`` logs with ``log 0`` pinned to 0) remain for inversion and
+  powers, which are off the sharing hot path.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
-from repro.gf.gf256 import _EXP, _LOG
+from repro.gf.gf256 import _EXP, _LOG, GF256_FIELD
 
 __all__ = [
     "EXP_TABLE",
     "LOG_TABLE",
+    "MUL_TABLE",
     "gf_mul_vec",
     "gf_div_vec",
     "gf_inv_vec",
@@ -46,26 +56,37 @@ __all__ = [
 #: Doubled antilog table: indices 0..508 cover any sum of two logs.
 EXP_TABLE = np.array(_EXP + _EXP, dtype=np.uint8)
 
-#: Log table with the (undefined) log of zero pinned to 0; zero inputs are
-#: handled by explicit masks in every kernel.
+#: Log table with the (undefined) log of zero pinned to 0; callers mask
+#: zero operands themselves.
 LOG_TABLE = np.array([0] + _LOG[1:], dtype=np.int16)
+
+#: Full product table, ``MUL_TABLE[a, b] == a * b`` in GF(2^8).
+MUL_TABLE = np.zeros((256, 256), dtype=np.uint8)
+MUL_TABLE[1:, 1:] = EXP_TABLE[LOG_TABLE[1:, None] + LOG_TABLE[None, 1:]]
+MUL_TABLE.setflags(write=False)
 
 
 def _as_u8(a) -> np.ndarray:
     arr = np.asarray(a)
     if arr.dtype != np.uint8:
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError("GF(256) elements must be integers")
         if arr.size and (arr.min() < 0 or arr.max() > 255):
             raise ValueError("GF(256) elements must be in 0..255")
         arr = arr.astype(np.uint8)
     return arr
 
 
+def _as_point(x) -> int:
+    """A single evaluation point as a Python int in 0..255."""
+    if not isinstance(x, (int, np.integer)) or not 0 <= x <= 255:
+        raise ValueError(f"evaluation point must be an integer in 0..255, got {x!r}")
+    return int(x)
+
+
 def gf_mul_vec(a, b) -> np.ndarray:
     """Element-wise GF(2^8) product of two broadcastable uint8 arrays."""
-    a = _as_u8(a)
-    b = _as_u8(b)
-    prod = EXP_TABLE[LOG_TABLE[a].astype(np.int32) + LOG_TABLE[b]]
-    return np.where((a == 0) | (b == 0), np.uint8(0), prod)
+    return MUL_TABLE[_as_u8(a), _as_u8(b)]
 
 
 def gf_inv_vec(a) -> np.ndarray:
@@ -78,12 +99,10 @@ def gf_inv_vec(a) -> np.ndarray:
 
 def gf_div_vec(a, b) -> np.ndarray:
     """Element-wise GF(2^8) quotient ``a / b``; raises if ``b`` has zeros."""
-    a = _as_u8(a)
     b = _as_u8(b)
     if np.any(b == 0):
         raise ZeroDivisionError("division by zero in GF(256)")
-    quot = EXP_TABLE[LOG_TABLE[a].astype(np.int32) - LOG_TABLE[b] + 255]
-    return np.where(a == 0, np.uint8(0), quot)
+    return MUL_TABLE[_as_u8(a), gf_inv_vec(b)]
 
 
 def gf_pow_vec(base, exponent) -> np.ndarray:
@@ -103,7 +122,7 @@ def gf_pow_vec(base, exponent) -> np.ndarray:
 
 
 def eval_poly_at_points(coeffs: np.ndarray, xs) -> np.ndarray:
-    """Evaluate ``n`` byte-wise polynomials at ``m`` points in one pass.
+    """Evaluate ``n`` byte-wise polynomials at ``m`` points.
 
     Args:
         coeffs: uint8 array of shape ``(k, n)``; column ``b`` holds the
@@ -116,7 +135,7 @@ def eval_poly_at_points(coeffs: np.ndarray, xs) -> np.ndarray:
         uint8 array of shape ``(m, n)`` (or ``(m,)`` for 1-D ``coeffs``)
         where row ``i`` is the evaluation of every byte polynomial at
         ``xs[i]`` -- i.e. share ``xs[i]`` of the whole batch, by Horner's
-        rule vectorized over the full ``m x n`` grid.
+        rule over the ``MUL_TABLE[xs[i]]`` translation.
     """
     coeffs = _as_u8(coeffs)
     squeeze = coeffs.ndim == 1
@@ -125,50 +144,51 @@ def eval_poly_at_points(coeffs: np.ndarray, xs) -> np.ndarray:
     if coeffs.ndim != 2 or coeffs.shape[0] == 0:
         raise ValueError("coeffs must be a non-empty (k, n) array")
     xs = np.atleast_1d(_as_u8(xs))
-    k, n = coeffs.shape
-    m = xs.shape[0]
-    acc = np.broadcast_to(coeffs[-1], (m, n)).copy()
-    if k > 1:
-        log_x = LOG_TABLE[xs][:, None]
-        zero_x = (xs == 0)[:, None]
-        for j in range(k - 2, -1, -1):
-            prod = EXP_TABLE[LOG_TABLE[acc] + log_x]
-            np.bitwise_xor(
-                np.where(zero_x | (acc == 0), np.uint8(0), prod),
-                coeffs[j],
-                out=acc,
-            )
-    return acc[:, 0] if squeeze else acc
+    out = np.empty((xs.shape[0], coeffs.shape[1]), dtype=np.uint8)
+    for row, x in zip(out, xs.tolist()):
+        times_x = MUL_TABLE[x]
+        acc = coeffs[-1]
+        for coeff in coeffs[-2::-1]:
+            acc = times_x.take(acc) ^ coeff
+        row[...] = acc
+    return out[:, 0] if squeeze else out
+
+
+@lru_cache(maxsize=1024)
+def _lagrange_basis(nodes: Tuple[int, ...], x: int) -> Tuple[int, ...]:
+    """``(l_0(x), ..., l_{t-1}(x))`` for distinct ``nodes``, as an immutable tuple.
+
+    ``l_i(x) = prod_{j != i} (x - x_j) / (x_i - x_j)`` (subtraction is XOR
+    in characteristic 2).  At a node ``x == x_h`` this is the indicator of
+    ``h``, so interpolating there returns share ``h`` unchanged.
+    """
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("interpolation points must have distinct x-coordinates")
+    basis = []
+    for i, node in enumerate(nodes):
+        num = den = 1
+        for j, other in enumerate(nodes):
+            if j != i:
+                num = GF256_FIELD.mul(num, x ^ other)
+                den = GF256_FIELD.mul(den, node ^ other)
+        basis.append(GF256_FIELD.div(num, den))
+    return tuple(basis)
+
+
+def _nodes(xs) -> Tuple[int, ...]:
+    return tuple(np.atleast_1d(_as_u8(xs)).tolist())
 
 
 def lagrange_coeffs_at(xs, x: int = 0) -> np.ndarray:
-    """Lagrange basis coefficients ``l_i(x)`` for nodes ``xs``, vectorized.
+    """Lagrange basis coefficients ``l_i(x)`` for nodes ``xs``.
 
-    Returns the uint8 vector ``c`` with ``c[i] = prod_{j != i}
-    (x - x_j) / (x_i - x_j)`` (subtraction is XOR in characteristic 2), so
-    that the interpolating polynomial through ``(x_i, y_i)`` evaluates at
-    ``x`` to ``xor_i c[i] * y_i``.
-
-    Requires ``x`` to differ from every node (when ``x`` *is* a node the
-    caller already holds the answer); nodes must be distinct.
+    Returns a fresh uint8 vector ``c`` with ``c[i] = prod_{j != i}
+    (x - x_j) / (x_i - x_j)``, so that the interpolating polynomial through
+    ``(x_i, y_i)`` evaluates at ``x`` to ``xor_i c[i] * y_i``.  Nodes must
+    be distinct and ``x`` an integer in 0..255; when ``x`` is a node the
+    result is that node's indicator vector.
     """
-    xs = np.atleast_1d(_as_u8(xs))
-    t = xs.shape[0]
-    if len(set(xs.tolist())) != t:
-        raise ValueError("interpolation points must have distinct x-coordinates")
-    diff = np.bitwise_xor(xs, np.uint8(x))
-    if np.any(diff == 0):
-        raise ValueError("evaluation point coincides with an interpolation node")
-    # All numerators and denominators are nonzero, so the product collapses
-    # to sums of logs: log c_i = sum_{j != i} log(x ^ x_j)
-    #                           - sum_{j != i} log(x_i ^ x_j)  (mod 255).
-    log_diff = LOG_TABLE[diff].astype(np.int64)
-    log_num = log_diff.sum() - log_diff
-    # The pairwise table has zeros on the diagonal; LOG_TABLE[0] == 0 makes
-    # the diagonal contribute nothing to the row sums.
-    pairwise = np.bitwise_xor(xs[:, None], xs[None, :])
-    log_den = LOG_TABLE[pairwise].astype(np.int64).sum(axis=1)
-    return EXP_TABLE[(log_num - log_den) % 255]
+    return np.array(_lagrange_basis(_nodes(xs), _as_point(x)), dtype=np.uint8)
 
 
 def lagrange_interpolate(xs, ys: np.ndarray, x: int = 0) -> np.ndarray:
@@ -178,26 +198,19 @@ def lagrange_interpolate(xs, ys: np.ndarray, x: int = 0) -> np.ndarray:
         xs: the ``t`` distinct interpolation nodes (share indices).
         ys: uint8 array of shape ``(t, n)``; row ``i`` is share ``xs[i]``
             of an ``n``-byte batch.
-        x: evaluation point; 0 recovers the Shamir secret.
+        x: evaluation point, an integer in 0..255; 0 recovers the Shamir
+            secret.
 
     Returns:
         uint8 array of shape ``(n,)``: the unique degree-<t byte-wise
         polynomial through the shares, evaluated at ``x`` for every byte
         position at once.
     """
-    xs = np.atleast_1d(_as_u8(xs))
+    nodes = _nodes(xs)
     ys = _as_u8(ys)
-    if ys.ndim != 2 or ys.shape[0] != xs.shape[0]:
+    if ys.ndim != 2 or ys.shape[0] != len(nodes):
         raise ValueError("ys must have shape (len(xs), n)")
-    hit: Optional[int] = None
-    for i, node in enumerate(xs.tolist()):
-        if node == x:
-            hit = i
-            break
-    if hit is not None:
-        if len(set(xs.tolist())) != xs.shape[0]:
-            raise ValueError("interpolation points must have distinct x-coordinates")
-        return ys[hit].copy()
-    coeffs = lagrange_coeffs_at(xs, x)
-    terms = gf_mul_vec(ys, coeffs[:, None])
-    return np.bitwise_xor.reduce(terms, axis=0)
+    out = np.zeros(ys.shape[1], dtype=np.uint8)
+    for coeff, row in zip(_lagrange_basis(nodes, _as_point(x)), ys):
+        out ^= MUL_TABLE[coeff].take(row)
+    return out

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, Iterable, Sequence
 
-
-
 import numpy as np
 
 from repro.gf.batch import lagrange_interpolate
@@ -111,6 +109,7 @@ def robust_reconstruct(shares: Sequence[Share], errors: int = None) -> RobustRes
         ReconstructionError: if no polynomial of degree < k is consistent
             with at least ``n - errors`` of the shares (more corruption
             than the radius, or inconsistent share groups).
+        ValueError: if ``errors`` is negative.
     """
     k = check_share_group(shares)
     group = list(shares)
@@ -121,6 +120,8 @@ def robust_reconstruct(shares: Sequence[Share], errors: int = None) -> RobustRes
     radius = max_correctable_errors(n, k)
     if errors is None:
         errors = radius
+    if errors < 0:
+        raise ValueError(f"errors must be non-negative, got {errors}")
     if errors > radius:
         raise ReconstructionError(
             f"cannot tolerate {errors} errors with {n} shares at k={k} "
@@ -185,7 +186,10 @@ def reconstruct_with_erasures(
     Raises:
         ReconstructionError: if fewer than ``k + 2 * errors`` shares
             survive the erasures, or the survivors are inconsistent.
+        ValueError: if ``errors`` is negative.
     """
+    if errors < 0:
+        raise ValueError(f"errors must be non-negative, got {errors}")
     erased = frozenset(erasures)
     group = [share for share in shares if share.index not in erased]
     if not group:

@@ -6,13 +6,14 @@ with constant term ``secret[b]``.  Every share therefore has exactly the
 length of the secret, which is the optimal ``H(Y) = H(X)`` case the paper's
 rate model assumes (Sec. III-C).
 
-``split`` evaluates *all m share points for all payload bytes* in one
-vectorized Horner pass over a ``(k, n)`` coefficient matrix, and
-``reconstruct`` interpolates the whole byte batch with one batched Lagrange
-evaluation -- both through :mod:`repro.gf.batch`.  Coefficient sampling is
-amortized into a single ``rng.integers`` draw.  The scalar path through
-:mod:`repro.gf` (exposed as :mod:`repro.sharing.reference`) is the
-reference oracle: the batch kernels are bit-identical to it byte for byte,
+``split`` evaluates *all m share points for all payload bytes* by
+XOR-Horner over a ``(k, n)`` coefficient matrix (one product-table gather
+per coefficient and point), and ``reconstruct`` interpolates the whole
+byte batch with one Lagrange evaluation whose basis coefficients are cached
+per share-index set -- both through :mod:`repro.gf.batch`.  Coefficient
+sampling is amortized into a single ``rng.integers`` draw.  The scalar
+path through :mod:`repro.gf` (exposed as :mod:`repro.sharing.reference`)
+is the reference oracle: the batch kernels are bit-identical to it byte for byte,
 which ``tests/test_sharing_batch_equiv.py`` and the golden vectors in
 ``tests/test_gf_vectors.py`` pin down.
 """
@@ -94,7 +95,7 @@ class ShamirScheme(SecretSharingScheme):
         coeffs[0] = secret_vec
         if k > 1:
             coeffs[1:] = rng.integers(0, 256, size=(k - 1, n), dtype=np.uint8)
-        # One vectorized Horner pass: row x-1 is share x of every byte.
+        # Row x-1 of the evaluation is share x of every byte.
         evaluations = eval_poly_at_points(coeffs, np.arange(1, m + 1, dtype=np.uint8))
         return [
             Share(index=x, data=evaluations[x - 1].tobytes(), k=k, m=m)

@@ -15,11 +15,23 @@ Two layers of defence against a silent arithmetic regression:
 """
 
 import numpy as np
+import pytest
 
-from repro.gf.batch import gf_div_vec, gf_mul_vec, gf_pow_vec
+from repro.gf.batch import (
+    MUL_TABLE,
+    _lagrange_basis,
+    gf_div_vec,
+    gf_mul_vec,
+    gf_pow_vec,
+    lagrange_coeffs_at,
+    lagrange_interpolate,
+)
 from repro.gf.gf256 import GF256_FIELD, _carryless_mul
+from repro.gf.poly import lagrange_interpolate_at
+from repro.sharing.base import Share
 from repro.sharing.ramp import RampScheme
 from repro.sharing.reference import scalar_ramp_split, scalar_shamir_split
+from repro.sharing.robust import reconstruct_with_erasures, robust_reconstruct
 from repro.sharing.shamir import ShamirScheme
 
 #: (a, b, a*b) in GF(2^8) under the AES polynomial 0x11b.  The 0x53*0xca=1
@@ -146,6 +158,95 @@ class TestFieldVectors:
         )
         assert np.array_equal(batch, oracle)
 
+    def test_mul_table_pinned_to_carryless_oracle(self):
+        # All 65536 product-table entries, read directly rather than
+        # through a kernel, so a table-construction bug has nowhere to hide.
+        assert MUL_TABLE.shape == (256, 256) and MUL_TABLE.dtype == np.uint8
+        for a in range(256):
+            for b in range(256):
+                assert MUL_TABLE[a, b] == _carryless_mul(a, b), (a, b)
+
+
+def _points_oracle(nodes, ys, x):
+    """Byte-wise scalar Lagrange evaluation through the generic poly code."""
+    return bytes(
+        lagrange_interpolate_at(GF256_FIELD, list(zip(nodes, column)), x)
+        for column in zip(*ys)
+    )
+
+
+class TestLagrangeBasisCache:
+    NODES = [(1, 2), (3, 1, 2), (5, 4, 2, 7), (200, 17, 255, 1, 9)]
+
+    @pytest.mark.parametrize("nodes", NODES)
+    @pytest.mark.parametrize("x", [0, 6, 254])
+    def test_repeated_calls_match_scalar_oracle(self, nodes, x):
+        rng = np.random.default_rng(len(nodes) * 1000 + x)
+        for _ in range(3):
+            ys = rng.integers(0, 256, size=(len(nodes), 29), dtype=np.uint8)
+            got = lagrange_interpolate(np.array(nodes, dtype=np.uint8), ys, x)
+            assert got.tobytes() == _points_oracle(nodes, ys.tolist(), x)
+
+    def test_evaluating_at_a_node_returns_that_share(self):
+        ys = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        got = lagrange_interpolate(np.array([4, 9, 2], dtype=np.uint8), ys, 9)
+        assert np.array_equal(got, ys[1])
+        assert lagrange_coeffs_at([4, 9, 2], 9).tolist() == [0, 1, 0]
+
+    def test_mutating_results_does_not_poison_the_cache(self):
+        nodes = np.array([1, 2, 3], dtype=np.uint8)
+        ys = np.arange(15, dtype=np.uint8).reshape(3, 5)
+        coeffs = lagrange_coeffs_at(nodes, 0)
+        want_coeffs = coeffs.copy()
+        coeffs[:] = 0
+        assert np.array_equal(lagrange_coeffs_at(nodes, 0), want_coeffs)
+        first = lagrange_interpolate(nodes, ys, 0)
+        want = first.copy()
+        first ^= 0xFF
+        assert np.array_equal(lagrange_interpolate(nodes, ys, 0), want)
+        assert isinstance(_lagrange_basis((1, 2, 3), 0), tuple)
+
+    def test_cache_is_bounded(self):
+        assert _lagrange_basis.cache_info().maxsize is not None
+
+    def test_duplicate_nodes_rejected(self):
+        ys = np.zeros((2, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="distinct"):
+            lagrange_interpolate([5, 5], ys, 0)
+        with pytest.raises(ValueError, match="distinct"):
+            lagrange_interpolate([5, 5], ys, 5)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("x", [256, -1, 2.5, "0", None])
+    def test_evaluation_point_outside_field(self, x):
+        ys = np.zeros((2, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="0..255"):
+            lagrange_interpolate([1, 3], ys, x)
+        with pytest.raises(ValueError, match="0..255"):
+            lagrange_coeffs_at([1, 3], x)
+
+    def test_numpy_integer_point_accepted(self):
+        ys = np.array([[7], [9]], dtype=np.uint8)
+        assert np.array_equal(
+            lagrange_interpolate([1, 3], ys, np.uint8(0)),
+            lagrange_interpolate([1, 3], ys, 0),
+        )
+
+    @pytest.mark.parametrize("bad", [[1.5], [2.0], [True]])
+    def test_non_integer_elements_rejected(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            gf_mul_vec(bad, [2])
+        with pytest.raises(ValueError, match="integers"):
+            gf_mul_vec([2], bad)
+
+    def test_negative_error_budget_rejected(self):
+        shares = ShamirScheme().split(b"abc", 2, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="non-negative"):
+            reconstruct_with_erasures(shares, errors=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            robust_reconstruct(shares, errors=-1)
+
 
 class TestSchemeVectors:
     def test_shamir_split_pinned(self):
@@ -161,8 +262,6 @@ class TestSchemeVectors:
         assert {s.index: s.data.hex() for s in shares} == SHAMIR_3_OF_5
 
     def test_shamir_reconstruct_from_pinned_shares(self):
-        from repro.sharing.base import Share
-
         shares = [
             Share(index=i, data=bytes.fromhex(hexdata), k=3, m=5)
             for i, hexdata in SHAMIR_3_OF_5.items()
@@ -184,8 +283,6 @@ class TestSchemeVectors:
         assert {s.index: s.data.hex() for s in shares} == RAMP_L2_3_OF_5
 
     def test_ramp_reconstruct_from_pinned_shares(self):
-        from repro.sharing.base import Share
-
         shares = [
             Share(index=i, data=bytes.fromhex(hexdata), k=3, m=5)
             for i, hexdata in RAMP_L2_3_OF_5.items()
