@@ -6,7 +6,8 @@ forged-share injection with valid wire framing, capture-and-replay of
 previously observed packets, hold-based reorder/delay, jamming, and two
 strategic attackers (the budget-bounded adaptive low-risk partitioner and
 the targeted symbol corruptor).  Everything is declarative and
-deterministic, mirroring :mod:`repro.netsim.faults`:
+deterministic, on the timeline chassis (:mod:`repro.netsim.timeline`)
+that :mod:`repro.netsim.faults` shares:
 
 * :class:`AttackPlan` / :class:`AttackEvent` -- the timeline (pure data);
 * :class:`AttackInjector` -- arms a plan against live links through the

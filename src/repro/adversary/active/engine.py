@@ -1,6 +1,7 @@
 """The attack injector: applies an :class:`AttackPlan` to live links.
 
-Mirrors :class:`repro.netsim.faults.FaultInjector`: :meth:`AttackInjector.arm`
+Built on the same chassis as :class:`repro.netsim.faults.FaultInjector`
+(:class:`repro.netsim.timeline.TimelineInjector`): :meth:`AttackInjector.arm`
 schedules every plan event on the engine; each applied event mutates
 per-link attack state (corruption/forgery/replay/hold regimes), jams
 links, or starts one of the strategic attackers from
@@ -32,12 +33,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence
 
 from repro.netsim.engine import Engine
 from repro.netsim.link import DuplexChannel, Link
 from repro.netsim.packet import Datagram
 from repro.netsim.rng import RngRegistry
+from repro.netsim.timeline import TimelineInjector
 from repro.adversary.active.plan import AttackEvent, AttackPlan
 from repro.adversary.active.primitives import (
     corrupt_any_packet,
@@ -278,7 +280,7 @@ class _LinkAttackState:
         self.injector.engine.schedule(1.0 / self.replay_rate, self._replay_tick, gen)
 
 
-class AttackInjector:
+class AttackInjector(TimelineInjector):
     """Applies an :class:`AttackPlan` to a set of duplex channels.
 
     Args:
@@ -296,6 +298,8 @@ class AttackInjector:
     (periodic campaigns reschedule themselves until stopped).
     """
 
+    KIND = "attack"
+
     def __init__(
         self,
         engine: Engine,
@@ -305,26 +309,14 @@ class AttackInjector:
         risks: Optional[Sequence[float]] = None,
         capture_limit: int = DEFAULT_CAPTURE_LIMIT,
     ):
-        self.engine = engine
-        self.duplex = list(channels)
-        self.plan = plan
+        super().__init__(engine, channels, plan)
         self.registry = registry
         self.risks = list(risks) if risks is not None else None
         self.capture_limit = capture_limit
         self.stats = AttackStats()
-        self.log: List[Tuple[float, AttackEvent]] = []
-        #: Structured tracer attached by :mod:`repro.obs.instrument`; when
-        #: set, every applied event also emits an ``attack_applied`` trace.
-        self.tracer = None
         self.adaptive: Optional[AdaptiveAttacker] = None
         self.targeter: Optional[TargetedCorruptor] = None
-        self._armed = False
         for event in plan:
-            if event.channel is not None and event.channel >= len(self.duplex):
-                raise ValueError(
-                    f"attack event targets channel {event.channel} but only "
-                    f"{len(self.duplex)} channels exist"
-                )
             if event.action == "adaptive_start":
                 if self.risks is None:
                     raise ValueError(
@@ -339,79 +331,40 @@ class AttackInjector:
             raise ValueError(
                 f"got {len(self.risks)} risks for {len(self.duplex)} channels"
             )
-        # One state per (channel, direction), wired lazily at arm() so an
-        # unarmed injector leaves the links untouched.
+        # One state per link, laid out like ``links`` and wired at arm() so
+        # an unarmed injector leaves the links untouched.
         self._states: List[_LinkAttackState] = []
 
-    def arm(self) -> "AttackInjector":
-        """Install the link hooks and schedule every plan event (once)."""
-        if self._armed:
-            raise RuntimeError("attack plan already armed")
-        self._armed = True
+    def _on_arm(self) -> None:
+        """Install the link hooks before any event is scheduled."""
         for index, duplex in enumerate(self.duplex):
             self._states.append(_LinkAttackState(self, index, "fwd", duplex.forward))
             self._states.append(_LinkAttackState(self, index, "rev", duplex.reverse))
-        for event in self.plan.sorted_events():
-            self.engine.schedule_at(max(event.time, self.engine.now), self._apply, event)
-        return self
 
     # -- application ------------------------------------------------------------
 
-    def states_for(self, event: AttackEvent) -> List[_LinkAttackState]:
-        """The link states an event touches, in (channel, fwd-before-rev) order."""
-        if event.channel is None:
-            targets = list(range(len(self.duplex)))
-        else:
-            targets = [event.channel]
-        states: List[_LinkAttackState] = []
-        for index in targets:
-            if event.direction in ("fwd", "both"):
-                states.append(self._states[2 * index])
-            if event.direction in ("rev", "both"):
-                states.append(self._states[2 * index + 1])
-        return states
-
     def jam_channel(self, channel: int, direction: str = "both") -> None:
         """Down a channel on the adversary's behalf (idempotent per link)."""
-        duplex = self.duplex[channel]
-        if direction in ("fwd", "both"):
-            duplex.forward.link_down()
-        if direction in ("rev", "both"):
-            duplex.reverse.link_down()
+        for slot in self.slots((channel,), direction):
+            self.links[slot].link_down()
         self.stats.jams += 1
 
     def unjam_channel(self, channel: int, direction: str = "both") -> None:
         """Release a jammed channel."""
-        duplex = self.duplex[channel]
-        if direction in ("fwd", "both"):
-            duplex.forward.link_up()
-        if direction in ("rev", "both"):
-            duplex.reverse.link_up()
+        for slot in self.slots((channel,), direction):
+            self.links[slot].link_up()
         self.stats.unjams += 1
 
     def _apply(self, event: AttackEvent) -> None:
-        self.log.append((self.engine.now, event))
-        if self.tracer is not None:
-            self.tracer.event(
-                "attack_applied",
-                action=event.action,
-                channel=event.channel,
-                direction=event.direction,
-            )
+        self._record(event)
         action = event.action
         params = event.params
         if action == "jam":
-            channels = (
-                list(range(len(self.duplex))) if event.channel is None else [event.channel]
-            )
-            for channel in channels:
+            for channel in self.channels_of(event):
                 self.jam_channel(channel, event.direction)
             return
         if action == "unjam":
-            channels = (
-                list(range(len(self.duplex))) if event.channel is None else [event.channel]
-            )
-            for channel in channels:
+            for channel in self.channels_of(event):
                 self.unjam_channel(channel, event.direction)
             return
         if action == "adaptive_start":
@@ -440,7 +393,7 @@ class AttackInjector:
         if action == "target_stop":
             self.targeter = None
             return
-        for state in self.states_for(event):
+        for state in self.targets(event, self._states):
             if action == "corrupt_start":
                 state.corrupt_rate = params["rate"]
                 state.corrupt_mode = params.get("mode", "flip")
@@ -466,13 +419,4 @@ class AttackInjector:
 
     def summary(self) -> dict:
         """Applied-event counts, firing window, and the attack stat ledger."""
-        counts = {}
-        for _, event in self.log:
-            counts[event.action] = counts.get(event.action, 0) + 1
-        return {
-            "applied": len(self.log),
-            "by_action": counts,
-            "first_at": self.log[0][0] if self.log else None,
-            "last_at": self.log[-1][0] if self.log else None,
-            "stats": self.stats.as_dict(),
-        }
+        return {**super().summary(), "stats": self.stats.as_dict()}

@@ -6,7 +6,8 @@ quarantine, repair) exists because real multichannel adversaries also
 *write*: they corrupt shares in flight, inject forged shares with valid
 wire framing, capture and replay previously observed packets, delay and
 reorder traffic, and selectively partition channels.  This module models
-such behaviour as data, exactly like :mod:`repro.netsim.faults` models
+such behaviour as data, on the same timeline chassis
+(:mod:`repro.netsim.timeline`) that :mod:`repro.netsim.faults` uses for
 benign failures:
 
 * an :class:`AttackEvent` is one timed mutation of the adversary's
@@ -28,30 +29,10 @@ byte-identical traces.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
-#: Every recognised attack action.
-ACTIONS = (
-    "corrupt_start",
-    "corrupt_stop",
-    "forge_start",
-    "forge_stop",
-    "replay_start",
-    "replay_stop",
-    "hold_start",
-    "hold_stop",
-    "jam",
-    "unjam",
-    "adaptive_start",
-    "adaptive_stop",
-    "target_start",
-    "target_stop",
-)
-
-#: Which direction(s) of a duplex channel an event touches.
-DIRECTIONS = ("fwd", "rev", "both")
+from repro.netsim.timeline import DIRECTIONS as DIRECTIONS
+from repro.netsim.timeline import Timeline, TimelineEvent
 
 #: Corruption modes: flip one share-body byte, rewrite the body with
 #: attacker randomness, or zero it.  All three preserve the wire framing,
@@ -82,12 +63,18 @@ _PARAM_KEYS: Dict[str, "tuple[str, ...]"] = {
     "target_stop": (),
 }
 
+#: Every recognised attack action.
+ACTIONS = tuple(_PARAM_KEYS)
+
+#: The strategic attackers pick their own channels.
+_STRATEGIC = ("adaptive_start", "adaptive_stop", "target_start", "target_stop")
+
 
 def _require_positive(params: Dict[str, Any], action: str, key: str) -> float:
     if key not in params:
         raise ValueError(f"{action} needs a {key!r} parameter")
     value = params[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
+    if value <= 0:
         raise ValueError(f"{action} {key} must be positive, got {value!r}")
     return float(value)
 
@@ -99,16 +86,15 @@ def _require_positive_int(params: Dict[str, Any], action: str, key: str) -> int:
     return int(value)
 
 
-@dataclass
-class AttackEvent:
+class AttackEvent(TimelineEvent):
     """One timed attack action applied to one channel (or all of them).
 
     Attributes:
         time: absolute simulated time the action fires.
         action: one of :data:`ACTIONS`.
         channel: model channel index, or ``None`` for every channel (the
-            strategic actions ``adaptive_start``/``target_start`` default
-            to every channel and narrow themselves via ``width``).
+            strategic actions ``adaptive_*``/``target_*`` always act on
+            every channel and narrow themselves via ``width``).
         direction: "fwd", "rev" or "both" duplex directions.
         params: action parameters (see :data:`_PARAM_KEYS`); e.g.
             ``{"rate": 0.5, "mode": "flip"}`` for ``corrupt_start`` or
@@ -116,31 +102,15 @@ class AttackEvent:
             for ``adaptive_start``.
     """
 
-    time: float
-    action: str
-    channel: Optional[int] = None
-    direction: str = "both"
-    params: Dict[str, Any] = field(default_factory=dict)
+    KIND = "attack"
+    PARAM_KEYS = _PARAM_KEYS
+    TEXT_PARAMS = ("mode", "tamper")
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"attack time must be nonnegative, got {self.time}")
-        if self.action not in ACTIONS:
+    def _check_params(self) -> None:
+        if self.action in _STRATEGIC and self.channel is not None:
             raise ValueError(
-                f"unknown attack action {self.action!r}; expected one of {ACTIONS}"
-            )
-        if self.direction not in DIRECTIONS:
-            raise ValueError(
-                f"unknown direction {self.direction!r}; expected one of {DIRECTIONS}"
-            )
-        if self.channel is not None and self.channel < 0:
-            raise ValueError(f"channel index must be nonnegative, got {self.channel}")
-        allowed = _PARAM_KEYS[self.action]
-        unknown = set(self.params) - set(allowed)
-        if unknown:
-            raise ValueError(
-                f"{self.action} does not take parameters {sorted(unknown)}; "
-                f"allowed: {list(allowed)}"
+                f"{self.action} picks its own channels; it does not take a channel, "
+                f"got {self.channel}"
             )
         if self.action == "corrupt_start":
             if "rate" not in self.params:
@@ -178,18 +148,8 @@ class AttackEvent:
             _require_positive_int(self.params, self.action, "period")
             _require_positive_int(self.params, self.action, "width")
 
-    def to_spec(self) -> dict:
-        """The JSON-friendly dict form (inverse of :meth:`AttackPlan.from_spec`)."""
-        spec: dict = {"time": self.time, "action": self.action}
-        if self.channel is not None:
-            spec["channel"] = self.channel
-        if self.direction != "both":
-            spec["direction"] = self.direction
-        spec.update(self.params)
-        return spec
 
-
-class AttackPlan:
+class AttackPlan(Timeline):
     """A seeded-run attack timeline: an ordered collection of attack events.
 
     Build fluently (every builder returns ``self``)::
@@ -208,15 +168,7 @@ class AttackPlan:
     it on an engine.
     """
 
-    def __init__(self, events: Optional[Sequence[AttackEvent]] = None):
-        self.events: List[AttackEvent] = list(events or [])
-
-    # -- construction ----------------------------------------------------------
-
-    def add(self, event: AttackEvent) -> "AttackPlan":
-        """Append one event (kept in insertion order; sorted when armed)."""
-        self.events.append(event)
-        return self
+    EVENT = AttackEvent
 
     def corrupt(
         self,
@@ -364,52 +316,3 @@ class AttackPlan:
     def end_target(self, time: float) -> "AttackPlan":
         """Stop the targeted corruptor."""
         return self.add(AttackEvent(time, "target_stop", None))
-
-    # -- spec (de)serialisation -------------------------------------------------
-
-    @classmethod
-    def from_spec(cls, spec: Sequence[dict]) -> "AttackPlan":
-        """Build a plan from a list of dicts (``time``/``action``/``channel``/
-        ``direction`` keys; every other key becomes an action parameter)."""
-        events = []
-        for entry in spec:
-            entry = dict(entry)
-            time = entry.pop("time")
-            action = entry.pop("action")
-            channel = entry.pop("channel", None)
-            direction = entry.pop("direction", "both")
-            events.append(AttackEvent(time, action, channel, direction, entry))
-        return cls(events)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttackPlan":
-        """Parse the JSON form of :meth:`to_spec`."""
-        return cls.from_spec(json.loads(text))
-
-    def to_spec(self) -> List[dict]:
-        """The JSON-friendly list-of-dicts form."""
-        return [event.to_spec() for event in self.events]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_spec(), indent=2)
-
-    # -- introspection ----------------------------------------------------------
-
-    def sorted_events(self) -> List[AttackEvent]:
-        """Events in firing order (stable: ties keep insertion order)."""
-        return sorted(self.events, key=lambda e: e.time)
-
-    def end_time(self) -> float:
-        """Time of the last event (0.0 for an empty plan)."""
-        return max((e.time for e in self.events), default=0.0)
-
-    def has_action(self, *actions: str) -> bool:
-        """Whether the plan contains any of the given actions."""
-        wanted = set(actions)
-        return any(event.action in wanted for event in self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[AttackEvent]:
-        return iter(self.events)

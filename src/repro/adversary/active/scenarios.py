@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.adversary.active.plan import AttackPlan
+from repro.netsim.timeline import build_scenario
 
 
 def scenario_corruption_storm(
@@ -112,10 +113,4 @@ CANONICAL_ATTACKS: Dict[str, Callable[..., AttackPlan]] = {
 
 def canonical_attack(name: str, start: float, stop: float, **overrides) -> AttackPlan:
     """Build one of the canonical attack scenarios by name."""
-    try:
-        factory = CANONICAL_ATTACKS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown attack scenario {name!r}; expected one of {sorted(CANONICAL_ATTACKS)}"
-        ) from None
-    return factory(start, stop, **overrides)
+    return build_scenario(CANONICAL_ATTACKS, "attack scenario", name, start, stop, **overrides)

@@ -25,31 +25,13 @@ two runs with the same root seed produce byte-identical traces.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.netsim.engine import Engine
-from repro.netsim.link import DuplexChannel, Link, LossModel
-
-#: Every recognised fault action.
-ACTIONS = (
-    "link_down",
-    "link_up",
-    "set_loss",
-    "set_delay",
-    "set_jitter",
-    "set_rate",
-    "burst_start",
-    "burst_stop",
-    "partition",
-    "heal",
-)
-
-#: Which direction(s) of a duplex channel an event touches.
-DIRECTIONS = ("fwd", "rev", "both")
+from repro.netsim.link import LossModel
+from repro.netsim.timeline import DIRECTIONS as DIRECTIONS
+from repro.netsim.timeline import Timeline, TimelineEvent, TimelineInjector, build_scenario
 
 #: Required / allowed parameter keys per action.
 _PARAM_KEYS: Dict[str, Tuple[str, ...]] = {
@@ -64,6 +46,9 @@ _PARAM_KEYS: Dict[str, Tuple[str, ...]] = {
     "partition": (),
     "heal": (),
 }
+
+#: Every recognised fault action.
+ACTIONS = tuple(_PARAM_KEYS)
 
 
 class GilbertElliott(LossModel):
@@ -109,8 +94,16 @@ class GilbertElliott(LossModel):
         return lost
 
 
-@dataclass
-class FaultEvent:
+def _burst_model(params: Dict[str, float]) -> GilbertElliott:
+    return GilbertElliott(
+        params["p_bad"],
+        params["p_good"],
+        params.get("loss_good", 0.0),
+        params.get("loss_bad", 1.0),
+    )
+
+
+class FaultEvent(TimelineEvent):
     """One timed fault: an action applied to one channel (or all of them).
 
     Attributes:
@@ -118,32 +111,20 @@ class FaultEvent:
         action: one of :data:`ACTIONS`.
         channel: model channel index, or ``None`` for every channel
             (``partition``/``heal`` default to every channel).
-        direction: "fwd", "rev" or "both" duplex directions.
+        direction: "fwd", "rev" or "both" duplex directions;
+            ``partition``/``heal`` always act on both.
         params: action parameters (see :data:`_PARAM_KEYS`); e.g.
             ``{"loss": 0.2}`` for ``set_loss`` or ``{"scale": 0.1}`` for a
             relative ``set_rate``.
     """
 
-    time: float
-    action: str
-    channel: Optional[int] = None
-    direction: str = "both"
-    params: Dict[str, float] = field(default_factory=dict)
+    KIND = "fault"
+    PARAM_KEYS = _PARAM_KEYS
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"fault time must be nonnegative, got {self.time}")
-        if self.action not in ACTIONS:
-            raise ValueError(f"unknown fault action {self.action!r}; expected one of {ACTIONS}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}; expected one of {DIRECTIONS}")
-        if self.channel is not None and self.channel < 0:
-            raise ValueError(f"channel index must be nonnegative, got {self.channel}")
-        allowed = _PARAM_KEYS[self.action]
-        unknown = set(self.params) - set(allowed)
-        if unknown:
+    def _check_params(self) -> None:
+        if self.action in ("partition", "heal") and self.direction != "both":
             raise ValueError(
-                f"{self.action} does not take parameters {sorted(unknown)}; allowed: {list(allowed)}"
+                f"{self.action} acts on both directions; got direction {self.direction!r}"
             )
         if self.action == "set_loss":
             if "loss" not in self.params:
@@ -171,25 +152,10 @@ class FaultEvent:
                 if key not in self.params:
                     raise ValueError(f"burst_start needs a {key!r} parameter")
             # Constructing the process validates every probability eagerly.
-            GilbertElliott(
-                self.params["p_bad"],
-                self.params["p_good"],
-                self.params.get("loss_good", 0.0),
-                self.params.get("loss_bad", 1.0),
-            )
-
-    def to_spec(self) -> dict:
-        """The JSON-friendly dict form (inverse of :meth:`FaultPlan.from_spec`)."""
-        spec: dict = {"time": self.time, "action": self.action}
-        if self.channel is not None:
-            spec["channel"] = self.channel
-        if self.direction != "both":
-            spec["direction"] = self.direction
-        spec.update(self.params)
-        return spec
+            _burst_model(self.params)
 
 
-class FaultPlan:
+class FaultPlan(Timeline):
     """A seeded-run fault timeline: an ordered collection of fault events.
 
     Build fluently (every builder returns ``self``)::
@@ -207,15 +173,7 @@ class FaultPlan:
     a :class:`FaultInjector` arms it on an engine.
     """
 
-    def __init__(self, events: Optional[Sequence[FaultEvent]] = None):
-        self.events: List[FaultEvent] = list(events or [])
-
-    # -- construction ----------------------------------------------------------
-
-    def add(self, event: FaultEvent) -> "FaultPlan":
-        """Append one event (kept in insertion order; sorted when armed)."""
-        self.events.append(event)
-        return self
+    EVENT = FaultEvent
 
     def link_down(self, time: float, channel: Optional[int] = None, direction: str = "both") -> "FaultPlan":
         """Take a channel (or all channels) down at ``time``."""
@@ -306,52 +264,8 @@ class FaultPlan:
             t += period
         return self
 
-    # -- spec (de)serialisation -------------------------------------------------
 
-    @classmethod
-    def from_spec(cls, spec: Sequence[dict]) -> "FaultPlan":
-        """Build a plan from a list of dicts (``time``/``action``/``channel``/
-        ``direction`` keys; every other key becomes an action parameter)."""
-        events = []
-        for entry in spec:
-            entry = dict(entry)
-            time = entry.pop("time")
-            action = entry.pop("action")
-            channel = entry.pop("channel", None)
-            direction = entry.pop("direction", "both")
-            events.append(FaultEvent(time, action, channel, direction, entry))
-        return cls(events)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse the JSON form of :meth:`to_spec`."""
-        return cls.from_spec(json.loads(text))
-
-    def to_spec(self) -> List[dict]:
-        """The JSON-friendly list-of-dicts form."""
-        return [event.to_spec() for event in self.events]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_spec(), indent=2)
-
-    # -- introspection ----------------------------------------------------------
-
-    def sorted_events(self) -> List[FaultEvent]:
-        """Events in firing order (stable: ties keep insertion order)."""
-        return sorted(self.events, key=lambda e: e.time)
-
-    def end_time(self) -> float:
-        """Time of the last event (0.0 for an empty plan)."""
-        return max((e.time for e in self.events), default=0.0)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self.events)
-
-
-class FaultInjector:
+class FaultInjector(TimelineInjector):
     """Applies a :class:`FaultPlan` to a set of duplex channels.
 
     Args:
@@ -365,100 +279,32 @@ class FaultInjector:
     injected fault to observed degradation.
     """
 
-    def __init__(self, engine: Engine, channels: Sequence[DuplexChannel], plan: FaultPlan):
-        self.engine = engine
-        self.duplex = list(channels)
-        self.plan = plan
-        self.log: List[Tuple[float, FaultEvent]] = []
-        #: Structured tracer attached by :mod:`repro.obs.instrument`; when
-        #: set, every applied event also emits a ``fault_applied`` trace.
-        self.tracer = None
-        self._armed = False
-        for event in plan:
-            if event.channel is not None and event.channel >= len(self.duplex):
-                raise ValueError(
-                    f"fault event targets channel {event.channel} but only "
-                    f"{len(self.duplex)} channels exist"
-                )
-
-    def arm(self) -> "FaultInjector":
-        """Schedule every plan event on the engine (once)."""
-        if self._armed:
-            raise RuntimeError("fault plan already armed")
-        self._armed = True
-        for event in self.plan.sorted_events():
-            self.engine.schedule_at(max(event.time, self.engine.now), self._apply, event)
-        return self
-
-    # -- application ------------------------------------------------------------
-
-    def _links(self, event: FaultEvent) -> List[Link]:
-        """The links an event touches, in (channel, fwd-before-rev) order."""
-        if event.channel is None:
-            targets = list(range(len(self.duplex)))
-        else:
-            targets = [event.channel]
-        direction = "both" if event.action in ("partition", "heal") else event.direction
-        links: List[Link] = []
-        for index in targets:
-            duplex = self.duplex[index]
-            if direction in ("fwd", "both"):
-                links.append(duplex.forward)
-            if direction in ("rev", "both"):
-                links.append(duplex.reverse)
-        return links
+    KIND = "fault"
 
     def _apply(self, event: FaultEvent) -> None:
-        self.log.append((self.engine.now, event))
-        if self.tracer is not None:
-            self.tracer.event(
-                "fault_applied",
-                action=event.action,
-                channel=event.channel,
-                direction=event.direction,
-            )
+        self._record(event)
+        action = event.action
         params = event.params
-        for link in self._links(event):
-            if event.action in ("link_down", "partition"):
+        for link in self.targets(event, self.links):
+            if action in ("link_down", "partition"):
                 link.link_down()
-            elif event.action in ("link_up", "heal"):
+            elif action in ("link_up", "heal"):
                 link.link_up()
-            elif event.action == "set_loss":
+            elif action == "set_loss":
                 link.set_loss(params["loss"])
-            elif event.action == "set_delay":
+            elif action == "set_delay":
                 link.set_delay(params["delay"])
-            elif event.action == "set_jitter":
+            elif action == "set_jitter":
                 link.set_jitter(params["jitter"])
-            elif event.action == "set_rate":
+            elif action == "set_rate":
                 if "byte_rate" in params:
                     link.set_rate(params["byte_rate"])
                 else:
                     link.set_rate(link.byte_rate * params["scale"])
-            elif event.action == "burst_start":
-                link.set_loss_model(
-                    GilbertElliott(
-                        params["p_bad"],
-                        params["p_good"],
-                        params.get("loss_good", 0.0),
-                        params.get("loss_bad", 1.0),
-                    )
-                )
-            elif event.action == "burst_stop":
+            elif action == "burst_start":
+                link.set_loss_model(_burst_model(params))
+            elif action == "burst_stop":
                 link.set_loss_model(None)
-
-    # -- reporting --------------------------------------------------------------
-
-    def summary(self) -> dict:
-        """Applied-event counts per action, plus first/last firing times."""
-        counts: Dict[str, int] = {}
-        for _, event in self.log:
-            counts[event.action] = counts.get(event.action, 0) + 1
-        return {
-            "applied": len(self.log),
-            "by_action": counts,
-            "first_at": self.log[0][0] if self.log else None,
-            "last_at": self.log[-1][0] if self.log else None,
-        }
 
 
 # -- canonical scenarios ---------------------------------------------------------
@@ -527,10 +373,4 @@ CANONICAL_SCENARIOS: Dict[str, Callable[..., FaultPlan]] = {
 
 def canonical_plan(name: str, start: float, stop: float, **overrides) -> FaultPlan:
     """Build one of the canonical scenarios by name."""
-    try:
-        factory = CANONICAL_SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; expected one of {sorted(CANONICAL_SCENARIOS)}"
-        ) from None
-    return factory(start, stop, **overrides)
+    return build_scenario(CANONICAL_SCENARIOS, "scenario", name, start, stop, **overrides)

@@ -18,6 +18,7 @@ The full metric catalogue and naming convention live in
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict, Optional
 
 from repro.obs.metrics import (
@@ -33,7 +34,8 @@ class Observability:
     """A registry + tracer bundle handed through the simulation stack.
 
     Build one with :meth:`create` (live) or :meth:`disabled` (no-op), then
-    wire it with :func:`instrument_network` / :func:`instrument_node`.
+    wire it with :func:`instrument_network` / :func:`instrument_node` /
+    :func:`instrument_timeline`.
     ``obs.enabled`` distinguishes the two without isinstance checks.
     """
 
@@ -130,7 +132,7 @@ def instrument_engine(obs: Observability, engine) -> None:
     registry.register_collector(collect)
 
 
-# -- links and faults -------------------------------------------------------------
+# -- links ------------------------------------------------------------------------
 
 #: LinkStats field -> exported counter name.
 _LINK_COUNTERS = {
@@ -171,9 +173,7 @@ def instrument_network(obs: Observability, network) -> None:
     """Wire a :class:`~repro.protocol.remicss.PointToPointNetwork`.
 
     Binds the tracer clock to the network's engine, attaches the engine
-    dispatch hook, registers pull collectors for every link, and -- if a
-    fault injector is (or later becomes) armed -- exports its applied-event
-    counts and traces each applied fault.
+    dispatch hook, and registers pull collectors for every link.
     """
     if not obs.enabled:
         return
@@ -187,20 +187,6 @@ def instrument_network(obs: Observability, network) -> None:
         registry.register_collector(
             _link_collector(registry, duplex.reverse, channel, "rev")
         )
-
-    if network.fault_injector is not None:
-        network.fault_injector.tracer = obs.tracer
-
-    def collect_faults() -> None:
-        injector = network.fault_injector
-        if injector is None:
-            return
-        summary = injector.summary()
-        for action, count in summary["by_action"].items():
-            registry.counter("sim_fault_events_total", action=action).value = float(count)
-        registry.gauge("sim_fault_plan_events").set(len(injector.plan))
-
-    registry.register_collector(collect_faults)
 
 
 # -- protocol nodes ---------------------------------------------------------------
@@ -300,50 +286,42 @@ def instrument_node(obs: Observability, node, role: Optional[str] = None) -> Non
         receiver.tracer = obs.tracer
 
 
-# -- active adversary -------------------------------------------------------------
+# -- fault and attack timelines ----------------------------------------------------
 
-#: AttackStats field -> exported counter name (docs/ADVERSARY.md).
-_ATTACK_COUNTERS = {
-    "shares_corrupted": "adv_shares_corrupted_total",
-    "control_corrupted": "adv_control_corrupted_total",
-    "shares_forged": "adv_shares_forged_total",
-    "packets_replayed": "adv_packets_replayed_total",
-    "packets_captured": "adv_packets_captured_total",
-    "packets_held": "adv_packets_held_total",
-    "packets_released": "adv_packets_released_total",
-    "jams": "adv_jams_total",
-    "unjams": "adv_unjams_total",
-    "adaptive_jams": "adv_adaptive_jams_total",
-    "targeted_symbols": "adv_targeted_symbols_total",
-    "targeted_corruptions": "adv_targeted_corruptions_total",
-    "injected_dropped": "adv_injected_dropped_total",
+#: Timeline kind -> (applied-events counter, plan-size gauge, prefix of the
+#: counters exported from the injector's ``stats`` fields, if it keeps any).
+_TIMELINE_METRICS = {
+    "fault": ("sim_fault_events_total", "sim_fault_plan_events", None),
+    "attack": ("adv_events_applied_total", "adv_plan_events", "adv"),
 }
 
 
-def instrument_attack(obs: Observability, injector) -> None:
-    """Wire an :class:`~repro.adversary.active.engine.AttackInjector`.
+def instrument_timeline(obs: Observability, injector) -> None:
+    """Wire a :class:`~repro.netsim.timeline.TimelineInjector` (faults or attacks).
 
-    Registers a pull collector exporting the adversary's stat ledger as
-    ``adv_*`` counters, the applied-event counts labelled by action, and
-    the plan size; attaches the tracer so every applied event emits an
-    ``attack_applied`` trace.
+    Registers a pull collector exporting the applied-event counts labelled
+    by action and the plan size, plus -- for the adversary -- one
+    ``adv_<field>_total`` counter per :class:`AttackStats` field; attaches
+    the tracer so every applied event emits a ``<kind>_applied`` trace.
     """
     if not obs.enabled:
         return
     registry = obs.registry
-    counters = {
-        field: registry.counter(metric) for field, metric in _ATTACK_COUNTERS.items()
-    }
-    plan_gauge = registry.gauge("adv_plan_events")
+    events_metric, plan_metric, stats_prefix = _TIMELINE_METRICS[injector.KIND]
+    stat_counters = {}
+    if stats_prefix is not None:
+        stat_counters = {
+            field.name: registry.counter(f"{stats_prefix}_{field.name}_total")
+            for field in fields(injector.stats)
+        }
+    plan_gauge = registry.gauge(plan_metric)
     injector.tracer = obs.tracer
 
     def collect() -> None:
-        stats = injector.stats
-        for field, counter in counters.items():
-            counter.value = float(getattr(stats, field))
-        summary = injector.summary()
-        for action, count in sorted(summary["by_action"].items()):
-            registry.counter("adv_events_applied_total", action=action).value = float(count)
+        for field, counter in stat_counters.items():
+            counter.value = float(getattr(injector.stats, field))
+        for action, count in injector.summary()["by_action"].items():
+            registry.counter(events_metric, action=action).value = float(count)
         plan_gauge.set(len(injector.plan))
 
     registry.register_collector(collect)

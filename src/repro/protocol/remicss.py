@@ -180,10 +180,6 @@ class PointToPointNetwork:
                     name=channel.name or f"ch{i}",
                 )
             )
-        self.fault_injector: Optional[FaultInjector] = None
-        #: Armed by :meth:`apply_attack`; typed loosely to avoid importing
-        #: the adversary package into every protocol user.
-        self.attack_injector = None
         # Host A sends on forward links and receives on reverse links.
         self.ports_a_out = [ChannelPort(i, d.forward) for i, d in enumerate(self.duplex)]
         self.ports_b_in = self.ports_a_out  # same objects: B registers receive callbacks
@@ -193,32 +189,25 @@ class PointToPointNetwork:
     def apply_faults(self, plan: FaultPlan) -> FaultInjector:
         """Arm a fault plan against this network's channels.
 
-        Returns the armed :class:`~repro.netsim.faults.FaultInjector`
-        (also kept as :attr:`fault_injector`) so callers can inspect its
-        log after the run.
+        Returns the armed :class:`~repro.netsim.faults.FaultInjector` so
+        callers can inspect its log after the run.
         """
-        injector = FaultInjector(self.engine, self.duplex, plan)
-        injector.arm()
-        self.fault_injector = injector
-        return injector
+        return FaultInjector(self.engine, self.duplex, plan).arm()
 
     def apply_attack(self, plan, registry: RngRegistry, risks: Optional[Sequence[float]] = None):
         """Arm an active-adversary attack plan against this network.
 
         ``risks`` defaults to the model channel risks -- exactly the
         ranking the adaptive attacker is assumed to know.  Returns the
-        armed :class:`~repro.adversary.active.engine.AttackInjector`
-        (also kept as :attr:`attack_injector`).  Imported lazily so the
-        protocol layer has no hard dependency on the adversary package.
+        armed :class:`~repro.adversary.active.engine.AttackInjector`.
+        Imported lazily so the protocol layer has no hard dependency on the
+        adversary package.
         """
         from repro.adversary.active.engine import AttackInjector
 
         if risks is None:
             risks = [channel.risk for channel in self.channels]
-        injector = AttackInjector(self.engine, self.duplex, plan, registry, risks=risks)
-        injector.arm()
-        self.attack_injector = injector
-        return injector
+        return AttackInjector(self.engine, self.duplex, plan, registry, risks=risks).arm()
 
     def node_pair(
         self,

@@ -25,10 +25,10 @@ from repro.netsim.rng import RngRegistry
 from repro.netsim.trace import DelayStats, RateMeter
 from repro.obs.instrument import (
     Observability,
-    instrument_attack,
     instrument_network,
     instrument_node,
     instrument_resilience,
+    instrument_timeline,
 )
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
@@ -148,8 +148,8 @@ def run_iperf(
             against the run's channels; the adaptive attacker sees the
             channel set's own risk ranking.
         obs: optional :class:`~repro.obs.instrument.Observability` bundle;
-            when given, the network, fault injector and both protocol
-            nodes are instrumented and the caller snapshots
+            when given, the network, both protocol nodes and every armed
+            fault/attack injector are instrumented and the caller snapshots
             ``obs.registry`` after the run (see docs/OBSERVABILITY.md).
         resilience: optional resilience tunables; when given, a
             :class:`~repro.protocol.resilience.ResilienceManager` protects
@@ -208,8 +208,9 @@ def run_iperf(
         instrument_node(obs, node_b)
         if manager is not None:
             instrument_resilience(obs, manager)
-        if attacker is not None:
-            instrument_attack(obs, attacker)
+        for armed in (injector, attacker):
+            if armed is not None:
+                instrument_timeline(obs, armed)
 
     meter = RateMeter()
     delays = DelayStats()

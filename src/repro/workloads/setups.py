@@ -154,39 +154,3 @@ def testbed_fault_plan(
     return canonical_plan(
         scenario, ms_to_delay(start_ms), ms_to_delay(stop_ms), **kwargs
     )
-
-
-#: Names of the canonical attack scenarios available to the testbed setups
-#: (see :data:`repro.adversary.active.CANONICAL_ATTACKS`).
-ATTACK_SCENARIOS = (
-    "corruption_storm",
-    "forged_injection",
-    "replay_flood",
-    "targeted_corruption",
-    "targeted_partition",
-)
-
-
-def testbed_attack_plan(
-    scenario: str,
-    start_ms: float = 100.0,
-    stop_ms: float = 250.0,
-    channel: Optional[int] = None,
-    **overrides,
-):
-    """A canonical attack scenario in the testbed's units.
-
-    Times are on the paper's millisecond axis, converted to simulator unit
-    times; scenario-specific overrides (e.g. ``rate``/``mode`` for the
-    corruption storm, ``budget``/``width`` for the adaptive partition) are
-    forwarded untouched.  Imported lazily so the workloads layer has no
-    hard dependency on the adversary package.
-    """
-    from repro.adversary.active.scenarios import canonical_attack
-
-    kwargs = dict(overrides)
-    if channel is not None:
-        kwargs["channel"] = channel
-    return canonical_attack(
-        scenario, ms_to_delay(start_ms), ms_to_delay(stop_ms), **kwargs
-    )
