@@ -8,7 +8,7 @@ every simulation run exactly reproducible.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 
@@ -28,9 +28,6 @@ class Event:
         """Prevent the callback from running (safe after it already ran)."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Engine:
     """The simulation clock and event queue.
@@ -43,7 +40,9 @@ class Engine:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: List[Event] = []
+        #: Heap of ``(time, seq, event)``: ``seq`` is unique, so heapq orders
+        #: entries with native tuple comparisons and never compares Events.
+        self._queue: List[Tuple[float, int, Event]] = []
         self._processed = 0
         self._dispatch_hook: Optional[Callable[[Event, int], None]] = None
 
@@ -61,10 +60,12 @@ class Engine:
         """Install (or with None remove) a per-dispatch observer.
 
         ``hook(event, queue_depth)`` is called immediately before each
-        event's callback runs, with the number of events still queued.
-        The observability layer uses this for per-handler dispatch counts
-        and queue-depth gauges; an uninstrumented engine pays only one
-        ``None`` check per event.  The hook must not mutate the queue.
+        event's callback runs, with the number of heap entries still queued
+        (cancelled ones included).  It may replace ``event.callback``; the
+        engine runs the attribute as the hook leaves it.  The observability
+        layer uses this for per-handler dispatch counts and queue-depth
+        gauges; an uninstrumented engine pays only one ``None`` check per
+        event.  The hook must not mutate the queue.
         """
         self._dispatch_hook = hook
 
@@ -72,22 +73,22 @@ class Engine:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
 
         Raises:
-            ValueError: if ``time`` is in the simulated past.
+            ValueError: if ``time`` is in the simulated past or NaN.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise ValueError(f"cannot schedule at {time} before now={self._now}")
         event = Event(time, self._seq, callback, args)
+        heappush(self._queue, (time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._queue, event)
         return event
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` units of time.
 
         Raises:
-            ValueError: if ``delay`` is negative.
+            ValueError: if ``delay`` is negative or NaN.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"delay must be nonnegative, got {delay}")
         return self.schedule_at(self._now + delay, callback, *args)
 
@@ -95,34 +96,30 @@ class Engine:
         """Run all events with ``time <= end_time``, then set now to it.
 
         Raises:
-            ValueError: if ``end_time`` is in the simulated past.
+            ValueError: if ``end_time`` is in the simulated past or NaN.
         """
-        if end_time < self._now:
+        if not end_time >= self._now:
             raise ValueError(f"cannot run backwards to {end_time} from {self._now}")
-        while self._queue and self._queue[0].time <= end_time:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self._processed += 1
-            if self._dispatch_hook is not None:
-                self._dispatch_hook(event, len(self._queue))
-            event.callback(*event.args)
+        self._dispatch(end_time)
         self._now = end_time
 
     def run(self) -> None:
         """Run until the event queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        self._dispatch(float("inf"))
+
+    def _dispatch(self, end_time: float) -> None:
+        """Pop and run every live event with ``time <= end_time``, in order."""
+        queue = self._queue
+        while queue and queue[0][0] <= end_time:
+            time, _seq, event = heappop(queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._processed += 1
             if self._dispatch_hook is not None:
-                self._dispatch_hook(event, len(self._queue))
+                self._dispatch_hook(event, len(queue))
             event.callback(*event.args)
 
     def pending(self) -> int:
-        """Number of not-yet-run, not-cancelled events (approximate upper
-        bound: cancelled events still in the heap are excluded)."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        """Number of not-yet-run, not-cancelled events (an exact count)."""
+        return sum(1 for _time, _seq, event in self._queue if not event.cancelled)

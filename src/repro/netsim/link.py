@@ -200,6 +200,10 @@ class Link:
         """
         return self.up and len(self._queue) < self.queue_limit
 
+    def headroom(self) -> int:
+        """Free queue slots, or 0 while down: ``headroom() > 0`` is :meth:`writable`."""
+        return self.queue_limit - len(self._queue) if self.up else 0
+
     def send(self, datagram: Datagram) -> bool:
         """Offer a datagram to the link.
 
@@ -212,7 +216,7 @@ class Link:
         if not self.up:
             self.stats.down_drops += 1
             return False
-        if not self.writable():
+        if len(self._queue) >= self.queue_limit:
             self.stats.queue_drops += 1
             return False
         if datagram.sent_at < 0:
@@ -303,9 +307,9 @@ class Link:
         self._busy = True
         was_full = len(self._queue) >= self.queue_limit
         datagram = self._queue.popleft()
-        serialisation_time = datagram.size / self.byte_rate
-        self.engine.schedule(
-            serialisation_time, self._finish_serialisation, datagram, self._epoch
+        self.engine.schedule_at(
+            self.engine.now + datagram.size / self.byte_rate,
+            self._finish_serialisation, datagram, self._epoch,
         )
         if notify and was_full:
             for watcher in self._writable_watchers:
@@ -331,7 +335,7 @@ class Link:
             delay = self.delay
             if self.jitter > 0.0:
                 delay = max(0.0, delay + self.rng.uniform(-self.jitter, self.jitter))
-            self.engine.schedule(delay, self._deliver, datagram, epoch)
+            self.engine.schedule_at(self.engine.now + delay, self._deliver, datagram, epoch)
         self._start_next()
 
     def _deliver(self, datagram: Datagram, epoch: int) -> None:

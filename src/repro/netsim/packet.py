@@ -7,11 +7,8 @@ benchmarks that don't need the bytes).  Links account in bytes either way.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
-
-_packet_ids = itertools.count()
 
 
 @dataclass
@@ -25,14 +22,12 @@ class Datagram:
         sent_at: simulated time the datagram entered the first link; set by
             the sending port, used for delay accounting.
         meta: free-form per-packet annotations (symbol seq, share index...).
-        uid: unique id for tracing.
     """
 
     size: int
     payload: Optional[bytes] = None
     sent_at: float = -1.0
     meta: Dict[str, Any] = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
         if self.size <= 0:

@@ -8,10 +8,14 @@ dispatches delivered datagrams to a registered callback.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.netsim.link import Link
 from repro.netsim.packet import Datagram
+
+
+def _discard(datagram: Datagram) -> None:
+    """The receiver of a port nobody listens on yet: drop the datagram."""
 
 
 class ChannelPort:
@@ -26,8 +30,7 @@ class ChannelPort:
     def __init__(self, index: int, link: Link):
         self.index = index
         self.link = link
-        self._on_receive: Optional[Callable[[Datagram], None]] = None
-        link.set_receiver(self._dispatch)
+        link.set_receiver(_discard)
 
     @property
     def name(self) -> str:
@@ -56,9 +59,5 @@ class ChannelPort:
         return self.link.send(datagram)
 
     def on_receive(self, callback: Callable[[Datagram], None]) -> None:
-        """Register the receive callback for this port."""
-        self._on_receive = callback
-
-    def _dispatch(self, datagram: Datagram) -> None:
-        if self._on_receive is not None:
-            self._on_receive(datagram)
+        """Register the receive callback, on the link itself (no port hop)."""
+        self.link.set_receiver(callback)

@@ -55,13 +55,16 @@ class WriteSelector:
 
     def ready(self) -> List[ChannelPort]:
         """All currently writable, non-excluded ports, in the configured order."""
-        writable = [
-            port for port in self.ports
-            if port.index not in self.excluded and port.writable()
-        ]
+        excluded = self.excluded
+        ranked = []
+        for port in self.ports:
+            if port.index not in excluded:
+                free = port.link.headroom()  # > 0 exactly when writable
+                if free > 0:
+                    ranked.append((-free, port.index, port))
         if self.ordering == "headroom":
-            writable.sort(key=lambda port: (-port.headroom, port.index))
-        return writable
+            ranked.sort()  # channel indices are unique: ports never compared
+        return [entry[2] for entry in ranked]
 
     def select(self, count: int) -> List[ChannelPort]:
         """The first ``count`` ready ports, or an empty list if fewer are ready.

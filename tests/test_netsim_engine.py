@@ -1,5 +1,7 @@
 """The discrete-event engine: ordering, cancellation, clock discipline."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,102 @@ class TestScheduling:
             engine.schedule(-1.0, lambda: None)
         with pytest.raises(ValueError):
             engine.run_until(1.0)
+
+    def test_nan_time_rejected_by_schedule_at(self):
+        engine = Engine()
+        with pytest.raises(ValueError):
+            engine.schedule_at(math.nan, lambda: None)
+        assert engine.pending() == 0
+
+    def test_nan_delay_rejected_by_schedule(self):
+        engine = Engine()
+        with pytest.raises(ValueError):
+            engine.schedule(math.nan, lambda: None)
+        engine.run()
+        assert engine.now == 0.0
+        # A NaN clock would have let this past-time event through.
+        with pytest.raises(ValueError):
+            engine.schedule_at(-5.0, lambda: None)
+
+    def test_nan_end_time_rejected_by_run_until(self):
+        engine = Engine()
+        engine.run_until(2.0)
+        with pytest.raises(ValueError):
+            engine.run_until(math.nan)
+        assert engine.now == 2.0
+        with pytest.raises(ValueError):
+            engine.schedule_at(1.0, lambda: None)
+
+
+class TestHeapContract:
+    """What the tuple heap and the dispatch loop promise their callers."""
+
+    @staticmethod
+    def _schedule_grid(engine, seed, count=400):
+        """Random events on a coarse grid (many exact ties), some cancelled.
+
+        Returns the ``(time, seq)`` keys of the live events and the list
+        their callbacks append to when dispatched.
+        """
+        rng = np.random.default_rng(seed)
+        fired = []
+        live = []
+        for _ in range(count):
+            event = engine.schedule_at(float(rng.integers(0, 8)) / 2, lambda: None)
+            event.callback = lambda key=(event.time, event.seq): fired.append(key)
+            if rng.random() < 0.25:
+                event.cancel()
+            else:
+                live.append((event.time, event.seq))
+        return sorted(live), fired
+
+    def test_run_dispatches_in_time_then_seq_order(self):
+        for seed in (0, 1, 2):
+            engine = Engine()
+            expected, fired = self._schedule_grid(engine, seed)
+            engine.run()
+            assert fired == expected
+            assert engine.events_processed == len(expected)
+
+    def test_chunked_run_until_dispatches_in_the_same_order(self):
+        for seed in (0, 1, 2):
+            engine = Engine()
+            expected, fired = self._schedule_grid(engine, seed)
+            for bound in (0.0, 0.5, 0.75, 1.5, 2.0, 3.25, 3.5):
+                engine.run_until(bound)
+                assert fired == [key for key in expected if key[0] <= bound]
+            assert fired == expected
+
+    def test_hook_may_replace_the_callback(self):
+        engine = Engine()
+        ran = []
+        engine.schedule(1.0, ran.append, "original")
+
+        def hook(event, _depth):
+            original = event.callback
+
+            def wrapped(*args):
+                ran.append("wrapped")
+                original(*args)
+
+            event.callback = wrapped
+
+        engine.set_dispatch_hook(hook)
+        engine.run()
+        assert ran == ["wrapped", "original"]
+
+    def test_hook_sees_time_and_depth_including_cancelled_entries(self):
+        engine = Engine()
+        seen = []
+        engine.set_dispatch_hook(lambda event, depth: seen.append((event.time, depth)))
+        engine.schedule(1.0, lambda: None)
+        engine.schedule(2.0, lambda: None).cancel()
+        engine.schedule(3.0, lambda: None)
+        assert engine.pending() == 2
+        engine.run()
+        # At t=1 the cancelled t=2 entry is still in the heap.
+        assert seen == [(1.0, 2), (3.0, 0)]
+        assert engine.events_processed == 2
 
 
 class TestCancellation:

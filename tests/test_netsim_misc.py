@@ -239,3 +239,46 @@ class TestPortsAndSelector:
         engine = Engine()
         with pytest.raises(ValueError):
             WriteSelector([_port(engine, 0)], ordering="random")
+
+    def test_link_headroom_is_writability_in_one_call(self):
+        engine = Engine()
+        port = _port(engine, 0, queue_limit=2)
+        for _ in range(4):
+            assert (port.link.headroom() > 0) == port.writable()
+            assert port.link.headroom() == port.headroom
+            port.send(Datagram(size=1000))
+        port.link.link_down()
+        assert port.link.headroom() == 0
+        assert not port.writable()
+
+    @pytest.mark.parametrize("ordering", WriteSelector.ORDERINGS)
+    def test_ready_matches_reference_sort(self, ordering):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            engine = Engine()
+            ports = [_port(engine, i, queue_limit=3) for i in range(5)]
+            for port in ports:
+                for _ in range(int(rng.integers(0, 6))):
+                    port.send(Datagram(size=1000))
+                if rng.random() < 0.2:
+                    port.link.link_down()
+            selector = WriteSelector(ports, ordering=ordering)
+            selector.set_excluded(i for i in range(5) if rng.random() < 0.2)
+            reference = [
+                port for port in ports
+                if port.index not in selector.excluded and port.writable()
+            ]
+            if ordering == "headroom":
+                reference.sort(key=lambda port: (-port.headroom, port.index))
+            assert selector.ready() == reference
+
+    def test_port_receive_callback_sits_on_the_link(self):
+        engine = Engine()
+        port = _port(engine, 0)
+        # Wired but not yet listened on: deliveries and injections are dropped.
+        assert port.link.inject(Datagram(size=10))
+        got = []
+        port.on_receive(got.append)
+        datagram = Datagram(size=10)
+        assert port.link.inject(datagram)
+        assert got == [datagram]
