@@ -8,12 +8,12 @@ smooth (Corollary 1) vs bumpy (Theorem 2 boundaries) contrast.
 
 from conftest import run_once
 
-from repro.experiments.fig3 import run_fig3
+from repro.experiments import run_figure
 from repro.experiments.reporting import rows_to_table, summarize_ratio
 
 
 def test_fig3_identical_rate(benchmark):
-    rows = run_once(benchmark, run_fig3, setup="identical", quick=True)
+    rows = run_once(benchmark, run_figure, "fig3", setup="identical", quick=True)
     print("\nFigure 3 (left): Identical setup, optimal vs achieved rate")
     print(rows_to_table(rows, ["kappa", "mu", "optimal_mbps", "achieved_mbps", "ratio"]))
     print(summarize_ratio(rows, "achieved_rate", "optimal_rate"))
@@ -22,7 +22,7 @@ def test_fig3_identical_rate(benchmark):
 
 
 def test_fig3_diverse_rate(benchmark):
-    rows = run_once(benchmark, run_fig3, setup="diverse", quick=True)
+    rows = run_once(benchmark, run_figure, "fig3", setup="diverse", quick=True)
     print("\nFigure 3 (right): Diverse setup, optimal vs achieved rate")
     print(rows_to_table(rows, ["kappa", "mu", "optimal_mbps", "achieved_mbps", "ratio"]))
     print(summarize_ratio(rows, "achieved_rate", "optimal_rate"))

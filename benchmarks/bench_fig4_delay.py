@@ -7,12 +7,12 @@ relationship and the κ ordering of the optimal curves.
 
 from conftest import run_once
 
-from repro.experiments.fig4 import run_fig4
+from repro.experiments import run_figure
 from repro.experiments.reporting import rows_to_table
 
 
 def test_fig4_delay_at_max_rate(benchmark):
-    rows = run_once(benchmark, run_fig4, quick=True)
+    rows = run_once(benchmark, run_figure, "fig4", quick=True)
     print("\nFigure 4: delay at maximum rate (Delayed setup)")
     print(rows_to_table(rows, ["kappa", "mu", "optimal_delay_ms", "actual_delay_ms"]))
     # Actual includes queueing, so it dominates optimal everywhere.
@@ -27,7 +27,7 @@ def test_fig4_uncongested_ablation(benchmark):
     """At 60% of maximum rate the queues drain and actual approaches optimal
     -- the paper's explanation for the well-behaved regions of Fig. 4."""
     rows = run_once(
-        benchmark, run_fig4, kappas=(1.0,), mu_step=2.0,
+        benchmark, run_figure, "fig4", kappas=(1.0,), mu_step=2.0,
         duration=8.0, warmup=2.0, offered_fraction=0.6,
     )
     print("\nFigure 4 ablation: 60% offered load")

@@ -7,12 +7,12 @@ grows away from κ).
 
 from conftest import run_once
 
-from repro.experiments.fig5 import run_fig5
+from repro.experiments import run_figure
 from repro.experiments.reporting import rows_to_table
 
 
 def test_fig5_loss_at_max_rate(benchmark):
-    rows = run_once(benchmark, run_fig5, quick=True)
+    rows = run_once(benchmark, run_figure, "fig5", quick=True)
     print("\nFigure 5: loss at maximum rate (Lossy setup)")
     print(rows_to_table(rows, ["kappa", "mu", "optimal_loss_pct", "actual_loss_pct"]))
     # Measured loss tracks the LP optimum (within a few points; the paper
@@ -32,7 +32,7 @@ def test_fig5_fixed_selector_pathology(benchmark):
     """Ablation: the naive fixed-order (fd-order) selector reproduces the
     paper's pathological interactions more strongly than headroom order."""
     rows = run_once(
-        benchmark, run_fig5, kappas=(3.0,), mu_step=0.4,
+        benchmark, run_figure, "fig5", kappas=(3.0,), mu_step=0.4,
         duration=8.0, warmup=2.0, selector_ordering="fixed",
     )
     print("\nFigure 5 ablation: fixed selector ordering, kappa = 3")

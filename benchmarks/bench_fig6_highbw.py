@@ -2,12 +2,13 @@
 
 from conftest import run_once
 
-from repro.experiments.fig67 import run_fig6, saturation_point
+from repro.experiments import run_figure
+from repro.experiments.fig67 import saturation_point
 from repro.experiments.reporting import rows_to_table
 
 
 def test_fig6_high_bandwidth(benchmark):
-    rows = run_once(benchmark, run_fig6, quick=True)
+    rows = run_once(benchmark, run_figure, "fig6", quick=True)
     print("\nFigure 6: Identical setup, increasing channel rate, κ = µ = 1")
     print(rows_to_table(rows, ["channel_mbps", "optimal_mbps", "achieved_mbps"], precision=1))
     point = saturation_point(rows)

@@ -6,12 +6,13 @@ once the end systems saturate, larger κ falls short of optimal sooner.
 
 from conftest import run_once
 
-from repro.experiments.fig67 import run_fig7, saturation_point
+from repro.experiments import run_figure
+from repro.experiments.fig67 import saturation_point
 from repro.experiments.reporting import rows_to_table
 
 
 def test_fig7_high_bandwidth(benchmark):
-    rows = run_once(benchmark, run_fig7, quick=True)
+    rows = run_once(benchmark, run_figure, "fig7", quick=True)
     print("\nFigure 7: Identical setup, increasing channel rate, µ = 5")
     print(
         rows_to_table(

@@ -12,10 +12,18 @@ evaluation.  For a small field that space can be enumerated outright
 * every share marginal is uniform.
 
 These are checked bit-exactly in the test suite (up to floating-point
-entropy arithmetic), which is a far stronger statement than the byte-level
-statistical tests on the production GF(2^8) implementation -- and the two
-implementations share the same algebra (:mod:`repro.gf.poly`), so the
-small-field verification vouches for the construction itself.
+entropy arithmetic), which vouches for the construction itself.
+
+The production GF(2^8) sharing does not run this module's algebra
+(:mod:`repro.gf.poly`): :class:`~repro.sharing.shamir.ShamirScheme` splits
+with :func:`repro.gf.batch.eval_poly_at_points` (XOR-Horner over the
+product table) and reconstructs with cached Lagrange bases.  The test
+suite enumerates that kernel exactly as well: for k ≤ 3 and five shares,
+every (secret, coefficient) tuple in GF(2^8)^k goes through the kernel,
+and for each secret the shares at any k−1 indices are in bijection with
+the coefficients, so they carry exactly zero information; ``reconstruct``
+recovers every byte value from every k-subset.  The ramp scheme and the
+XOR (n, n) scheme have no exact check yet.
 """
 
 from __future__ import annotations

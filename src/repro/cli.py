@@ -24,9 +24,10 @@ or of ``{"risk": ..., "loss": ..., "delay": ..., "rate": ...}`` objects.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.channel import ChannelSet
 from repro.core.optimal import max_privacy_risk, min_delay, min_loss
@@ -182,60 +183,49 @@ def load_fault_plan(spec: Optional[str], duration: float, warmup: float):
     )
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run one figure's parameter sweep through the sweep orchestrator.
+#: Spec-builder keyword behind each ``repro sweep``/``repro attack`` option.
+_SPEC_OPTIONS = {
+    "setup": "setup", "kappa": "kappas", "mu_step": "mu_step", "duration": "duration",
+    "warmup": "warmup", "seed": "seed", "quick": "quick", "resilience": "resilience",
+    "auth": "auth",
+}
 
-    ``--jobs N`` fans points out over N worker processes with results
-    identical to a serial run (per-point seeds derive from point identity,
-    not worker order); ``--resume`` serves already-computed points from
-    the content-addressed cache under ``--cache-dir``.  See docs/SWEEPS.md.
+
+def _run_sweep(
+    args: argparse.Namespace, name: str, **spec_kwargs
+) -> Tuple[List[dict], int]:
+    """Run registered sweep ``name`` with the command's options and report it.
+
+    The shared body of ``repro sweep`` and ``repro attack``.  Every option
+    the user set goes to the sweep's spec builder, and one that builder
+    does not take is an error rather than silently dropped.  The rows are
+    printed as a table (failed points on stderr) and ``--out`` gets them
+    as sorted-key JSON.  Returns the rows and the failed-point count.
     """
-    from repro.experiments import fig3, fig4, fig5, fig67
+    from repro.experiments import SWEEPS
     from repro.experiments.reporting import rows_to_table
     from repro.obs import Observability
-    from repro.sweep import ResultCache, SweepRunner
+    from repro.sweep import DEFAULT_CACHE_DIR, ResultCache, SweepRunner
 
-    spec_kwargs = {}
-    if args.kappa:
-        spec_kwargs["kappas"] = tuple(args.kappa)
-    if args.mu_step is not None:
-        spec_kwargs["mu_step"] = args.mu_step
-    if args.duration is not None:
-        spec_kwargs["duration"] = args.duration
-    if args.warmup is not None:
-        spec_kwargs["warmup"] = args.warmup
-    if args.seed is not None:
-        spec_kwargs["seed"] = args.seed
-    spec_kwargs["quick"] = args.quick
-
-    if args.figure == "fig3":
-        spec = fig3.fig3_spec(setup=args.setup, **spec_kwargs)
-        point_fn = fig3.fig3_point
-    elif args.figure == "fig4":
-        spec = fig4.fig4_spec(**spec_kwargs)
-        point_fn = fig4.fig4_point
-    elif args.figure == "fig5":
-        spec = fig5.fig5_spec(**spec_kwargs)
-        point_fn = fig5.fig5_point
-    elif args.figure in ("fig6", "fig7"):
-        spec_kwargs.pop("mu_step", None)
-        if args.figure == "fig6":
-            spec_kwargs.pop("kappas", None)
-            spec = fig67.fig6_spec(**spec_kwargs)
-        else:
-            spec = fig67.fig7_spec(**spec_kwargs)
-        point_fn = fig67.fig67_point
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown figure {args.figure!r}")
+    build, point = SWEEPS[name]
+    accepted = inspect.signature(build).parameters
+    for option, keyword in _SPEC_OPTIONS.items():
+        value = getattr(args, option, None)
+        # Unset options are None (flags: False); --seed 0 is a real value.
+        if value is None or value is False:
+            continue
+        if keyword not in accepted:
+            raise ValueError(f"--{option.replace('_', '-')} does not apply to {name}")
+        spec_kwargs[keyword] = tuple(value) if isinstance(value, list) else value
 
     cache = None
     if args.resume or args.cache_dir is not None:
-        cache = ResultCache(args.cache_dir or "results/cache")
+        cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
     obs = Observability.create()
     runner = SweepRunner(jobs=args.jobs, retries=args.retries, cache=cache, obs=obs)
-    results = runner.run(spec, point_fn)
+    results = runner.run(build(**spec_kwargs), point)
 
-    rows = [r.value for r in results if r.ok and r.value is not None]
+    rows = [result.value for result in results if result.ok]
     if rows:
         # Sorted columns so cold runs and cache-served re-runs print the
         # same table (cached rows round-trip through sorted-key JSON).
@@ -253,7 +243,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             json.dump(rows, handle, sort_keys=True, indent=1)
             handle.write("\n")
         print(f"rows           = {len(rows)} -> {args.out}")
-    return 1 if runner.stats.failures else 0
+    return rows, runner.stats.failures
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Run one figure's parameter sweep through the sweep orchestrator.
+
+    ``--jobs N`` fans points out over N worker processes with results
+    identical to a serial run (per-point seeds derive from point identity,
+    not worker order); ``--resume`` serves already-computed points from
+    the content-addressed cache under ``--cache-dir``.  See docs/SWEEPS.md.
+    """
+    _, failures = _run_sweep(args, args.figure)
+    return 1 if failures else 0
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
@@ -265,60 +267,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
     same-seed invocations produce byte-identical ``--out`` files.  See
     docs/ADVERSARY.md.
     """
-    from repro.adversary.active.scenarios import CANONICAL_ATTACKS
-    from repro.experiments import attack
-    from repro.experiments.reporting import rows_to_table
-    from repro.obs import Observability
-    from repro.sweep import ResultCache, SweepRunner
-
-    scenarios = (
-        tuple(sorted(CANONICAL_ATTACKS))
-        if args.scenario in (None, "all")
-        else (args.scenario,)
-    )
-    spec_kwargs = {
-        "scenarios": scenarios,
-        "resilience": args.resilience,
-        "auth": args.auth,
-    }
-    if args.kappa:
-        spec_kwargs["kappas"] = tuple(args.kappa)
-    if args.duration is not None:
-        spec_kwargs["duration"] = args.duration
-    if args.warmup is not None:
-        spec_kwargs["warmup"] = args.warmup
-    if args.seed is not None:
-        spec_kwargs["seed"] = args.seed
-    spec_kwargs["quick"] = args.quick
-    spec = attack.attack_spec(**spec_kwargs)
-
-    cache = None
-    if args.resume or args.cache_dir is not None:
-        cache = ResultCache(args.cache_dir or "results/cache")
-    obs = Observability.create()
-    runner = SweepRunner(jobs=args.jobs, retries=args.retries, cache=cache, obs=obs)
-    results = runner.run(spec, attack.attack_point)
-
-    rows = [r.value for r in results if r.ok and r.value is not None]
-    if rows:
-        print(rows_to_table(rows, sorted(rows[0].keys()), precision=4))
-    for result in results:
-        if not result.ok:
-            print(
-                f"point {result.point.index} {result.point.params} failed "
-                f"after {result.attempts} attempts:\n{result.error}",
-                file=sys.stderr,
-            )
-    print(runner.stats.summary())
+    scenarios = None if args.scenario == "all" else (args.scenario,)
+    rows, failures = _run_sweep(args, "attack", scenarios=scenarios)
     silent = sum(row["wrong_payloads"] for row in rows)
     if silent:
         print(f"SILENT CORRUPTION: {silent} wrong payloads delivered", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(rows, handle, sort_keys=True, indent=1)
-            handle.write("\n")
-        print(f"rows           = {len(rows)} -> {args.out}")
-    return 1 if runner.stats.failures or silent else 0
+    return 1 if failures or silent else 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -538,6 +492,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.set_defaults(func=cmd_simulate)
 
+    def add_sweep_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--kappa",
+            action="append",
+            type=float,
+            metavar="K",
+            help="κ value to sweep (repeatable; default: the sweep's grid)",
+        )
+        p.add_argument("--duration", type=float, help="measurement window per point")
+        p.add_argument("--warmup", type=float, help="settling time per point")
+        p.add_argument("--seed", type=int, help="root seed (per-point seeds derive from it)")
+        p.add_argument("--quick", action="store_true", help="coarse grid and short windows")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            metavar="N",
+            help="worker processes (default 1 = serial; N>1 gives identical results, faster)",
+        )
+        p.add_argument(
+            "--retries", type=int, default=0, help="extra attempts per failing point"
+        )
+        p.add_argument(
+            "--resume",
+            action="store_true",
+            help="reuse and extend the on-disk result cache (resume after interrupt)",
+        )
+        p.add_argument(
+            "--cache-dir",
+            help="cache location (default results/cache; implies caching when given)",
+        )
+        p.add_argument("--out", help="also write the result rows to this JSON file")
+
     sweep = sub.add_parser(
         "sweep",
         help="run a figure sweep in parallel with a resumable result cache",
@@ -545,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep orchestrator (repro.sweep).  --jobs N computes points on N "
         "worker processes with results identical to --jobs 1; --resume "
         "serves finished points from the content-addressed cache so an "
-        "interrupted sweep completes incrementally.  See docs/SWEEPS.md.",
+        "interrupted sweep completes incrementally.  An option the "
+        "figure's sweep does not take is an error.  See docs/SWEEPS.md.",
     )
     sweep.add_argument(
         "--figure",
@@ -556,41 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--setup",
         choices=["identical", "diverse"],
-        default="identical",
-        help="channel setup (fig3 only)",
+        help="channel setup (fig3 only; default identical)",
     )
-    sweep.add_argument(
-        "--kappa",
-        action="append",
-        type=float,
-        metavar="K",
-        help="κ value to sweep (repeatable; default: the figure's grid)",
-    )
-    sweep.add_argument("--mu-step", type=float, help="µ grid step")
-    sweep.add_argument("--duration", type=float, help="measurement window per point")
-    sweep.add_argument("--warmup", type=float, help="settling time per point")
-    sweep.add_argument("--seed", type=int, help="root seed (per-point seeds derive from it)")
-    sweep.add_argument("--quick", action="store_true", help="coarse grid and short windows")
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default 1 = serial; N>1 gives identical results, faster)",
-    )
-    sweep.add_argument(
-        "--retries", type=int, default=0, help="extra attempts per failing point"
-    )
-    sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse and extend the on-disk result cache (resume after interrupt)",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        help="cache location (default results/cache; implies caching when given)",
-    )
-    sweep.add_argument("--out", help="also write the result rows to this JSON file")
+    sweep.add_argument("--mu-step", type=float, help="µ grid step (fig3, fig4, fig5)")
+    add_sweep_args(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     attack = sub.add_parser(
@@ -612,17 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which canonical attack to run (default: all)",
     )
     attack.add_argument(
-        "--kappa",
-        action="append",
-        type=float,
-        metavar="K",
-        help="κ value to sweep (repeatable; default 1, 2, 3)",
-    )
-    attack.add_argument("--duration", type=float, help="offer window per point")
-    attack.add_argument("--warmup", type=float, help="settling time per point")
-    attack.add_argument("--seed", type=int, help="root seed (per-point seeds derive from it)")
-    attack.add_argument("--quick", action="store_true", help="short windows, two κ values")
-    attack.add_argument(
         "--resilience",
         action="store_true",
         help="arm the quarantine/failover/repair layer during the attacks",
@@ -633,26 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="arm authenticated shares (keyed MACs + erasure decoding; "
         "see docs/AUTH.md)",
     )
-    attack.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default 1 = serial; N>1 gives identical results, faster)",
-    )
-    attack.add_argument(
-        "--retries", type=int, default=0, help="extra attempts per failing point"
-    )
-    attack.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse and extend the on-disk result cache (resume after interrupt)",
-    )
-    attack.add_argument(
-        "--cache-dir",
-        help="cache location (default results/cache; implies caching when given)",
-    )
-    attack.add_argument("--out", help="also write the result rows to this JSON file")
+    add_sweep_args(attack)
     attack.set_defaults(func=cmd_attack)
 
     fleet = sub.add_parser(

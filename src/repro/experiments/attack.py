@@ -16,11 +16,11 @@ any row.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.adversary.active.harness import run_under_attack
 from repro.adversary.active.scenarios import CANONICAL_ATTACKS, canonical_attack
-from repro.sweep import ResultCache, SweepRunner, SweepSpec, values
+from repro.sweep import SweepSpec
 
 #: Byzantine tolerance used throughout the attack grid; µ is derived as
 #: κ + 2e so the robust completion rule floor(µ) >= floor(κ) + 2e always
@@ -115,43 +115,3 @@ def attack_point(params: Dict, seed: int) -> Dict:
         out["auth_failed_shares"] = receiver["auth_failed_shares"]
         out["auth_verified_shares"] = receiver["auth_verified_shares"]
     return out
-
-
-def run_attack_sweep(
-    scenarios: Optional[Sequence[str]] = None,
-    kappas: Sequence[float] = (1.0, 2.0, 3.0),
-    duration: float = 30.0,
-    warmup: float = 4.0,
-    seed: int = 11,
-    quick: bool = False,
-    resilience: bool = False,
-    auth: bool = False,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[Dict]:
-    """Run the under-attack grid and return its rows."""
-    spec = attack_spec(scenarios, kappas, duration, warmup, seed, quick, resilience, auth)
-    runner = SweepRunner(jobs=jobs, cache=cache)
-    return [row for row in values(runner.run(spec, attack_point)) if row is not None]
-
-
-def main(quick: bool = False, jobs: int = 1, cache: Optional[ResultCache] = None) -> None:  # pragma: no cover - exercised via CLI
-    from repro.experiments.reporting import rows_to_table
-
-    rows = run_attack_sweep(quick=quick, jobs=jobs, cache=cache)
-    print("\nUnder-attack sweep (canonical adversary scenarios)")
-    print(
-        rows_to_table(
-            rows,
-            [
-                "scenario", "kappa", "delivery_ratio", "wrong_payloads",
-                "reconstruction_errors", "corrupt_detected_rate",
-                "replayed_dropped", "kappa_floor_held",
-            ],
-            precision=3,
-        )
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=True)

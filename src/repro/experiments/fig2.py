@@ -53,27 +53,3 @@ def run_fig2(rates: "tuple[int, ...]" = FIG2_RATES) -> List[Dict[str, object]]:
             }
         )
     return rows
-
-
-def main() -> None:  # pragma: no cover - exercised via the runner
-    from repro.experiments.reporting import rows_to_table
-
-    rows = run_fig2()
-    print("Figure 2: greedy share packing, r =", FIG2_RATES)
-    print(
-        rows_to_table(
-            rows,
-            [
-                "mu",
-                "symbols_packed",
-                "optimal_floor",
-                "share_usage",
-                "fully_utilized",
-                "theorem2_allows_full_use",
-            ],
-        )
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

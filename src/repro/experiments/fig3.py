@@ -17,13 +17,13 @@ order).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.core.channel import ChannelSet
 from repro.core.rate import optimal_rate
 from repro.core.tradeoff import mu_grid
 from repro.protocol.config import ProtocolConfig
-from repro.sweep import ResultCache, SweepRunner, SweepSpec, values
+from repro.sweep import SweepSpec
 from repro.workloads.iperf import run_iperf
 from repro.workloads.setups import diverse_setup, identical_setup, rate_to_mbps
 
@@ -51,7 +51,13 @@ def fig3_spec(
     seed: int = 1,
     quick: bool = False,
 ) -> SweepSpec:
-    """The Figure 3 sweep as a declarative spec (one point per (κ, µ))."""
+    """The Figure 3 sweep as a declarative spec (one point per (κ, µ)).
+
+    ``setup`` is "identical" or "diverse"; the defaults are the paper's
+    grid and ``quick`` coarsens it (µ step 0.5, shorter windows).  Each
+    point derives its seed from ``seed`` and its identity
+    (:func:`repro.sweep.derive_seed`).
+    """
     if quick:
         mu_step = max(mu_step, 0.5)
         duration = min(duration, 10.0)
@@ -69,7 +75,11 @@ def fig3_spec(
 
 
 def fig3_point(params: Dict[str, float], seed: int) -> Dict[str, float]:
-    """Measure one (κ, µ) grid point; picklable for process-pool fan-out."""
+    """Measure one (κ, µ) grid point; picklable for process-pool fan-out.
+
+    The row holds the optimal and achieved rate, in symbols/unit and in
+    Mbps, and their ratio.
+    """
     channels = fig3_channels(params["setup"])
     kappa, mu = params["kappa"], params["mu"]
     config = ProtocolConfig(kappa=kappa, mu=mu, share_synthetic=True)
@@ -91,57 +101,3 @@ def fig3_point(params: Dict[str, float], seed: int) -> Dict[str, float]:
         "achieved_mbps": result.achieved_mbps,
         "ratio": result.achieved_rate / optimum,
     }
-
-
-def run_fig3(
-    setup: str = "identical",
-    kappas: Sequence[float] = (1.0, 2.0, 3.0, 4.0, 5.0),
-    mu_step: float = 0.1,
-    duration: float = 30.0,
-    warmup: float = 5.0,
-    seed: int = 1,
-    quick: bool = False,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[Dict[str, float]]:
-    """Measure achieved rate across the (κ, µ) grid for one setup.
-
-    Args:
-        setup: "identical" or "diverse".
-        kappas: the κ values to sweep (the paper uses 1..5).
-        mu_step: µ grid step (the paper uses 0.1).
-        duration: measurement window per point, in unit times.
-        warmup: settling time per point.
-        seed: root seed (each grid point derives its own from the sweep
-            spec identity -- see :func:`repro.sweep.derive_seed`).
-        quick: coarsen the sweep (µ step 0.5, shorter windows) for use in
-            the benchmark suite.
-        jobs: worker processes (1 = serial in-process; >1 gives identical
-            rows, computed in parallel).
-        cache: optional result cache for resume/incremental re-runs.
-
-    Returns:
-        Rows with κ, µ, optimal and achieved rate (both in symbols/unit
-        and Mbps) and their ratio.
-    """
-    spec = fig3_spec(setup, kappas, mu_step, duration, warmup, seed, quick)
-    runner = SweepRunner(jobs=jobs, cache=cache)
-    return values(runner.run(spec, fig3_point))
-
-
-def main(quick: bool = False, jobs: int = 1, cache: Optional[ResultCache] = None) -> None:  # pragma: no cover - exercised via runner
-    from repro.experiments.reporting import rows_to_table, summarize_ratio
-
-    for setup in ("identical", "diverse"):
-        rows = run_fig3(setup=setup, quick=quick, jobs=jobs, cache=cache)
-        print(f"\nFigure 3 ({setup} setup): optimal vs achieved rate over (κ, µ)")
-        print(
-            rows_to_table(
-                rows, ["kappa", "mu", "optimal_mbps", "achieved_mbps", "ratio"], precision=3
-            )
-        )
-        print(summarize_ratio(rows, "achieved_rate", "optimal_rate"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=True)

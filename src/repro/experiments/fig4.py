@@ -19,14 +19,13 @@ Like Figure 3, the grid is a :class:`~repro.sweep.SweepSpec`; each point
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.core.program import Objective, optimal_property_value
 from repro.core.rate import optimal_rate
 from repro.core.tradeoff import mu_grid
-from repro.lp import InfeasibleError
 from repro.protocol.config import ProtocolConfig
-from repro.sweep import ResultCache, SweepRunner, SweepSpec, values
+from repro.sweep import SweepSpec
 from repro.workloads.echo import run_echo
 from repro.workloads.setups import delay_to_ms, delayed_setup
 
@@ -40,7 +39,12 @@ def fig4_spec(
     quick: bool = False,
     offered_fraction: float = 1.0,
 ) -> SweepSpec:
-    """The Figure 4 sweep as a declarative spec."""
+    """The Figure 4 sweep as a declarative spec.
+
+    ``offered_fraction`` is the fraction of the optimal rate to offer: 1.0
+    is the paper's "at maximum rate"; lower values separate queueing from
+    channel delay in the ablation.
+    """
     if quick:
         mu_step = max(mu_step, 0.5)
         duration = min(duration, 8.0)
@@ -62,16 +66,13 @@ def fig4_spec(
     )
 
 
-def fig4_point(params: Dict[str, float], seed: int) -> Optional[Dict[str, float]]:
-    """Measure one (κ, µ) delay point; None when the LP is infeasible."""
+def fig4_point(params: Dict[str, float], seed: int) -> Dict[str, float]:
+    """Measure one (κ, µ) delay point against the LP-optimal delay."""
     channels = delayed_setup()
     kappa, mu = params["kappa"], params["mu"]
-    try:
-        optimal_delay = optimal_property_value(
-            channels, Objective.DELAY, kappa, mu, at_max_rate=True
-        )
-    except InfeasibleError:  # pragma: no cover - grid is feasible
-        return None
+    optimal_delay = optimal_property_value(
+        channels, Objective.DELAY, kappa, mu, at_max_rate=True
+    )
     config = ProtocolConfig(
         kappa=kappa,
         mu=mu,
@@ -92,48 +93,3 @@ def fig4_point(params: Dict[str, float], seed: int) -> Optional[Dict[str, float]
         "actual_delay_ms": result.mean_delay_ms,
         "echoes": result.echoes,
     }
-
-
-def run_fig4(
-    kappas: Sequence[float] = (1.0, 2.0, 3.0, 4.0, 5.0),
-    mu_step: float = 0.2,
-    duration: float = 30.0,
-    warmup: float = 5.0,
-    seed: int = 3,
-    quick: bool = False,
-    offered_fraction: float = 1.0,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[Dict[str, float]]:
-    """Measure mean one-way delay at maximum rate across the (κ, µ) grid.
-
-    Args:
-        offered_fraction: fraction of the optimal rate to offer (1.0 is
-            the paper's "at maximum rate"; lower values are useful in the
-            ablation that separates queueing from channel delay).
-        jobs: worker processes (1 = serial; >1 identical rows, parallel).
-        cache: optional result cache for resume/incremental re-runs.
-
-    Returns:
-        Rows with κ, µ, the LP-optimal delay (ms) and the measured mean
-        one-way delay (ms).
-    """
-    spec = fig4_spec(kappas, mu_step, duration, warmup, seed, quick, offered_fraction)
-    runner = SweepRunner(jobs=jobs, cache=cache)
-    return [row for row in values(runner.run(spec, fig4_point)) if row is not None]
-
-
-def main(quick: bool = False, jobs: int = 1, cache: Optional[ResultCache] = None) -> None:  # pragma: no cover - exercised via runner
-    from repro.experiments.reporting import rows_to_table
-
-    rows = run_fig4(quick=quick, jobs=jobs, cache=cache)
-    print("\nFigure 4: delay at maximum rate (Delayed setup)")
-    print(
-        rows_to_table(
-            rows, ["kappa", "mu", "optimal_delay_ms", "actual_delay_ms"], precision=3
-        )
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=True)

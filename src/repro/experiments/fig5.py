@@ -18,13 +18,12 @@ Like Figure 3, the grid is a :class:`~repro.sweep.SweepSpec` executed by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.core.program import Objective, optimal_property_value
 from repro.core.tradeoff import mu_grid
-from repro.lp import InfeasibleError
 from repro.protocol.config import ProtocolConfig
-from repro.sweep import ResultCache, SweepRunner, SweepSpec, values
+from repro.sweep import SweepSpec
 from repro.workloads.iperf import practical_max_rate, run_iperf
 from repro.workloads.setups import lossy_setup
 
@@ -38,7 +37,11 @@ def fig5_spec(
     quick: bool = False,
     selector_ordering: str = "headroom",
 ) -> SweepSpec:
-    """The Figure 5 sweep as a declarative spec."""
+    """The Figure 5 sweep as a declarative spec.
+
+    ``selector_ordering`` picks the protocol's channel-selector order;
+    ``"fixed"`` is the ablation that reproduces the paper's pathologies.
+    """
     if quick:
         mu_step = max(mu_step, 0.5)
         duration = min(duration, 10.0)
@@ -60,16 +63,16 @@ def fig5_spec(
     )
 
 
-def fig5_point(params: Dict[str, float], seed: int) -> Optional[Dict[str, float]]:
-    """Measure one (κ, µ) loss point; None when the LP is infeasible."""
+def fig5_point(params: Dict[str, float], seed: int) -> Dict[str, float]:
+    """Measure one (κ, µ) loss point against the LP-optimal loss.
+
+    The measured loss is receiver-side and excludes sender source drops.
+    """
     channels = lossy_setup()
     kappa, mu = params["kappa"], params["mu"]
-    try:
-        optimal_loss = optimal_property_value(
-            channels, Objective.LOSS, kappa, mu, at_max_rate=True
-        )
-    except InfeasibleError:  # pragma: no cover - grid is feasible
-        return None
+    optimal_loss = optimal_property_value(
+        channels, Objective.LOSS, kappa, mu, at_max_rate=True
+    )
     config = ProtocolConfig(
         kappa=kappa,
         mu=mu,
@@ -96,41 +99,3 @@ def fig5_point(params: Dict[str, float], seed: int) -> Optional[Dict[str, float]
         "actual_loss_pct": result.loss_percent,
         "achieved_rate": result.achieved_rate,
     }
-
-
-def run_fig5(
-    kappas: Sequence[float] = (1.0, 2.0, 3.0, 4.0, 5.0),
-    mu_step: float = 0.1,
-    duration: float = 30.0,
-    warmup: float = 5.0,
-    seed: int = 2,
-    quick: bool = False,
-    selector_ordering: str = "headroom",
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[Dict[str, float]]:
-    """Measure loss at maximum rate across the (κ, µ) grid.
-
-    Returns:
-        Rows with κ, µ, the LP-optimal loss percentage and the measured
-        loss percentage (receiver-side, excluding sender source drops).
-    """
-    spec = fig5_spec(kappas, mu_step, duration, warmup, seed, quick, selector_ordering)
-    runner = SweepRunner(jobs=jobs, cache=cache)
-    return [row for row in values(runner.run(spec, fig5_point)) if row is not None]
-
-
-def main(quick: bool = False, jobs: int = 1, cache: Optional[ResultCache] = None) -> None:  # pragma: no cover - exercised via runner
-    from repro.experiments.reporting import rows_to_table
-
-    rows = run_fig5(quick=quick, jobs=jobs, cache=cache)
-    print("\nFigure 5: loss at maximum rate (Lossy setup)")
-    print(
-        rows_to_table(
-            rows, ["kappa", "mu", "optimal_loss_pct", "actual_loss_pct"], precision=3
-        )
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=True)

@@ -25,13 +25,13 @@ CPU-bound sweeps in the evaluation, so they gain the most from ``jobs``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.core.rate import optimal_rate
 from repro.protocol.config import ProtocolConfig
-from repro.sweep import ResultCache, SweepRunner, SweepSpec, values
+from repro.sweep import SweepSpec
 from repro.workloads.iperf import run_iperf
 from repro.workloads.setups import identical_setup, rate_to_mbps
 
@@ -49,7 +49,11 @@ RATE_SWEEP_MBPS = tuple(float(mbps) for mbps in range(100, 825, 25))
 
 
 def fig67_point(params: Dict[str, float], seed: int) -> Dict[str, float]:
-    """Measure one CPU-bound capacity point; shared by Figures 6 and 7."""
+    """Measure one CPU-bound capacity point; shared by Figures 6 and 7.
+
+    The optimal multichannel rate is capped by the offered load, as in the
+    paper's measurement; a curve levels off where achieved departs from it.
+    """
     channel_mbps, kappa, mu = params["channel_mbps"], params["kappa"], params["mu"]
     channels = identical_setup(channel_mbps)
     config = ProtocolConfig(kappa=kappa, mu=mu, share_synthetic=True)
@@ -116,48 +120,6 @@ def fig7_spec(
     )
 
 
-def run_fig6(
-    sweep_mbps: Sequence[float] = RATE_SWEEP_MBPS,
-    duration: float = 20.0,
-    warmup: float = 4.0,
-    seed: int = 4,
-    quick: bool = False,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[Dict[str, float]]:
-    """Figure 6: κ = µ = 1 over the capacity sweep.
-
-    Returns rows with the per-channel rate, the optimal multichannel rate
-    (capped by the offered load, as in the paper's measurement), and the
-    achieved rate.  The level-off point is where achieved departs from
-    optimal.
-    """
-    spec = fig6_spec(sweep_mbps, duration, warmup, seed, quick)
-    runner = SweepRunner(jobs=jobs, cache=cache)
-    return values(runner.run(spec, fig67_point))
-
-
-def run_fig7(
-    sweep_mbps: Sequence[float] = RATE_SWEEP_MBPS,
-    kappas: Sequence[float] = (1.0, 2.0, 3.0, 4.0, 5.0),
-    duration: float = 20.0,
-    warmup: float = 4.0,
-    seed: int = 5,
-    quick: bool = False,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[Dict[str, float]]:
-    """Figure 7: µ = 5 with κ in 1..5 over the capacity sweep.
-
-    Larger κ makes reconstruction costlier, so its curve departs from
-    optimal at lower channel rates -- the paper's headline observation for
-    this figure.
-    """
-    spec = fig7_spec(sweep_mbps, kappas, duration, warmup, seed, quick)
-    runner = SweepRunner(jobs=jobs, cache=cache)
-    return values(runner.run(spec, fig67_point))
-
-
 def saturation_point(rows: Sequence[Dict[str, float]], tolerance: float = 0.95) -> float:
     """The lowest per-channel Mbps at which achieved < tolerance x optimal.
 
@@ -168,23 +130,3 @@ def saturation_point(rows: Sequence[Dict[str, float]], tolerance: float = 0.95) 
         if row["achieved_mbps"] < tolerance * row["optimal_mbps"]:
             return row["channel_mbps"]
     return float("inf")
-
-
-def main(quick: bool = False, jobs: int = 1, cache: Optional[ResultCache] = None) -> None:  # pragma: no cover - exercised via runner
-    from repro.experiments.reporting import rows_to_table
-
-    rows6 = run_fig6(quick=quick, jobs=jobs, cache=cache)
-    print("\nFigure 6: Identical setup, increasing channel rate, κ = µ = 1")
-    print(rows_to_table(rows6, ["channel_mbps", "optimal_mbps", "achieved_mbps"], precision=1))
-    print(f"level-off (achieved < 95% optimal) at ~{saturation_point(rows6)} Mbps/channel")
-
-    rows7 = run_fig7(quick=quick, jobs=jobs, cache=cache)
-    print("\nFigure 7: Identical setup, increasing channel rate, µ = 5")
-    print(rows_to_table(rows7, ["kappa", "channel_mbps", "optimal_mbps", "achieved_mbps"], precision=1))
-    for kappa in sorted({row["kappa"] for row in rows7}):
-        subset = [row for row in rows7 if row["kappa"] == kappa]
-        print(f"κ={kappa}: departs optimal at ~{saturation_point(subset)} Mbps/channel")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=True)

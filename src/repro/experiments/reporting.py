@@ -1,12 +1,16 @@
-"""Plain-text reporting helpers for the experiment drivers.
+"""Plain-text and CSV reporting helpers for the experiment drivers.
 
 The paper's figures are line/surface plots; headless reproduction prints
 the same series as aligned text tables so the shape (who wins, where the
-bumps and crossovers fall) can be read directly from the benchmark output.
+bumps and crossovers fall) can be read directly from the benchmark output,
+and writes them as CSV with a stable column order so the plots can be
+regenerated with any plotting tool.
 """
 
 from __future__ import annotations
 
+import csv
+import os
 from typing import Iterable, List, Mapping, Sequence
 
 
@@ -72,3 +76,30 @@ def summarize_ratio(rows: Sequence[Mapping[str, float]], key_actual: str, key_op
         f"mean {mean:.4f}, worst {worst:.4f} "
         f"(paper reports within 3-4% of optimal)"
     )
+
+
+def write_rows(
+    path: str,
+    rows: Sequence[Mapping[str, object]],
+    columns: Sequence[str] = None,
+) -> int:
+    """Write row dicts to ``path`` as CSV; returns the row count.
+
+    Columns default to the union of keys in first-seen order (excluding
+    values that are not scalars, e.g. Figure 2's column lists).
+    """
+    if not rows:
+        raise ValueError("no rows to export")
+    if columns is None:
+        columns = []
+        for row in rows:
+            for key, value in row.items():
+                if key not in columns and isinstance(value, (int, float, str, bool)):
+                    columns.append(key)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(columns), extrasaction="ignore")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({key: row.get(key, "") for key in columns})
+    return len(rows)

@@ -1,7 +1,9 @@
-"""Exact perfect-secrecy verification over small fields."""
+"""Exact perfect-secrecy verification over small fields and GF(2^8)."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro.analysis.secrecy import (
@@ -10,7 +12,9 @@ from repro.analysis.secrecy import (
     mutual_information,
     verify_perfect_secrecy,
 )
+from repro.gf.batch import eval_poly_at_points
 from repro.gf.gfp import PrimeField
+from repro.sharing.shamir import ShamirScheme
 
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
@@ -111,3 +115,44 @@ class TestVerifyPerfectSecrecy:
             verify_perfect_secrecy(GF5, 3, 2)
         with pytest.raises(ValueError):
             verify_perfect_secrecy(GF5, 2, 5)  # m must stay below |F|
+
+
+class TestProductionKernel:
+    """Exact secrecy of the GF(2^8) code that ``ShamirScheme`` runs.
+
+    ``split`` evaluates shares with ``eval_poly_at_points`` (XOR-Horner
+    over the product table) and ``reconstruct`` interpolates with cached
+    Lagrange bases, so these enumerate that code rather than the
+    small-field algebra above.
+    """
+
+    M = 5
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_fewer_than_k_shares_reveal_nothing(self, k):
+        # Every coefficient tuple (a_1, ..., a_{k-1}) is one column of the
+        # batch, and each pass fixes one secret: all of GF(256)^k in total.
+        tuples = 256 ** (k - 1)
+        coeffs = np.empty((k, tuples), dtype=np.uint8)
+        coeffs[1:] = np.indices((256,) * (k - 1)).reshape(k - 1, tuples)
+        points = np.arange(1, self.M + 1, dtype=np.uint8)
+        subsets = list(itertools.combinations(range(self.M), k - 1))
+        for secret in range(256):
+            coeffs[0] = secret
+            shares = eval_poly_at_points(coeffs, points).astype(np.int64)
+            for subset in subsets:
+                code = np.zeros(tuples, dtype=np.int64)
+                for index in subset:
+                    code = code * 256 + shares[index]
+                # Each observable share tuple comes from exactly one
+                # coefficient tuple, so the k-1 shares are uniform whatever
+                # the secret: I(secret; shares) = 0 exactly.
+                assert (np.bincount(code, minlength=tuples) == 1).all(), (secret, subset)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_any_k_shares_reconstruct_every_byte(self, k):
+        scheme = ShamirScheme()
+        secret = bytes(range(256))
+        shares = scheme.split(secret, k, self.M, np.random.default_rng(k))
+        for group in itertools.combinations(shares, k):
+            assert scheme.reconstruct(group) == secret

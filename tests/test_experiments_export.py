@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from repro.experiments.export import write_rows
+from repro.experiments.reporting import write_rows
 
 
 class TestWriteRows:

@@ -15,7 +15,8 @@ from repro.adversary.montecarlo import (
 from repro.cli import main as cli_main
 from repro.core.channel import ChannelSet
 from repro.core.properties import subset_loss, subset_risk
-from repro.experiments.fig3 import fig3_point, fig3_spec, run_fig3
+from repro.experiments import run_figure
+from repro.experiments.fig3 import fig3_point, fig3_spec
 from repro.experiments.fig67 import fig6_spec, fig7_spec
 from repro.sweep import ResultCache, SweepRunner, values
 
@@ -35,21 +36,21 @@ def five_channels():
 
 class TestFigureWiring:
     def test_fig3_serial_path_matches_plain_loop(self):
-        """run_fig3 is the spec enumerated point-by-point, nothing more."""
+        """run_figure is the spec enumerated point-by-point, nothing more."""
         spec = fig3_spec(setup="identical", **QUICK)
         expected = [fig3_point(dict(p.params), p.seed) for p in spec]
-        assert run_fig3(setup="identical", **QUICK) == expected
+        assert run_figure("fig3", setup="identical", **QUICK) == expected
 
     @pytest.mark.slow
     def test_fig3_jobs_do_not_change_rows(self):
-        serial = run_fig3(setup="identical", **QUICK, jobs=1)
-        parallel = run_fig3(setup="identical", **QUICK, jobs=2)
+        serial = run_figure("fig3", setup="identical", **QUICK, jobs=1)
+        parallel = run_figure("fig3", setup="identical", **QUICK, jobs=2)
         assert parallel == serial
 
     @pytest.mark.slow
     def test_fig3_resume_serves_identical_rows(self, tmp_path):
         cache = ResultCache(str(tmp_path), fingerprint="test")
-        cold = run_fig3(setup="identical", **QUICK, cache=cache)
+        cold = run_figure("fig3", setup="identical", **QUICK, cache=cache)
         runner_check = SweepRunner(cache=cache)
         warm_results = runner_check.run(fig3_spec(setup="identical", **QUICK), fig3_point)
         assert values(warm_results) == cold
@@ -171,7 +172,30 @@ class TestSweepCli:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert json.loads((tmp_path / "a.json").read_text())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--figure", "fig6", "--kappa", "3"],
+            ["--figure", "fig6", "--mu-step", "0.3"],
+            ["--figure", "fig7", "--mu-step", "0.3"],
+            ["--figure", "fig4", "--setup", "diverse"],
+        ],
+    )
+    def test_option_the_figure_does_not_take_is_an_error(self, argv, capsys):
+        assert cli_main(["sweep", "--quick", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {argv[2]} ")
+
     def test_runner_module_exit_codes(self):
         from repro.experiments.runner import main as runner_main
 
         assert runner_main(["--only", "fig2"]) == 0
+
+    def test_runner_only_runs_the_selected_figure(self, capsys):
+        from repro.experiments.runner import main as runner_main
+
+        assert runner_main(["--only", "fig6", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 6:" in out
+        assert "Figure 7:" not in out
