@@ -7,21 +7,14 @@ Two complementary verification layers live here:
   the full joint distribution of (secret, observed shares) over small
   prime fields and computing entropies and mutual information in
   closed form.
-* :mod:`repro.analysis.framework` is the static-analysis substrate
-  (discovery, reports, suppressions, baselines) shared by the
-  determinism linter (``repro.lint``) and the secret-taint analysis
-  (:mod:`repro.analysis.taint`), which proves the *implementation*
-  honours that secrecy by tracking where raw secret bytes flow.
+* :mod:`repro.analysis.framework` is the static-analysis substrate and
+  the one analyser front end (discovery, directives, reports, baselines,
+  the command line) shared by the determinism linter (``repro.lint``)
+  and the secret-taint analysis (:mod:`repro.analysis.taint`), which
+  proves the *implementation* honours that secrecy by tracking where
+  raw secret bytes flow.
 """
 
-from repro.analysis.framework import (
-    PARSE_ERROR,
-    AnalysisReport,
-    discover,
-    emit_counters,
-    print_report,
-    split_suppressed,
-)
 from repro.analysis.secrecy import (
     SecrecyReport,
     entropy,
@@ -36,10 +29,4 @@ __all__ = [
     "joint_distribution",
     "verify_perfect_secrecy",
     "SecrecyReport",
-    "AnalysisReport",
-    "PARSE_ERROR",
-    "discover",
-    "emit_counters",
-    "print_report",
-    "split_suppressed",
 ]

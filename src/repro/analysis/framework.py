@@ -1,14 +1,23 @@
-"""Shared static-analysis framework.
+"""Shared static-analysis framework: the one analyser front end.
 
-PR 4's determinism linter and the secret-taint analysis are different
-*policies* over the same mechanical substrate: deterministic file
-discovery, one ``ast.parse`` per file, ``# tool:`` directive parsing,
-a sorted findings list partitioned into live / suppressed / baselined,
-a stable JSON report schema, and rule-hit counters through
-:mod:`repro.obs`.  This module owns that substrate; ``repro.lint`` and
-``repro.analysis.taint`` both build on it, so the two tools stay
-byte-compatible in their report formats and CLI behaviour (pinned by
-``tests/test_lint_regression.py``).
+The determinism linter (:mod:`repro.lint`) and the secret-taint analysis
+(:mod:`repro.analysis.taint`) are different *policies* over one
+mechanical substrate, which this module owns: sorted file discovery,
+the per-file prologue (:func:`parse_source`: ``# tool:`` directives,
+``bad-directive`` and ``parse-error`` findings, one ``ast.parse``), the
+run epilogue (:func:`finish_report`: sorting, the baseline partition and
+the ``<tool>_*`` counters through :mod:`repro.obs`), and the command
+line (:func:`add_arguments` / :func:`run` / :func:`main`, parameterised
+by a :class:`Tool` record) behind ``repro-model lint``, ``repro-model
+taint``, ``python -m repro.lint`` and ``python -m repro.analysis.taint``.
+
+So both tools share one option set, one report format and one exit-code
+contract -- 0 clean, 1 live findings, 2 usage errors (a missing path, a
+malformed or missing explicit baseline) -- pinned by
+``tests/test_lint_regression.py`` and ``tests/test_taint_cli.py``.  The
+engines keep only their analysis: rule dispatch in
+:class:`~repro.lint.engine.LintEngine`, the summary fixpoint in
+:class:`~repro.analysis.taint.engine.TaintEngine`.
 
 The primitive types -- :class:`~repro.analysis.findings.Finding`,
 :class:`~repro.analysis.baseline.Baseline`, the suppression parser and the
@@ -18,11 +27,14 @@ a single import surface.
 
 from __future__ import annotations
 
+import argparse
+import ast
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
@@ -41,12 +53,17 @@ __all__ = [
     "Finding",
     "PARSE_ERROR",
     "SKIP_DIRS",
+    "Tool",
+    "add_arguments",
     "collect_aliases",
     "discover",
-    "emit_counters",
+    "finish_report",
+    "main",
+    "parse_source",
     "parse_suppressions",
     "print_report",
     "qualified_name",
+    "run",
     "split_suppressed",
 ]
 
@@ -68,7 +85,6 @@ class AnalysisReport:
     every hazard the analysis saw.
     """
 
-    root: str
     files_scanned: int = 0
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
@@ -131,6 +147,47 @@ def discover(root: str, paths: Sequence[str], label: str = "lint") -> List[str]:
     return sorted(dict.fromkeys(p.replace(os.sep, "/") for p in found))
 
 
+def parse_source(
+    relpath: str,
+    source: str,
+    tool: str,
+    known_rules: Iterable[str],
+    annotation_kinds: Sequence[str] = (),
+) -> Tuple[Optional[ast.Module], FileSuppressions, List[Finding]]:
+    """The per-file prologue every analyser runs before its own pass.
+
+    Parses ``tool``'s directives (``known_rules`` plus ``parse-error``
+    may be named in them) and the AST.  Returns ``(tree, suppressions,
+    findings)``: ``findings`` holds one ``bad-directive`` per malformed
+    directive and, when the file does not parse, a ``parse-error`` --
+    in which case ``tree`` is ``None``.
+    """
+    suppressions = parse_suppressions(
+        source.splitlines(),
+        [*known_rules, PARSE_ERROR],
+        tool=tool,
+        annotation_kinds=annotation_kinds,
+    )
+    findings = [
+        Finding(file=relpath, line=line, column=column, rule=BAD_DIRECTIVE, message=message)
+        for line, column, message in suppressions.bad_directives
+    ]
+    try:
+        tree: Optional[ast.Module] = ast.parse(source)
+    except SyntaxError as exc:
+        tree = None
+        findings.append(
+            Finding(
+                file=relpath,
+                line=exc.lineno or 1,
+                column=(exc.offset or 1) - 1,
+                rule=PARSE_ERROR,
+                message=f"file does not parse: {exc.msg}",
+            )
+        )
+    return tree, suppressions, findings
+
+
 def split_suppressed(
     findings: Sequence[Finding], suppressions: FileSuppressions
 ) -> Tuple[List[Finding], List[Finding]]:
@@ -140,26 +197,42 @@ def split_suppressed(
     return live, dead
 
 
-def emit_counters(report: AnalysisReport, obs, prefix: str) -> None:
-    """Rule-hit counters through repro.obs (no-op without obs).
+def finish_report(
+    per_file: Iterable[Tuple[List[Finding], List[Finding]]],
+    baseline: Optional[Baseline],
+    obs,
+    tool: str,
+) -> AnalysisReport:
+    """The run epilogue: one report from each file's ``(live, suppressed)``.
 
-    Emits ``{prefix}_files_scanned_total``,
-    ``{prefix}_findings_total{rule=...}``,
-    ``{prefix}_suppressed_total{rule=...}`` and
-    ``{prefix}_baselined_total``.
+    Live findings are sorted run-wide and split by ``baseline`` (when
+    given) into ``findings`` and ``baselined``.  With ``obs`` it counts
+    ``{tool}_files_scanned_total``, ``{tool}_findings_total{rule=...}``,
+    ``{tool}_suppressed_total{rule=...}`` and ``{tool}_baselined_total``.
     """
-    if obs is None:
-        return
-    registry = obs.registry
-    registry.counter(f"{prefix}_files_scanned_total").inc(report.files_scanned)
-    for rule_id, count in report.rule_counts().items():
-        registry.counter(f"{prefix}_findings_total", rule=rule_id).inc(count)
-    suppressed_counts: Dict[str, int] = {}
-    for finding in report.suppressed:
-        suppressed_counts[finding.rule] = suppressed_counts.get(finding.rule, 0) + 1
-    for rule_id, count in sorted(suppressed_counts.items()):
-        registry.counter(f"{prefix}_suppressed_total", rule=rule_id).inc(count)
-    registry.counter(f"{prefix}_baselined_total").inc(len(report.baselined))
+    report = AnalysisReport()
+    raw: List[Finding] = []
+    for live, suppressed in per_file:
+        raw.extend(live)
+        report.suppressed.extend(suppressed)
+        report.files_scanned += 1
+    raw.sort()
+    if baseline is not None:
+        report.findings, report.baselined = baseline.partition(raw)
+    else:
+        report.findings = raw
+    if obs is not None:
+        registry = obs.registry
+        registry.counter(f"{tool}_files_scanned_total").inc(report.files_scanned)
+        for rule_id, count in report.rule_counts().items():
+            registry.counter(f"{tool}_findings_total", rule=rule_id).inc(count)
+        suppressed_counts: Dict[str, int] = {}
+        for finding in report.suppressed:
+            suppressed_counts[finding.rule] = suppressed_counts.get(finding.rule, 0) + 1
+        for rule_id, count in sorted(suppressed_counts.items()):
+            registry.counter(f"{tool}_suppressed_total", rule=rule_id).inc(count)
+        registry.counter(f"{tool}_baselined_total").inc(len(report.baselined))
+    return report
 
 
 def print_report(report: AnalysisReport, fmt: str) -> None:
@@ -171,3 +244,134 @@ def print_report(report: AnalysisReport, fmt: str) -> None:
         for finding in report.findings:
             print(finding.render())
         print(report.summary())
+
+
+# -- the command line ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Tool:
+    """What the shared command line needs to know about one analyser.
+
+    ``name`` is the directive prefix, the obs counter prefix and the
+    stem of the default baseline (``<name>-baseline.json`` next to
+    ``--root``).  ``engine(baseline=..., obs=...)`` builds an object whose
+    ``run(root, paths)`` returns an :class:`AnalysisReport`.
+    ``catalogue_flag`` (e.g. ``--list-rules``) makes the run call
+    ``print_catalogue`` instead.  ``prog`` and ``description`` title the
+    standalone ``python -m`` parser.
+    """
+
+    name: str
+    verb: str
+    engine: Callable[..., Any]
+    default_paths: Tuple[str, ...]
+    catalogue_flag: str
+    catalogue_help: str
+    print_catalogue: Callable[[], None]
+    prog: str
+    description: str
+
+
+def add_arguments(parser: argparse.ArgumentParser, tool: Tool) -> None:
+    """Attach ``tool``'s options to ``parser``; ``args.func`` runs it."""
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        help=f"files/directories to {tool.verb} (default: {' '.join(tool.default_paths)})",
+    )
+    parser.add_argument(
+        "--root",
+        default=".",
+        help="repository root paths are resolved against (default: cwd)",
+    )
+    parser.add_argument(
+        "--format",
+        choices=["text", "json"],
+        default="text",
+        help="report format (text: file:line:col lines; json: stable schema)",
+    )
+    parser.add_argument(
+        "--baseline",
+        metavar="PATH",
+        help=f"baseline file of grandfathered findings (default: "
+        f"{tool.name}-baseline.json next to --root when present)",
+    )
+    parser.add_argument(
+        "--no-baseline",
+        action="store_true",
+        help="ignore any baseline file (report every finding)",
+    )
+    parser.add_argument(
+        "--update-baseline",
+        action="store_true",
+        help="write the current findings to the baseline file and exit 0",
+    )
+    parser.add_argument(
+        tool.catalogue_flag,
+        dest="catalogue",
+        action="store_true",
+        help=tool.catalogue_help,
+    )
+    parser.add_argument(
+        "--metrics-out",
+        metavar="PATH",
+        help=f"also emit the {tool.name} rule-hit counters through repro.obs to "
+        "this path (format inferred from the suffix; see docs/OBSERVABILITY.md)",
+    )
+    parser.set_defaults(func=functools.partial(run, tool))
+
+
+def run(tool: Tool, args: argparse.Namespace) -> int:
+    """Execute a parsed ``tool`` invocation; returns the process exit code."""
+    if args.catalogue:
+        tool.print_catalogue()
+        return 0
+
+    root = os.path.abspath(args.root)
+    paths = list(args.paths) or [
+        p for p in tool.default_paths if os.path.exists(os.path.join(root, p))
+    ]
+    if not paths:
+        print(f"error: no default {tool.name} paths exist under {root}", file=sys.stderr)
+        return 2
+
+    obs = None
+    if args.metrics_out:
+        from repro.obs import Observability
+
+        obs = Observability.create()
+
+    baseline_path = args.baseline or os.path.join(root, f"{tool.name}-baseline.json")
+    try:
+        baseline = None
+        if not (args.no_baseline or args.update_baseline):
+            if os.path.exists(baseline_path):
+                baseline = Baseline.load(baseline_path)
+            elif args.baseline:
+                raise FileNotFoundError(f"baseline file not found: {args.baseline}")
+        report = tool.engine(baseline=baseline, obs=obs).run(root, paths)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    if args.update_baseline:
+        Baseline.from_findings(report.findings).write(baseline_path)
+        print(f"baseline: {len(report.findings)} finding(s) -> {baseline_path}")
+        return 0
+
+    print_report(report, args.format)
+
+    if obs is not None:
+        from repro.obs import write_metrics
+
+        write_metrics(args.metrics_out, obs.registry.snapshot())
+
+    return 0 if report.ok else 1
+
+
+def main(tool: Tool, argv: Optional[Sequence[str]] = None) -> int:
+    """The standalone ``python -m`` entry point for ``tool``."""
+    parser = argparse.ArgumentParser(prog=tool.prog, description=tool.description)
+    add_arguments(parser, tool)
+    return run(tool, parser.parse_args(argv))

@@ -12,12 +12,7 @@ the determinism linter.  ``repro-model taint`` is the CLI; docs/TAINT.md
 is the threat model in prose.
 """
 
-from repro.analysis.taint.engine import (
-    ANNOTATION_KINDS,
-    TaintEngine,
-    TaintReport,
-    taint_paths,
-)
+from repro.analysis.taint.engine import ANNOTATION_KINDS, TaintEngine, taint_paths
 from repro.analysis.taint.policy import (
     Sanitizer,
     Sink,
@@ -38,7 +33,6 @@ __all__ = [
     "SummaryTable",
     "TaintEngine",
     "TaintPolicy",
-    "TaintReport",
     "default_policy",
     "taint_paths",
 ]

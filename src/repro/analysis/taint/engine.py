@@ -2,138 +2,93 @@
 
 Runs in three stages over the discovered tree:
 
-1. **Parse** every file once (shared framework: sorted discovery,
-   ``# taint:`` directive parsing, ``parse-error`` findings for broken
-   files).
+1. **Parse** every file once (the shared per-file prologue:
+   ``# taint:`` directives, ``bad-directive`` and ``parse-error``
+   findings).
 2. **Summary fixpoint**: repeat summary-only module passes until no
    function summary or attribute-taint entry changes (bounded by
-   ``max_passes``); this is what lets taint introduced in
+   :data:`MAX_PASSES`); this is what lets taint introduced in
    ``protocol.dibs`` surface at a sink reached through ``sender`` ->
    ``netsim`` -> ``obs`` call chains.
 3. **Collection**: one final pass emits findings, which then flow
-   through the exact suppression/baseline/report pipeline the
-   determinism linter uses -- same JSON schema, same exit-code
-   contract, ``taint_*`` obs counters instead of ``lint_*``.
+   through the run epilogue the determinism linter uses -- same
+   suppression/baseline pipeline, same JSON schema, ``taint_*`` obs
+   counters instead of ``lint_*``.
 """
 
 from __future__ import annotations
 
-import ast
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis import framework
 from repro.analysis.framework import (
-    BAD_DIRECTIVE,
-    PARSE_ERROR,
     AnalysisReport,
     Baseline,
     Finding,
+    FileSuppressions,
     collect_aliases,
-    parse_suppressions,
     split_suppressed,
 )
-from repro.analysis.taint.policy import TaintPolicy, default_policy
+from repro.analysis.taint.policy import default_policy
 from repro.analysis.taint.propagation import ModuleAnalyzer, ModuleInfo, module_name
 from repro.analysis.taint.summaries import SummaryTable
 
-__all__ = ["TaintEngine", "TaintReport", "taint_paths", "ANNOTATION_KINDS"]
+__all__ = ["ANNOTATION_KINDS", "MAX_PASSES", "TaintEngine", "taint_paths"]
 
 #: The ``# taint:`` annotation directive keywords (see docs/TAINT.md).
 ANNOTATION_KINDS = ("source", "sink", "declassified")
 
-
-class TaintReport(AnalysisReport):
-    """The outcome of one taint run (the shared report shape)."""
+#: Cross-module summary fixpoint bound.
+MAX_PASSES = 5
 
 
 class TaintEngine:
     """Source/sink/sanitizer dataflow analysis over a file tree.
 
+    The source/sink/sanitizer catalogue is the repository threat model
+    (:func:`default_policy`).
+
     Args:
-        policy: the source/sink/sanitizer catalogue; defaults to the
-            repository threat model (:func:`default_policy`).
         baseline: grandfathered findings (``taint-baseline.json`` ships
             empty; the mechanism exists for future policy additions).
         obs: optional :class:`repro.obs.Observability`; emits
             ``taint_files_scanned_total``, ``taint_findings_total{rule=...}``,
             ``taint_suppressed_total{rule=...}`` and ``taint_baselined_total``.
-        max_passes: cross-module summary fixpoint bound.
     """
 
-    def __init__(
-        self,
-        policy: Optional[TaintPolicy] = None,
-        baseline: Optional[Baseline] = None,
-        obs=None,
-        max_passes: int = 5,
-    ):
-        self.policy = policy if policy is not None else default_policy()
+    def __init__(self, baseline: Optional[Baseline] = None, obs=None):
+        self.policy = default_policy()
         self.baseline = baseline
         self.obs = obs
-        self.max_passes = max_passes
-
-    def known_rules(self) -> List[str]:
-        return self.policy.rule_ids() + [PARSE_ERROR]
-
-    # -- discovery --------------------------------------------------------------
 
     @staticmethod
     def discover(root: str, paths: Sequence[str]) -> List[str]:
         return framework.discover(root, paths, label="taint")
 
-    # -- analysis ---------------------------------------------------------------
-
-    def analyze_sources(
-        self, files: Sequence[Tuple[str, str]], root: str = ""
-    ) -> TaintReport:
+    def analyze_sources(self, files: Sequence[Tuple[str, str]]) -> AnalysisReport:
         """Analyze ``(relpath, source)`` pairs (filesystem-free entry point)."""
-        report = TaintReport(root=root)
-        report.files_scanned = len(files)
-        known = self.known_rules()
-
+        known = self.policy.rule_ids()
         modules: List[ModuleInfo] = []
-        per_file: Dict[str, List[Finding]] = {}
-        suppressions_by_file = {}
+        findings: Dict[str, List[Finding]] = {}
+        suppressions: Dict[str, FileSuppressions] = {}
         for relpath, source in files:
-            source_lines = source.splitlines()
-            suppressions = parse_suppressions(
-                source_lines, known, tool="taint", annotation_kinds=ANNOTATION_KINDS
+            tree, suppressions[relpath], findings[relpath] = framework.parse_source(
+                relpath, source, "taint", known, ANNOTATION_KINDS
             )
-            suppressions_by_file[relpath] = suppressions
-            findings = per_file.setdefault(relpath, [])
-            for line, column, message in suppressions.bad_directives:
-                findings.append(
-                    Finding(
-                        file=relpath, line=line, column=column,
-                        rule=BAD_DIRECTIVE, message=message,
+            if tree is not None:
+                modules.append(
+                    ModuleInfo(
+                        relpath=relpath,
+                        module=module_name(relpath),
+                        tree=tree,
+                        aliases=collect_aliases(tree),
+                        suppressions=suppressions[relpath],
                     )
                 )
-            try:
-                tree = ast.parse(source)
-            except SyntaxError as exc:
-                findings.append(
-                    Finding(
-                        file=relpath,
-                        line=exc.lineno or 1,
-                        column=(exc.offset or 1) - 1,
-                        rule=PARSE_ERROR,
-                        message=f"file does not parse: {exc.msg}",
-                    )
-                )
-                continue
-            modules.append(
-                ModuleInfo(
-                    relpath=relpath,
-                    module=module_name(relpath),
-                    tree=tree,
-                    aliases=collect_aliases(tree),
-                    suppressions=suppressions,
-                )
-            )
 
         table = SummaryTable()
-        for _ in range(self.max_passes):
+        for _ in range(MAX_PASSES):
             before = table.fingerprint()
             for info in modules:
                 ModuleAnalyzer(info, self.policy, table, collect=False).run()
@@ -142,39 +97,28 @@ class TaintEngine:
 
         for info in modules:
             found = ModuleAnalyzer(info, self.policy, table, collect=True).run()
-            per_file.setdefault(info.relpath, []).extend(found)
+            findings[info.relpath].extend(found)
 
-        raw: List[Finding] = []
-        for relpath in sorted(per_file):
-            findings = sorted(per_file[relpath])
-            live, suppressed = split_suppressed(findings, suppressions_by_file[relpath])
-            raw.extend(live)
-            report.suppressed.extend(suppressed)
-        raw.sort()
-        if self.baseline is not None:
-            report.findings, report.baselined = self.baseline.partition(raw)
-        else:
-            report.findings = raw
-        framework.emit_counters(report, self.obs, "taint")
-        return report
+        split = (
+            split_suppressed(sorted(findings[relpath]), suppressions[relpath])
+            for relpath in sorted(findings)
+        )
+        return framework.finish_report(split, self.baseline, self.obs, "taint")
 
-    # -- whole-run entry point --------------------------------------------------
-
-    def run(self, root: str, paths: Sequence[str]) -> TaintReport:
+    def run(self, root: str, paths: Sequence[str]) -> AnalysisReport:
         """Analyze every ``.py`` file under ``paths`` (relative to ``root``)."""
         files: List[Tuple[str, str]] = []
         for relpath in self.discover(root, paths):
             with open(os.path.join(root, relpath), encoding="utf-8") as handle:
                 files.append((relpath, handle.read()))
-        return self.analyze_sources(files, root=root)
+        return self.analyze_sources(files)
 
 
 def taint_paths(
     root: str,
     paths: Iterable[str],
-    policy: Optional[TaintPolicy] = None,
     baseline: Optional[Baseline] = None,
     obs=None,
-) -> TaintReport:
+) -> AnalysisReport:
     """Convenience wrapper: build an engine and run it once."""
-    return TaintEngine(policy=policy, baseline=baseline, obs=obs).run(root, list(paths))
+    return TaintEngine(baseline=baseline, obs=obs).run(root, list(paths))

@@ -57,14 +57,29 @@ def _parse_inline_channel(spec: str) -> List[float]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _channel_row(entry: object) -> List[float]:
+    """One ``--channels`` JSON row: 4 numbers or a risk/loss/delay/rate object."""
+    fields = ("risk", "loss", "delay", "rate")
+    values = [entry.get(key) for key in fields] if isinstance(entry, dict) else entry
+    if isinstance(values, list) and len(values) == 4:
+        try:
+            return [float(v) for v in values]
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(
+        f"channel row {entry!r}: expected 4 numbers [risk, loss, delay, rate] "
+        "or an object with risk, loss, delay and rate"
+    )
+
+
 def load_channels(
     json_path: Optional[str], inline: Optional[Sequence[List[float]]]
 ) -> ChannelSet:
     """Build a ChannelSet from a JSON file or inline specs.
 
     Raises:
-        SystemExit: via argparse-style error when neither/both given or
-            the JSON is malformed.
+        ValueError: when neither or both are given, or the JSON is not a
+            list of channel rows (see :func:`_channel_row`).
     """
     if json_path and inline:
         raise ValueError("give either --channels or --channel, not both")
@@ -72,14 +87,9 @@ def load_channels(
     if json_path:
         with open(json_path) as handle:
             data = json.load(handle)
-        rows = []
-        for entry in data:
-            if isinstance(entry, dict):
-                rows.append(
-                    [entry["risk"], entry["loss"], entry["delay"], entry["rate"]]
-                )
-            else:
-                rows.append([float(v) for v in entry])
+        if not isinstance(data, list):
+            raise ValueError(f"{json_path}: expected a JSON list of channel rows")
+        rows = [_channel_row(entry) for entry in data]
     elif inline:
         rows = [list(spec) for spec in inline]
     else:
@@ -395,20 +405,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the AST-based determinism linter (see docs/LINTING.md)."""
-    from repro.lint.cli import run_lint
-
-    return run_lint(args)
-
-
-def cmd_taint(args: argparse.Namespace) -> int:
-    """Run the secret-taint static analysis (see docs/TAINT.md)."""
-    from repro.analysis.taint.cli import run_taint
-
-    return run_taint(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -633,10 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
         "defaults and exact float comparisons absent from the simulation "
         "tree.  Exits 0 on a clean tree, 1 on findings.  See docs/LINTING.md.",
     )
-    from repro.lint.cli import add_lint_arguments
+    from repro.analysis.framework import add_arguments
+    from repro.lint.cli import LINT
 
-    add_lint_arguments(lint)
-    lint.set_defaults(func=cmd_lint)
+    add_arguments(lint, LINT)
 
     taint = sub.add_parser(
         "taint",
@@ -648,10 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
         "persistence or repr/f-string formatting.  Exits 0 on a clean "
         "tree, 1 on findings.  See docs/TAINT.md.",
     )
-    from repro.analysis.taint.cli import add_taint_arguments
+    from repro.analysis.taint.cli import TAINT
 
-    add_taint_arguments(taint)
-    taint.set_defaults(func=cmd_taint)
+    add_arguments(taint, TAINT)
 
     return parser
 

@@ -15,13 +15,15 @@ record, import-alias resolution, ``# lint:`` directives and the JSON
 baseline of grandfathered findings, which ships empty -- see
 docs/LINTING.md):
 
-* :mod:`repro.lint.rules` -- the :class:`Rule` base class and registry.
-* :mod:`repro.lint.checks` -- the determinism rule catalogue
-  (``wall-clock``, ``unseeded-rng``, ``unordered-iteration``,
-  ``env-read``, ``mutable-default``, ``float-eq``).
+* :mod:`repro.lint.rules` -- the :class:`Rule` base class.
+* :mod:`repro.lint.checks` -- the determinism rule catalogue, the
+  ``RULES`` tuple (``wall-clock``, ``unseeded-rng``,
+  ``unordered-iteration``, ``env-read``, ``mutable-default``,
+  ``float-eq``).
 * :mod:`repro.lint.engine` -- the single-pass visitor that walks the
   tree once per file and dispatches every node to the interested rules.
-* :mod:`repro.lint.cli` -- the ``repro-model lint`` entry point.
+* :mod:`repro.lint.cli` -- the linter's record for the shared analyser
+  front end (:mod:`repro.analysis.framework`) behind ``repro-model lint``.
 
 The linter is itself deterministic: files are discovered in sorted
 order, nodes are visited in AST order and findings are reported sorted
@@ -34,19 +36,15 @@ from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.suppressions import FileSuppressions
 from repro.lint.checks import default_rules
-from repro.lint.engine import LintEngine, LintReport, lint_paths
-from repro.lint.rules import Rule, all_rules, get_rule, register
+from repro.lint.engine import LintEngine, lint_paths
+from repro.lint.rules import Rule
 
 __all__ = [
     "Baseline",
     "FileSuppressions",
     "Finding",
     "LintEngine",
-    "LintReport",
     "Rule",
-    "all_rules",
     "default_rules",
-    "get_rule",
     "lint_paths",
-    "register",
 ]

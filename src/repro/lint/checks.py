@@ -23,9 +23,9 @@ import ast
 from typing import Iterator, List
 
 from repro.analysis.findings import Finding
-from repro.lint.rules import FileContext, Rule, all_rules, register
+from repro.lint.rules import FileContext, Rule
 
-__all__ = ["default_rules"]
+__all__ = ["RULES", "default_rules"]
 
 
 #: Wall-clock entry points.  ``time.time`` and friends return a value
@@ -95,7 +95,6 @@ MUTABLE_FACTORY_CALLS = frozenset(
 )
 
 
-@register
 class WallClockRule(Rule):
     """No wall-clock reads in simulation or test code."""
 
@@ -125,7 +124,6 @@ class WallClockRule(Rule):
             )
 
 
-@register
 class UnseededRngRule(Rule):
     """No module-level ``random.*`` / legacy ``numpy.random.*`` calls."""
 
@@ -165,7 +163,6 @@ class UnseededRngRule(Rule):
             )
 
 
-@register
 class UnorderedIterationRule(Rule):
     """No iteration over sets or directory listings without ``sorted``."""
 
@@ -224,7 +221,6 @@ def _unordered_reason(node: ast.AST, ctx: FileContext) -> "str | None":
     return None
 
 
-@register
 class EnvReadRule(Rule):
     """No ``os.environ`` / ``os.getenv`` access in simulation paths."""
 
@@ -258,7 +254,6 @@ class EnvReadRule(Rule):
             )
 
 
-@register
 class MutableDefaultRule(Rule):
     """No mutable default argument values."""
 
@@ -296,7 +291,6 @@ class MutableDefaultRule(Rule):
                 )
 
 
-@register
 class FloatEqRule(Rule):
     """No ``==`` / ``!=`` against float literals."""
 
@@ -332,6 +326,17 @@ class FloatEqRule(Rule):
                     break
 
 
-def default_rules() -> "list[Rule]":
-    """Fresh default-scoped instances of the full catalogue."""
-    return all_rules()
+#: The catalogue, in ``--list-rules`` order; a new rule is appended here.
+RULES = (
+    WallClockRule,
+    UnseededRngRule,
+    UnorderedIterationRule,
+    EnvReadRule,
+    MutableDefaultRule,
+    FloatEqRule,
+)
+
+
+def default_rules() -> List[Rule]:
+    """Fresh instances of the full catalogue."""
+    return [cls() for cls in RULES]

@@ -1,4 +1,4 @@
-"""The :class:`Rule` base class, the registry, and the file context.
+"""The :class:`Rule` base class and the file context.
 
 A rule is a small stateless object: it declares which ``ast`` node
 types it wants (``node_types``), which part of the tree it polices
@@ -8,20 +8,19 @@ records.  The engine parses each file once and dispatches every node to
 every interested rule, so adding a rule never adds a parse or a walk.
 
 Scoping policy lives on the rule classes in :mod:`repro.lint.checks`
-(this is a repo-specific linter; the scope *is* the policy), but every
-attribute can be overridden per instance for tests and one-off runs.
+(this is a repo-specific linter; the scope *is* the policy), and the
+catalogue is the ``RULES`` tuple there.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Sequence, Tuple, Type
+from typing import Dict, Iterator, Tuple, Type
 
 from repro.analysis.findings import Finding
 from repro.analysis.resolve import qualified_name
-from repro.analysis.suppressions import FileSuppressions
 
-__all__ = ["FileContext", "Rule", "all_rules", "get_rule", "register"]
+__all__ = ["FileContext", "Rule"]
 
 
 class FileContext:
@@ -29,22 +28,12 @@ class FileContext:
 
     Attributes:
         relpath: path relative to the lint root, forward slashes.
-        source_lines: the file's source lines (for message snippets).
         aliases: import-alias map (see :mod:`repro.analysis.resolve`).
-        suppressions: parsed ``# lint:`` directives.
     """
 
-    def __init__(
-        self,
-        relpath: str,
-        source_lines: Sequence[str],
-        aliases: Dict[str, str],
-        suppressions: FileSuppressions,
-    ):
+    def __init__(self, relpath: str, aliases: Dict[str, str]):
         self.relpath = relpath
-        self.source_lines = source_lines
         self.aliases = aliases
-        self.suppressions = suppressions
 
     def qualname(self, node: ast.AST) -> str:
         """Resolve a Name/Attribute chain against this file's imports.
@@ -68,7 +57,7 @@ class FileContext:
 class Rule:
     """Base class for determinism rules.
 
-    Class attributes (overridable per instance via ``__init__`` kwargs):
+    Class attributes:
 
     * ``rule_id``: stable kebab-case id used in reports, directives and
       the baseline.
@@ -89,16 +78,6 @@ class Rule:
     includes: Tuple[str, ...] = ()
     allowlist: Tuple[str, ...] = ()
 
-    def __init__(
-        self,
-        includes: Tuple[str, ...] = None,  # type: ignore[assignment]
-        allowlist: Tuple[str, ...] = None,  # type: ignore[assignment]
-    ):
-        if includes is not None:
-            self.includes = tuple(includes)
-        if allowlist is not None:
-            self.allowlist = tuple(allowlist)
-
     def applies_to(self, relpath: str) -> bool:
         """Whether this rule polices ``relpath`` under the scoping policy."""
         if self.includes and not any(_under(relpath, p) for p in self.includes):
@@ -116,27 +95,3 @@ class Rule:
 def _under(relpath: str, prefix: str) -> bool:
     """True if ``relpath`` is ``prefix`` itself or inside that directory."""
     return relpath == prefix or relpath.startswith(prefix.rstrip("/") + "/")
-
-
-#: The global rule registry, in registration order.
-_REGISTRY: Dict[str, Type[Rule]] = {}
-
-
-def register(rule_cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the registry (id must be unique)."""
-    if not rule_cls.rule_id:
-        raise ValueError(f"{rule_cls.__name__} has no rule_id")
-    if rule_cls.rule_id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {rule_cls.rule_id!r}")
-    _REGISTRY[rule_cls.rule_id] = rule_cls
-    return rule_cls
-
-
-def all_rules() -> List[Rule]:
-    """Fresh instances of every registered rule, default scoping."""
-    return [cls() for cls in _REGISTRY.values()]
-
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    """The registered rule class for ``rule_id`` (KeyError if unknown)."""
-    return _REGISTRY[rule_id]

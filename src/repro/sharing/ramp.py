@@ -35,6 +35,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.gf.batch import eval_poly_at_points, gf_mul_vec
+from repro.gf.gf256 import GF256_FIELD
 from repro.sharing.base import (
     ReconstructionError,
     SecretSharingScheme,
@@ -42,7 +43,7 @@ from repro.sharing.base import (
     check_share_group,
     validate_parameters,
 )
-from repro.sharing.shamir import _gf_inv, _gf_mul, _share_matrix
+from repro.sharing.shamir import _share_matrix
 
 _LENGTH = struct.Struct(">I")
 
@@ -60,7 +61,7 @@ def _vandermonde_inverse_rows(xs: Sequence[int], rows: int) -> List[List[int]]:
         acc = 1
         for j in range(k):
             matrix[i][j] = acc
-            acc = _gf_mul(acc, x)
+            acc = GF256_FIELD.mul(acc, x)
     # Augment with identity and eliminate: solves V^T? No -- we need
     # coefficients c with V c = y, i.e. c = V^{-1} y; eliminate on V.
     aug = [row[:] + [1 if r == c else 0 for c in range(k)] for r, row in enumerate(matrix)]
@@ -69,12 +70,12 @@ def _vandermonde_inverse_rows(xs: Sequence[int], rows: int) -> List[List[int]]:
         if pivot is None:  # pragma: no cover - Vandermonde is invertible
             raise ReconstructionError("degenerate share index set")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = _gf_inv(aug[col][col])
-        aug[col] = [_gf_mul(value, inv) for value in aug[col]]
+        inv = GF256_FIELD.inv(aug[col][col])
+        aug[col] = [GF256_FIELD.mul(value, inv) for value in aug[col]]
         for r in range(k):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
-                aug[r] = [a ^ _gf_mul(factor, b) for a, b in zip(aug[r], aug[col])]
+                aug[r] = [a ^ GF256_FIELD.mul(factor, b) for a, b in zip(aug[r], aug[col])]
     return [aug[j][k:] for j in range(rows)]
 
 

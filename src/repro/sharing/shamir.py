@@ -25,7 +25,6 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.gf.batch import eval_poly_at_points, lagrange_interpolate
-from repro.gf.gf256 import _EXP, _LOG
 from repro.sharing.base import (
     ReconstructionError,
     SecretSharingScheme,
@@ -33,20 +32,6 @@ from repro.sharing.base import (
     check_share_group,
     validate_parameters,
 )
-
-
-def _gf_inv(a: int) -> int:
-    """Scalar GF(2^8) inverse (used by the ramp scheme's linear algebra)."""
-    if a == 0:
-        raise ZeroDivisionError("inverse of zero in GF(256)")
-    return _EXP[(255 - _LOG[a]) % 255]
-
-
-def _gf_mul(a: int, b: int) -> int:
-    """Scalar GF(2^8) product (used by the ramp scheme's linear algebra)."""
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[(_LOG[a] + _LOG[b]) % 255]
 
 
 def _share_matrix(group: Sequence[Share]) -> np.ndarray:

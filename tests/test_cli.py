@@ -46,6 +46,25 @@ class TestLoadChannels:
         with pytest.raises(ValueError):
             load_channels(None, None)
 
+    @pytest.mark.parametrize(
+        "document",
+        [5, [[0.1, 0.0, 0.5]], [{"risk": 0.1, "loss": 0.0, "delay": 0.5}]],
+        ids=["not-a-list", "short-row", "missing-key"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["rate"], ["optimize", "--kappa", "1", "--mu", "1"], ["plan"],
+         ["simulate", "--kappa", "1", "--mu", "1"]],
+        ids=["rate", "optimize", "plan", "simulate"],
+    )
+    def test_malformed_file_is_a_usage_error(self, tmp_path, document, command, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError):
+            load_channels(str(path), None)
+        assert main([*command, "--channels", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestRateCommand:
     def test_basic(self, channels_file, capsys):

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.analysis.taint.cli import main as taint_main
 from repro.cli import main as repro_main
 from repro.lint import Baseline, lint_paths
 from repro.lint.cli import main as lint_main
@@ -80,6 +83,43 @@ class TestLintCli:
 
     def test_missing_path_is_an_error(self, tmp_path, capsys):
         assert lint_main(["--root", str(tmp_path), "nope"]) == 2
+
+    def test_missing_explicit_baseline_ignored_without_gating(self, tree, tmp_path, capsys):
+        absent = str(tmp_path / "absent.json")
+        argv = ["--root", str(tree), "--baseline", absent, "src"]
+        assert lint_main(["--no-baseline", *argv]) == 1
+        assert lint_main(["--update-baseline", *argv]) == 0
+        assert os.path.exists(absent)
+
+
+class TestBadBaseline:
+    """Both analysers share one front end: on every entry point, an explicit
+    baseline that cannot be used is a usage error (exit 2), never a
+    traceback or a silently un-baselined run."""
+
+    @pytest.mark.parametrize(
+        "content", ["{not json", '{"version": 2}', None], ids=["malformed", "version-2", "missing"]
+    )
+    @pytest.mark.parametrize("via", ["main", "python-m"])
+    @pytest.mark.parametrize("module", ["repro.lint", "repro.analysis.taint"])
+    def test_exit_two(self, tree, tmp_path, module, via, content, capsys):
+        baseline = tmp_path / "baseline.json"
+        if content is not None:
+            baseline.write_text(content)
+        argv = ["--root", str(tree), "--baseline", str(baseline), "src"]
+        if via == "main":
+            main = lint_main if module == "repro.lint" else taint_main
+            code, err = main(argv), capsys.readouterr().err
+        else:
+            env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+            proc = subprocess.run(
+                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+            )
+            code, err = proc.returncode, proc.stderr
+        assert code == 2
+        assert err.startswith("error: ")
+        if content is None:
+            assert err == f"error: baseline file not found: {baseline}\n"
 
 
 class TestLiveTree:
