@@ -144,7 +144,7 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         delivered[flow] += 1
         _digest_update(digests[flow], seq, payload, delay)
 
-    node_b.receiver.on_deliver_flow = record
+    node_b.receiver.on_deliver = record
 
     def arrive(flow: int) -> None:
         if synthetic:

@@ -9,15 +9,15 @@ counter; a round visits the active flows in arrival order, grants each
 sender space last.  Weights come from tenant policy, so a weight-2
 tenant's flow drains twice the symbols per round of a weight-1 flow when
 both are backlogged -- *fairness is enforced here*, before the sender,
-while privacy (each flow's own (κ, µ) sampler, registered via
-:meth:`~repro.protocol.sender.ShareSender.set_flow_sampler`) is enforced
+while privacy (each flow's own (κ, µ) sampler, registered in
+:attr:`~repro.protocol.sender.ShareSender.flow_samplers`) is enforced
 below, per symbol.
 
 Back-pressure is event-driven and deterministic: the mux stops when the
 sender's source queue fills and resumes from the same flow on the next
 link-writable notification, the same mechanism the sender itself pumps
 on.  While the sender has room the mux hands symbols straight through,
-so single-flow behaviour is unchanged.
+so an uncontended flow sees no added queueing.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class FlowMux:
         self._weights[flow] = weight
         self._deficits[flow] = 0.0
         if sampler is not None:
-            self.sender.set_flow_sampler(flow, sampler)
+            self.sender.flow_samplers[flow] = sampler
 
     @property
     def backlog(self) -> int:

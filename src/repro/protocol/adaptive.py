@@ -178,9 +178,7 @@ class AdaptiveController:
                 )
             )
         else:
-            sampler = ExplicitScheduler(plan.schedule, self.rng)
-            self.node.sampler = sampler
-            self.node.sender.sampler = sampler
+            self.node.sender.sampler = ExplicitScheduler(plan.schedule, self.rng)
             self.history.append(
                 AdaptationRecord(
                     time=self.engine.now, risks=risks, losses=losses,

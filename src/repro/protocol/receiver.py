@@ -17,7 +17,7 @@ arriving after that are counted as *late* and dropped.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
@@ -33,22 +33,10 @@ from repro.sharing.robust import reconstruct_with_erasures, robust_reconstruct
 #: classification, as a multiple of the reassembly limit.
 _COMPLETED_MEMORY_FACTOR = 4
 
-#: Per-flow counter fields tracked inside :class:`ReceiverStats.flows`.
-FLOW_RECEIVER_FIELDS = (
-    "shares_received", "symbols_delivered", "late_shares",
-    "duplicate_shares", "evicted_symbols",
-)
-
 
 @dataclass
 class ReceiverStats:
-    """Counters kept by the receive path.
-
-    The scalar counters aggregate over every flow (the historical
-    behaviour); per-flow blocks under :attr:`flows` exist only for
-    *non-default* flows so single-flow runs keep the exact JSON shape
-    they had before flows existed.
-    """
+    """Counters kept by the receive path, aggregated over every flow."""
 
     shares_received: int = 0
     symbols_delivered: int = 0
@@ -70,9 +58,8 @@ class ReceiverStats:
     repair_extensions: int = 0
     #: Symbols delivered only thanks to at least one repair round.
     repair_recovered: int = 0
-    #: Shares whose keyed MAC verified (auth armed).  Aggregate-only
-    #: counters, like :attr:`replayed_shares_dropped`, so flow blocks keep
-    #: their historical shape; per-channel attribution lives on the buffer
+    #: Shares whose keyed MAC verified (auth armed).  Per-channel failure
+    #: attribution lives on the buffer
     #: (:attr:`ReassemblyBuffer.auth_fail_by_channel`).
     auth_verified_shares: int = 0
     #: Shares dropped before reassembly because their tag failed to verify
@@ -80,52 +67,26 @@ class ReceiverStats:
     auth_failed_shares: int = 0
     #: Shares dropped because auth is armed but the frame carried no tag.
     auth_missing_shares: int = 0
-    #: Per-flow counters, keyed by nonzero flow id (see FLOW_RECEIVER_FIELDS).
-    flows: Dict[int, Dict[str, int]] = field(default_factory=dict)
-
-    def flow_block(self, flow: int) -> Dict[str, int]:
-        """The (created-on-demand) counter block for a nonzero flow."""
-        block = self.flows.get(flow)
-        if block is None:
-            block = {name: 0 for name in FLOW_RECEIVER_FIELDS}
-            self.flows[flow] = block
-        return block
-
-    def count(self, flow: int, name: str, delta: int = 1) -> None:
-        """Bump aggregate counter ``name`` (and its flow block if flow != 0)."""
-        setattr(self, name, getattr(self, name) + delta)
-        if flow != 0:
-            self.flow_block(flow)[name] += delta
 
     def as_dict(self) -> dict:
-        out = dict(self.__dict__)
-        if self.flows:
-            out["flows"] = {
-                str(flow): dict(block) for flow, block in sorted(self.flows.items())
-            }
-        else:
-            del out["flows"]  # single-flow runs keep the historical shape
-        return out
+        return dict(self.__dict__)
 
 
 class _Entry:
     """Reassembly state for one in-flight symbol."""
 
     __slots__ = (
-        "seq", "k", "m", "shares", "channels", "first_at", "sent_at", "evict_event",
+        "seq", "k", "m", "shares", "channels", "sent_at", "evict_event",
         "repair_rounds", "flow", "erasures", "erasure_channels",
     )
 
-    def __init__(
-        self, seq: int, k: int, m: int, first_at: float, sent_at: float, flow: int = 0
-    ):
+    def __init__(self, seq: int, k: int, m: int, sent_at: float, flow: int = 0):
         self.seq = seq
         self.flow = flow
         self.k = k
         self.m = m
         self.shares: Dict[int, Share] = {}
         self.channels: Dict[int, int] = {}  # share index -> arrival channel
-        self.first_at = first_at
         self.sent_at = sent_at
         self.evict_event: Optional[Event] = None
         self.repair_rounds = 0  # NACK rounds used (resilience repair path)
@@ -144,9 +105,10 @@ class ReassemblyBuffer:
         scheme: scheme used to reconstruct symbols.
         timeout: eviction timeout for incomplete symbols.
         limit: maximum number of incomplete symbols held.
-        on_deliver: callback ``(seq, payload, delay)`` invoked for every
-            reconstructed symbol; ``payload`` is ``None`` in synthetic
-            mode and ``delay`` is source-to-reconstruction latency.
+        on_deliver: callback ``(flow, seq, payload, delay)`` invoked for
+            every reconstructed symbol; ``payload`` is ``None`` in
+            synthetic mode and ``delay`` is source-to-reconstruction
+            latency.
         synthetic: when True, skip real reconstruction and deliver as soon
             as k share *headers* have arrived (rate-only benchmarks).
         cpu: optional finite CPU; when given, each share pays
@@ -174,7 +136,7 @@ class ReassemblyBuffer:
         scheme: SecretSharingScheme,
         timeout: float,
         limit: int,
-        on_deliver: Callable[[int, Optional[bytes], float], None],
+        on_deliver: Callable[[int, int, Optional[bytes], float], None],
         synthetic: bool = False,
         cpu: Optional[CpuModel] = None,
         share_cost: float = 1.0,
@@ -212,12 +174,6 @@ class ReassemblyBuffer:
         #: extra reassembly time (the hook has NACKed its missing shares);
         #: None lets the eviction proceed.  See docs/RESILIENCE.md.
         self.repair_policy: Optional[Callable[[_Entry], Optional[float]]] = None
-        #: Optional flow-aware delivery hook ``(flow, seq, payload, delay)``.
-        #: When set it is called INSTEAD of ``on_deliver`` -- the fleet
-        #: demultiplexer uses it to route deliveries to per-flow sinks.
-        self.on_deliver_flow: Optional[
-            Callable[[int, int, Optional[bytes], float], None]
-        ] = None
         #: Reassembly state is keyed by (flow, seq): two tenants using the
         #: same sequence number can never share a reassembly group, so
         #: shares are never cross-delivered between flows.
@@ -257,7 +213,7 @@ class ReassemblyBuffer:
                 return
             seq, index, k, m = header.seq, header.index, header.k, header.m
             flow = header.flow
-        self.stats.count(flow, "shares_received")
+        self.stats.shares_received += 1
 
         if self.authenticator is not None and not self.synthetic:
             if not self.authenticator.verify(flow, seq, share, header.scheme_id, header.tag):
@@ -285,7 +241,7 @@ class ReassemblyBuffer:
 
         key = (flow, seq)
         if key in self._closed:
-            self.stats.count(flow, "late_shares")
+            self.stats.late_shares += 1
             return
         entry = self._table.get(key)
         if entry is None:
@@ -295,11 +251,9 @@ class ReassemblyBuffer:
             if share is not None and existing is not None and existing.data != share.data:
                 # Same (flow, seq, index) slot, different payload: replay
                 # defense drops the newcomer and keeps the original.
-                # Aggregate-only counter (not per-flow) so the flow-0 JSON
-                # stat shape is preserved.
                 self.stats.replayed_shares_dropped += 1
             else:
-                self.stats.count(flow, "duplicate_shares")
+                self.stats.duplicate_shares += 1
             return
         # Synthetic mode stores a placeholder; real mode stores the share.
         entry.shares[index] = share
@@ -341,7 +295,7 @@ class ReassemblyBuffer:
             self._drop_entry(oldest)
             self._remember_closed(evicted_key)
         sent_at = datagram.meta.get("symbol_sent_at", datagram.sent_at)
-        entry = _Entry(seq, k, m, first_at=self.engine.now, sent_at=sent_at, flow=flow)
+        entry = _Entry(seq, k, m, sent_at=sent_at, flow=flow)
         entry.evict_event = self.engine.schedule(self.timeout, self._evict, (flow, seq))
         self._table[(flow, seq)] = entry
         occupancy = len(self._table)
@@ -406,14 +360,11 @@ class ReassemblyBuffer:
             self.stats.cpu_rejected_shares += 1
 
     def _deliver(self, entry: _Entry, payload: Optional[bytes]) -> None:
-        self.stats.count(entry.flow, "symbols_delivered")
+        self.stats.symbols_delivered += 1
         delay = self.engine.now - entry.sent_at if entry.sent_at >= 0 else 0.0
         if self.latency_histogram is not None:
             self.latency_histogram.observe(delay)
-        if self.on_deliver_flow is not None:
-            self.on_deliver_flow(entry.flow, entry.seq, payload, delay)
-        else:
-            self.on_deliver(entry.seq, payload, delay)
+        self.on_deliver(entry.flow, entry.seq, payload, delay)
 
     def _remember_closed(self, key: Tuple[int, int]) -> None:
         self._closed.add(key)
@@ -444,5 +395,5 @@ class ReassemblyBuffer:
     def _drop_entry(self, entry: _Entry, cancel_timer: bool = True) -> None:
         if cancel_timer and entry.evict_event is not None:
             entry.evict_event.cancel()
-        self.stats.count(entry.flow, "evicted_symbols")
+        self.stats.evicted_symbols += 1
         self.stats.evicted_shares += len(entry.shares)

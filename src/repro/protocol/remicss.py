@@ -80,17 +80,17 @@ class RemicssNode:
         self.engine = engine
         self.config = config
         self.name = name
-        self.sampler: ParameterSampler
+        sampler: ParameterSampler
         if schedule is not None:
-            self.sampler = ExplicitScheduler(schedule, rng_registry.stream(f"{name}.sched"))
+            sampler = ExplicitScheduler(schedule, rng_registry.stream(f"{name}.sched"))
         else:
-            self.sampler = DynamicParameterSampler(
+            sampler = DynamicParameterSampler(
                 config.kappa, config.mu, rng_registry.stream(f"{name}.sched")
             )
         self.sender = ShareSender(
             engine,
             ports_out,
-            self.sampler,
+            sampler,
             config,
             rng_registry.stream(f"{name}.pad"),
             cpu=sender_cpu,
@@ -114,6 +114,11 @@ class RemicssNode:
         for port in ports_in:
             port.on_receive(self.receiver.handle_datagram)
 
+    @property
+    def sampler(self) -> ParameterSampler:
+        """The node-level parameter sampler (owned by :attr:`sender`)."""
+        return self.sender.sampler
+
     # Application plaintext enters the protocol here (docs/TAINT.md).
     def send(self, payload: Optional[bytes] = None) -> bool:  # taint: source=payload
         """Offer one source symbol; False if dropped at the source queue."""
@@ -123,7 +128,11 @@ class RemicssNode:
         """Register a callback for reconstructed symbols."""
         self._deliver_callbacks.append(callback)
 
-    def _dispatch_delivery(self, seq: int, payload: Optional[bytes], delay: float) -> None:
+    def _dispatch_delivery(
+        self, flow: int, seq: int, payload: Optional[bytes], delay: float
+    ) -> None:
+        # Subscribers see the single-stream shape; flow-aware sinks (the
+        # fleet cell) assign ``receiver.on_deliver`` directly instead.
         for callback in self._deliver_callbacks:
             callback(seq, payload, delay)
 

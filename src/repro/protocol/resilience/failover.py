@@ -167,7 +167,6 @@ class FailoverController:
 
     def _install(self, sampler: ParameterSampler) -> None:
         self.degraded = False
-        self.node.sampler = sampler
         self.node.sender.sampler = sampler
         self.node.sender.admission_paused = False
         self.node.sender.resample_head()

@@ -30,7 +30,7 @@ iteration is over index-ordered lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.planner import Requirements
 from repro.netsim.packet import Datagram
@@ -47,14 +47,11 @@ from repro.protocol.wire import (
     CTRL_NACK,
     CTRL_PROBE,
     CTRL_PROBE_ACK,
-    SCHEME_IDS,
     WireFormatError,
     decode_control,
     encode_nack,
     encode_probe,
     encode_probe_ack,
-    encode_share,
-    share_packet_size,
 )
 
 #: Gauge ordinal exported per channel (docs/OBSERVABILITY.md).
@@ -370,34 +367,15 @@ class ResilienceManager:
         ready.sort(key=lambda port: (-port.headroom, port.index))
         sent = 0
         for (index, share), port in zip(job.shares, ready):
-            meta = {
-                "seq": job.seq, "index": index, "k": job.k, "m": job.m,
-                "symbol_sent_at": job.offered_at, "channel": port.index,
-                "repair_round": job.round,
-            }
-            if job.flow != 0:
-                meta["flow"] = job.flow
-            if share is None:
-                datagram = Datagram(
-                    size=share_packet_size(self.config.symbol_size, job.flow),
-                    meta=meta,
-                )
-            else:
-                # Repairs are re-tagged per flow: the retransmitted share
-                # occupies the same (flow, seq, index) slot, so its tag is
-                # recomputed with that flow's key -- a repair is as
-                # verifiable as the original transmission.
-                tag = None
-                authenticator = self.node_tx.sender.authenticator
-                if authenticator is not None:
-                    tag = authenticator.tag(
-                        job.flow, job.seq, share,
-                        SCHEME_IDS[self.config.scheme.name],
-                    )
-                packet = encode_share(
-                    job.seq, share, self.config.scheme.name, flow=job.flow, tag=tag
-                )
-                datagram = Datagram(size=len(packet), payload=packet, meta=meta)
+            # Repairs are re-tagged per flow: the retransmitted share
+            # occupies the same (flow, seq, index) slot, so its tag is
+            # recomputed with that flow's key -- a repair is as
+            # verifiable as the original transmission.
+            datagram = self.node_tx.sender.frame_share(
+                job.flow, job.seq, job.k, job.m, index, share,
+                job.offered_at, port.index,
+            )
+            datagram.meta["repair_round"] = job.round
             if port.send(datagram):
                 sent += 1
         self.stats.repair_shares_sent += sent

@@ -19,7 +19,7 @@ once channel capacity outgrows the end system.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
@@ -35,19 +35,10 @@ from repro.protocol.scheduler import ParameterSampler
 from repro.protocol.wire import SCHEME_IDS, encode_share, share_packet_size
 from repro.sharing.base import Share
 
-#: Per-flow counter fields tracked inside :class:`SenderStats.flows`.
-FLOW_SENDER_FIELDS = ("symbols_offered", "symbols_sent", "source_drops", "shares_sent")
-
 
 @dataclass
 class SenderStats:
-    """Counters kept by the send path.
-
-    The scalar counters aggregate over every flow, exactly as before flows
-    existed.  Multi-flow senders additionally keep a per-flow block under
-    :attr:`flows` -- but only for *non-default* flows, so a single-flow run
-    (everything on flow 0) serialises to exactly the historical JSON shape.
-    """
+    """Counters kept by the send path, aggregated over every flow."""
 
     symbols_offered: int = 0
     symbols_sent: int = 0
@@ -61,36 +52,11 @@ class SenderStats:
     #: DEGRADED mode: no feasible schedule survives, so rather than leak
     #: under a weaker threshold the sender sheds load at the source).
     admission_paused_drops: int = 0
-    #: Shares transmitted with a keyed MAC attached (aggregate only --
-    #: auth is all-or-nothing per node, so a per-flow split adds nothing).
+    #: Shares transmitted with a keyed MAC attached.
     auth_tagged_shares: int = 0
-    #: Per-flow counters, keyed by nonzero flow id (see FLOW_SENDER_FIELDS).
-    flows: Dict[int, Dict[str, int]] = field(default_factory=dict)
-
-    def flow_block(self, flow: int) -> Dict[str, int]:
-        """The (created-on-demand) counter block for a nonzero flow."""
-        block = self.flows.get(flow)
-        if block is None:
-            block = {name: 0 for name in FLOW_SENDER_FIELDS}
-            self.flows[flow] = block
-        return block
-
-    def count(self, flow: int, name: str, delta: int = 1) -> None:
-        """Bump aggregate counter ``name`` (and its flow block if flow != 0)."""
-        setattr(self, name, getattr(self, name) + delta)
-        if flow != 0:
-            self.flow_block(flow)[name] += delta
 
     def as_dict(self) -> dict:
-        out = dict(self.__dict__)
-        if self.flows:
-            # JSON object keys are strings; sort for stable serialisation.
-            out["flows"] = {
-                str(flow): dict(block) for flow, block in sorted(self.flows.items())
-            }
-        else:
-            del out["flows"]  # single-flow runs keep the historical shape
-        return out
+        return dict(self.__dict__)
 
 
 class _PendingSymbol:
@@ -146,8 +112,7 @@ class ShareSender:
         self.rng = rng
         self.cpu = cpu
         self.selector = WriteSelector(self.ports, config.selector_ordering)
-        #: Tags outbound shares when ``config.auth`` is set (the resilience
-        #: layer reuses it to re-tag repair retransmissions).
+        #: Tags outbound shares when ``config.auth`` is set.
         self.authenticator: Optional[ShareAuthenticator] = (
             ShareAuthenticator(config.auth) if config.auth is not None else None
         )
@@ -166,12 +131,14 @@ class ShareSender:
         #: after every transmitted symbol; the resilience layer uses it to
         #: fill the repair buffer.
         self.on_transmit = None
-        #: Per-flow parameter samplers for multiplexed (fleet) traffic;
-        #: flows without an entry use the node-level :attr:`sampler`.
+        #: Per-flow parameter samplers for multiplexed (fleet) traffic,
+        #: written by :meth:`repro.fleet.mux.FlowMux.register`, so tenants
+        #: with different (κ, µ) share one sender; flows without an entry
+        #: use the node-level :attr:`sampler`.
         self.flow_samplers: Dict[int, ParameterSampler] = {}
         self._source: Deque[_PendingSymbol] = deque()
-        self._next_seq = 0  # flow 0 (kept as a plain int for compatibility)
-        self._flow_seqs: Dict[int, int] = {}
+        #: Next sequence number per flow; every flow counts from 0.
+        self._seqs: Dict[int, int] = {}
         self._cpu_busy = False
         for port in self.ports:
             port.link.watch_writable(self._pump)
@@ -182,21 +149,6 @@ class ShareSender:
         return len(self._source)
 
     # -- ingress ----------------------------------------------------------------
-
-    def set_flow_sampler(self, flow: int, sampler: ParameterSampler) -> None:
-        """Register a per-flow parameter sampler (fleet multiplexing).
-
-        Symbols offered on ``flow`` sample their (k, m) from this sampler
-        instead of the node-level one, so tenants with different (κ, µ)
-        requirements can share one sender.
-        """
-        if flow == 0:
-            self.sampler = sampler
-        else:
-            self.flow_samplers[flow] = sampler
-
-    def _sampler_for(self, flow: int) -> ParameterSampler:
-        return self.flow_samplers.get(flow, self.sampler)
 
     def offer(self, payload: Optional[bytes] = None, flow: int = 0) -> bool:
         """Offer one source symbol to the protocol.
@@ -209,32 +161,24 @@ class ShareSender:
         Returns:
             False if the source queue was full and the symbol was dropped.
         """
-        self.stats.count(flow, "symbols_offered")
         if payload is not None and len(payload) != self.config.symbol_size:
             raise ValueError(
                 f"payload must be {self.config.symbol_size} bytes, got {len(payload)}"
             )
         if payload is None and not self.config.share_synthetic:
             raise ValueError("payload required unless share_synthetic is enabled")
+        self.stats.symbols_offered += 1
         if self.admission_paused:
             self.stats.admission_paused_drops += 1
             return False
         if len(self._source) >= self.config.source_queue_limit:
-            self.stats.count(flow, "source_drops")
+            self.stats.source_drops += 1
             return False
-        symbol = _PendingSymbol(self._take_seq(flow), payload, self.engine.now, flow)
-        self._source.append(symbol)
+        seq = self._seqs.get(flow, 0)
+        self._seqs[flow] = seq + 1
+        self._source.append(_PendingSymbol(seq, payload, self.engine.now, flow))
         self._pump()
         return True
-
-    def _take_seq(self, flow: int) -> int:
-        if flow == 0:
-            seq = self._next_seq
-            self._next_seq += 1
-            return seq
-        seq = self._flow_seqs.get(flow, 0)
-        self._flow_seqs[flow] = seq + 1
-        return seq
 
     def resample_head(self) -> None:
         """Drop queued symbols' sticky parameters and re-pump.
@@ -285,7 +229,8 @@ class ShareSender:
 
     def _sample(self, symbol: _PendingSymbol) -> None:
         """Draw and record (k, m, M) for one queued symbol."""
-        symbol.k, symbol.m, symbol.subset = self._sampler_for(symbol.flow).sample()
+        sampler = self.flow_samplers.get(symbol.flow, self.sampler)
+        symbol.k, symbol.m, symbol.subset = sampler.sample()
         pair = (symbol.k, symbol.m)
         self.schedule_picks[pair] = self.schedule_picks.get(pair, 0) + 1
 
@@ -309,45 +254,58 @@ class ShareSender:
                 m=symbol.m,
                 channels=[port.index for port in chosen],
             )
-        flow = symbol.flow
-        size = share_packet_size(
-            self.config.symbol_size, flow, authenticated=self.authenticator is not None
-        )
-        meta_base = {"seq": symbol.seq, "k": symbol.k, "m": symbol.m}
-        if flow != 0:
-            meta_base["flow"] = flow
+        flow, seq, k, m = symbol.flow, symbol.seq, symbol.k, symbol.m
         if self.config.share_synthetic:
-            shares: List[Optional[Share]] = [None] * symbol.m
+            shares: List[Optional[Share]] = [None] * m
         else:
-            shares = self.config.scheme.split(symbol.payload, symbol.k, symbol.m, self.rng)
+            shares = self.config.scheme.split(symbol.payload, k, m, self.rng)
         for position, port in enumerate(chosen):
-            index = position + 1
-            meta = {
-                **meta_base,
-                "index": index,
-                "symbol_sent_at": symbol.offered_at,
-                "channel": port.index,
-            }
-            if shares[position] is None:
-                datagram = Datagram(size=size, meta=meta)
-            else:
-                tag = None
-                if self.authenticator is not None:
-                    tag = self.authenticator.tag(
-                        flow, symbol.seq, shares[position],
-                        SCHEME_IDS[self.config.scheme.name],
-                    )
-                    self.stats.auth_tagged_shares += 1
-                packet = encode_share(
-                    symbol.seq, shares[position], self.config.scheme.name,
-                    flow=flow, tag=tag,
-                )
-                datagram = Datagram(size=len(packet), payload=packet, meta=meta)
+            share = shares[position]
+            datagram = self.frame_share(
+                flow, seq, k, m, position + 1, share, symbol.offered_at, port.index
+            )
+            if self.authenticator is not None:
+                self.stats.auth_tagged_shares += 1
             if port.send(datagram):
-                self.stats.count(flow, "shares_sent")
+                self.stats.shares_sent += 1
                 self.shares_per_channel[port.index] += 1
             else:  # pragma: no cover - ports were checked writable
                 self.stats.share_send_failures += 1
-        self.stats.count(flow, "symbols_sent")
+        self.stats.symbols_sent += 1
         if self.on_transmit is not None:
-            self.on_transmit(flow, symbol.seq, symbol.k, symbol.m, symbol.offered_at, shares)
+            self.on_transmit(flow, seq, k, m, symbol.offered_at, shares)
+
+    def frame_share(
+        self,
+        flow: int,
+        seq: int,
+        k: int,
+        m: int,
+        index: int,
+        share: Optional[Share],
+        offered_at: float,
+        channel: int,
+    ) -> Datagram:
+        """The datagram carrying share ``index`` of symbol ``(flow, seq)``.
+
+        A real share is tagged (auth armed) and encoded; a synthetic one
+        (``share`` None) travels as meta only, sized like the encoded
+        frame.  The resilience layer frames its repair retransmissions
+        here too.
+        """
+        meta = {
+            "seq": seq, "k": k, "m": m, "index": index,
+            "symbol_sent_at": offered_at, "channel": channel,
+        }
+        if flow != 0:
+            meta["flow"] = flow
+        if share is None:
+            # Synthetic configs cannot arm auth, so the frame carries no tag.
+            size = share_packet_size(self.config.symbol_size, flow)
+            return Datagram(size=size, meta=meta)
+        scheme = self.config.scheme.name
+        tag = None
+        if self.authenticator is not None:
+            tag = self.authenticator.tag(flow, seq, share, SCHEME_IDS[scheme])
+        packet = encode_share(seq, share, scheme, flow=flow, tag=tag)
+        return Datagram(size=len(packet), payload=packet, meta=meta)

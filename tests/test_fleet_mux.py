@@ -150,9 +150,9 @@ class TestBoundsAndBackpressure:
             assert mux.enqueue(1)
         # With sender space available the mux holds nothing back.
         assert mux.backlog == 0
-        assert node_a.sender.stats.flows[1]["symbols_offered"] == 4
+        assert node_a.sender.stats.symbols_offered == 4
         network.engine.run()
-        assert node_a.sender.stats.flows[1]["symbols_sent"] == 4
+        assert node_a.sender.stats.symbols_sent == 4
 
     def test_backpressure_drains_everything_eventually(self):
         network, node_a, node_b, mux, _ = build()

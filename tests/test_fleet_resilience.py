@@ -44,9 +44,8 @@ def build(fault_plan=None, seed=11, interval=0.02, end=35.0):
         requirements=REQUIREMENTS,
     )
     for flow in (1, 2):
-        node_a.sender.set_flow_sampler(
-            flow,
-            ExplicitScheduler(plan.schedule, registry.stream(f"flow{flow}.sched")),
+        node_a.sender.flow_samplers[flow] = ExplicitScheduler(
+            plan.schedule, registry.stream(f"flow{flow}.sched")
         )
 
     engine = network.engine
@@ -54,7 +53,7 @@ def build(fault_plan=None, seed=11, interval=0.02, end=35.0):
     offered = {}
 
     def offer(flow):
-        seq = node_a.sender._flow_seqs.get(flow, 0)
+        seq = node_a.sender._seqs.get(flow, 0)
         payload = payload_rng.bytes(config.symbol_size)
         if node_a.sender.offer(payload, flow=flow):
             offered[(flow, seq)] = payload
@@ -63,7 +62,7 @@ def build(fault_plan=None, seed=11, interval=0.02, end=35.0):
             engine.schedule(interval, offer, next_flow)
 
     delivered = {}
-    node_b.receiver.on_deliver_flow = (
+    node_b.receiver.on_deliver = (
         lambda flow, seq, payload, delay: delivered.setdefault((flow, seq), payload)
     )
     engine.schedule_at(0.0, offer, 1)

@@ -9,6 +9,7 @@ from repro.netsim.rng import RngRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
 from repro.protocol.scheduler import DynamicParameterSampler, ExplicitScheduler
+from repro.protocol.wire import FLOW_HEADER_SIZE, HEADER_SIZE, decode_share
 from repro.sharing.xor import XorScheme
 
 
@@ -114,6 +115,45 @@ class TestRemicssNode:
         config = ProtocolConfig(kappa=1.0, mu=1.0, symbol_size=100)
         node_a, node_b = network.node_pair(config, registry)
         assert node_a.sender.rng is not node_b.sender.rng
+
+    def test_flow_zero_and_nonzero_flow_share_one_sender(self, small_network):
+        """Flow 0 (``send``) and flow 3 (``offer``) interleave on one sender:
+        each flow numbers its symbols from 0, frames keep their own wire
+        version, and the receiver's one hook delivers every (flow, seq)."""
+        network, registry = small_network
+        config = ProtocolConfig(kappa=2.0, mu=3.0, symbol_size=100)
+        node_a, node_b = network.node_pair(config, registry)
+        frames = []
+        for port in network.ports_a_out:
+            port.link.watch_transmit(lambda dg: frames.append(dg.payload))
+        delivered = {}
+        node_b.receiver.on_deliver = (
+            lambda flow, seq, payload, delay: delivered.__setitem__((flow, seq), payload)
+        )
+        count = 5
+        offered = {}
+        for i in range(count):
+            offered[(0, i)] = bytes([i]) * 100
+            offered[(3, i)] = bytes([100 + i]) * 100
+            network.engine.schedule_at(0.1 * i, node_a.send, offered[(0, i)])
+            network.engine.schedule_at(
+                0.1 * i + 0.05, node_a.sender.offer, offered[(3, i)], 3
+            )
+        network.engine.run_until(5.0)
+
+        seqs = {0: [], 3: []}
+        for frame in frames:
+            header, share = decode_share(frame)
+            seqs[header.flow].append(header.seq)
+            version = frame[2]
+            header_size = len(frame) - len(share.data)
+            if header.flow == 0:
+                assert (version, header_size) == (1, HEADER_SIZE)
+            else:
+                assert (version, header_size) == (2, FLOW_HEADER_SIZE)
+        for flow in (0, 3):
+            assert sorted(set(seqs[flow])) == list(range(count))
+        assert delivered == offered
 
 
 class TestLinkJitter:

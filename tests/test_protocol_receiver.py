@@ -19,7 +19,7 @@ def make_buffer(engine, deliveries, timeout=5.0, limit=16, synthetic=False, cpu=
         scheme,
         timeout=timeout,
         limit=limit,
-        on_deliver=lambda seq, payload, delay: deliveries.append((seq, payload, delay)),
+        on_deliver=lambda flow, seq, payload, delay: deliveries.append((seq, payload, delay)),
         synthetic=synthetic,
         cpu=cpu,
     )

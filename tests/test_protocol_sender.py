@@ -75,6 +75,15 @@ class TestBasicSending:
         with pytest.raises(ValueError):
             sender.offer(None)
 
+    def test_rejected_offers_are_not_counted(self):
+        engine = Engine()
+        sender = make_sender(engine, make_ports(engine))
+        with pytest.raises(ValueError):
+            sender.offer(bytes(99))
+        with pytest.raises(ValueError):
+            sender.offer(None)
+        assert sender.stats.symbols_offered == 0
+
     def test_synthetic_datagrams_have_size_only(self):
         engine = Engine()
         ports = make_ports(engine)

@@ -26,7 +26,7 @@ def make_buffer(engine, deliveries, **kwargs):
         scheme,
         timeout=5.0,
         limit=16,
-        on_deliver=lambda seq, payload, delay: deliveries.append((seq, payload)),
+        on_deliver=lambda flow, seq, payload, delay: deliveries.append((seq, payload)),
         **kwargs,
     )
 

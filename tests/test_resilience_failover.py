@@ -87,6 +87,12 @@ class TestReplanned:
         # Availability degrades: the survivor plan is no faster.
         assert record.plan.rate <= plan.rate + 1e-9
 
+    def test_node_sampler_is_the_senders(self):
+        _, registry, node = build()
+        sampler = DynamicParameterSampler(3.0, 3.0, registry.stream("direct"))
+        node.sender.sampler = sampler
+        assert node.sampler is sampler
+
     def test_empty_quarantine_restores_the_base_sampler(self):
         plan, node, controller = build_explicit()
         base = node.sampler

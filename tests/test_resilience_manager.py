@@ -191,7 +191,7 @@ class TestRepair:
         original_send = node_a.sender.offer
 
         def tracked_offer(payload):
-            seq = node_a.sender._next_seq
+            seq = node_a.sender._seqs.get(0, 0)
             if original_send(payload):
                 offered[seq] = payload
         node_a.send = tracked_offer  # wrap to map seq -> payload
