@@ -124,7 +124,7 @@ def run_under_attack(
     manager = None
     if resilience:
         manager = ResilienceManager(
-            network, node_a, node_b, config, ResilienceConfig(), registry,
+            network, node_a, node_b, ResilienceConfig(), registry,
             requirements=requirements,
         )
 

@@ -178,19 +178,3 @@ class ShareSchedule:
         rates = self._channels.rates
         bounds = [rates[i] / usage[i] for i in range(self._channels.n) if usage[i] > 0.0]
         return min(bounds)
-
-    # -- sampling (used by the protocol's explicit scheduler) ----------------
-
-    def sample(self, rng: np.random.Generator) -> Pair:
-        """Draw one ``(k, M)`` pair according to the schedule."""
-        pairs = list(self._probs.keys())
-        probs = np.fromiter(self._probs.values(), dtype=float, count=len(pairs))
-        choice = rng.choice(len(pairs), p=probs / probs.sum())
-        return pairs[int(choice)]
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> "list[Pair]":
-        """Draw ``count`` iid pairs (vectorised for the traffic generators)."""
-        pairs = list(self._probs.keys())
-        probs = np.fromiter(self._probs.values(), dtype=float, count=len(pairs))
-        draws = rng.choice(len(pairs), size=count, p=probs / probs.sum())
-        return [pairs[int(i)] for i in draws]

@@ -18,6 +18,14 @@ non-writable and are therefore excluded from selection; when a link comes
 back up its writable watcher fires and blocked senders resume, which is
 how ReMICSS survives flaps and partitions without any retransmission
 machinery.
+
+Like epoll's edge-triggered wait, the selector counts writable edges
+instead of polling every port on every wake-up.  Only an edge (a queue
+going full -> not-full, or a link coming up) or a new exclusion mask can
+add a ready port; sends and outages only remove them.  So after a scan
+finds r < m ports ready, the selector knows at most r + (edges since) are
+ready, and it runs the next full scan only once that many could suffice.
+A skipped scan is always one that would have come up short.
 """
 
 from __future__ import annotations
@@ -29,6 +37,11 @@ from repro.netsim.ports import ChannelPort
 
 class WriteSelector:
     """Selects ready-to-write ports for the dynamic share schedule.
+
+    The selector watches every port's link for writable edges, so build it
+    before registering a watcher that calls :meth:`select` on those links:
+    watchers fire in registration order, and the edge must be counted
+    before a waiter acts on it.
 
     Args:
         ports: all channel ports, in channel-index order.
@@ -48,10 +61,21 @@ class WriteSelector:
         #: it went down, or its loss is what got it quarantined), so
         #: readiness alone cannot express the exclusion.
         self.excluded: FrozenSet[int] = frozenset()
+        #: Upper bound on how many ports are ready: a short scan sets it to
+        #: what it found and every writable edge adds one; with nothing
+        #: known it is every port.
+        self._ready_bound = len(self.ports)
+        for port in self.ports:
+            port.link.watch_writable(self._on_writable)
+
+    def _on_writable(self) -> None:
+        """A writable edge: one more port may be ready."""
+        self._ready_bound += 1
 
     def set_excluded(self, indices: Iterable[int]) -> None:
         """Replace the excluded-channel mask."""
         self.excluded = frozenset(indices)
+        self._ready_bound = len(self.ports)  # unmasking can add ready ports
 
     def ready(self) -> List[ChannelPort]:
         """All currently writable, non-excluded ports, in the configured order."""
@@ -71,8 +95,14 @@ class WriteSelector:
 
         Matching the protocol's semantics: a symbol needing m channels
         waits (is not partially sent) until m distinct channels are ready.
+        Until enough writable edges have arrived since the last short scan
+        for ``count`` ports to be ready, it answers ``[]`` without scanning.
         """
+        if self._ready_bound < count:
+            return []
         ready = self.ready()
         if len(ready) < count:
+            self._ready_bound = len(ready)
             return []
+        self._ready_bound = len(self.ports)
         return ready[:count]

@@ -35,7 +35,6 @@ from typing import List, Optional
 from repro.core.planner import Requirements
 from repro.netsim.packet import Datagram
 from repro.netsim.rng import RngRegistry
-from repro.protocol.config import ProtocolConfig
 from repro.protocol.receiver import _Entry
 from repro.protocol.remicss import PointToPointNetwork, RemicssNode
 from repro.protocol.resilience.config import ResilienceConfig
@@ -92,7 +91,6 @@ class ResilienceManager:
         network: the point-to-point testbed network.
         node_tx: the sending node (A; its sender is protected).
         node_rx: the receiving node (B; its reassembly buffer NACKs).
-        config: protocol configuration (symbol size, scheme).
         resilience: resilience tunables.
         registry: named seeded streams (uses ``resilience.repair``).
         requirements: the deployment's bounds; enables LP failover.
@@ -103,7 +101,6 @@ class ResilienceManager:
         network: PointToPointNetwork,
         node_tx: RemicssNode,
         node_rx: RemicssNode,
-        config: ProtocolConfig,
         resilience: ResilienceConfig,
         registry: RngRegistry,
         requirements: Optional[Requirements] = None,
@@ -112,7 +109,6 @@ class ResilienceManager:
         self.engine = network.engine
         self.node_tx = node_tx
         self.node_rx = node_rx
-        self.config = config
         self.resilience = resilience
         self.stats = ResilienceStats()
 

@@ -199,7 +199,7 @@ def run_iperf(
     manager = None
     if resilience is not None:
         manager = ResilienceManager(
-            network, node_a, node_b, config, resilience, registry,
+            network, node_a, node_b, resilience, registry,
             requirements=requirements,
         )
     if obs is not None:

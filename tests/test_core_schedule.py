@@ -1,4 +1,4 @@
-"""Share schedules: validation, averages, properties, sampling."""
+"""Share schedules: validation, averages, properties."""
 
 import numpy as np
 import pytest
@@ -117,33 +117,3 @@ class TestRateQuantities:
         s = ShareSchedule.singleton(three_channels, 1, [0, 1, 2])
         # Every symbol uses all channels; slowest channel binds.
         assert s.max_symbol_rate() == pytest.approx(3.0)
-
-
-class TestSampling:
-    def test_sample_respects_distribution(self, three_channels, rng):
-        s = ShareSchedule(
-            three_channels,
-            {(1, frozenset({0})): 0.25, (2, frozenset({1, 2})): 0.75},
-        )
-        draws = s.sample_many(rng, 8000)
-        fraction = sum(1 for k, _ in draws if k == 2) / len(draws)
-        assert fraction == pytest.approx(0.75, abs=0.02)
-
-    def test_sample_single_atom(self, three_channels, rng):
-        s = ShareSchedule.singleton(three_channels, 2, [0, 1])
-        assert s.sample(rng) == (2, frozenset({0, 1}))
-
-    def test_sampled_averages_converge(self, five_channels, rng):
-        s = ShareSchedule(
-            five_channels,
-            {
-                (1, frozenset({0})): 0.2,
-                (2, frozenset({0, 1, 2})): 0.5,
-                (4, frozenset({0, 1, 2, 3, 4})): 0.3,
-            },
-        )
-        draws = s.sample_many(rng, 20000)
-        mean_k = np.mean([k for k, _ in draws])
-        mean_m = np.mean([len(m) for _, m in draws])
-        assert mean_k == pytest.approx(s.kappa, abs=0.05)
-        assert mean_m == pytest.approx(s.mu, abs=0.05)

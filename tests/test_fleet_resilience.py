@@ -39,7 +39,7 @@ def build(fault_plan=None, seed=11, interval=0.02, end=35.0):
     plan = plan_max_rate(channels, REQUIREMENTS)
     node_a, node_b = network.node_pair(config, registry, schedule=plan.schedule)
     manager = ResilienceManager(
-        network, node_a, node_b, config,
+        network, node_a, node_b,
         ResilienceConfig(), registry,
         requirements=REQUIREMENTS,
     )

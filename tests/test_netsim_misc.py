@@ -272,6 +272,49 @@ class TestPortsAndSelector:
                 reference.sort(key=lambda port: (-port.headroom, port.index))
             assert selector.ready() == reference
 
+    @pytest.mark.parametrize("ordering", WriteSelector.ORDERINGS)
+    def test_ready_bound_never_changes_a_selection(self, ordering):
+        # One long-lived selector through sends, drains, outages and mask
+        # changes: skipping a scan must never hide ports a scan would find.
+        rng = np.random.default_rng(19)
+        engine = Engine()
+        ports = [_port(engine, i, queue_limit=3) for i in range(5)]
+        selector = WriteSelector(ports, ordering=ordering)
+        for _ in range(3000):
+            action = rng.random()
+            port = ports[int(rng.integers(0, 5))]
+            if action < 0.5:
+                port.send(Datagram(size=int(rng.integers(100, 2000))))
+            elif action < 0.8:
+                engine.run_until(engine.now + float(rng.uniform(0.0, 15.0)))
+            elif action < 0.9:
+                if port.link.up:
+                    port.link.link_down()
+                else:
+                    port.link.link_up()
+            else:
+                selector.set_excluded(i for i in range(5) if rng.random() < 0.3)
+            for count in rng.permutation(np.arange(1, 6)):
+                ready = selector.ready()
+                expected = ready[:count] if len(ready) >= count else []
+                assert selector.select(int(count)) == expected
+
+    def test_short_state_is_not_rescanned(self, monkeypatch):
+        engine = Engine()
+        ports = [_port(engine, i, queue_limit=1) for i in range(3)]
+        selector = WriteSelector(ports)
+        for _ in range(2):
+            ports[0].send(Datagram(size=1000))
+        assert selector.select(3) == []
+        scans = []
+        monkeypatch.setattr(selector, "ready", lambda: scans.append(1) or [])
+        assert selector.select(3) == []
+        assert scans == []
+        # The writable edge of the drained port makes a scan worth running.
+        engine.run_until(10.0)
+        monkeypatch.undo()
+        assert len(selector.select(3)) == 3
+
     def test_port_receive_callback_sits_on_the_link(self):
         engine = Engine()
         port = _port(engine, 0)

@@ -43,7 +43,7 @@ def build(
     plan = plan_max_rate(channels, requirements)
     node_a, node_b = network.node_pair(config, registry, schedule=plan.schedule)
     manager = ResilienceManager(
-        network, node_a, node_b, config,
+        network, node_a, node_b,
         resilience or ResilienceConfig(), registry,
         requirements=requirements,
     )
