@@ -162,6 +162,7 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         for i in range(flow_spec.symbols):
             engine.schedule_at(flow_spec.start + i / flow_spec.rate, arrive, flow_spec.flow)
     engine.run()
+    network.teardown(node_a, node_b)
 
     flows_out: Dict[str, Any] = {}
     for flow_spec in fleet.flows:

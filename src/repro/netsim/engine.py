@@ -4,6 +4,12 @@ A minimal but complete event loop: callbacks are scheduled at absolute or
 relative simulated times, executed in time order, with ties broken by
 scheduling order (a monotonically increasing sequence number), which makes
 every simulation run exactly reproducible.
+
+A caller that knows *now* when something may have to happen, but would
+rather not queue it yet, can :meth:`Engine.reserve` the tie-break number
+and later queue the event under it (``schedule_at(..., seq=number)``):
+the event then runs exactly where one scheduled at the reservation would
+have run.  The reassembly buffer's deadline sweep is built on this.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ class Engine:
         #: entries with native tuple comparisons and never compares Events.
         self._queue: List[Tuple[float, int, Event]] = []
         self._processed = 0
+        #: Time of the last cancelled entry dispatch dropped from the heap.
+        self._dropped = 0.0
         self._dispatch_hook: Optional[Callable[[Event, int], None]] = None
 
     @property
@@ -69,18 +77,49 @@ class Engine:
         """
         self._dispatch_hook = hook
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
+    def schedule_at(
+        self, time: float, callback: Callable[..., None], *args: Any, seq: Optional[int] = None
+    ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
+
+        The event takes the next tie-break number, or ``seq``: a number
+        taken earlier with :meth:`reserve` (each one used at most once).
 
         Raises:
             ValueError: if ``time`` is in the simulated past or NaN.
         """
         if not time >= self._now:
             raise ValueError(f"cannot schedule at {time} before now={self._now}")
-        event = Event(time, self._seq, callback, args)
-        heappush(self._queue, (time, self._seq, event))
-        self._seq += 1
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        event = Event(time, seq, callback, args)
+        heappush(self._queue, (time, seq, event))
         return event
+
+    def reserve(self) -> int:
+        """Take the tie-break number the next :meth:`schedule_at` would use.
+
+        Nothing is queued.  ``schedule_at(time, ..., seq=number)`` later
+        queues an event that runs exactly where one scheduled for ``time``
+        at the reservation would have run.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def revive(self, event: Event) -> bool:
+        """Undo ``event.cancel()`` if the queue still holds the event.
+
+        Dispatch drops a cancelled event once the clock reaches it (and
+        :meth:`run` drops every one left after the last live event), and a
+        dropped event is gone for good: then this returns False, and the
+        caller must schedule afresh.
+        """
+        if event.time > self._now and event.time > self._dropped:
+            event.cancelled = False
+            return True
+        return False
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` units of time.
@@ -113,6 +152,7 @@ class Engine:
         while queue and queue[0][0] <= end_time:
             time, _seq, event = heappop(queue)
             if event.cancelled:
+                self._dropped = time
                 continue
             self._now = time
             self._processed += 1

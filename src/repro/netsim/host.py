@@ -41,7 +41,7 @@ class CpuModel:
         capacity: Optional[float] = None,
         queue_limit: Optional[int] = None,
     ):
-        if capacity is not None and capacity <= 0:
+        if capacity is not None and not capacity > 0:  # NaN fails too
             raise ValueError(f"capacity must be positive or None, got {capacity}")
         if queue_limit is not None and queue_limit < 1:
             raise ValueError(f"queue_limit must be positive or None, got {queue_limit}")
@@ -65,7 +65,7 @@ class CpuModel:
 
     def submit(self, cost: float, fn: Callable[[], None]) -> bool:
         """Queue a work item costing ``cost`` units; returns False if rejected."""
-        if cost < 0:
+        if not cost >= 0:  # NaN fails too
             raise ValueError(f"cost must be nonnegative, got {cost}")
         if self.capacity is None:
             # Infinitely fast CPU: run synchronously, no queueing.

@@ -185,6 +185,18 @@ class Link:
         """
         self._transmit_watchers.append(callback)
 
+    def detach(self) -> None:
+        """Drop every registered callback (run teardown).
+
+        The receiver, writable watchers, wire taps and attack tap are bound
+        methods of objects that hold this link, so a finished network is a
+        reference cycle until they go.
+        """
+        self._receiver = None
+        self._writable_watchers.clear()
+        self._transmit_watchers.clear()
+        self.attack_tap = None
+
     # -- sending --------------------------------------------------------------
 
     @property

@@ -83,10 +83,13 @@ class ProtocolConfig:
             raise ValueError(f"symbol_size must be positive, got {self.symbol_size}")
         if self.source_queue_limit < 1:
             raise ValueError("source_queue_limit must be at least 1")
-        if self.reassembly_timeout <= 0:
+        if not self.reassembly_timeout > 0:  # NaN fails too
             raise ValueError("reassembly_timeout must be positive")
         if self.reassembly_limit < 1:
             raise ValueError("reassembly_limit must be at least 1")
+        for name in ("cpu_split_cost", "cpu_share_cost", "cpu_reconstruct_cost_per_k"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         # The dynamic sampler draws k in {floor(κ), ceil(κ)} and m in
         # {floor(µ), ceil(µ)}; the scheme must accept the extreme pair.
         import math

@@ -12,6 +12,24 @@ number, borrowing two ideas from IP fragment reassembly (Sec. V):
 
 A symbol is delivered the moment any k of its shares have arrived; shares
 arriving after that are counted as *late* and dropped.
+
+Timeouts cost no engine event per symbol.  The table itself is the deadline
+queue: entries sit in it in the order they opened, and since the timeout
+is one nonnegative constant and the clock only moves forward, that is also
+the order of their deadlines.  When an entry opens it reserves the engine
+tie-break number its own timer would have taken
+(:meth:`~repro.netsim.engine.Engine.reserve`), so ``(deadline, number)``
+is exactly the place in the engine's ``(time, seq)`` order where that
+timer would have fired.  One armed event per buffer, the *sweep*, waits at
+that place for the oldest entry.  When it fires it evicts that entry if it
+is still open, then re-arms at the oldest entry left; completions and
+capacity evictions cost nothing, they just leave the sweep to find a
+closed entry.  So every timeout eviction runs at the same simulated time,
+between the same two events, as a per-entry timer's would.  When the table
+empties the sweep is cancelled, so :meth:`Engine.run` still ends at the
+last real event, and the next entry revives the cancelled sweep while the
+engine still holds it, instead of queueing another.  A repair extension
+(see docs/RESILIENCE.md) moves its entry onto a timer of its own.
 """
 
 from __future__ import annotations
@@ -76,11 +94,14 @@ class _Entry:
     """Reassembly state for one in-flight symbol."""
 
     __slots__ = (
-        "seq", "k", "m", "shares", "channels", "sent_at", "evict_event",
-        "repair_rounds", "flow", "erasures", "erasure_channels",
+        "seq", "k", "m", "shares", "channels", "sent_at", "deadline", "number",
+        "extension_timer", "repair_rounds", "flow", "erasures", "erasure_channels",
     )
 
-    def __init__(self, seq: int, k: int, m: int, sent_at: float, flow: int = 0):
+    def __init__(
+        self, seq: int, k: int, m: int, sent_at: float, flow: int,
+        deadline: float, number: int,
+    ):
         self.seq = seq
         self.flow = flow
         self.k = k
@@ -88,7 +109,14 @@ class _Entry:
         self.shares: Dict[int, Share] = {}
         self.channels: Dict[int, int] = {}  # share index -> arrival channel
         self.sent_at = sent_at
-        self.evict_event: Optional[Event] = None
+        #: Where the sweep evicts this entry in the engine's (time, seq)
+        #: order: its timeout deadline and the tie-break number reserved
+        #: when it opened.
+        self.deadline = deadline
+        self.number = number
+        #: The entry's own eviction timer once a repair extension took it
+        #: off the sweep.
+        self.extension_timer: Optional[Event] = None
         self.repair_rounds = 0  # NACK rounds used (resilience repair path)
         #: Share indices seen only with a failed MAC (auth armed): known-bad
         #: *positions*, fed to erasure decoding; a later verified arrival
@@ -101,7 +129,7 @@ class ReassemblyBuffer:
     """The receive path of a protocol node.
 
     Args:
-        engine: simulation engine (for the clock and eviction timers).
+        engine: simulation engine (for the clock and the timeout sweep).
         scheme: scheme used to reconstruct symbols.
         timeout: eviction timeout for incomplete symbols.
         limit: maximum number of incomplete symbols held.
@@ -144,6 +172,8 @@ class ReassemblyBuffer:
         byzantine_tolerance: int = 0,
         authenticator: Optional[ShareAuthenticator] = None,
     ):
+        if not timeout >= 0:
+            raise ValueError(f"timeout must be nonnegative, got {timeout}")
         self.engine = engine
         self.scheme = scheme
         self.timeout = timeout
@@ -182,11 +212,26 @@ class ReassemblyBuffer:
         #: when the table was full.  Shares for them are *late*, not new.
         self._closed: Set[Tuple[int, int]] = set()
         self._closed_order: Deque[Tuple[int, int]] = deque()
+        #: The armed sweep (see the module docstring): live and waiting at
+        #: or before the oldest entry's deadline, or cancelled while the
+        #: table is empty and kept for revival.
+        self._sweep: Optional[Event] = None
 
     @property
     def pending(self) -> int:
         """Number of incomplete symbols currently held."""
         return len(self._table)
+
+    def detach(self) -> None:
+        """Drop the delivery callback and the sweep (run teardown).
+
+        Both are bound methods that lead back to this buffer (the owning
+        node's dispatcher, the sweep's ``_evict``).
+        """
+        self.on_deliver = None
+        if self._sweep is not None:
+            self._sweep.cancel()
+            self._sweep = None
 
     # -- ingress ---------------------------------------------------------------
 
@@ -291,13 +336,19 @@ class ReassemblyBuffer:
             # capacity eviction is a deliberate close: remember the key so
             # stragglers count as late instead of opening a fresh entry
             # that can never complete.
-            evicted_key, oldest = self._table.popitem(last=False)
-            self._drop_entry(oldest)
+            evicted_key = next(iter(self._table))
+            self._drop_entry(self._unlink(evicted_key))
             self._remember_closed(evicted_key)
         sent_at = datagram.meta.get("symbol_sent_at", datagram.sent_at)
-        entry = _Entry(seq, k, m, sent_at=sent_at, flow=flow)
-        entry.evict_event = self.engine.schedule(self.timeout, self._evict, (flow, seq))
-        self._table[(flow, seq)] = entry
+        engine = self.engine
+        key = (flow, seq)
+        entry = _Entry(
+            seq, k, m, sent_at, flow, engine.now + self.timeout, engine.reserve()
+        )
+        self._table[key] = entry
+        sweep = self._sweep
+        if sweep is None or (sweep.cancelled and not engine.revive(sweep)):
+            self._arm(key, entry)
         occupancy = len(self._table)
         if occupancy > self.max_pending:
             self.max_pending = occupancy
@@ -308,9 +359,7 @@ class ReassemblyBuffer:
     # -- completion and eviction -------------------------------------------------
 
     def _complete(self, entry: _Entry) -> None:
-        del self._table[(entry.flow, entry.seq)]
-        if entry.evict_event is not None:
-            entry.evict_event.cancel()
+        self._unlink((entry.flow, entry.seq))
         self._remember_closed((entry.flow, entry.seq))
         if entry.repair_rounds > 0:
             self.stats.repair_recovered += 1
@@ -373,27 +422,62 @@ class ReassemblyBuffer:
         while len(self._closed_order) > max_remembered:
             self._closed.discard(self._closed_order.popleft())
 
-    def _evict(self, key: Tuple[int, int]) -> None:
+    def _unlink(self, key: Tuple[int, int]) -> _Entry:
+        """Take ``key``'s entry out of the table; nothing will evict it now."""
+        entry = self._table.pop(key)
+        if entry.extension_timer is not None:
+            entry.extension_timer.cancel()
+        if not self._table and self._sweep is not None:
+            # Nothing left to time out: stop the sweep, so the engine goes
+            # idle at the last real event.  Kept for :meth:`_open_entry`.
+            self._sweep.cancel()
+        return entry
+
+    def _arm(self, key: Tuple[int, int], entry: _Entry) -> None:
+        """Queue the sweep at ``entry``'s own place in the engine's order."""
+        self._sweep = self.engine.schedule_at(
+            entry.deadline, self._evict, key, entry.number, seq=entry.number
+        )
+
+    def _evict(self, key: Tuple[int, int], number: Optional[int]) -> None:
+        """Timeout handler: the sweep, or a repair extension's own timer.
+
+        The sweep (``number`` set) was armed for the entry that opened
+        under ``key`` with that reserved number; if it is still open, it
+        has timed out.  The sweep then re-arms at the oldest entry left
+        that is not on an extension timer.  An extension timer (``number``
+        None) fires only for an open entry: closing it cancels the timer.
+        """
         entry = self._table.get(key)
-        if entry is None:
+        if number is None:
+            self._expire(key, entry)
             return
+        self._sweep = None  # dispatched: never revive or re-queue it
+        if entry is not None and entry.number == number:
+            self._expire(key, entry)
+        for next_key, oldest in self._table.items():
+            if oldest.extension_timer is None:
+                self._arm(next_key, oldest)
+                return
+
+    def _expire(self, key: Tuple[int, int], entry: _Entry) -> None:
         if self.repair_policy is not None:
             extension = self.repair_policy(entry)
             if extension is not None:
                 # The repair hook NACKed the missing shares; keep the
                 # entry alive long enough for the retransmission.
                 self.stats.repair_extensions += 1
-                entry.evict_event = self.engine.schedule(extension, self._evict, key)
+                entry.extension_timer = self.engine.schedule(
+                    extension, self._evict, key, None
+                )
                 return
-        del self._table[key]
+        self._unlink(key)
         if self.tracer is not None:
             self.tracer.event(
                 "reassembly_evict", seq=entry.seq, shares=len(entry.shares), k=entry.k
             )
-        self._drop_entry(entry, cancel_timer=False)
+        self._drop_entry(entry)
 
-    def _drop_entry(self, entry: _Entry, cancel_timer: bool = True) -> None:
-        if cancel_timer and entry.evict_event is not None:
-            entry.evict_event.cancel()
+    def _drop_entry(self, entry: _Entry) -> None:
         self.stats.evicted_symbols += 1
         self.stats.evicted_shares += len(entry.shares)

@@ -218,6 +218,21 @@ class PointToPointNetwork:
             risks = [channel.risk for channel in self.channels]
         return AttackInjector(self.engine, self.duplex, plan, registry, risks=risks).arm()
 
+    def teardown(self, *nodes: RemicssNode) -> None:
+        """Unwire a finished run so reference counting alone frees it.
+
+        Detaches every link's callbacks and each node's delivery callback
+        and reassembly sweep: without this, links, senders, receivers and
+        nodes form reference cycles that live until the cyclic garbage
+        collector happens to run.  Neither the network nor the nodes can
+        run again afterwards.
+        """
+        for duplex in self.duplex:
+            for link in duplex.links:
+                link.detach()
+        for node in nodes:
+            node.receiver.detach()
+
     def node_pair(
         self,
         config: ProtocolConfig,

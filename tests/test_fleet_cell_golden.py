@@ -6,8 +6,11 @@ flow's delivery digest plus the cell's sender, receiver and mux counters.
 The literals are the protocol's observable behaviour: a refactor of the
 send or receive path that keeps them keeps the wire shares, the delivery
 order, the payloads and the delays.  ``events`` is not pinned -- it counts
-engine bookkeeping, not behaviour.
+engine bookkeeping, not behaviour.  The same cells also check that a
+finished cell leaves no reference cycles behind.
 """
+
+import gc
 
 import pytest
 
@@ -100,3 +103,25 @@ def test_cell_matches_golden(case):
     assert nonzero(result["sender"]) == SENDER[case]
     assert nonzero(result["receiver"]) == RECEIVER[case]
     assert result["mux"] == {"rounds": 48, "offer_failures": 0}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_finished_cell_is_freed_by_refcount(case):
+    """``run_cell`` tears its network down, so nothing it built waits for
+    the cyclic collector: with collection off, a forced collection finds
+    no unreachable objects."""
+    run_cell(cell_params(**CASES[case]), SEED)  # imports and caches warm up
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_cell(cell_params(**CASES[case]), SEED)
+        gc.collect()
+        leftovers = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert leftovers == 0

@@ -204,6 +204,67 @@ class TestCancellation:
         assert engine.events_processed == 5
 
 
+class TestReservation:
+    def test_reserved_number_runs_where_its_reservation_was_made(self):
+        engine = Engine()
+        fired = []
+        engine.schedule_at(1.0, fired.append, "before")
+        number = engine.reserve()
+        engine.schedule_at(1.0, fired.append, "after")
+        engine.schedule_at(0.5, lambda: engine.schedule_at(1.0, fired.append, "late"))
+        engine.schedule_at(0.5, lambda: engine.schedule_at(
+            1.0, fired.append, "reserved", seq=number
+        ))
+        engine.run()
+        assert fired == ["before", "reserved", "after", "late"]
+
+    def test_reserve_takes_a_number_without_queueing(self):
+        engine = Engine()
+        first = engine.reserve()
+        event = engine.schedule(1.0, lambda: None)
+        assert event.seq == first + 1
+        assert engine.pending() == 1
+
+    def test_revive_undoes_a_cancel_while_queued(self):
+        engine = Engine()
+        fired = []
+        event = engine.schedule(2.0, fired.append, "x")
+        event.cancel()
+        engine.run_until(1.0)
+        assert engine.revive(event)
+        engine.run()
+        assert fired == ["x"]
+
+    def test_revive_fails_once_run_until_dropped_the_event(self):
+        engine = Engine()
+        event = engine.schedule(2.0, lambda: None)
+        event.cancel()
+        engine.run_until(2.0)
+        assert not engine.revive(event)
+        assert event.cancelled
+
+    def test_revive_fails_after_run_dropped_the_cancelled_tail(self):
+        """``run`` ends at the last live event, so the clock stays before a
+        cancelled event it has already dropped: the time alone cannot tell."""
+        engine = Engine()
+        fired = []
+        engine.schedule(1.0, lambda: None)
+        event = engine.schedule(5.0, fired.append, "x")
+        event.cancel()
+        engine.run()
+        assert engine.now == 1.0
+        assert not engine.revive(event)
+        engine.schedule(1.0, lambda: None)
+        engine.run()
+        assert fired == []
+
+    def test_revive_fails_for_a_dispatched_event(self):
+        engine = Engine()
+        event = engine.schedule(1.0, lambda: None)
+        engine.run()
+        assert not engine.revive(event)
+
+
 def _random_workload_trace(seed, end_time=50.0, chunks=1):
     """Drive a randomised self-scheduling workload; return its event trace.
 

@@ -68,6 +68,18 @@ class TestCpuModel:
         with pytest.raises(ValueError):
             cpu.submit(-1.0, lambda: None)
 
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity"):
+            CpuModel(Engine(), capacity=float("nan"))
+
+    @pytest.mark.parametrize("capacity", [None, 1.0])
+    def test_nan_cost_rejected_at_submit(self, capacity):
+        cpu = CpuModel(Engine(), capacity=capacity)
+        ran = []
+        with pytest.raises(ValueError, match="cost"):
+            cpu.submit(float("nan"), lambda: ran.append(1))
+        assert ran == [] and cpu.backlog == 0
+
 
 class TestRngRegistry:
     def test_same_name_same_stream_object(self):

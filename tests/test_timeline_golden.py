@@ -84,7 +84,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "fcb88331b713115ec508d176f9b998007808a28398385c975d3e7fbfb1a78f52",
+            "metrics": "00d379e1d50634b8d1172d6657276c88fb06fedd84dfe8d900c86e2739d83b5f",
             "trace": "c5cf1c2cf0bce8992bc9875d317247a0c9f5d0023364a40107f8684d98d0e0d3",
         },
     },
@@ -94,7 +94,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "bb5b13da828e1f2fb5f6460a2936b174e467f040578db837f8f390692d4265b3",
+            "metrics": "8229fcebf81bb27ece3b04c7c7c40d06cbca20ede158ee0c4ffd8481469c266b",
             "trace": "7b56e6400204371b0f96d81c7e6247237200d58892de2f1f3084816fee980a2e",
         },
     },
@@ -104,7 +104,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "003f78d4cdd63395717c272d39eeb05571e4f196060446644415f11a4facfdb9",
+            "metrics": "5fdfc3f2479e97d374d0421dee6cdbacee7d6466c86891ccc7d36c59c9fcb2cc",
             "trace": "cae39161ac41e3765543b0b377fe224192dbf7d86ca981d369eae0cfe74fe89f",
         },
     },
@@ -114,7 +114,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "46ec6b34b3996246f630c575ed2f353ff2fe94c294ff17521fa9993468d99279",
+            "metrics": "ef83831eef9884096f6266acff1c78b12421219646a0b8f3edbe84118d312973",
             "trace": "efdd249e978ea2fc56bc62e1a6bda87eff818dc349fca14b9f1f82677c87d9fd",
         },
     },
@@ -124,7 +124,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "4a4c3dbea5d6c2c4289ed86d2548d0ec3c5dd41bc0c728e8e2203d65678a5121",
+            "metrics": "1ea99120a00b475cda6db1cc2630dd49b5c8c4e58b8085cfebce34dcd2f74267",
             "trace": "4535fafea538a126cbcb1b2cf318d1bfc7c9d79c7eabdcea1d14ed686c3f608f",
         },
     },
@@ -140,7 +140,7 @@ ATTACK_GOLDENS = {
             "stats": {**ZERO_STATS, "shares_corrupted": 523, "packets_captured": 1992},
         },
         "digests": {
-            "metrics": "50c0cdd6a7b5a8b5d34fedc2710a7f345d3b75f784638ee2f9b78e3407ce8f11",
+            "metrics": "7f17b497a4aecc1963f7179aa1797b4c1d53154e11e6462bc397157323c09bf7",
             "trace": "2bfe1be3e93fc3b2469279a7ed1d64b54d7f869b2faebc218b8a8b30c4c0578c",
         },
     },
@@ -151,7 +151,7 @@ ATTACK_GOLDENS = {
             "stats": {**ZERO_STATS, "shares_forged": 95, "packets_captured": 1992},
         },
         "digests": {
-            "metrics": "1387455d5c7e67c98c580e677aa1b6f0557055629360a634f27e45317fb0db26",
+            "metrics": "a9203430ea1ceb1d00d85362ef4f18b7f69b348fedee6d37e4f5b9bbcf1eb173",
             "trace": "5d712b3c96d9f9c648e70d53facd2b4a7432df7b6aeed1067991b6f9699ffd06",
         },
     },
@@ -162,7 +162,7 @@ ATTACK_GOLDENS = {
             "stats": {**ZERO_STATS, "packets_replayed": 95, "packets_captured": 1992},
         },
         "digests": {
-            "metrics": "f5640b5252d1c24f30060d58c347b28f3864df52f56b2d945e41dec2ed020194",
+            "metrics": "13202edfa59f76d3360b5470daa6f69a73dc63ccbe62e8f7f5ce201f129f03c9",
             "trace": "a7f2b512a78a28c9dfba1b6b155c243298caebff564e3e1682d30a219181b02c",
         },
     },
@@ -176,7 +176,7 @@ ATTACK_GOLDENS = {
             },
         },
         "digests": {
-            "metrics": "6d91e55e521a62fa0936ef565bae117d87b47e5191772739c6749f766dc4b249",
+            "metrics": "7fd2702d835bfecc6c179665183a94c7a483ac312289bd1d3f9757612880da4f",
             "trace": "0789b28e00f8cc6b71116a647f44db65ea14bcc188a5608bf9c263f52a0013ba",
         },
     },
@@ -190,7 +190,7 @@ ATTACK_GOLDENS = {
             },
         },
         "digests": {
-            "metrics": "4ff034bcf6d67d184eafc06072b9950614bddc21bfae279cba413522cc50c418",
+            "metrics": "ca06073fc30c29dfe8c0b7dc84d9a4e946bd835b3841166bb7994850c9c8f880",
             "trace": "7f3684c26b30fc18c859e82c0f0522c692149f9f1f8fc500d980d05c3574ec97",
         },
     },
