@@ -132,26 +132,3 @@ def test_micss_vs_remicss_goodput_under_loss(benchmark):
     assert retransmissions > 0
     assert remicss.achieved_rate > micss_rate
 
-
-def test_simplex_vs_scipy_agreement_sweep(benchmark):
-    """Backend ablation: the from-scratch simplex tracks HiGHS on a sweep."""
-    channels = lossy_setup()
-
-    def sweep():
-        gaps = []
-        for kappa in (1.0, 2.0, 3.0):
-            for mu in (kappa, min(5.0, kappa + 1.5), 5.0):
-                ours = optimal_property_value(
-                    channels, Objective.LOSS, kappa, mu, at_max_rate=True,
-                    backend="simplex",
-                )
-                ref = optimal_property_value(
-                    channels, Objective.LOSS, kappa, mu, at_max_rate=True,
-                    backend="scipy",
-                )
-                gaps.append(abs(ours - ref))
-        return gaps
-
-    gaps = run_once(benchmark, sweep)
-    print(f"\nAblation: simplex vs HiGHS max gap {max(gaps):.2e} over {len(gaps)} programs")
-    assert max(gaps) < 1e-7

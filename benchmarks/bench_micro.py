@@ -128,17 +128,12 @@ class TestLpSolve:
 
     def test_free_program_scipy(self, benchmark, channels):
         program = self._program(channels, at_max_rate=False)
-        solution = benchmark(solve, program, "scipy")
+        solution = benchmark(solve, program)
         assert solution.objective >= 0.0
 
     def test_maxrate_program_scipy(self, benchmark, channels):
         program = self._program(channels, at_max_rate=True)
-        solution = benchmark(solve, program, "scipy")
-        assert solution.objective >= 0.0
-
-    def test_maxrate_program_simplex(self, benchmark, channels):
-        program = self._program(channels, at_max_rate=True)
-        solution = benchmark(solve, program, "simplex")
+        solution = benchmark(solve, program)
         assert solution.objective >= 0.0
 
 

@@ -19,6 +19,7 @@ the first feasible point is the rate-optimal plan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -57,10 +58,13 @@ class Requirements:
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value}")
-        if self.max_delay is not None and self.max_delay < 0:
-            raise ValueError(f"max_delay must be nonnegative, got {self.max_delay}")
-        if self.min_rate is not None and self.min_rate <= 0:
-            raise ValueError(f"min_rate must be positive, got {self.min_rate}")
+        # Chained comparisons so NaN, which compares False, fails too.
+        if self.max_delay is not None and not 0.0 <= self.max_delay < math.inf:
+            raise ValueError(
+                f"max_delay must be finite and nonnegative, got {self.max_delay}"
+            )
+        if self.min_rate is not None and not 0.0 < self.min_rate < math.inf:
+            raise ValueError(f"min_rate must be finite and positive, got {self.min_rate}")
 
     def any_bound(self) -> bool:
         return any(
@@ -95,11 +99,9 @@ class Plan:
         return True
 
 
-_PROPERTY_FORMULA = {
-    "risk": subset_risk,
-    "loss": subset_loss,
-    "delay": subset_delay,
-}
+#: Grid steps of :func:`plan_max_rate`'s (κ, µ) scan.
+KAPPA_STEP = 0.5
+MU_STEP = 0.25
 
 
 def constrained_schedule(
@@ -109,7 +111,6 @@ def constrained_schedule(
     requirements: Requirements,
     objective: Objective = Objective.PRIVACY,
     at_max_rate: bool = True,
-    backend: str = "auto",
 ) -> ShareSchedule:
     """The objective-optimal schedule at (κ, µ) satisfying the requirements.
 
@@ -142,7 +143,7 @@ def constrained_schedule(
             b_ub=np.array(ub_rhs),
             names=program.names,
         )
-    solution = solve(program, backend=backend)
+    solution = solve(program)
     return ShareSchedule.from_arrays(channels, pairs, solution.x)
 
 
@@ -163,18 +164,15 @@ def _plan_from_schedule(
 def plan_max_rate(
     channels: ChannelSet,
     requirements: Requirements,
-    kappa_step: float = 0.5,
-    mu_step: float = 0.25,
-    objective: Objective = Objective.PRIVACY,
-    backend: str = "auto",
     min_kappa: float = 1.0,
 ) -> Plan:
     """The fastest configuration meeting the requirements.
 
-    Scans µ upward (rate downward, by Theorem 4); at each µ, scans κ from
-    high to low privacy and accepts the first requirement-satisfying
-    schedule.  The returned plan therefore has the maximum achievable rate,
-    with ``objective`` optimised among schedules at the accepted (κ, µ).
+    Scans µ upward in steps of :data:`MU_STEP` (rate downward, by
+    Theorem 4); at each µ, scans κ in steps of :data:`KAPPA_STEP` from high
+    to low privacy and accepts the first requirement-satisfying schedule.
+    The returned plan therefore has the maximum achievable rate, with Z(p)
+    minimised among schedules at the accepted (κ, µ).
 
     ``min_kappa`` restricts the search to κ >= min_kappa: the resilience
     layer's failover uses it as the privacy floor, so a degraded-channel
@@ -182,14 +180,12 @@ def plan_max_rate(
 
     Raises:
         NoFeasiblePlanError: if no grid point satisfies the requirements.
-        ValueError: on a non-positive grid step or ``min_kappa < 1``.
+        ValueError: if ``min_kappa < 1``.
     """
-    if kappa_step <= 0 or mu_step <= 0:
-        raise ValueError("grid steps must be positive")
     if min_kappa < 1.0:
         raise ValueError(f"min_kappa must be >= 1, got {min_kappa}")
     n = channels.n
-    mu_values = [round(1.0 + i * mu_step, 10) for i in range(int((n - 1) / mu_step) + 1)]
+    mu_values = [round(1.0 + i * MU_STEP, 10) for i in range(int((n - 1) / MU_STEP) + 1)]
     if mu_values[-1] < n:
         mu_values.append(float(n))
     tolerance = 1e-9
@@ -200,8 +196,8 @@ def plan_max_rate(
         if requirements.min_rate is not None and rate < requirements.min_rate:
             break  # rate only falls from here on
         kappa_values = [
-            round(1.0 + i * kappa_step, 10)
-            for i in range(int((mu - 1.0) / kappa_step) + 1)
+            round(1.0 + i * KAPPA_STEP, 10)
+            for i in range(int((mu - 1.0) / KAPPA_STEP) + 1)
         ]
         if kappa_values[-1] < mu:
             kappa_values.append(mu)
@@ -211,10 +207,7 @@ def plan_max_rate(
         # Prefer high κ (better privacy) among equal-rate plans.
         for kappa in reversed(kappa_values):
             try:
-                schedule = constrained_schedule(
-                    channels, kappa, mu, requirements,
-                    objective=objective, backend=backend,
-                )
+                schedule = constrained_schedule(channels, kappa, mu, requirements)
             except InfeasibleError:
                 continue
             plan = _plan_from_schedule(channels, kappa, mu, schedule)

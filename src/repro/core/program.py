@@ -149,7 +149,6 @@ def optimal_schedule(
     mu: float,
     at_max_rate: bool = False,
     limited: bool = False,
-    backend: str = "auto",
 ) -> ShareSchedule:
     """Solve the Sec. IV-B / IV-D program and return the optimal schedule.
 
@@ -160,7 +159,7 @@ def optimal_schedule(
     program, pairs = build_program(
         channels, objective, kappa, mu, at_max_rate=at_max_rate, limited=limited
     )
-    solution = solve(program, backend=backend)
+    solution = solve(program)
     return ShareSchedule.from_arrays(channels, pairs, solution.x)
 
 
@@ -171,13 +170,12 @@ def optimal_property_value(
     mu: float,
     at_max_rate: bool = False,
     limited: bool = False,
-    backend: str = "auto",
 ) -> float:
     """The optimal Z(p), L(p) or D(p) value for the given constraints."""
     program, _ = build_program(
         channels, objective, kappa, mu, at_max_rate=at_max_rate, limited=limited
     )
-    return solve(program, backend=backend).objective
+    return solve(program).objective
 
 
 def fractional_atoms(kappa: float, mu: float) -> List[Tuple[Tuple[int, int], float]]:

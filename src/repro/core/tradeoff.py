@@ -60,7 +60,6 @@ def sweep_tradeoffs(
     at_max_rate: bool = True,
     limited: bool = False,
     objectives: Sequence[Objective] = (Objective.PRIVACY, Objective.LOSS, Objective.DELAY),
-    backend: str = "auto",
 ) -> Iterator[TradeoffPoint]:
     """Yield the optimal tradeoff surface over the (κ, µ) grid.
 
@@ -81,7 +80,6 @@ def sweep_tradeoffs(
                         mu,
                         at_max_rate=at_max_rate,
                         limited=limited,
-                        backend=backend,
                     )
                 except InfeasibleError:
                     values[objective] = None

@@ -2,18 +2,12 @@
 
 The paper's optimal share schedules (Sec. IV-B and IV-D) are computed by
 linear programs over the schedule probabilities ``p(k, M)``.  This package
-provides:
-
-* :class:`~repro.lp.interface.LinearProgram` -- a standard-form problem
-  description (minimise ``c @ x`` subject to ``A_eq @ x = b_eq``,
-  ``x >= 0``), which is exactly the shape of every program in the paper;
-* :mod:`repro.lp.simplex` -- a from-scratch two-phase dense simplex solver
-  with Bland's anti-cycling rule (no external dependencies);
-* :mod:`repro.lp.scipy_backend` -- a thin wrapper over
-  ``scipy.optimize.linprog`` (HiGHS), used as a cross-check and as a faster
-  backend for large sweeps.
-
-The two backends are cross-validated against each other in the test suite.
+provides :class:`~repro.lp.interface.LinearProgram` -- minimise ``c @ x``
+subject to ``A_eq @ x = b_eq``, optional ``A_ub @ x <= b_ub``, ``x >= 0``,
+which is the shape of every program in the paper and the planner -- and
+:func:`~repro.lp.interface.solve`, which runs ``scipy.optimize.linprog``
+(HiGHS).  The test suite cross-checks it against an independent two-phase
+simplex (``tests/lp_oracle.py``).
 """
 
 from repro.lp.interface import (

@@ -1,4 +1,4 @@
-"""Problem description and backend dispatch for linear programs."""
+"""Problem description and the HiGHS solve for linear programs."""
 
 from __future__ import annotations
 
@@ -23,9 +23,7 @@ class LinearProgram:
 
     The paper's programs (Sec. IV-B and IV-D) are purely equality-
     constrained; the inequality rows exist for the requirement-driven
-    planner (bound L(p) or D(p) while optimising another property).  The
-    simplex backend converts inequalities to equalities with slack
-    variables internally; scipy handles them natively.
+    planner (bound L(p) or D(p) while optimising another property).
 
     Attributes:
         c: objective coefficients, shape (n,).
@@ -78,25 +76,6 @@ class LinearProgram:
         extra = 0 if self.b_ub is None else len(self.b_ub)
         return len(self.b_eq) + extra
 
-    def to_standard_form(self) -> "LinearProgram":
-        """Fold inequalities into equalities with slack variables.
-
-        Returns ``self`` when there are no inequality rows.  The solution
-        vector of the standard-form program has the slack values appended;
-        callers should truncate to :attr:`num_vars` of the original.
-        """
-        if self.a_ub is None:
-            return self
-        num_slack = len(self.b_ub)
-        c = np.concatenate([self.c, np.zeros(num_slack)])
-        top = np.hstack([self.a_eq, np.zeros((len(self.b_eq), num_slack))])
-        bottom = np.hstack([self.a_ub, np.eye(num_slack)])
-        return LinearProgram(
-            c=c,
-            a_eq=np.vstack([top, bottom]),
-            b_eq=np.concatenate([self.b_eq, self.b_ub]),
-        )
-
 
 @dataclass(frozen=True)
 class LPSolution:
@@ -105,42 +84,36 @@ class LPSolution:
     Attributes:
         x: optimal variable values, shape (n,).
         objective: optimal objective value ``c @ x``.
-        backend: which solver produced the result ("simplex" or "scipy").
-        iterations: solver iteration count (0 when not reported).
     """
 
     x: np.ndarray
     objective: float
-    backend: str
-    iterations: int = 0
 
 
-def solve(problem: LinearProgram, backend: str = "auto") -> LPSolution:
-    """Solve a linear program with the requested backend.
-
-    Args:
-        problem: the standard-form LP.
-        backend: "simplex" (this package's own solver), "scipy" (HiGHS), or
-            "auto" (scipy when available, otherwise simplex).
+def solve(problem: LinearProgram) -> LPSolution:
+    """Solve a linear program with ``scipy.optimize.linprog`` (HiGHS).
 
     Raises:
         InfeasibleError: no feasible point exists.
         UnboundedError: the objective is unbounded below.
-        ValueError: unknown backend name.
+        RuntimeError: any other solver failure.
     """
-    if backend == "auto":
-        try:
-            from repro.lp import scipy_backend  # noqa: F401  (probe import)
+    # Imported here so that importing the model does not load scipy.optimize.
+    from scipy.optimize import linprog
 
-            backend = "scipy"
-        except ImportError:  # pragma: no cover - scipy is a hard dependency
-            backend = "simplex"
-    if backend == "simplex":
-        from repro.lp.simplex import solve_simplex
-
-        return solve_simplex(problem)
-    if backend == "scipy":
-        from repro.lp.scipy_backend import solve_scipy
-
-        return solve_scipy(problem)
-    raise ValueError(f"unknown LP backend {backend!r}")
+    result = linprog(
+        c=problem.c,
+        A_eq=problem.a_eq,
+        b_eq=problem.b_eq,
+        A_ub=problem.a_ub,
+        b_ub=problem.b_ub,
+        bounds=[(0, None)] * problem.num_vars,
+        method="highs",
+    )
+    if result.status == 2:
+        raise InfeasibleError(f"no feasible schedule exists: {result.message}")
+    if result.status == 3:
+        raise UnboundedError(f"objective is unbounded below: {result.message}")
+    if not result.success:  # pragma: no cover - defensive
+        raise RuntimeError(f"linprog failed: {result.message}")
+    return LPSolution(x=result.x, objective=float(result.fun))

@@ -24,7 +24,6 @@ inflexibility motivates ReMICSS.
 for the DIBS bump-in-the-stack architecture the real implementation uses.
 """
 
-from repro.protocol.adaptive import AdaptationRecord, AdaptiveController
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.dibs import DibsInterceptor
 from repro.protocol.micss import MicssNode
@@ -42,8 +41,6 @@ __all__ = [
     "ProtocolConfig",
     "RemicssNode",
     "PointToPointNetwork",
-    "AdaptiveController",
-    "AdaptationRecord",
     "MicssNode",
     "DibsInterceptor",
     "ShareSender",

@@ -2,8 +2,7 @@
 
 The monitor folds three deterministic signals, all observable at the
 sender (link counters stand in for the loss/delivery feedback a deployed
-protocol would obtain from receiver reports, exactly as
-:mod:`repro.protocol.adaptive` already does):
+protocol would obtain from receiver reports):
 
 * **EWMA loss** -- loss drops over serialized packets since the previous
   review, smoothed with weight ``loss_alpha``.

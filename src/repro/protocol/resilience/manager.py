@@ -6,8 +6,7 @@ iperf-style workloads send A -> B).  It owns all timers and I/O so the
 state machines stay pure:
 
 * a periodic **review** reads per-channel link-counter deltas (the
-  simulator's stand-in for receiver feedback, as in
-  :mod:`repro.protocol.adaptive`), feeds the
+  simulator's stand-in for receiver feedback), feeds the
   :class:`~repro.protocol.resilience.health.HealthMonitor`, and drives
   each channel's :class:`~repro.protocol.resilience.quarantine.ChannelGuard`;
 * quarantine changes are pushed into the
@@ -298,11 +297,19 @@ class ResilienceManager:
             self._on_nack(message.flow, message.seq, message.have)
 
     def _decode(self, datagram: Datagram):
+        """The frame's control message, or None if it is malformed.
+
+        A channel index past this pair's channels counts as malformed:
+        both handlers index per-channel state with it.
+        """
         try:
-            return decode_control(datagram.payload or b"")
+            message = decode_control(datagram.payload or b"")
         except WireFormatError:
+            message = None
+        if message is None or message.channel >= len(self.guards):
             self.stats.control_decode_errors += 1
             return None
+        return message
 
     def _on_probe_ack(self, channel: int) -> None:
         guard = self.guards[channel]

@@ -129,6 +129,11 @@ class TestPlanCommand:
         assert code == 1
         assert "no feasible plan" in capsys.readouterr().err
 
+    def test_nan_bound_rejected(self, channels_file, capsys):
+        code = main(["plan", "--channels", channels_file, "--min-rate", "nan"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSimulateCommand:
     def test_quick_run(self, channels_file, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import planner
 from repro.core.planner import (
     NoFeasiblePlanError,
     Requirements,
@@ -11,6 +12,7 @@ from repro.core.planner import (
 from repro.core.program import Objective
 from repro.core.rate import max_rate, optimal_rate
 from repro.lp import InfeasibleError
+from tests.lp_oracle import solve_simplex
 
 
 class TestRequirements:
@@ -23,6 +25,15 @@ class TestRequirements:
             Requirements(max_delay=-1.0)
         with pytest.raises(ValueError):
             Requirements(min_rate=0.0)
+        for bound in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Requirements(max_delay=bound)
+            with pytest.raises(ValueError):
+                Requirements(min_rate=bound)
+        with pytest.raises(ValueError):
+            Requirements(max_risk=float("nan"))
+        with pytest.raises(ValueError):
+            Requirements(max_loss=float("nan"))
 
     def test_any_bound(self):
         assert not Requirements().any_bound()
@@ -78,14 +89,12 @@ class TestConstrainedSchedule:
         )
         assert schedule.delay() <= 0.3 + 1e-9
 
-    def test_simplex_backend_with_inequalities(self, five_channels):
-        a = constrained_schedule(
-            five_channels, 2.0, 3.0, Requirements(max_loss=0.002), backend="simplex"
-        )
-        b = constrained_schedule(
-            five_channels, 2.0, 3.0, Requirements(max_loss=0.002), backend="scipy"
-        )
-        assert a.privacy_risk() == pytest.approx(b.privacy_risk(), abs=1e-7)
+    def test_simplex_backend_with_inequalities(self, five_channels, monkeypatch):
+        requirements = Requirements(max_loss=0.002)
+        highs = constrained_schedule(five_channels, 2.0, 3.0, requirements)
+        monkeypatch.setattr(planner, "solve", solve_simplex)
+        oracle = constrained_schedule(five_channels, 2.0, 3.0, requirements)
+        assert oracle.privacy_risk() == pytest.approx(highs.privacy_risk(), abs=1e-7)
 
 
 class TestPlanMaxRate:
@@ -124,10 +133,6 @@ class TestPlanMaxRate:
     def test_impossible_requirements_raise(self, five_channels):
         with pytest.raises(NoFeasiblePlanError):
             plan_max_rate(five_channels, Requirements(max_risk=0.0, max_loss=0.0))
-
-    def test_invalid_steps(self, five_channels):
-        with pytest.raises(ValueError):
-            plan_max_rate(five_channels, Requirements(), mu_step=0.0)
 
     def test_rate_matches_theorem4_at_plan_mu(self, five_channels):
         plan = plan_max_rate(five_channels, Requirements(max_risk=0.05))

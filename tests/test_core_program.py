@@ -16,6 +16,9 @@ from repro.core.program import (
     theorem5_schedule,
 )
 from repro.core.rate import optimal_channel_usage, optimal_rate
+from repro.lp import solve
+from repro.workloads.setups import lossy_setup
+from tests.lp_oracle import solve_simplex
 
 
 class TestSchedulePairs:
@@ -116,18 +119,24 @@ class TestMaxRateProgram:
         assert free <= at_rate + 1e-9
 
     def test_backends_agree(self, five_channels):
-        for backend in ("simplex", "scipy"):
-            value = optimal_property_value(
-                five_channels, Objective.DELAY, 2.0, 3.5, at_max_rate=True,
-                backend=backend,
-            )
-            assert value == pytest.approx(
-                optimal_property_value(
-                    five_channels, Objective.DELAY, 2.0, 3.5, at_max_rate=True,
-                    backend="scipy",
-                ),
-                abs=1e-7,
-            )
+        program, _ = build_program(
+            five_channels, Objective.DELAY, 2.0, 3.5, at_max_rate=True
+        )
+        assert solve_simplex(program).objective == pytest.approx(
+            solve(program).objective, abs=1e-7
+        )
+
+    def test_oracle_agreement_sweep(self):
+        """HiGHS tracks the simplex oracle on nine Sec. IV-D loss programs."""
+        channels = lossy_setup()
+        for kappa in (1.0, 2.0, 3.0):
+            for mu in (kappa, min(5.0, kappa + 1.5), 5.0):
+                program, _ = build_program(
+                    channels, Objective.LOSS, kappa, mu, at_max_rate=True
+                )
+                assert solve_simplex(program).objective == pytest.approx(
+                    solve(program).objective, abs=1e-7
+                ), (kappa, mu)
 
 
 class TestFractionalAtoms:

@@ -1,4 +1,4 @@
-"""The LP layer: problem validation, simplex solver, scipy cross-check."""
+"""The LP layer: problem validation, HiGHS solve, simplex-oracle cross-check."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,7 @@ from repro.lp import (
     UnboundedError,
     solve,
 )
-from repro.lp.scipy_backend import solve_scipy
-from repro.lp.simplex import solve_simplex
+from tests.lp_oracle import solve_simplex
 
 
 class TestLinearProgram:
@@ -31,11 +30,6 @@ class TestLinearProgram:
         assert lp.num_vars == 3
         assert lp.num_constraints == 1
 
-    def test_unknown_backend(self):
-        lp = LinearProgram(c=[1.0], a_eq=[[1.0]], b_eq=[1.0])
-        with pytest.raises(ValueError):
-            solve(lp, backend="cplex")
-
 
 SIMPLE_LP = LinearProgram(
     # minimise x0 + 2 x1 subject to x0 + x1 = 1: optimum at x = (1, 0).
@@ -45,30 +39,33 @@ SIMPLE_LP = LinearProgram(
 )
 
 
-@pytest.mark.parametrize("backend", ["simplex", "scipy"])
+@pytest.mark.parametrize(
+    "solver",
+    [pytest.param(solve_simplex, id="simplex"), pytest.param(solve, id="scipy")],
+)
 class TestBackends:
-    def test_simple(self, backend):
-        solution = solve(SIMPLE_LP, backend=backend)
+    def test_simple(self, solver):
+        solution = solver(SIMPLE_LP)
         assert solution.objective == pytest.approx(1.0)
         assert solution.x == pytest.approx([1.0, 0.0])
 
-    def test_two_constraints(self, backend):
+    def test_two_constraints(self, solver):
         # minimise x0 subject to x0 + x1 = 2, x1 + x2 = 1.
         lp = LinearProgram(
             c=[1.0, 0.0, 0.0],
             a_eq=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
             b_eq=[2.0, 1.0],
         )
-        solution = solve(lp, backend=backend)
+        solution = solver(lp)
         assert solution.objective == pytest.approx(1.0)
 
-    def test_negative_rhs_normalised(self, backend):
+    def test_negative_rhs_normalised(self, solver):
         # -x0 - x1 = -1 is the same constraint as x0 + x1 = 1.
         lp = LinearProgram(c=[1.0, 2.0], a_eq=[[-1.0, -1.0]], b_eq=[-1.0])
-        solution = solve(lp, backend=backend)
+        solution = solver(lp)
         assert solution.objective == pytest.approx(1.0)
 
-    def test_infeasible(self, backend):
+    def test_infeasible(self, solver):
         # x0 = 1 and x0 = 2 cannot both hold.
         lp = LinearProgram(
             c=[1.0],
@@ -76,31 +73,31 @@ class TestBackends:
             b_eq=[1.0, 2.0],
         )
         with pytest.raises(InfeasibleError):
-            solve(lp, backend=backend)
+            solver(lp)
 
-    def test_infeasible_negative_requirement(self, backend):
+    def test_infeasible_negative_requirement(self, solver):
         # x0 + x1 = -1 with x >= 0 is infeasible.
         lp = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[-1.0])
         with pytest.raises(InfeasibleError):
-            solve(lp, backend=backend)
+            solver(lp)
 
-    def test_unbounded(self, backend):
+    def test_unbounded(self, solver):
         # minimise -x1 with x0 - x1 = 0: x can grow along (t, t) forever.
         lp = LinearProgram(c=[0.0, -1.0], a_eq=[[1.0, -1.0]], b_eq=[0.0])
         with pytest.raises(UnboundedError):
-            solve(lp, backend=backend)
+            solver(lp)
 
-    def test_redundant_constraint(self, backend):
+    def test_redundant_constraint(self, solver):
         # The same constraint twice (tests phase-1 artificial cleanup).
         lp = LinearProgram(
             c=[1.0, 2.0],
             a_eq=[[1.0, 1.0], [1.0, 1.0]],
             b_eq=[1.0, 1.0],
         )
-        solution = solve(lp, backend=backend)
+        solution = solver(lp)
         assert solution.objective == pytest.approx(1.0)
 
-    def test_degenerate_vertex(self, backend):
+    def test_degenerate_vertex(self, solver):
         # Multiple constraints meeting at the optimum (degeneracy exercise
         # for Bland's rule).
         lp = LinearProgram(
@@ -108,17 +105,17 @@ class TestBackends:
             a_eq=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
             b_eq=[1.0, 1.0],
         )
-        solution = solve(lp, backend=backend)
+        solution = solver(lp)
         assert solution.objective == pytest.approx(0.0)
         assert solution.x[2] == pytest.approx(1.0)
 
-    def test_solution_satisfies_constraints(self, backend):
+    def test_solution_satisfies_constraints(self, solver):
         lp = LinearProgram(
             c=[3.0, 1.0, 4.0, 1.0, 5.0],
             a_eq=[[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0, 5.0]],
             b_eq=[1.0, 2.5],
         )
-        solution = solve(lp, backend=backend)
+        solution = solver(lp)
         assert lp.a_eq @ solution.x == pytest.approx(lp.b_eq)
         assert (solution.x >= -1e-9).all()
 
@@ -143,11 +140,6 @@ def test_simplex_matches_scipy_on_random_feasible_lps(costs, target, seed):
         b_eq=[1.0, t],
     )
     ours = solve_simplex(lp)
-    ref = solve_scipy(lp)
+    ref = solve(lp)
     assert ours.objective == pytest.approx(ref.objective, abs=1e-7)
     assert lp.a_eq @ ours.x == pytest.approx(lp.b_eq, abs=1e-7)
-
-
-def test_auto_backend_prefers_scipy():
-    solution = solve(SIMPLE_LP, backend="auto")
-    assert solution.backend == "scipy"

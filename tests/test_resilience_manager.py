@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.planner import Requirements, plan_max_rate
 from repro.netsim.faults import FaultEvent, FaultPlan
+from repro.netsim.packet import Datagram
 from repro.netsim.rng import RngRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
@@ -13,6 +14,12 @@ from repro.protocol.resilience import (
     ResilienceManager,
 )
 from repro.protocol.resilience.failover import schedule_min_threshold
+from repro.protocol.wire import (
+    CTRL_PROBE,
+    CTRL_PROBE_ACK,
+    encode_probe,
+    encode_probe_ack,
+)
 from repro.workloads.setups import diverse_setup
 from repro.workloads.setups import testbed_fault_plan as fault_plan_for
 
@@ -214,6 +221,27 @@ class TestRepair:
         assert node_b.receiver.repair_policy is None
         network.engine.run_until(5.0)
         assert manager.stats.nacks_sent == 0
+
+
+class TestControlFrames:
+    def test_out_of_range_channel_is_counted_and_dropped(self):
+        """A tampered channel byte must not index past the channel lists."""
+        network, _, _, manager = build(end=1.0)
+        channel = len(manager.guards)
+        duplex = network.duplex[0]
+        for link, kind, payload in (
+            (duplex.forward, CTRL_PROBE, encode_probe(channel, 0)),
+            (duplex.reverse, CTRL_PROBE_ACK, encode_probe_ack(channel, 0)),
+        ):
+            before = manager.stats.control_decode_errors
+            assert link.inject(Datagram(
+                size=len(payload), payload=payload,
+                meta={"ctrl": kind, "channel": channel},
+            ))
+            assert manager.stats.control_decode_errors == before + 1
+        assert manager.stats.probe_acks_sent == 0
+        assert manager.stats.probe_acks_received == 0
+        assert manager.stats.reinstatements == 0
 
 
 class TestNoFaults:
