@@ -25,7 +25,6 @@ from conftest import run_once
 
 from repro.core.planner import Requirements, plan_max_rate
 from repro.protocol.config import ProtocolConfig
-from repro.protocol.resilience import ResilienceConfig
 from repro.workloads.iperf import run_iperf
 from repro.workloads.setups import diverse_setup
 from repro.workloads.setups import testbed_fault_plan as fault_plan_for
@@ -63,7 +62,7 @@ def measure(scenario, resilient, quick=False):
         seed=SEED,
         schedule=plan.schedule,
         fault_plan=fault_plan_for(scenario, START_MS, stop_ms, channel=FAULT_CHANNEL),
-        resilience=ResilienceConfig() if resilient else None,
+        resilience=resilient,
         requirements=REQUIREMENTS if resilient else None,
     )
     row = {

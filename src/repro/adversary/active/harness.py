@@ -32,8 +32,9 @@ from repro.netsim.rng import RngRegistry
 from repro.protocol.auth import AuthConfig, derive_root_key
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
-from repro.protocol.resilience import ResilienceConfig, ResilienceManager
+from repro.protocol.resilience import ResilienceManager
 from repro.adversary.active.plan import AttackPlan
+from repro.workloads.setups import check_run_window
 
 #: Extra run time after the offer window closes so in-flight shares,
 #: repair rounds and held batches drain before stats are read.
@@ -70,7 +71,6 @@ def run_under_attack(
     warmup: float = 2.0,
     seed: int = 7,
     resilience: bool = False,
-    requirements=None,
     channels: Optional[ChannelSet] = None,
     risks: Optional[Sequence[float]] = None,
     auth: bool = False,
@@ -90,9 +90,8 @@ def run_under_attack(
             for :data:`DRAIN` beyond the window so traffic settles.
         seed: root seed for everything (workload, protocol, attack).
         resilience: arm the resilience layer (quarantine/failover/repair)
-            on the A -> B direction.
-        requirements: deployment bounds handed to the failover LP; only
-            meaningful with ``resilience``.
+            on the A -> B direction; with no requirements, failover masks
+            the dynamic selector.
         channels: testbed override (default :func:`default_channels`).
         risks: adaptive-attacker risk ranking override (defaults to the
             channel set's own risks).
@@ -106,6 +105,7 @@ def run_under_attack(
         A flat JSON-safe dict; see the property suite
         (tests/test_attack_properties.py) for the invariants it carries.
     """
+    check_run_window(offered_rate, duration, warmup)
     if channels is None:
         channels = default_channels()
     registry = RngRegistry(seed)
@@ -123,10 +123,7 @@ def run_under_attack(
     node_a, node_b = network.node_pair(config, registry)
     manager = None
     if resilience:
-        manager = ResilienceManager(
-            network, node_a, node_b, ResilienceConfig(), registry,
-            requirements=requirements,
-        )
+        manager = ResilienceManager(network, node_a, node_b, registry)
 
     # Remember every accepted payload by its (acceptance-order) sequence
     # number; compare each delivery byte-for-byte against it.

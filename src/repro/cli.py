@@ -296,11 +296,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         channels, args.mu, config.symbol_size
     )
     fault_plan = load_fault_plan(args.faults, args.duration, args.warmup)
-    resilience = None
-    if args.resilience:
-        from repro.protocol.resilience import ResilienceConfig
-
-        resilience = ResilienceConfig()
     obs = None
     if args.metrics_out or args.trace_out:
         obs = Observability.create(tracing=bool(args.trace_out))
@@ -313,7 +308,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         fault_plan=fault_plan,
         obs=obs,
-        resilience=resilience,
+        resilience=args.resilience,
     )
     optimum = optimal_rate(channels, args.mu)
     print(f"offered rate   = {offered:.4f} symbols/unit")

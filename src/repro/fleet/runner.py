@@ -19,6 +19,7 @@ the attached registry (docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -140,9 +141,19 @@ class FleetRunner:
         arms authenticated shares (docs/AUTH.md) and requires real
         payloads; it enters the cell parameters only when armed, so every
         existing unauthenticated cell keeps its exact seed.
+
+        Raises ValueError before any cell runs when ``channels`` or
+        ``symbol_size`` is below 1, or when an admitted flow's ⌈µ⌉ exceeds
+        ``channels``: such a symbol never finds enough writable ports and
+        stalls every flow behind it in the cell's shared sender.
         """
         if auth and synthetic:
             raise ValueError("auth requires real payloads (synthetic=False)")
+        if channels < 1 or symbol_size < 1:
+            raise ValueError(
+                f"need channels >= 1 and symbol_size >= 1, got channels={channels}, "
+                f"symbol_size={symbol_size}"
+            )
         report = FleetReport(
             spec_id=spec_id, shards=self.shards, flows_total=len(fleet.flows)
         )
@@ -151,6 +162,12 @@ class FleetRunner:
         report.admitted = len(admitted)
         report.rejected = dict(controller.stats.rejected)
         report.rejected_flows = rejected_flows
+        for flow in admitted:
+            if math.ceil(flow.mu) > channels:
+                raise ValueError(
+                    f"flow {flow.flow} (µ={flow.mu}) needs {math.ceil(flow.mu)} "
+                    f"channels, the cells have {channels}"
+                )
 
         grid: List[Dict[str, Any]] = []
         for index in range(0, len(admitted), self.flows_per_cell):

@@ -1,8 +1,8 @@
 """Protocol configuration.
 
-One dataclass gathers every tunable of the reference protocol so
-experiments can state their configuration in one place and reports can
-print it.
+One dataclass gathers the tunables experiments set, so a run states its
+configuration in one place and reports can print it.  Values no run
+varies are the module constants below.
 """
 
 from __future__ import annotations
@@ -13,6 +13,19 @@ from typing import Optional
 from repro.protocol.auth import AuthConfig
 from repro.sharing.base import SecretSharingScheme
 from repro.sharing.shamir import ShamirScheme
+
+#: Maximum number of in-flight incomplete symbols held by the receiver;
+#: beyond it the oldest is evicted.
+REASSEMBLY_LIMIT = 4096
+
+#: CPU work units (see :class:`repro.netsim.host.CpuModel`), charged only
+#: when a node is given a finite-capacity CPU: to split one symbol, per
+#: transmitted or received share, and per share actually used in
+#: reconstruction (so cost grows with k, which is what makes large κ fall
+#: off sooner in the paper's Figure 7).
+CPU_SPLIT_COST = 1.0
+CPU_SHARE_COST = 1.0
+CPU_RECONSTRUCT_COST_PER_K = 1.0
 
 
 @dataclass
@@ -30,8 +43,6 @@ class ProtocolConfig:
             socket-buffer analogue).
         reassembly_timeout: how long the receiver keeps an incomplete
             symbol before evicting it (the IP-fragment-reassembly borrow).
-        reassembly_limit: maximum number of in-flight incomplete symbols
-            held by the receiver; beyond it the oldest is evicted.
         selector_ordering: "headroom" (default) or "fixed" readiness
             ordering for the dynamic share schedule (see
             :mod:`repro.netsim.readiness`).
@@ -39,13 +50,6 @@ class ProtocolConfig:
             (sizes only) -- used by pure rate benchmarks to keep the hot
             loop allocation-free.  Reconstruction is then skipped too; the
             receiver counts a symbol as delivered when k shares arrived.
-        cpu_split_cost: CPU work units to split one symbol (see
-            :class:`repro.netsim.host.CpuModel`); only meaningful when the
-            node is given a finite-capacity CPU.
-        cpu_share_cost: CPU work units per transmitted or received share.
-        cpu_reconstruct_cost_per_k: CPU work units per share actually used
-            in reconstruction (so cost grows with k, which is what makes
-            large κ fall off sooner in the paper's Figure 7).
         byzantine_tolerance: number of *corrupted* shares per symbol the
             receiver can correct (the PSMT threat model).  When positive,
             the receiver waits for ``k + 2e`` shares and decodes robustly
@@ -67,12 +71,8 @@ class ProtocolConfig:
     scheme: SecretSharingScheme = field(default_factory=ShamirScheme)
     source_queue_limit: int = 64
     reassembly_timeout: float = 5.0
-    reassembly_limit: int = 4096
     selector_ordering: str = "headroom"
     share_synthetic: bool = False
-    cpu_split_cost: float = 1.0
-    cpu_share_cost: float = 1.0
-    cpu_reconstruct_cost_per_k: float = 1.0
     byzantine_tolerance: int = 0
     auth: Optional[AuthConfig] = None
 
@@ -85,11 +85,6 @@ class ProtocolConfig:
             raise ValueError("source_queue_limit must be at least 1")
         if not self.reassembly_timeout > 0:  # NaN fails too
             raise ValueError("reassembly_timeout must be positive")
-        if self.reassembly_limit < 1:
-            raise ValueError("reassembly_limit must be at least 1")
-        for name in ("cpu_split_cost", "cpu_share_cost", "cpu_reconstruct_cost_per_k"):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         # The dynamic sampler draws k in {floor(κ), ceil(κ)} and m in
         # {floor(µ), ceil(µ)}; the scheme must accept the extreme pair.
         import math

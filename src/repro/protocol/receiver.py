@@ -43,6 +43,7 @@ from repro.netsim.engine import Engine, Event
 from repro.netsim.host import CpuModel
 from repro.netsim.packet import Datagram
 from repro.protocol.auth import ShareAuthenticator
+from repro.protocol.config import CPU_RECONSTRUCT_COST_PER_K, CPU_SHARE_COST
 from repro.protocol.wire import WireFormatError, decode_share
 from repro.sharing.base import ReconstructionError, SecretSharingScheme, Share
 from repro.sharing.robust import reconstruct_with_erasures, robust_reconstruct
@@ -140,11 +141,9 @@ class ReassemblyBuffer:
         synthetic: when True, skip real reconstruction and deliver as soon
             as k share *headers* have arrived (rate-only benchmarks).
         cpu: optional finite CPU; when given, each share pays
-            ``share_cost`` and each reconstruction pays
-            ``k * reconstruct_cost_per_k`` before completing.
-        share_cost: CPU work units per received share.
-        reconstruct_cost_per_k: CPU work units per share used in
-            reconstruction.
+            ``CPU_SHARE_COST`` and each reconstruction pays
+            ``k * CPU_RECONSTRUCT_COST_PER_K`` before completing (see
+            :mod:`repro.protocol.config`).
         byzantine_tolerance: corrupted shares to correct per symbol; when
             positive, completion waits for ``min(m, k + 2e)`` shares and
             decodes with :func:`repro.sharing.robust.robust_reconstruct`.
@@ -167,8 +166,6 @@ class ReassemblyBuffer:
         on_deliver: Callable[[int, int, Optional[bytes], float], None],
         synthetic: bool = False,
         cpu: Optional[CpuModel] = None,
-        share_cost: float = 1.0,
-        reconstruct_cost_per_k: float = 1.0,
         byzantine_tolerance: int = 0,
         authenticator: Optional[ShareAuthenticator] = None,
     ):
@@ -181,8 +178,6 @@ class ReassemblyBuffer:
         self.on_deliver = on_deliver
         self.synthetic = synthetic
         self.cpu = cpu
-        self.share_cost = share_cost
-        self.reconstruct_cost_per_k = reconstruct_cost_per_k
         self.byzantine_tolerance = byzantine_tolerance
         self.authenticator = authenticator
         self.stats = ReceiverStats()
@@ -240,7 +235,7 @@ class ReassemblyBuffer:
         if self.cpu is None or self.cpu.capacity is None:
             self._process(datagram)
             return
-        accepted = self.cpu.submit(self.share_cost, lambda: self._process(datagram))
+        accepted = self.cpu.submit(CPU_SHARE_COST, lambda: self._process(datagram))
         if not accepted:
             self.stats.cpu_rejected_shares += 1
 
@@ -403,7 +398,7 @@ class ReassemblyBuffer:
         if self.cpu is None or self.cpu.capacity is None:
             finish()
             return
-        cost = entry.k * self.reconstruct_cost_per_k
+        cost = entry.k * CPU_RECONSTRUCT_COST_PER_K
         if not self.cpu.submit(cost, finish):
             # Reconstruction work rejected by a saturated CPU: symbol lost.
             self.stats.cpu_rejected_shares += 1

@@ -9,7 +9,7 @@ indices carried through so measured and predicted vectors line up.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.channel import ChannelSet
 from repro.core.schedule import ShareSchedule
@@ -19,7 +19,7 @@ from repro.netsim.host import CpuModel
 from repro.netsim.link import DuplexChannel
 from repro.netsim.ports import ChannelPort
 from repro.netsim.rng import RngRegistry
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import REASSEMBLY_LIMIT, ProtocolConfig
 from repro.protocol.receiver import ReassemblyBuffer
 from repro.protocol.scheduler import (
     DynamicParameterSampler,
@@ -30,16 +30,6 @@ from repro.protocol.sender import ShareSender
 
 #: Delivery callback signature: (seq, payload-or-None, one-way delay).
 DeliverCallback = Callable[[int, Optional[bytes], float], None]
-
-
-def _per_channel(value: Union[float, Sequence[float]], n: int, label: str) -> List[float]:
-    """Broadcast a scalar (or validate a per-channel sequence) to n values."""
-    if isinstance(value, (int, float)):
-        return [float(value)] * n
-    values = [float(v) for v in value]
-    if len(values) != n:
-        raise ValueError(f"{label} needs one value per channel ({n}), got {len(values)}")
-    return values
 
 
 class RemicssNode:
@@ -100,12 +90,10 @@ class RemicssNode:
             engine,
             config.scheme,
             timeout=config.reassembly_timeout,
-            limit=config.reassembly_limit,
+            limit=REASSEMBLY_LIMIT,
             on_deliver=self._dispatch_delivery,
             synthetic=config.share_synthetic,
             cpu=receiver_cpu,
-            share_cost=config.cpu_share_cost,
-            reconstruct_cost_per_k=config.cpu_reconstruct_cost_per_k,
             byzantine_tolerance=config.byzantine_tolerance,
             # Both directions of a pair derive the same per-flow keys from
             # config.auth's root key, so A's tags verify at B and back.
@@ -153,10 +141,10 @@ class PointToPointNetwork:
         symbol_size: the protocol's symbol payload size in bytes.
         rng_registry: random streams for per-link loss draws.
         queue_limit: per-link queue capacity in packets.
-        jitter: netem-style delay variation, a scalar applied to every
-            channel or one value per channel.
-        corruption: per-delivery tamper probability (the Byzantine channel
-            of the PSMT threat model), scalar or per channel.
+
+    Links start with no jitter and no corruption; fault and attack plans
+    (:meth:`apply_faults`, :meth:`apply_attack`) or direct
+    :class:`~repro.netsim.link.Link` setters change them mid-run.
     """
 
     def __init__(
@@ -165,14 +153,10 @@ class PointToPointNetwork:
         symbol_size: int,
         rng_registry: RngRegistry,
         queue_limit: int = 16,
-        jitter: Union[float, Sequence[float]] = 0.0,
-        corruption: Union[float, Sequence[float]] = 0.0,
     ):
         self.engine = Engine()
         self.channels = channels
         self.symbol_size = symbol_size
-        jitters = _per_channel(jitter, channels.n, "jitter")
-        corruptions = _per_channel(corruption, channels.n, "corruption")
         self.duplex: List[DuplexChannel] = []
         for i, channel in enumerate(channels):
             self.duplex.append(
@@ -184,8 +168,6 @@ class PointToPointNetwork:
                     forward_rng=rng_registry.stream(f"link{i}.fwd.loss"),
                     reverse_rng=rng_registry.stream(f"link{i}.rev.loss"),
                     queue_limit=queue_limit,
-                    jitter=jitters[i],
-                    corruption=corruptions[i],
                     name=channel.name or f"ch{i}",
                 )
             )

@@ -20,13 +20,14 @@ trading privacy for availability:
 * :mod:`~repro.protocol.resilience.manager` -- the conductor wiring all
   of the above into a running node pair.
 
-Everything is deterministic: timers run on the simulation engine, the
-only randomness (repair jitter) comes from a named seeded stream, and the
-package passes ``repro lint`` with an empty baseline.  See
-docs/RESILIENCE.md.
+The layer has one configuration: its tunables are the constants in
+:mod:`~repro.protocol.resilience.config`, and failover and repair are
+always on.  Everything is deterministic: timers run on the simulation
+engine, the only randomness (repair jitter) comes from a named seeded
+stream, and the package passes ``repro lint`` with an empty baseline.
+See docs/RESILIENCE.md.
 """
 
-from repro.protocol.resilience.config import ResilienceConfig
 from repro.protocol.resilience.failover import FailoverController, FailoverRecord
 from repro.protocol.resilience.health import ChannelHealth, HealthMonitor, HealthSample
 from repro.protocol.resilience.manager import ResilienceManager, ResilienceStats
@@ -43,7 +44,6 @@ __all__ = [
     "HealthSample",
     "RepairBuffer",
     "RepairJob",
-    "ResilienceConfig",
     "ResilienceManager",
     "ResilienceStats",
     "Transition",

@@ -1,120 +1,60 @@
-"""Tunables for the resilience layer.
+"""Fixed tunables of the resilience layer.
 
-One frozen dataclass groups the three concerns the layer balances:
+The constants group the three concerns the layer balances:
 
 * **detection** -- how quickly a channel is suspected and quarantined
   (review cadence, EWMA weight, loss/suspicion/stuck thresholds);
 * **probing** -- how aggressively a quarantined channel is probed for
-  reinstatement (initial interval, backoff, cap, acks required);
+  reinstatement (initial interval, backoff, cap); one probe ack
+  reinstates a channel;
 * **repair** -- how much retransmission the bounded repair path may do
   (buffer size, per-symbol retry budget, backoff and jitter).
 
-Defaults are expressed in the simulator's unit times (1 unit = 10 ms on
-the paper's axis) and are deliberately conservative: quarantine needs two
-consecutive bad reviews, probes back off exponentially, and repair gives
-each symbol at most two extra rounds.
+Values are in the simulator's unit times (1 unit = 10 ms on the paper's
+axis) and deliberately conservative: quarantine needs two consecutive bad
+reviews, probes back off exponentially, and repair gives each symbol at
+most two extra rounds.
 """
 
-from __future__ import annotations
+#: Time between health reviews.
+REVIEW_PERIOD = 1.0
+#: EWMA weight on the newest loss/gap observation.
+LOSS_ALPHA = 0.3
+#: EWMA loss at which a channel becomes SUSPECT.
+SUSPECT_LOSS = 0.5
+#: EWMA loss at which a SUSPECT channel is quarantined.
+QUARANTINE_LOSS = 0.75
+#: Liveness suspicion (elapsed-since-evidence over the expected evidence
+#: gap) at which a channel becomes SUSPECT.
+SUSPECT_SUSPICION = 4.0
+#: Suspicion at which a SUSPECT channel is quarantined.
+QUARANTINE_SUSPICION = 8.0
+#: Consecutive reviews with the port blocked and zero serialized packets
+#: after which a SUSPECT channel is quarantined (one such review already
+#: makes it SUSPECT).
+STUCK_REVIEWS = 2
+#: Consecutive clean reviews that return a SUSPECT channel to HEALTHY.
+RECOVER_REVIEWS = 2
 
-from dataclasses import dataclass
-from typing import Optional
+#: Delay from quarantine to the first probe; also the backoff base.
+PROBE_INTERVAL = 1.0
+#: Multiplicative probe-interval growth per probe.
+PROBE_BACKOFF = 2.0
+#: Cap on the probe interval.
+PROBE_MAX_INTERVAL = 8.0
 
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Configuration for :class:`~repro.protocol.resilience.manager.ResilienceManager`.
-
-    Attributes:
-        review_period: time between health reviews (unit times).
-        loss_alpha: EWMA weight on the newest loss/gap observation.
-        suspect_loss: EWMA loss at which a channel becomes SUSPECT.
-        quarantine_loss: EWMA loss at which a SUSPECT channel is quarantined.
-        suspect_suspicion: liveness suspicion (elapsed-since-evidence over
-            the expected evidence gap) at which a channel becomes SUSPECT.
-        quarantine_suspicion: suspicion at which a SUSPECT channel is
-            quarantined.
-        stuck_reviews: consecutive reviews with the port blocked and zero
-            serialized packets after which a SUSPECT channel is
-            quarantined (one such review already makes it SUSPECT).
-        recover_reviews: consecutive clean reviews that return a SUSPECT
-            channel to HEALTHY.
-        probe_interval: delay from quarantine to the first probe; also the
-            base of the exponential backoff.
-        probe_backoff: multiplicative probe-interval growth per probe.
-        probe_max_interval: cap on the probe interval.
-        reinstate_acks: probe acks required before reinstatement.
-        failover: re-solve the share schedule when the quarantine set
-            changes (see :mod:`~repro.protocol.resilience.failover`).
-        kappa_floor: privacy threshold floor enforced on every failover
-            schedule; ``None`` derives it from the sampler in use at
-            attach time (min k of an explicit schedule's support, else
-            floor(kappa) of the dynamic sampler).
-        repair: enable the NACK/retransmit repair path.
-        repair_buffer_limit: sent symbols remembered for retransmission.
-        repair_retry_budget: repair rounds allowed per symbol.
-        repair_window: extra reassembly time granted per repair round.
-        repair_backoff: sender-side delay before the first repair send.
-        repair_backoff_factor: multiplicative growth of that delay.
-        repair_jitter: jitter fraction applied to each repair delay
-            (drawn from a named seeded stream, so runs stay reproducible).
-    """
-
-    review_period: float = 1.0
-    loss_alpha: float = 0.3
-    suspect_loss: float = 0.5
-    quarantine_loss: float = 0.75
-    suspect_suspicion: float = 4.0
-    quarantine_suspicion: float = 8.0
-    stuck_reviews: int = 2
-    recover_reviews: int = 2
-    probe_interval: float = 1.0
-    probe_backoff: float = 2.0
-    probe_max_interval: float = 8.0
-    reinstate_acks: int = 1
-    failover: bool = True
-    kappa_floor: Optional[float] = None
-    repair: bool = True
-    #: Must cover roughly reassembly_timeout * symbol rate, or NACKed
-    #: symbols fall out of the buffer before their NACK arrives.
-    repair_buffer_limit: int = 4096
-    repair_retry_budget: int = 2
-    repair_window: float = 2.0
-    repair_backoff: float = 0.25
-    repair_backoff_factor: float = 2.0
-    repair_jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        for name in ("review_period", "probe_interval", "probe_max_interval",
-                     "repair_window", "repair_backoff"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.loss_alpha <= 1.0:
-            raise ValueError(f"loss_alpha must be in (0, 1], got {self.loss_alpha}")
-        for name in ("suspect_loss", "quarantine_loss"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {value}")
-        if self.quarantine_loss < self.suspect_loss:
-            raise ValueError("quarantine_loss must be >= suspect_loss")
-        for name in ("suspect_suspicion", "quarantine_suspicion"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.quarantine_suspicion < self.suspect_suspicion:
-            raise ValueError("quarantine_suspicion must be >= suspect_suspicion")
-        for name in ("stuck_reviews", "recover_reviews", "reinstate_acks",
-                     "repair_buffer_limit"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.repair_retry_budget < 0:
-            raise ValueError(
-                f"repair_retry_budget must be >= 0, got {self.repair_retry_budget}"
-            )
-        if self.probe_backoff < 1.0 or self.repair_backoff_factor < 1.0:
-            raise ValueError("backoff factors must be >= 1")
-        if self.probe_max_interval < self.probe_interval:
-            raise ValueError("probe_max_interval must be >= probe_interval")
-        if not 0.0 <= self.repair_jitter <= 1.0:
-            raise ValueError(f"repair_jitter must be in [0, 1], got {self.repair_jitter}")
-        if self.kappa_floor is not None and self.kappa_floor < 1.0:
-            raise ValueError(f"kappa_floor must be >= 1, got {self.kappa_floor}")
+#: Sent symbols remembered for retransmission.  Must cover roughly
+#: reassembly_timeout * symbol rate, or NACKed symbols fall out of the
+#: buffer before their NACK arrives.
+REPAIR_BUFFER_LIMIT = 4096
+#: Repair rounds allowed per symbol.
+REPAIR_RETRY_BUDGET = 2
+#: Extra reassembly time granted per repair round.
+REPAIR_WINDOW = 2.0
+#: Sender-side delay before the first repair send.
+REPAIR_BACKOFF = 0.25
+#: Multiplicative growth of that delay per round.
+REPAIR_BACKOFF_FACTOR = 2.0
+#: Jitter fraction applied to each repair delay (drawn from a named
+#: seeded stream, so runs stay reproducible).
+REPAIR_JITTER = 0.25

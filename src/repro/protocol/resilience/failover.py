@@ -80,8 +80,9 @@ class FailoverController:
         requirements: the deployment's bounds; when given, failover
             re-solves the LP over survivors, otherwise it masks the
             dynamic selector.
-        kappa_floor: privacy threshold floor; defaults to the floor
-            implied by the sampler the node is attached with.
+
+    The privacy threshold floor every failover holds is the one implied
+    by the sampler the node is attached with.
     """
 
     def __init__(
@@ -90,22 +91,13 @@ class FailoverController:
         channels: ChannelSet,
         rng,
         requirements: Optional[Requirements] = None,
-        kappa_floor: Optional[float] = None,
     ):
         self.node = node
         self.channels = channels
         self.rng = rng
         self.requirements = requirements
         self.base_sampler = node.sampler
-        self.kappa_floor = (
-            float(kappa_floor) if kappa_floor is not None
-            else sampler_kappa_floor(self.base_sampler)
-        )
-        if self.kappa_floor > sampler_kappa_floor(self.base_sampler):
-            raise ValueError(
-                f"kappa_floor {self.kappa_floor} exceeds the base sampler's own "
-                f"floor {sampler_kappa_floor(self.base_sampler)}"
-            )
+        self.kappa_floor = sampler_kappa_floor(self.base_sampler)
         self.records: List[FailoverRecord] = []
         self.degraded = False
 

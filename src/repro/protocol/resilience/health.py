@@ -5,7 +5,7 @@ sender (link counters stand in for the loss/delivery feedback a deployed
 protocol would obtain from receiver reports):
 
 * **EWMA loss** -- loss drops over serialized packets since the previous
-  review, smoothed with weight ``loss_alpha``.
+  review, smoothed with weight ``LOSS_ALPHA``.
 * **Liveness suspicion** -- a phi-accrual-style score: time since the
   last delivery evidence divided by the EWMA of past evidence gaps.  A
   healthy channel keeps the score near 1; a dead channel's score grows
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.protocol.resilience.config import ResilienceConfig
+from repro.protocol.resilience.config import LOSS_ALPHA, REVIEW_PERIOD
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,14 @@ class HealthMonitor:
 
     Args:
         n: number of channels.
-        config: resilience tunables (EWMA weight, review period).
         now: current sim time (initial evidence timestamp).
     """
 
-    def __init__(self, n: int, config: ResilienceConfig, now: float = 0.0):
+    def __init__(self, n: int, now: float = 0.0):
         if n < 1:
             raise ValueError(f"need at least one channel, got {n}")
-        self.config = config
         self._channels: List[ChannelHealth] = [
-            ChannelHealth(now, config.review_period) for _ in range(n)
+            ChannelHealth(now, REVIEW_PERIOD) for _ in range(n)
         ]
 
     def __len__(self) -> int:
@@ -119,15 +117,14 @@ class HealthMonitor:
                 exceeds what was actually serialized.
         """
         state = self._channels[channel]
-        alpha = self.config.loss_alpha
         if serialized_delta > 0:
             useless = min(loss_delta + max(tainted_delta, 0), serialized_delta)
             observed = useless / serialized_delta
-            state.loss_ewma = (1.0 - alpha) * state.loss_ewma + alpha * observed
+            state.loss_ewma = (1.0 - LOSS_ALPHA) * state.loss_ewma + LOSS_ALPHA * observed
         state.sent_since_evidence += serialized_delta
         if delivered_delta > 0:
-            gap = max(now - state.last_evidence_at, self.config.review_period)
-            state.gap_ewma = (1.0 - alpha) * state.gap_ewma + alpha * gap
+            gap = max(now - state.last_evidence_at, REVIEW_PERIOD)
+            state.gap_ewma = (1.0 - LOSS_ALPHA) * state.gap_ewma + LOSS_ALPHA * gap
             state.last_evidence_at = now
             state.sent_since_evidence = 0
         if blocked and serialized_delta == 0:
@@ -145,4 +142,4 @@ class HealthMonitor:
         """Forget a channel's history (called on reinstatement, so a
         repaired channel starts from a clean slate instead of its
         pre-outage estimates)."""
-        self._channels[channel] = ChannelHealth(now, self.config.review_period)
+        self._channels[channel] = ChannelHealth(now, REVIEW_PERIOD)

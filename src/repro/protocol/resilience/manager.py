@@ -36,7 +36,11 @@ from repro.netsim.packet import Datagram
 from repro.netsim.rng import RngRegistry
 from repro.protocol.receiver import _Entry
 from repro.protocol.remicss import PointToPointNetwork, RemicssNode
-from repro.protocol.resilience.config import ResilienceConfig
+from repro.protocol.resilience.config import (
+    REPAIR_RETRY_BUDGET,
+    REPAIR_WINDOW,
+    REVIEW_PERIOD,
+)
 from repro.protocol.resilience.failover import FailoverController
 from repro.protocol.resilience.health import HealthMonitor
 from repro.protocol.resilience.quarantine import ChannelGuard, ChannelState, Transition
@@ -90,7 +94,6 @@ class ResilienceManager:
         network: the point-to-point testbed network.
         node_tx: the sending node (A; its sender is protected).
         node_rx: the receiving node (B; its reassembly buffer NACKs).
-        resilience: resilience tunables.
         registry: named seeded streams (uses ``resilience.repair``).
         requirements: the deployment's bounds; enables LP failover.
     """
@@ -100,7 +103,6 @@ class ResilienceManager:
         network: PointToPointNetwork,
         node_tx: RemicssNode,
         node_rx: RemicssNode,
-        resilience: ResilienceConfig,
         registry: RngRegistry,
         requirements: Optional[Requirements] = None,
     ):
@@ -108,30 +110,22 @@ class ResilienceManager:
         self.engine = network.engine
         self.node_tx = node_tx
         self.node_rx = node_rx
-        self.resilience = resilience
         self.stats = ResilienceStats()
 
         self._tx_ports = list(node_tx.sender.ports)
         self._rx_ctrl_ports = list(node_rx.sender.ports)
         n = len(self._tx_ports)
-        self.health = HealthMonitor(n, resilience, now=self.engine.now)
-        self.guards: List[ChannelGuard] = [
-            ChannelGuard(i, resilience) for i in range(n)
-        ]
+        self.health = HealthMonitor(n, now=self.engine.now)
+        self.guards: List[ChannelGuard] = [ChannelGuard(i) for i in range(n)]
         self.failover = FailoverController(
             node_tx,
             network.channels,
             registry.stream("resilience.failover"),
             requirements=requirements,
-            kappa_floor=resilience.kappa_floor,
         )
-        self.repair_buffer: Optional[RepairBuffer] = None
-        if resilience.repair:
-            self.repair_buffer = RepairBuffer(
-                resilience, registry.stream("resilience.repair")
-            )
-            node_tx.sender.on_transmit = self._remember_for_repair
-            node_rx.receiver.repair_policy = self._repair_policy
+        self.repair_buffer = RepairBuffer(registry.stream("resilience.repair"))
+        node_tx.sender.on_transmit = self.repair_buffer.remember
+        node_rx.receiver.repair_policy = self._repair_policy
 
         # Interpose on both inbound directions so control packets are
         # dispatched here; share datagrams flow through untouched.
@@ -146,9 +140,7 @@ class ResilienceManager:
         #: Per-channel MAC-failure counts at the previous review (auth
         #: armed); deltas feed HealthMonitor suspicion like loss does.
         self._last_auth_fails = [0] * n
-        self._review_timer = self.engine.schedule(
-            resilience.review_period, self._review
-        )
+        self._review_timer = self.engine.schedule(REVIEW_PERIOD, self._review)
 
     # -- public surface -----------------------------------------------------------
 
@@ -220,17 +212,9 @@ class ResilienceManager:
                 self._schedule_probe(i)
         if changed:
             self._refresh_failover()
-        self._review_timer = self.engine.schedule(
-            self.resilience.review_period, self._review
-        )
+        self._review_timer = self.engine.schedule(REVIEW_PERIOD, self._review)
 
     def _refresh_failover(self) -> None:
-        if not self.resilience.failover:
-            # Detector-only mode: quarantine still steers the dynamic
-            # selector away from bad channels, but no re-planning happens.
-            self.node_tx.sender.selector.set_excluded(self.quarantined)
-            self.node_tx.sender.resample_head()
-            return
         record = self.failover.apply(self.engine.now, self.quarantined)
         if record.mode in ("replanned", "masked"):
             self.stats.failovers += 1
@@ -321,9 +305,6 @@ class ResilienceManager:
 
     # -- repair -------------------------------------------------------------------
 
-    def _remember_for_repair(self, flow, seq, k, m, offered_at, shares) -> None:
-        self.repair_buffer.remember(flow, seq, k, m, offered_at, shares)
-
     def _repair_policy(self, entry: _Entry) -> Optional[float]:
         """Receiver-side hook: NACK an eviction-bound partial symbol.
 
@@ -334,7 +315,7 @@ class ResilienceManager:
         NACK carries the entry's flow id, so a repair can only ever be
         answered with that flow's own shares.
         """
-        if entry.repair_rounds >= self.resilience.repair_retry_budget:
+        if entry.repair_rounds >= REPAIR_RETRY_BUDGET:
             return None
         held = len(entry.shares)
         if not 1 <= held < entry.k:
@@ -351,11 +332,9 @@ class ResilienceManager:
             return None
         self.stats.nacks_sent += 1
         entry.repair_rounds += 1
-        return self.resilience.repair_window
+        return REPAIR_WINDOW
 
     def _on_nack(self, flow: int, seq: int, have) -> None:
-        if self.repair_buffer is None:
-            return
         job = self.repair_buffer.handle_nack(self.engine.now, flow, seq, have)
         if job is not None:
             self.engine.schedule_at(job.send_at, self._send_repair, job)

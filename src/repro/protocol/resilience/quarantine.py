@@ -5,19 +5,19 @@
                  bad review                escalating review
     HEALTHY ----------------> SUSPECT ----------------------> QUARANTINED
        ^                         |                                 |
-       |   recover_reviews clean |                probe scheduled  |
+       |   RECOVER_REVIEWS clean |                probe scheduled  |
        +-------------------------+                                 v
        ^                                                        PROBING
-       |                  reinstate_acks probe acks                |
+       |                        probe ack                          |
        +-----------------------------------------------------------+
 
 A channel is *suspected* on the first bad review (elevated EWMA loss,
 liveness suspicion, or a stuck port) and *quarantined* when the evidence
 escalates (loss or suspicion past the quarantine thresholds, or
-``stuck_reviews`` consecutive stuck reviews).  Quarantined channels are
-probed with exponential backoff; the required number of probe acks
-reinstates the channel.  Every transition is appended to an in-order log
-with its reason, which the manager exports through ``repro.obs``.
+``STUCK_REVIEWS`` consecutive stuck reviews).  Quarantined channels are
+probed with exponential backoff; one probe ack reinstates the channel.
+Every transition is appended to an in-order log with its reason, which
+the manager exports through ``repro.obs``.
 
 The machine is pure state + arithmetic: the manager owns all timers and
 I/O, so this module needs no engine and stays trivially deterministic.
@@ -29,7 +29,17 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.protocol.resilience.config import ResilienceConfig
+from repro.protocol.resilience.config import (
+    PROBE_BACKOFF,
+    PROBE_INTERVAL,
+    PROBE_MAX_INTERVAL,
+    QUARANTINE_LOSS,
+    QUARANTINE_SUSPICION,
+    RECOVER_REVIEWS,
+    STUCK_REVIEWS,
+    SUSPECT_LOSS,
+    SUSPECT_SUSPICION,
+)
 from repro.protocol.resilience.health import HealthSample
 
 
@@ -63,20 +73,16 @@ class ChannelGuard:
 
     Args:
         channel: channel index (carried into transitions).
-        config: resilience tunables (thresholds, probe backoff).
     """
 
-    def __init__(self, channel: int, config: ResilienceConfig):
+    def __init__(self, channel: int):
         self.channel = channel
-        self.config = config
         self.state = ChannelState.HEALTHY
         self.transitions: List[Transition] = []
         self.probes_sent = 0
-        self.quarantined_at: Optional[float] = None
         self.next_probe_at: Optional[float] = None
-        self._probe_interval = config.probe_interval
+        self._probe_interval = PROBE_INTERVAL
         self._clean_reviews = 0
-        self._acks = 0
 
     # -- review-driven transitions ------------------------------------------------
 
@@ -94,7 +100,7 @@ class ChannelGuard:
                 return self._move(now, ChannelState.QUARANTINED, reason)
             if self._suspect_reason(sample) is None:
                 self._clean_reviews += 1
-                if self._clean_reviews >= self.config.recover_reviews:
+                if self._clean_reviews >= RECOVER_REVIEWS:
                     return self._move(now, ChannelState.HEALTHY, "clean_reviews")
             else:
                 self._clean_reviews = 0
@@ -105,65 +111,50 @@ class ChannelGuard:
     def _suspect_reason(self, sample: HealthSample) -> Optional[str]:
         if sample.stuck_reviews >= 1:
             return "stuck"
-        if sample.loss >= self.config.suspect_loss:
+        if sample.loss >= SUSPECT_LOSS:
             return "loss"
-        if sample.suspicion >= self.config.suspect_suspicion:
+        if sample.suspicion >= SUSPECT_SUSPICION:
             return "suspicion"
         return None
 
     def _quarantine_reason(self, sample: HealthSample) -> Optional[str]:
-        if sample.stuck_reviews >= self.config.stuck_reviews:
+        if sample.stuck_reviews >= STUCK_REVIEWS:
             return "stuck"
-        if sample.loss >= self.config.quarantine_loss:
+        if sample.loss >= QUARANTINE_LOSS:
             return "loss"
-        if sample.suspicion >= self.config.quarantine_suspicion:
+        if sample.suspicion >= QUARANTINE_SUSPICION:
             return "suspicion"
         return None
 
     # -- probe-driven transitions -------------------------------------------------
-
-    def probe_due(self, now: float) -> bool:
-        """Whether a probe should be sent now."""
-        return (
-            self.state.excluded
-            and self.next_probe_at is not None
-            and now >= self.next_probe_at
-        )
 
     def on_probe_sent(self, now: float) -> Optional[Transition]:
         """Record a probe send; backs off the next probe exponentially."""
         self.probes_sent += 1
         self.next_probe_at = now + self._probe_interval
         self._probe_interval = min(
-            self._probe_interval * self.config.probe_backoff,
-            self.config.probe_max_interval,
+            self._probe_interval * PROBE_BACKOFF, PROBE_MAX_INTERVAL
         )
         if self.state is ChannelState.QUARANTINED:
             return self._move(now, ChannelState.PROBING, "probe_sent")
         return None
 
     def on_probe_ack(self, now: float) -> Optional[Transition]:
-        """Record a probe ack; reinstates once enough acks arrived."""
+        """Record a probe ack: it reinstates an excluded channel."""
         if not self.state.excluded:
             return None
-        self._acks += 1
-        if self._acks < self.config.reinstate_acks:
-            return None
         transition = self._move(now, ChannelState.HEALTHY, "probe_ack")
-        self.quarantined_at = None
         self.next_probe_at = None
-        self._probe_interval = self.config.probe_interval
+        self._probe_interval = PROBE_INTERVAL
         self.probes_sent = 0
         return transition
 
     # -- internals ----------------------------------------------------------------
 
     def _enter_quarantine(self, now: float) -> None:
-        self.quarantined_at = now
-        self._probe_interval = self.config.probe_interval
+        self._probe_interval = PROBE_INTERVAL
         self.next_probe_at = now + self._probe_interval
         self.probes_sent = 0
-        self._acks = 0
 
     def _move(self, now: float, target: ChannelState, reason: str) -> Transition:
         transition = Transition(

@@ -3,7 +3,7 @@
 The receiver NACKs a symbol that hits timeout eviction holding
 ``1 <= received < k`` shares (see the repair hook in
 :mod:`repro.protocol.receiver`).  On the sender, a bounded buffer
-remembers the last ``repair_buffer_limit`` transmitted symbols; a NACK
+remembers the last ``REPAIR_BUFFER_LIMIT`` transmitted symbols; a NACK
 whose symbol is still buffered yields a :class:`RepairJob`: the missing
 share indices (exactly enough to reach k), scheduled after an exponential
 backoff with deterministic seeded jitter.
@@ -20,11 +20,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.protocol.resilience.config import ResilienceConfig
+from repro.protocol.resilience.config import (
+    REPAIR_BACKOFF,
+    REPAIR_BACKOFF_FACTOR,
+    REPAIR_BUFFER_LIMIT,
+    REPAIR_JITTER,
+    REPAIR_RETRY_BUDGET,
+)
 from repro.sharing.base import Share
 
 
@@ -75,12 +81,10 @@ class RepairBuffer:
     """Bounded memory of sent symbols, serving NACKs into repair jobs.
 
     Args:
-        config: resilience tunables (buffer bound, budget, backoff).
         rng: seeded stream for retransmission jitter.
     """
 
-    def __init__(self, config: ResilienceConfig, rng: np.random.Generator):
-        self.config = config
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
         self.unknown_nacks = 0
         self.budget_exhausted = 0
@@ -102,7 +106,7 @@ class RepairBuffer:
         shares: Sequence[Optional[Share]],
     ) -> None:
         """Buffer one transmitted symbol, evicting the oldest when full."""
-        while len(self._symbols) >= self.config.repair_buffer_limit:
+        while len(self._symbols) >= REPAIR_BUFFER_LIMIT:
             self._symbols.popitem(last=False)
         self._symbols[(flow, seq)] = _BufferedSymbol(
             flow, seq, k, m, offered_at, tuple(shares)
@@ -122,7 +126,7 @@ class RepairBuffer:
         if symbol is None:
             self.unknown_nacks += 1
             return None
-        if symbol.rounds >= self.config.repair_retry_budget:
+        if symbol.rounds >= REPAIR_RETRY_BUDGET:
             self.budget_exhausted += 1
             return None
         if now < symbol.next_ok_at:
@@ -134,10 +138,8 @@ class RepairBuffer:
         if needed <= 0 or not missing:
             self.duplicate_nacks += 1
             return None
-        delay = self.config.repair_backoff * (
-            self.config.repair_backoff_factor ** symbol.rounds
-        )
-        jitter = float(self.rng.random()) * self.config.repair_jitter * delay
+        delay = REPAIR_BACKOFF * (REPAIR_BACKOFF_FACTOR ** symbol.rounds)
+        jitter = float(self.rng.random()) * REPAIR_JITTER * delay
         send_at = now + delay + jitter
         symbol.rounds += 1
         symbol.next_ok_at = send_at
@@ -152,7 +154,3 @@ class RepairBuffer:
             shares=tuple((index, symbol.shares[index - 1]) for index in picked),
             flow=flow,
         )
-
-    def forget(self, flow: int, seq: int) -> None:
-        """Drop a symbol from the buffer (e.g. once delivered)."""
-        self._symbols.pop((flow, seq), None)

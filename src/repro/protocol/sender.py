@@ -30,7 +30,7 @@ from repro.netsim.packet import Datagram
 from repro.netsim.ports import ChannelPort
 from repro.netsim.readiness import WriteSelector
 from repro.protocol.auth import ShareAuthenticator
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import CPU_SHARE_COST, CPU_SPLIT_COST, ProtocolConfig
 from repro.protocol.scheduler import ParameterSampler
 from repro.protocol.wire import SCHEME_IDS, encode_share, share_packet_size
 from repro.sharing.base import Share
@@ -217,7 +217,7 @@ class ShareSender:
             # while this sender is the only writer.
             self._source.popleft()
             self._cpu_busy = True
-            cost = self.config.cpu_split_cost + symbol.m * self.config.cpu_share_cost
+            cost = CPU_SPLIT_COST + symbol.m * CPU_SHARE_COST
 
             def finish(sym: _PendingSymbol = symbol, ports: List[ChannelPort] = chosen) -> None:
                 self._transmit(sym, ports)

@@ -21,7 +21,7 @@ from repro.netsim.rng import RngRegistry
 from repro.netsim.trace import DelayStats
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
-from repro.workloads.setups import delay_to_ms
+from repro.workloads.setups import check_run_window, delay_to_ms
 
 _TIMESTAMP = struct.Struct(">d")
 
@@ -68,8 +68,7 @@ def run_echo(
     """
     if config.share_synthetic:
         raise ValueError("echo needs real payloads; disable share_synthetic")
-    if offered_rate <= 0:
-        raise ValueError(f"offered_rate must be positive, got {offered_rate}")
+    check_run_window(offered_rate, duration, warmup)
     registry = RngRegistry(seed)
     network = PointToPointNetwork(
         channels, config.symbol_size, registry, queue_limit=queue_limit

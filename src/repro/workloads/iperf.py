@@ -32,8 +32,8 @@ from repro.obs.instrument import (
 )
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
-from repro.protocol.resilience import ResilienceConfig, ResilienceManager
-from repro.workloads.setups import delay_to_ms, rate_to_mbps
+from repro.protocol.resilience import ResilienceManager
+from repro.workloads.setups import check_run_window, delay_to_ms, rate_to_mbps
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,11 @@ def run_iperf(
     schedule: Optional[ShareSchedule] = None,
     sender_cpu_capacity: Optional[float] = None,
     receiver_cpu_capacity: Optional[float] = None,
-    cpu_queue_limit: int = 64,
     queue_limit: int = 16,
     fault_plan: Optional[FaultPlan] = None,
     attack_plan: Optional[AttackPlan] = None,
     obs: Optional[Observability] = None,
-    resilience: Optional[ResilienceConfig] = None,
+    resilience: bool = False,
     requirements: Optional[Requirements] = None,
     auth: "bool | bytes" = False,
 ) -> IperfResult:
@@ -138,8 +137,8 @@ def run_iperf(
             (κ, µ) sampler from ``config`` is used).
         sender_cpu_capacity: finite sender CPU capacity (work units per
             unit time); ``None`` disables the CPU bottleneck.
-        receiver_cpu_capacity: same for the receiver.
-        cpu_queue_limit: receiver CPU queue bound (overload -> drops).
+        receiver_cpu_capacity: same for the receiver; its work queue
+            holds 64 items (overload -> drops).
         queue_limit: per-link queue capacity in packets.
         fault_plan: optional deterministic fault timeline (see
             :mod:`repro.netsim.faults`) armed against the run's channels.
@@ -151,9 +150,9 @@ def run_iperf(
             when given, the network, both protocol nodes and every armed
             fault/attack injector are instrumented and the caller snapshots
             ``obs.registry`` after the run (see docs/OBSERVABILITY.md).
-        resilience: optional resilience tunables; when given, a
-            :class:`~repro.protocol.resilience.ResilienceManager` protects
-            the A -> B direction (quarantine, failover, repair -- see
+        resilience: arm a
+            :class:`~repro.protocol.resilience.ResilienceManager` on the
+            A -> B direction (quarantine, failover, repair -- see
             docs/RESILIENCE.md).
         requirements: deployment bounds for the resilience layer's LP
             failover; without them failover masks the dynamic selector
@@ -163,8 +162,7 @@ def run_iperf(
             root key directly.  Overrides ``config.auth`` when set; the
             config must use real share payloads.
     """
-    if offered_rate <= 0:
-        raise ValueError(f"offered_rate must be positive, got {offered_rate}")
+    check_run_window(offered_rate, duration, warmup)
     if auth:
         from dataclasses import replace
 
@@ -185,7 +183,7 @@ def run_iperf(
         CpuModel(engine, sender_cpu_capacity) if sender_cpu_capacity else None
     )
     receiver_cpu = (
-        CpuModel(engine, receiver_cpu_capacity, queue_limit=cpu_queue_limit)
+        CpuModel(engine, receiver_cpu_capacity, queue_limit=64)
         if receiver_cpu_capacity
         else None
     )
@@ -197,10 +195,9 @@ def run_iperf(
         receiver_cpu=receiver_cpu,
     )
     manager = None
-    if resilience is not None:
+    if resilience:
         manager = ResilienceManager(
-            network, node_a, node_b, resilience, registry,
-            requirements=requirements,
+            network, node_a, node_b, registry, requirements=requirements
         )
     if obs is not None:
         instrument_network(obs, network)

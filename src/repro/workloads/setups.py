@@ -30,6 +30,7 @@ privacy validation tests and examples; pass ``risks=...`` to override.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from repro.core.channel import ChannelSet
@@ -53,6 +54,18 @@ LOSSY_LOSS_PERCENT = (1.0, 0.5, 1.0, 2.0, 3.0)
 
 #: The Delayed per-direction added delays in ms (Sec. VI).
 DELAYED_DELAY_MS = (2.5, 0.25, 12.5, 5.0, 0.5)
+
+
+def check_run_window(offered_rate: float, duration: float, warmup: float) -> None:
+    """Reject a run no offer loop can finish: ``offered_rate`` and
+    ``duration`` must be finite and positive, ``warmup`` finite and
+    nonnegative (an infinite rate offers every symbol at t = 0)."""
+    if not (math.isfinite(offered_rate) and offered_rate > 0):
+        raise ValueError(f"offered_rate must be finite and positive, got {offered_rate}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and positive, got {duration}")
+    if not (math.isfinite(warmup) and warmup >= 0):
+        raise ValueError(f"warmup must be finite and nonnegative, got {warmup}")
 
 
 def mbps_to_rate(mbps: float) -> float:

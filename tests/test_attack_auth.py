@@ -16,6 +16,9 @@ properties here are the ones docs/ADVERSARY.md now claims:
 * **determinism** -- same-seed auth runs replay byte-identically.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.adversary.active import CANONICAL_ATTACKS, canonical_attack, run_under_attack
@@ -125,6 +128,27 @@ class TestRepairReTagging:
         assert row["receiver"]["repair_recovered"] == resilience["nacks_received"]
         assert row["wrong_payloads"] == 0
         assert row["delivered"] == row["transmitted"]
+
+
+class TestResiliencePins:
+    """The full row with resilience and auth armed, pinned by SHA-256 of
+    its sorted-key JSON: degraded/masked failover under the replay flood,
+    masked/restored under the targeted partition."""
+
+    @pytest.mark.parametrize(
+        "name,modes,digest",
+        [
+            ("replay_flood", {"degraded", "masked", "restored"},
+             "27cae8359b0880177ef81005dc28a1d7e26a1f9dd2e7e4b707764d2e5be096be"),
+            ("targeted_partition", {"masked", "restored"},
+             "8e806510d38ba2278020005f21f5259d71c986286626d0c99ccb92aa15e7c610"),
+        ],
+    )
+    def test_row_digest(self, name, modes, digest):
+        row = run(name, auth=True, resilience=True)
+        assert set(row["resilience"]["failover_modes"]) == modes
+        text = json.dumps(row, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

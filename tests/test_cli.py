@@ -225,6 +225,23 @@ class TestSimulateCommand:
         text = metrics_path.read_text()
         assert "# TYPE sim_link_delivered_total counter" in text
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--offered-rate", "inf"), ("--offered-rate", "nan"), ("--duration", "-1")],
+    )
+    def test_unrunnable_window_rejected(self, channels_file, capsys, option, value):
+        # --offered-rate inf used to hang, nan to exit 0 with zeros, and
+        # --duration -1 to die in a RuntimeError traceback.
+        code = main(
+            [
+                "simulate", "--channels", channels_file,
+                "--kappa", "1", "--mu", "1",
+                "--duration", "5", "--warmup", "1", option, value,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_faults_unknown_spec_errors(self, channels_file, capsys):
         code = main(
             [
@@ -236,6 +253,20 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestFleetCommand:
+    def test_too_few_channels_for_a_flow_rejected(self, capsys):
+        # The default fleet has µ = 4 flows; with three channels the parent
+        # exited 0 after delivering 3 of 1,024 symbols.
+        assert main(["fleet", "--channels", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "flow 4 (µ=4.0)" in err
+
+    def test_zero_channels_rejected(self, capsys):
+        assert main(["fleet", "--channels", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestAttackCommand:

@@ -13,7 +13,7 @@ from repro.netsim.faults import FaultEvent, FaultPlan
 from repro.netsim.rng import RngRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
-from repro.protocol.resilience import ResilienceConfig, ResilienceManager
+from repro.protocol.resilience import ResilienceManager
 from repro.protocol.scheduler import ExplicitScheduler
 from repro.workloads.setups import diverse_setup
 from repro.workloads.setups import testbed_fault_plan as fault_plan_for
@@ -39,9 +39,7 @@ def build(fault_plan=None, seed=11, interval=0.02, end=35.0):
     plan = plan_max_rate(channels, REQUIREMENTS)
     node_a, node_b = network.node_pair(config, registry, schedule=plan.schedule)
     manager = ResilienceManager(
-        network, node_a, node_b,
-        ResilienceConfig(), registry,
-        requirements=REQUIREMENTS,
+        network, node_a, node_b, registry, requirements=REQUIREMENTS
     )
     for flow in (1, 2):
         node_a.sender.flow_samplers[flow] = ExplicitScheduler(

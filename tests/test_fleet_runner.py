@@ -88,6 +88,20 @@ class TestReport:
         with pytest.raises(ValueError):
             FleetRunner(flows_per_cell=0)
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"channels": 3}, "flow 4 .* needs 4 channels"),
+            ({"channels": 0}, "channels >= 1"),
+            ({"symbol_size": 0}, "symbol_size >= 1"),
+        ],
+    )
+    def test_cells_that_cannot_carry_the_fleet_are_rejected(self, kwargs, match):
+        # Flow 4 takes µ = 4: on three channels it never finds four
+        # writable ports and blocks its cell's shared FIFO sender.
+        with pytest.raises(ValueError, match=match):
+            FleetRunner(shards=1).run(small_fleet(flows=8), **kwargs)
+
 
 class TestAuthenticatedFleet:
     def test_auth_requires_real_payloads(self):

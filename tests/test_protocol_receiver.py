@@ -226,8 +226,6 @@ class TestCpuIntegration:
         deliveries = []
         cpu = CpuModel(engine, capacity=1.0)
         buf = make_buffer(engine, deliveries, cpu=cpu)
-        buf.share_cost = 1.0
-        buf.reconstruct_cost_per_k = 1.0
         for dg in share_datagrams(1, b"slow", 1, 1):
             buf.handle_datagram(dg)
         assert deliveries == []  # CPU still working

@@ -7,12 +7,14 @@ snapshot -- and a sweep over such runs must not care how many worker
 processes computed it.
 """
 
+import hashlib
 import json
+
+import pytest
 
 from repro.core.planner import Requirements
 from repro.obs import Observability
 from repro.protocol.config import ProtocolConfig
-from repro.protocol.resilience import ResilienceConfig
 from repro.sweep import SweepRunner, SweepSpec
 from repro.workloads.iperf import run_iperf
 from repro.workloads.setups import diverse_setup
@@ -31,7 +33,7 @@ def resilient_run(seed, scenario="partition_heal", obs=None):
         seed=seed,
         fault_plan=fault_plan_for(scenario, 60.0, 120.0, channel=4),
         obs=obs,
-        resilience=ResilienceConfig(),
+        resilience=True,
         requirements=REQUIREMENTS,
     )
 
@@ -72,6 +74,28 @@ class TestByteIdentical:
         first = serialize(resilient_run(seed=11), None)
         second = serialize(resilient_run(seed=12), None)
         assert first != second
+
+
+class TestPinned:
+    """SHA-256 of the serialized run with obs, pinned: the LP-replanned
+    failover (partition_heal) and the repair path (burst) must replay the
+    same bytes across refactors of the layer."""
+
+    @pytest.mark.parametrize(
+        "scenario,modes,digest",
+        [
+            ("partition_heal", ["replanned", "restored"],
+             "b648ed6d0161a963a576c64ef2bb8d3e295566bb157a9c7f32a88083526ddbfa"),
+            ("burst", [],
+             "c74f8e9673d25a8efe9395fb02d65bee5526e84529f6be3fe1f50c2ab2125dc9"),
+        ],
+    )
+    def test_serialization_digest(self, scenario, modes, digest):
+        obs = Observability.create(tracing=False)
+        result = resilient_run(seed=11, scenario=scenario, obs=obs)
+        assert result.resilience_summary["failover_modes"] == modes
+        blob = serialize(result, obs)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 class TestSweepParallelism:

@@ -49,13 +49,6 @@ class TestKappaFloor:
         channels, registry, node = build(kappa=2.5, mu=3.0)
         assert sampler_kappa_floor(node.sampler) == 2.0
 
-    def test_floor_above_sampler_floor_rejected(self):
-        channels, registry, node = build(kappa=2.0, mu=3.0)
-        with pytest.raises(ValueError):
-            FailoverController(
-                node, channels, registry.stream("failover"), kappa_floor=5.0
-            )
-
 
 class TestMinKappaPlanning:
     def test_rejects_floor_below_one(self):

@@ -1,18 +1,12 @@
 """The resilience loop end to end: detect, quarantine, fail over, repair."""
 
-import pytest
-
 from repro.core.planner import Requirements, plan_max_rate
 from repro.netsim.faults import FaultEvent, FaultPlan
 from repro.netsim.packet import Datagram
 from repro.netsim.rng import RngRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
-from repro.protocol.resilience import (
-    ChannelState,
-    ResilienceConfig,
-    ResilienceManager,
-)
+from repro.protocol.resilience import ChannelState, ResilienceManager
 from repro.protocol.resilience.failover import schedule_min_threshold
 from repro.protocol.wire import (
     CTRL_PROBE,
@@ -33,7 +27,6 @@ FAULT_CHANNEL = 4
 def build(
     fault_plan=None,
     requirements=REQUIREMENTS,
-    resilience=None,
     config=None,
     seed=7,
     interval=0.02,
@@ -50,9 +43,7 @@ def build(
     plan = plan_max_rate(channels, requirements)
     node_a, node_b = network.node_pair(config, registry, schedule=plan.schedule)
     manager = ResilienceManager(
-        network, node_a, node_b,
-        resilience or ResilienceConfig(), registry,
-        requirements=requirements,
+        network, node_a, node_b, registry, requirements=requirements
     )
     engine = network.engine
 
@@ -164,16 +155,6 @@ class TestDegradedMode:
         network.engine.run_until(30.0)
         assert node_b.receiver.stats.symbols_delivered == delivered_at_pause
 
-    def test_detector_only_mode_masks_without_failover(self):
-        resilience = ResilienceConfig(failover=False)
-        network, node_a, _, manager = build(
-            fault_plan=outage_plan(), resilience=resilience, end=20.0
-        )
-        network.engine.run_until(20.0)
-        assert manager.stats.quarantines >= 1
-        assert manager.failover.records == []
-        assert FAULT_CHANNEL in node_a.sender.selector.excluded
-
 
 class TestRepair:
     def test_burst_loss_triggers_nack_and_recovery(self):
@@ -210,17 +191,6 @@ class TestRepair:
         assert delivered, "nothing delivered"
         for seq, payload in delivered.items():
             assert payload == offered[seq], f"symbol {seq} corrupted"
-
-    def test_repair_disabled_leaves_hooks_unset(self):
-        resilience = ResilienceConfig(repair=False)
-        network, node_a, node_b, manager = build(
-            fault_plan=None, resilience=resilience, end=5.0
-        )
-        assert manager.repair_buffer is None
-        assert node_a.sender.on_transmit is None
-        assert node_b.receiver.repair_policy is None
-        network.engine.run_until(5.0)
-        assert manager.stats.nacks_sent == 0
 
 
 class TestControlFrames:

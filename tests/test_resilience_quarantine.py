@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.protocol.resilience import ChannelGuard, ChannelState, ResilienceConfig
+from repro.protocol.resilience import ChannelGuard, ChannelState
 from repro.protocol.resilience.health import HealthSample
-
-CONFIG = ResilienceConfig(
-    stuck_reviews=2, recover_reviews=2, reinstate_acks=1,
-    probe_interval=1.0, probe_backoff=2.0, probe_max_interval=8.0,
-)
 
 
 def sample(loss=0.0, suspicion=0.0, stuck=0, channel=0):
@@ -35,18 +30,18 @@ class TestSuspicionPath:
         ],
     )
     def test_one_bad_review_suspects(self, bad, reason):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         transition = guard.review(1.0, bad)
         assert guard.state is ChannelState.SUSPECT
         assert transition.reason == reason
 
     def test_healthy_review_does_nothing(self):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         assert guard.review(1.0, sample()) is None
         assert guard.state is ChannelState.HEALTHY
 
     def test_suspect_recovers_after_clean_reviews(self):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         guard.review(1.0, sample(loss=0.6))
         assert guard.review(2.0, sample(loss=0.1)) is None  # 1 clean
         transition = guard.review(3.0, sample(loss=0.1))  # 2 clean
@@ -54,7 +49,7 @@ class TestSuspicionPath:
         assert transition.reason == "clean_reviews"
 
     def test_bad_review_resets_the_clean_count(self):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         guard.review(1.0, sample(loss=0.6))
         guard.review(2.0, sample(loss=0.1))
         guard.review(3.0, sample(loss=0.6))  # still suspect-worthy
@@ -64,28 +59,26 @@ class TestSuspicionPath:
 
 class TestQuarantinePath:
     def test_escalating_loss_quarantines(self):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         guard.review(1.0, sample(loss=0.6))
         transition = guard.review(2.0, sample(loss=0.8))
         assert guard.state is ChannelState.QUARANTINED
         assert transition.reason == "loss"
 
     def test_stuck_needs_consecutive_reviews(self):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         guard.review(1.0, sample(stuck=1))
         assert guard.state is ChannelState.SUSPECT
         guard.review(2.0, sample(stuck=2))
         assert guard.state is ChannelState.QUARANTINED
 
     def test_quarantine_schedules_the_first_probe(self):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         quarantine(guard)
         assert guard.next_probe_at == pytest.approx(3.0)  # quarantined at 2
-        assert guard.probe_due(3.0)
-        assert not guard.probe_due(2.5)
 
     def test_reviews_do_not_touch_quarantined_channels(self):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         quarantine(guard)
         assert guard.review(5.0, sample()) is None
         assert guard.state is ChannelState.QUARANTINED
@@ -93,7 +86,7 @@ class TestQuarantinePath:
 
 class TestProbing:
     def test_probe_backoff_is_exponential_and_capped(self):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         quarantine(guard)  # quarantined at t=2, first probe due at 3
         times = []
         now = guard.next_probe_at
@@ -101,12 +94,12 @@ class TestProbing:
             times.append(now)
             guard.on_probe_sent(now)
             now = guard.next_probe_at
-        # Intervals 1, 2, 4, 8, 8 (capped at probe_max_interval).
+        # Intervals 1, 2, 4, 8, 8 (capped at PROBE_MAX_INTERVAL).
         assert times == [pytest.approx(t) for t in (3.0, 4.0, 6.0, 10.0, 18.0, 26.0)]
         assert guard.state is ChannelState.PROBING
 
     def test_ack_reinstates_and_resets(self):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         quarantine(guard)
         guard.on_probe_sent(3.0)
         transition = guard.on_probe_ack(3.5)
@@ -116,23 +109,13 @@ class TestProbing:
         assert guard.next_probe_at is None
         assert guard.probes_sent == 0
 
-    def test_multiple_acks_required_when_configured(self):
-        config = ResilienceConfig(reinstate_acks=2)
-        guard = ChannelGuard(0, config)
-        quarantine(guard)
-        guard.on_probe_sent(3.0)
-        assert guard.on_probe_ack(3.5) is None
-        assert guard.state is ChannelState.PROBING
-        assert guard.on_probe_ack(4.5) is not None
-        assert guard.state is ChannelState.HEALTHY
-
     def test_stray_ack_on_healthy_channel_ignored(self):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         assert guard.on_probe_ack(1.0) is None
         assert guard.state is ChannelState.HEALTHY
 
     def test_requarantine_restarts_the_backoff(self):
-        guard = ChannelGuard(0, CONFIG)
+        guard = ChannelGuard(0)
         quarantine(guard)
         for now in (3.0, 4.0, 6.0):
             guard.on_probe_sent(now)
@@ -143,7 +126,7 @@ class TestProbing:
 
 class TestTransitionLog:
     def test_full_cycle_is_logged_in_order(self):
-        guard = ChannelGuard(3, CONFIG)
+        guard = ChannelGuard(3)
         quarantine(guard)
         guard.on_probe_sent(3.0)
         guard.on_probe_ack(3.5)

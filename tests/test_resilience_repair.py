@@ -1,16 +1,19 @@
 """The bounded repair buffer: NACKs in, budgeted retransmissions out."""
 
 from repro.netsim.rng import RngRegistry
-from repro.protocol.resilience import RepairBuffer, ResilienceConfig
-
-CONFIG = ResilienceConfig(
-    repair_buffer_limit=4, repair_retry_budget=2,
-    repair_backoff=0.5, repair_backoff_factor=2.0, repair_jitter=0.0,
-)
+from repro.protocol.resilience import RepairBuffer
+from repro.protocol.resilience.config import REPAIR_BUFFER_LIMIT
 
 
-def make_buffer(config=CONFIG, seed=5):
-    return RepairBuffer(config, RngRegistry(seed).stream("resilience.repair"))
+class NoJitter:
+    """A stream whose every draw is 0, so repair delays are exact."""
+
+    def random(self):
+        return 0.0
+
+
+def make_buffer(seed=5):
+    return RepairBuffer(RngRegistry(seed).stream("resilience.repair"))
 
 
 def remember(buffer, seq, k=2, m=3, offered_at=0.0, flow=0):
@@ -36,25 +39,24 @@ class TestJobs:
         assert len(job.shares) == 2  # k=3, held 1
 
     def test_backoff_grows_per_round(self):
-        buffer = make_buffer()
+        buffer = RepairBuffer(NoJitter())
         remember(buffer, seq=1)
         first = buffer.handle_nack(1.0, 0, 1, have=[1])
-        assert first.send_at == 1.0 + 0.5
+        assert first.send_at == 1.0 + 0.25  # REPAIR_BACKOFF
         second = buffer.handle_nack(first.send_at + 0.1, 0, 1, have=[1])
         assert second.round == 2
-        assert second.send_at == (first.send_at + 0.1) + 1.0
+        # REPAIR_BACKOFF_FACTOR = 2 doubles the delay per round.
+        assert second.send_at == (first.send_at + 0.1) + 0.5
 
     def test_jitter_is_seeded_and_bounded(self):
-        config = ResilienceConfig(
-            repair_backoff=1.0, repair_backoff_factor=1.0, repair_jitter=0.5
-        )
         delays = []
         for _ in range(2):
-            buffer = make_buffer(config=config, seed=9)
+            buffer = make_buffer(seed=9)
             remember(buffer, seq=1)
             delays.append(buffer.handle_nack(0.0, 0, 1, have=[1]).send_at)
         assert delays[0] == delays[1]  # same stream, same jitter
-        assert 1.0 <= delays[0] <= 1.5
+        # REPAIR_JITTER = 0.25 of the 0.25 first-round delay.
+        assert 0.25 <= delays[0] <= 0.25 + 0.0625
 
 
 class TestBounds:
@@ -88,17 +90,12 @@ class TestBounds:
         assert buffer.duplicate_nacks == 1
 
     def test_buffer_evicts_oldest_when_full(self):
-        buffer = make_buffer()  # limit 4
-        for seq in range(6):
-            remember(buffer, seq)
-        assert len(buffer) == 4
-        assert buffer.handle_nack(1.0, 0, 0, have=[1]) is None  # evicted
-        assert buffer.unknown_nacks == 1
-        assert buffer.handle_nack(1.0, 0, 5, have=[1]) is not None
-
-    def test_forget(self):
+        assert REPAIR_BUFFER_LIMIT == 4096
         buffer = make_buffer()
-        remember(buffer, seq=1)
-        buffer.forget(0, 1)
-        assert buffer.handle_nack(1.0, 0, 1, have=[1]) is None
-        buffer.forget(0, 1)  # idempotent
+        for seq in range(REPAIR_BUFFER_LIMIT + 2):  # 4,098 symbols
+            remember(buffer, seq)
+        assert len(buffer) == REPAIR_BUFFER_LIMIT
+        assert buffer.handle_nack(1.0, 0, 1, have=[1]) is None  # evicted
+        assert buffer.unknown_nacks == 1
+        assert buffer.handle_nack(1.0, 0, 2, have=[1]) is not None
+        assert buffer.handle_nack(1.0, 0, REPAIR_BUFFER_LIMIT + 1, have=[1]) is not None

@@ -26,7 +26,6 @@ from repro.adversary.active import CANONICAL_ATTACKS, AttackStats, canonical_att
 from repro.netsim.faults import CANONICAL_SCENARIOS, canonical_plan
 from repro.obs import Observability, metrics_to_jsonl, trace_to_jsonl
 from repro.protocol.config import ProtocolConfig
-from repro.protocol.resilience import ResilienceConfig
 from repro.workloads.iperf import practical_max_rate, run_iperf
 from repro.workloads.setups import diverse_setup
 
@@ -67,7 +66,7 @@ def run(synthetic, **kwargs):
 def run_faults(name):
     overrides = {} if name == "partition_heal" else {"channel": 3}
     plan = canonical_plan(name, START, STOP, **overrides)
-    return run(True, fault_plan=plan, resilience=ResilienceConfig())
+    return run(True, fault_plan=plan, resilience=True)
 
 
 def run_attack(name):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.adversary.active import canonical_attack, run_under_attack
 from repro.core.rate import optimal_rate
 from repro.protocol.config import ProtocolConfig
 from repro.workloads.echo import run_echo
@@ -19,6 +20,20 @@ from repro.workloads.setups import (
     ms_to_delay,
     rate_to_mbps,
 )
+
+NAN, INF = float("nan"), float("inf")
+
+#: (offered_rate, duration, warmup) triples no offer loop can finish.
+BAD_WINDOWS = [
+    (0.0, 5.0, 1.0),
+    (INF, 5.0, 1.0),
+    (NAN, 5.0, 1.0),
+    (10.0, -1.0, 1.0),
+    (10.0, INF, 1.0),
+    (10.0, NAN, 1.0),
+    (10.0, 5.0, -1.0),
+    (10.0, 5.0, NAN),
+]
 
 
 class TestUnits:
@@ -127,6 +142,16 @@ class TestIperf:
         with pytest.raises(ValueError):
             run_iperf(identical_setup(10.0), ProtocolConfig(), offered_rate=0.0)
 
+    @pytest.mark.parametrize("rate,duration,warmup", BAD_WINDOWS)
+    def test_invalid_run_window(self, rate, duration, warmup):
+        # An infinite rate used to schedule every offer at t = 0 and never
+        # return; NaN ran and reported zeros.
+        with pytest.raises(ValueError, match="finite"):
+            run_iperf(
+                identical_setup(10.0), ProtocolConfig(share_synthetic=True),
+                offered_rate=rate, duration=duration, warmup=warmup,
+            )
+
     def test_auth_mode_delivers_and_counts_tags(self):
         channels = identical_setup(50.0)
         config = ProtocolConfig(kappa=2.0, mu=3.0)
@@ -184,6 +209,14 @@ class TestEcho:
         with pytest.raises(ValueError):
             run_echo(identical_setup(10.0), config, offered_rate=1.0)
 
+    @pytest.mark.parametrize("rate,duration,warmup", BAD_WINDOWS)
+    def test_invalid_run_window(self, rate, duration, warmup):
+        with pytest.raises(ValueError, match="finite"):
+            run_echo(
+                identical_setup(10.0), ProtocolConfig(),
+                offered_rate=rate, duration=duration, warmup=warmup,
+            )
+
     def test_higher_kappa_increases_delay(self):
         channels = delayed_setup()
         delays = {}
@@ -193,3 +226,14 @@ class TestEcho:
             delays[kappa] = result.mean_delay
         # kappa=5 waits for the slowest share (12.5 ms channel).
         assert delays[5.0] > delays[1.0]
+
+
+class TestUnderAttack:
+    @pytest.mark.parametrize("rate,duration,warmup", BAD_WINDOWS)
+    def test_invalid_run_window(self, rate, duration, warmup):
+        # Zero used to raise ZeroDivisionError; NaN sent one symbol.
+        with pytest.raises(ValueError, match="finite"):
+            run_under_attack(
+                canonical_attack("replay_flood", 1.0, 2.0),
+                offered_rate=rate, duration=duration, warmup=warmup,
+            )
