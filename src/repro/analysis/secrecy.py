@@ -16,8 +16,9 @@ entropy arithmetic), which vouches for the construction itself.
 
 The production GF(2^8) sharing does not run this module's algebra
 (:mod:`repro.gf.poly`): :class:`~repro.sharing.shamir.ShamirScheme` splits
-with :func:`repro.gf.batch.eval_poly_at_points` (XOR-Horner over the
-product table) and reconstructs with cached Lagrange bases.  The test
+with :func:`repro.gf.batch.eval_poly_at_points` (XOR-Horner, one
+``bytes.translate`` by a ``MUL_ROWS`` product-table row per share point and
+step) and reconstructs with cached Lagrange bases.  The test
 suite enumerates that kernel exactly as well: for k ≤ 3 and five shares,
 every (secret, coefficient) tuple in GF(2^8)^k goes through the kernel,
 and for each secret the shares at any k−1 indices are in bijection with

@@ -16,10 +16,10 @@ Polynomial utilities (Horner evaluation, Lagrange interpolation) live in
 :class:`~repro.gf.field.Field` interface.
 
 The scalar GF(2^8) + polynomial path is the *reference oracle*; the hot
-path used by the sharing schemes is :mod:`repro.gf.batch`, whose numpy
-kernels evaluate and interpolate whole datagram batches at once and are
-bit-identical to the scalar oracle by construction (and by test:
-``tests/test_sharing_batch_equiv.py``).
+path used by the sharing schemes is :mod:`repro.gf.batch`, whose
+``bytes.translate`` kernels evaluate and interpolate whole datagram
+batches at once and are bit-identical to the scalar oracle by
+construction (and by test: ``tests/test_sharing_batch_equiv.py``).
 """
 
 from repro.gf.batch import (

@@ -43,7 +43,7 @@ from repro.sharing.base import (
     check_share_group,
     validate_parameters,
 )
-from repro.sharing.shamir import _share_matrix
+from repro.sharing.shamir import _share_rows
 
 _LENGTH = struct.Struct(">I")
 
@@ -152,8 +152,8 @@ class RampScheme(SecretSharingScheme):
             raise ReconstructionError(
                 f"ramp with L={self.blocks} blocks cannot have threshold {k}"
             )
-        matrix = _share_matrix(group)
-        xs = [share.index for share in group]
+        xs, payloads = _share_rows(group)
+        matrix = np.frombuffer(b"".join(payloads), np.uint8).reshape(k, len(payloads[0]))
         inverse_rows = _vandermonde_inverse_rows(xs, self.blocks)
         # Apply the L x k inverse-Vandermonde block to every byte position
         # at once: blocks[l] = xor_i rows[l, i] * share_i.

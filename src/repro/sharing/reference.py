@@ -12,9 +12,10 @@ Two things make this module load-bearing rather than dead weight:
   under the same rng: leakage analyses of Shamir sharing assume exact
   field semantics, so a vectorization bug would silently invalidate the
   privacy model.  ``tests/test_sharing_batch_equiv.py`` asserts the
-  equivalence; to keep it meaningful the randomness here is drawn with
-  exactly the same single ``rng.integers`` call the production schemes
-  use, so identical seeds yield identical coefficient matrices.
+  equivalence; to keep it meaningful the randomness here is one
+  ``rng.integers`` draw of the same uniform bytes, in the same order, as
+  the production schemes' single draw, so identical seeds yield identical
+  coefficients and leave the generator in the same state.
 * **Benchmark baseline.**  ``benchmarks/bench_micro.py`` times this path
   against the batch path and commits the ratio to ``BENCH_micro.json``;
   the CI gate fails if the batch advantage regresses.

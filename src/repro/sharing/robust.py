@@ -28,11 +28,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, Iterable, Sequence
 
-import numpy as np
-
 from repro.gf.batch import lagrange_interpolate
 from repro.sharing.base import ReconstructionError, Share, check_share_group
-from repro.sharing.shamir import _share_matrix
+from repro.sharing.shamir import _share_rows
 
 
 def max_correctable_errors(num_shares: int, k: int) -> int:
@@ -62,11 +60,10 @@ def evaluate_shares_at(shares: Sequence[Share], x: int) -> bytes:
     with ``x = j`` it predicts what share j *should* contain -- the
     verification primitive of the robust decoder.
     """
-    xs = [share.index for share in shares]
-    if len(set(xs)) != len(xs):
-        raise ReconstructionError(f"duplicate share indices: {sorted(xs)}")
-    matrix = _share_matrix(list(shares))
-    return lagrange_interpolate(np.array(xs, dtype=np.uint8), matrix, x).tobytes()
+    nodes, rows = _share_rows(shares)
+    if len(set(nodes)) != len(nodes):
+        raise ReconstructionError(f"duplicate share indices: {sorted(nodes)}")
+    return lagrange_interpolate(nodes, rows, x).tobytes()
 
 
 @dataclass(frozen=True)
@@ -114,9 +111,7 @@ def robust_reconstruct(shares: Sequence[Share], errors: int = None) -> RobustRes
     k = check_share_group(shares)
     group = list(shares)
     n = len(group)
-    lengths = {len(share.data) for share in group}
-    if len(lengths) != 1:
-        raise ReconstructionError(f"shares have inconsistent lengths: {sorted(lengths)}")
+    _share_rows(group)  # one payload length, every index a field element
     radius = max_correctable_errors(n, k)
     if errors is None:
         errors = radius
@@ -214,9 +209,7 @@ def reconstruct_with_erasures(
             corrupted=corrupted,
             agreement=agreement,
         )
-    lengths = {len(share.data) for share in group}
-    if len(lengths) != 1:
-        raise ReconstructionError(f"shares have inconsistent lengths: {sorted(lengths)}")
+    _share_rows(group)  # one payload length, every index a field element
     candidate = group[:k]
     for extra in group[k:]:
         if evaluate_shares_at(candidate, extra.index) != extra.data:

@@ -7,20 +7,21 @@ length of the secret, which is the optimal ``H(Y) = H(X)`` case the paper's
 rate model assumes (Sec. III-C).
 
 ``split`` evaluates *all m share points for all payload bytes* by
-XOR-Horner over a ``(k, n)`` coefficient matrix (one product-table gather
-per coefficient and point), and ``reconstruct`` interpolates the whole
-byte batch with one Lagrange evaluation whose basis coefficients are cached
-per share-index set -- both through :mod:`repro.gf.batch`.  Coefficient
-sampling is amortized into a single ``rng.integers`` draw.  The scalar
-path through :mod:`repro.gf` (exposed as :mod:`repro.sharing.reference`)
-is the reference oracle: the batch kernels are bit-identical to it byte for byte,
-which ``tests/test_sharing_batch_equiv.py`` and the golden vectors in
+XOR-Horner over ``k`` coefficient rows: the secret and the ``k - 1`` rows of
+a single ``rng.integers`` draw, passed to :mod:`repro.gf.batch` as byte
+strings.  Each Horner step is one ``bytes.translate`` per share point and
+one numpy XOR.  ``reconstruct`` passes the share payloads as they are to one
+Lagrange evaluation, whose basis coefficients are cached per share-index
+set, and XORs one translated row per share.  The scalar path through
+:mod:`repro.gf` (exposed as :mod:`repro.sharing.reference`) is the reference
+oracle: the batch kernels are bit-identical to it byte for byte, which
+``tests/test_sharing_batch_equiv.py`` and the golden vectors in
 ``tests/test_gf_vectors.py`` pin down.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,16 +35,26 @@ from repro.sharing.base import (
 )
 
 
-def _share_matrix(group: Sequence[Share]) -> np.ndarray:
-    """Stack share payloads into a uint8 ``(t, n)`` matrix, validating lengths."""
-    lengths = {len(s.data) for s in group}
-    if len(lengths) != 1:
-        raise ReconstructionError(f"shares have inconsistent lengths: {sorted(lengths)}")
-    size = lengths.pop()
-    matrix = np.empty((len(group), size), dtype=np.uint8)
-    for i, share in enumerate(group):
-        matrix[i] = np.frombuffer(share.data, dtype=np.uint8)
-    return matrix
+def _share_rows(group: Sequence[Share]) -> Tuple[Tuple[int, ...], List[bytes]]:
+    """The indices and payloads of ``group``, as the row kernels take them.
+
+    Raises:
+        ReconstructionError: if ``group`` is empty, an index is beyond the
+            255 nonzero field elements, or the payloads differ in length.
+    """
+    if not group:
+        raise ReconstructionError("no shares supplied")
+    rows = [share.data for share in group]
+    size = len(rows[0])
+    for share in group:
+        if share.index > ShamirScheme.MAX_SHARES:
+            raise ReconstructionError(
+                f"share index {share.index} is not a nonzero GF(256) element"
+            )
+        if len(share.data) != size:
+            lengths = sorted({len(row) for row in rows})
+            raise ReconstructionError(f"shares have inconsistent lengths: {lengths}")
+    return tuple([share.index for share in group]), rows
 
 
 class ShamirScheme(SecretSharingScheme):
@@ -72,16 +83,17 @@ class ShamirScheme(SecretSharingScheme):
         validate_parameters(k, m)
         if m > self.MAX_SHARES:
             raise ValueError(f"GF(256) Shamir supports at most {self.MAX_SHARES} shares")
-        secret_vec = np.frombuffer(secret, dtype=np.uint8)
-        n = len(secret_vec)
-        # coeffs[0] is the secret; coeffs[1..k-1] are uniform random bytes,
-        # drawn once for the whole batch.
-        coeffs = np.empty((k, n), dtype=np.uint8)
-        coeffs[0] = secret_vec
+        if not isinstance(secret, bytes):
+            secret = memoryview(secret).tobytes()
+        n = len(secret)
+        # Row 0 is the secret; rows 1..k-1 are uniform random bytes, drawn
+        # once for the whole batch.
+        rows = [secret]
         if k > 1:
-            coeffs[1:] = rng.integers(0, 256, size=(k - 1, n), dtype=np.uint8)
+            draw = rng.integers(0, 256, size=(k - 1) * n, dtype=np.uint8).tobytes()
+            rows += [draw[j * n : (j + 1) * n] for j in range(k - 1)]
         # Row x-1 of the evaluation is share x of every byte.
-        evaluations = eval_poly_at_points(coeffs, np.arange(1, m + 1, dtype=np.uint8))
+        evaluations = eval_poly_at_points(rows, range(1, m + 1))
         return [
             Share(index=x, data=evaluations[x - 1].tobytes(), k=k, m=m)
             for x in range(1, m + 1)
@@ -89,11 +101,9 @@ class ShamirScheme(SecretSharingScheme):
 
     def reconstruct(self, shares: Sequence[Share]) -> bytes:
         k = check_share_group(shares)
-        group = list(shares)[:k]
-        matrix = _share_matrix(group)
-        xs = np.array([s.index for s in group], dtype=np.uint8)
+        nodes, rows = _share_rows(list(shares)[:k])
         # Batched Lagrange interpolation at x = 0 across every byte position.
-        return lagrange_interpolate(xs, matrix, 0).tobytes()
+        return lagrange_interpolate(nodes, rows, 0).tobytes()
 
     def split_many(
         self,
@@ -152,20 +162,19 @@ class ShamirScheme(SecretSharingScheme):
         prepared = []
         for group in groups:
             k = check_share_group(group)
-            chosen = list(group)[:k]
-            matrix = _share_matrix(chosen)
-            xs = tuple(s.index for s in chosen)
-            prepared.append((xs, matrix))
+            prepared.append(_share_rows(list(group)[:k]))
         # Bucket by geometry, preserving first-seen bucket order.
         buckets: "dict[tuple, list[int]]" = {}
-        for position, (xs, matrix) in enumerate(prepared):
-            buckets.setdefault((xs, matrix.shape[1]), []).append(position)
+        for position, (nodes, rows) in enumerate(prepared):
+            buckets.setdefault((nodes, len(rows[0])), []).append(position)
         results: List[bytes] = [b""] * len(prepared)
-        for (xs, size), positions in buckets.items():
-            stacked = np.concatenate(
-                [prepared[position][1] for position in positions], axis=1
-            )
-            flat = lagrange_interpolate(np.array(xs, dtype=np.uint8), stacked, 0)
+        for (nodes, size), positions in buckets.items():
+            # Share i of every group in the bucket, joined along the byte axis.
+            stacked = [
+                b"".join([prepared[position][1][i] for position in positions])
+                for i in range(len(nodes))
+            ]
+            flat = lagrange_interpolate(nodes, stacked, 0)
             for slot, position in enumerate(positions):
                 results[position] = flat[slot * size : (slot + 1) * size].tobytes()
         return results

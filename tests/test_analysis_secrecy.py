@@ -120,10 +120,11 @@ class TestVerifyPerfectSecrecy:
 class TestProductionKernel:
     """Exact secrecy of the GF(2^8) code that ``ShamirScheme`` runs.
 
-    ``split`` evaluates shares with ``eval_poly_at_points`` (XOR-Horner
-    over the product table) and ``reconstruct`` interpolates with cached
-    Lagrange bases, so these enumerate that code rather than the
-    small-field algebra above.
+    ``split`` evaluates shares with ``eval_poly_at_points`` (XOR-Horner,
+    one ``bytes.translate`` by a ``MUL_ROWS`` product-table row per share
+    point and step) and ``reconstruct`` interpolates with cached Lagrange
+    bases, so these enumerate that code rather than the small-field
+    algebra above.
     """
 
     M = 5

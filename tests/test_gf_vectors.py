@@ -135,6 +135,11 @@ class TestFieldVectors:
                 acc = _carryless_mul(acc, a)
             assert acc == want
 
+    @pytest.mark.parametrize("exponent", [[1.5], [2.0]])
+    def test_pow_rejects_non_integer_exponents(self, exponent):
+        with pytest.raises(ValueError, match="integers"):
+            gf_pow_vec([2], exponent)
+
     def test_div_vectors(self):
         a = np.array([v[0] for v in DIV_VECTORS], dtype=np.uint8)
         b = np.array([v[1] for v in DIV_VECTORS], dtype=np.uint8)
@@ -215,6 +220,12 @@ class TestLagrangeBasisCache:
             lagrange_interpolate([5, 5], ys, 0)
         with pytest.raises(ValueError, match="distinct"):
             lagrange_interpolate([5, 5], ys, 5)
+
+    def test_empty_node_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            lagrange_interpolate([], np.zeros((0, 3), dtype=np.uint8), 0)
+        with pytest.raises(ValueError, match="at least one"):
+            lagrange_coeffs_at([])
 
 
 class TestInputValidation:

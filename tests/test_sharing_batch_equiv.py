@@ -21,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sharing.robust as robust_module
+import repro.sharing.shamir as shamir_module
 from repro.sharing.base import Share
 from repro.sharing.blakley import BlakleyScheme
 from repro.sharing.ramp import RampScheme
@@ -60,6 +62,19 @@ class TestShamirEquivalence:
             batch = scheme.split(secret, k, n, np.random.default_rng(42))
             scalar = scalar_shamir_split(secret, k, n, np.random.default_rng(42))
             assert share_bytes(batch) == share_bytes(scalar)
+
+    @pytest.mark.parametrize("k,m", [(k, m) for k, m in ALL_KN if m <= 5])
+    def test_split_leaves_generator_state_of_scalar_split(self, k, m):
+        # The next draw from the generator (the next symbol's split, a
+        # sampler decision) must not move either.
+        scheme = ShamirScheme()
+        for length in (0, 1, 37, 1250):
+            secret = payload_of(length, seed=11000 + 31 * k + m)
+            batch_rng = np.random.default_rng(length)
+            scalar_rng = np.random.default_rng(length)
+            scheme.split(secret, k, m, batch_rng)
+            scalar_shamir_split(secret, k, m, scalar_rng)
+            assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
 
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_every_k_subset_reconstructs(self, k, n):
@@ -114,6 +129,46 @@ class TestShamirEquivalence:
 
     def test_split_many_empty_batch(self):
         assert ShamirScheme().split_many([], 2, 3, np.random.default_rng(0)) == []
+
+
+class TestKernelCalls:
+    """One GF kernel call per split, reconstruct and share evaluation.
+
+    The benchmark ledger times the GF layer by wrapping these module
+    bindings (``benchmarks/ledger/ledger_trace.py``); a scheme that reached
+    the arithmetic another way would drop out of that trace.
+    """
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name) -> list:
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_split_evaluates_once(self, monkeypatch, k):
+        calls = self.count_calls(monkeypatch, shamir_module, "eval_poly_at_points")
+        ShamirScheme().split(payload_of(37, seed=k), k, 3, np.random.default_rng(k))
+        assert len(calls) == 1
+
+    def test_reconstruct_interpolates_once(self, monkeypatch):
+        secret = payload_of(37, seed=12)
+        shares = ShamirScheme().split(secret, 2, 3, np.random.default_rng(12))
+        calls = self.count_calls(monkeypatch, shamir_module, "lagrange_interpolate")
+        assert ShamirScheme().reconstruct(shares[1:]) == secret
+        assert len(calls) == 1
+
+    def test_evaluate_shares_at_interpolates_once(self, monkeypatch):
+        shares = ShamirScheme().split(payload_of(37, seed=13), 2, 3, np.random.default_rng(13))
+        calls = self.count_calls(monkeypatch, robust_module, "lagrange_interpolate")
+        assert evaluate_shares_at(shares[:2], 3) == shares[2].data
+        assert len(calls) == 1
 
 
 class TestRampEquivalence:

@@ -9,6 +9,7 @@ from repro.sharing.base import ReconstructionError, Share
 from repro.sharing.robust import (
     evaluate_shares_at,
     max_correctable_errors,
+    reconstruct_with_erasures,
     robust_reconstruct,
     verify_share,
 )
@@ -54,6 +55,18 @@ class TestEvaluateAt:
         shares = make_shares(k=2, m=3)
         with pytest.raises(ReconstructionError):
             evaluate_shares_at([shares[0], shares[0]], 0)
+
+    def test_share_index_beyond_the_field_rejected(self):
+        # A Share allows m > 255, but GF(256) has only 255 nonzero points.
+        shares = [Share(index=i, data=b"\x07\x09", k=2, m=300) for i in (1, 256, 3)]
+        with pytest.raises(ReconstructionError, match="256"):
+            evaluate_shares_at(shares[:2], 0)
+        with pytest.raises(ReconstructionError, match="256"):
+            robust_reconstruct(shares)
+        with pytest.raises(ReconstructionError, match="256"):
+            reconstruct_with_erasures(shares)
+        with pytest.raises(ReconstructionError, match="256"):
+            reconstruct_with_erasures([shares[0], shares[2], shares[1]])
 
 
 class TestVerifyShare:

@@ -149,6 +149,14 @@ class TestValidation:
         with pytest.raises(ReconstructionError):
             scheme.reconstruct([])
 
+    def test_share_index_beyond_the_field_rejected(self):
+        # A Share allows m > 255, but GF(256) has only 255 nonzero points.
+        shares = [Share(index=i, data=b"\x07\x09", k=2, m=300) for i in (1, 256)]
+        with pytest.raises(ReconstructionError, match="256"):
+            scheme.reconstruct(shares)
+        with pytest.raises(ReconstructionError, match="256"):
+            scheme.reconstruct_many([shares])
+
     def test_corrupted_share_changes_result(self):
         secret = b"integrity matters here"
         shares = split(secret, 2, 3)
