@@ -8,6 +8,7 @@ drivers and examples share one implementation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
@@ -39,8 +40,11 @@ def mu_grid(kappa: float, n: int, step: float = 0.1) -> List[float]:
     """The paper's sweep grid: µ from κ to n in the given step (Sec. VI-A).
 
     The grid always ends exactly at n, even when the step does not divide
-    the range evenly.
+    the range evenly.  κ must be finite and the step finite and positive,
+    or the grid would never reach n (ValueError).
     """
+    if not (math.isfinite(kappa) and math.isfinite(step) and step > 0):
+        raise ValueError(f"mu_grid needs a finite κ and a step > 0, got κ={kappa}, step={step}")
     values: List[float] = []
     i = 0
     while True:

@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional
 
+from repro.protocol.config import SOURCE_QUEUE_LIMIT
 from repro.protocol.scheduler import ParameterSampler
 from repro.protocol.sender import ShareSender
 
@@ -189,5 +190,5 @@ class FlowMux:
     def _sender_space(self) -> bool:
         return (
             not self.sender.admission_paused
-            and self.sender.backlog < self.sender.config.source_queue_limit
+            and self.sender.backlog < SOURCE_QUEUE_LIMIT
         )

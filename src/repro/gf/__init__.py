@@ -15,21 +15,15 @@ Polynomial utilities (Horner evaluation, Lagrange interpolation) live in
 :mod:`repro.gf.poly` and are generic over any field implementing the
 :class:`~repro.gf.field.Field` interface.
 
-The scalar GF(2^8) + polynomial path is the *reference oracle*; the hot
-path used by the sharing schemes is :mod:`repro.gf.batch`, whose
-``bytes.translate`` kernels evaluate and interpolate whole datagram
-batches at once and are bit-identical to the scalar oracle by
-construction (and by test: ``tests/test_sharing_batch_equiv.py``).
+The scalar GF(2^8) + polynomial path is the *reference oracle* and the
+element-wise field API; the hot path used by the sharing schemes is
+:mod:`repro.gf.batch`, whose ``bytes.translate`` kernels evaluate and
+interpolate whole datagram batches, given as byte rows, at once and are
+bit-identical to the scalar oracle by construction (and by test:
+``tests/test_sharing_batch_equiv.py``).
 """
 
-from repro.gf.batch import (
-    eval_poly_at_points,
-    gf_div_vec,
-    gf_inv_vec,
-    gf_mul_vec,
-    gf_pow_vec,
-    lagrange_coeffs_at,
-)
+from repro.gf.batch import eval_poly_at_points
 from repro.gf.field import Field
 from repro.gf.gf256 import GF256
 from repro.gf.gfp import PrimeField
@@ -46,10 +40,5 @@ __all__ = [
     "Polynomial",
     "lagrange_interpolate",
     "lagrange_interpolate_at",
-    "gf_mul_vec",
-    "gf_div_vec",
-    "gf_inv_vec",
-    "gf_pow_vec",
     "eval_poly_at_points",
-    "lagrange_coeffs_at",
 ]

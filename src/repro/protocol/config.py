@@ -18,6 +18,10 @@ from repro.sharing.shamir import ShamirScheme
 #: beyond it the oldest is evicted.
 REASSEMBLY_LIMIT = 4096
 
+#: How many symbols may wait in the sender for channel readiness before
+#: the source starts dropping (the sender-side socket-buffer analogue).
+SOURCE_QUEUE_LIMIT = 64
+
 #: CPU work units (see :class:`repro.netsim.host.CpuModel`), charged only
 #: when a node is given a finite-capacity CPU: to split one symbol, per
 #: transmitted or received share, and per share actually used in
@@ -32,15 +36,15 @@ CPU_RECONSTRUCT_COST_PER_K = 1.0
 class ProtocolConfig:
     """Tunables of a ReMICSS node.
 
+    Values no run varies, such as the sender's source queue bound
+    (``SOURCE_QUEUE_LIMIT``), are the module constants above.
+
     Attributes:
         kappa: target average threshold κ (used by the dynamic scheduler).
         mu: target average multiplicity µ (used by the dynamic scheduler).
         symbol_size: source symbol payload size in bytes.  The model's
             "unit rate" of a channel is expressed in symbols of this size.
         scheme: the threshold secret sharing scheme to split symbols with.
-        source_queue_limit: how many symbols may wait for channel
-            readiness before the source starts dropping (sender-side
-            socket-buffer analogue).
         reassembly_timeout: how long the receiver keeps an incomplete
             symbol before evicting it (the IP-fragment-reassembly borrow).
         selector_ordering: "headroom" (default) or "fixed" readiness
@@ -69,7 +73,6 @@ class ProtocolConfig:
     mu: float = 1.0
     symbol_size: int = 1250
     scheme: SecretSharingScheme = field(default_factory=ShamirScheme)
-    source_queue_limit: int = 64
     reassembly_timeout: float = 5.0
     selector_ordering: str = "headroom"
     share_synthetic: bool = False
@@ -81,8 +84,6 @@ class ProtocolConfig:
             raise ValueError(f"need 1 <= κ <= µ, got κ={self.kappa}, µ={self.mu}")
         if self.symbol_size <= 0:
             raise ValueError(f"symbol_size must be positive, got {self.symbol_size}")
-        if self.source_queue_limit < 1:
-            raise ValueError("source_queue_limit must be at least 1")
         if not self.reassembly_timeout > 0:  # NaN fails too
             raise ValueError("reassembly_timeout must be positive")
         # The dynamic sampler draws k in {floor(κ), ceil(κ)} and m in

@@ -30,7 +30,7 @@ from repro.netsim.packet import Datagram
 from repro.netsim.ports import ChannelPort
 from repro.netsim.readiness import WriteSelector
 from repro.protocol.auth import ShareAuthenticator
-from repro.protocol.config import CPU_SHARE_COST, CPU_SPLIT_COST, ProtocolConfig
+from repro.protocol.config import CPU_SHARE_COST, CPU_SPLIT_COST, SOURCE_QUEUE_LIMIT, ProtocolConfig
 from repro.protocol.scheduler import ParameterSampler
 from repro.protocol.wire import SCHEME_IDS, encode_share, share_packet_size
 from repro.sharing.base import Share
@@ -171,7 +171,7 @@ class ShareSender:
         if self.admission_paused:
             self.stats.admission_paused_drops += 1
             return False
-        if len(self._source) >= self.config.source_queue_limit:
+        if len(self._source) >= SOURCE_QUEUE_LIMIT:
             self.stats.source_drops += 1
             return False
         seq = self._seqs.get(flow, 0)

@@ -22,9 +22,12 @@ in ``benchmarks/bench_ramp.py``.
 Construction: for each byte position, a random polynomial of degree
 ``k − 1`` over GF(2^8) whose first L coefficients are the L secret block
 bytes and whose remaining ``k − L`` coefficients are uniform; share i is
-the evaluation at x = i.  Reconstruction inverts the k x k Vandermonde
-system once per share-index set and applies it to all byte positions
-vectorised.
+the evaluation at x = i, all m of them from one XOR-Horner pass over the
+k coefficient rows (the L blocks and the slices of one uniform draw).
+Reconstruction inverts the k x k Vandermonde system of the share indices;
+secret block l is then the weighted row combination
+``XOR_i inverse[l][i] * share_i``, one ``bytes.translate`` per share and
+block, across every byte position at once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.gf.batch import eval_poly_at_points, gf_mul_vec
+from repro.gf.batch import combine_rows, eval_poly_at_points
 from repro.gf.gf256 import GF256_FIELD
 from repro.sharing.base import (
     ReconstructionError,
@@ -43,7 +46,7 @@ from repro.sharing.base import (
     check_share_group,
     validate_parameters,
 )
-from repro.sharing.shamir import _share_rows
+from repro.sharing.shamir import _random_rows, _share_rows
 
 _LENGTH = struct.Struct(">I")
 
@@ -62,8 +65,7 @@ def _vandermonde_inverse_rows(xs: Sequence[int], rows: int) -> List[List[int]]:
         for j in range(k):
             matrix[i][j] = acc
             acc = GF256_FIELD.mul(acc, x)
-    # Augment with identity and eliminate: solves V^T? No -- we need
-    # coefficients c with V c = y, i.e. c = V^{-1} y; eliminate on V.
+    # Gauss-Jordan on [V | I] leaves V^-1 on the right: c = V^-1 y.
     aug = [row[:] + [1 if r == c else 0 for c in range(k)] for r, row in enumerate(matrix)]
     for col in range(k):
         pivot = next((r for r in range(col, k) if aug[r][col] != 0), None)
@@ -129,17 +131,11 @@ class RampScheme(SecretSharingScheme):
         body = _LENGTH.pack(len(secret)) + secret
         size = self.share_size(len(secret))
         body = body.ljust(size * self.blocks, b"\0")
-        # Coefficient matrix: rows 0..L-1 are the secret blocks, rows
-        # L..k-1 a single uniform draw; one Horner pass covers all m points.
-        coeffs = np.empty((k, size), dtype=np.uint8)
-        coeffs[: self.blocks] = np.frombuffer(body, dtype=np.uint8).reshape(
-            self.blocks, size
-        )
-        if k > self.blocks:
-            coeffs[self.blocks :] = rng.integers(
-                0, 256, size=(k - self.blocks, size), dtype=np.uint8
-            )
-        evaluations = eval_poly_at_points(coeffs, np.arange(1, m + 1, dtype=np.uint8))
+        # Coefficient rows 0..L-1 are the secret blocks, rows L..k-1 one
+        # uniform draw; one Horner pass covers all m points.
+        rows = [body[j * size : (j + 1) * size] for j in range(self.blocks)]
+        rows += _random_rows(rng, k - self.blocks, size)
+        evaluations = eval_poly_at_points(rows, range(1, m + 1))
         return [
             Share(index=x, data=evaluations[x - 1].tobytes(), k=k, m=m)
             for x in range(1, m + 1)
@@ -153,13 +149,10 @@ class RampScheme(SecretSharingScheme):
                 f"ramp with L={self.blocks} blocks cannot have threshold {k}"
             )
         xs, payloads = _share_rows(group)
-        matrix = np.frombuffer(b"".join(payloads), np.uint8).reshape(k, len(payloads[0]))
-        inverse_rows = _vandermonde_inverse_rows(xs, self.blocks)
-        # Apply the L x k inverse-Vandermonde block to every byte position
-        # at once: blocks[l] = xor_i rows[l, i] * share_i.
-        rows = np.array(inverse_rows, dtype=np.uint8)
-        products = gf_mul_vec(rows[:, :, None], matrix[None, :, :])
-        body = np.bitwise_xor.reduce(products, axis=1).tobytes()
+        # Secret block l is row l of the inverse Vandermonde matrix applied
+        # to every byte position at once: XOR_i inverse[l][i] * share_i.
+        inverse = _vandermonde_inverse_rows(xs, self.blocks)
+        body = b"".join([combine_rows(weights, payloads).tobytes() for weights in inverse])
         if len(body) < _LENGTH.size:
             raise ReconstructionError("ramp shares too short to carry a length prefix")
         (length,) = _LENGTH.unpack_from(body)

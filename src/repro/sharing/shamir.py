@@ -57,6 +57,18 @@ def _share_rows(group: Sequence[Share]) -> Tuple[Tuple[int, ...], List[bytes]]:
     return tuple([share.index for share in group]), rows
 
 
+def _random_rows(rng: np.random.Generator, count: int, size: int) -> List[bytes]:
+    """``count`` uniform coefficient rows of ``size`` bytes, cut from one draw.
+
+    The draw is ``count * size`` bytes long, the same values and generator
+    state as a ``(count, size)`` draw; ``count == 0`` draws nothing.
+    """
+    if count < 1:
+        return []
+    draw = rng.integers(0, 256, size=count * size, dtype=np.uint8).tobytes()
+    return [draw[j * size : (j + 1) * size] for j in range(count)]
+
+
 class ShamirScheme(SecretSharingScheme):
     """Byte-wise Shamir (k, m) threshold sharing over GF(2^8).
 
@@ -85,13 +97,8 @@ class ShamirScheme(SecretSharingScheme):
             raise ValueError(f"GF(256) Shamir supports at most {self.MAX_SHARES} shares")
         if not isinstance(secret, bytes):
             secret = memoryview(secret).tobytes()
-        n = len(secret)
-        # Row 0 is the secret; rows 1..k-1 are uniform random bytes, drawn
-        # once for the whole batch.
-        rows = [secret]
-        if k > 1:
-            draw = rng.integers(0, 256, size=(k - 1) * n, dtype=np.uint8).tobytes()
-            rows += [draw[j * n : (j + 1) * n] for j in range(k - 1)]
+        # Row 0 is the secret; rows 1..k-1 are uniform random bytes.
+        rows = [secret, *_random_rows(rng, k - 1, len(secret))]
         # Row x-1 of the evaluation is share x of every byte.
         evaluations = eval_poly_at_points(rows, range(1, m + 1))
         return [
@@ -125,19 +132,12 @@ class ShamirScheme(SecretSharingScheme):
         if not secrets:
             return []
         sizes = [len(secret) for secret in secrets]
-        total = sum(sizes)
-        coeffs = np.empty((k, total), dtype=np.uint8)
-        coeffs[0] = np.frombuffer(b"".join(secrets), dtype=np.uint8)
-        if k > 1:
-            # Preserve the per-secret draw order of the scalar loop so the
-            # batch is seed-for-seed identical to sequential split() calls.
-            offset = 0
-            for size in sizes:
-                coeffs[1:, offset : offset + size] = rng.integers(
-                    0, 256, size=(k - 1, size), dtype=np.uint8
-                )
-                offset += size
-        evaluations = eval_poly_at_points(coeffs, np.arange(1, m + 1, dtype=np.uint8))
+        # One draw per secret, in the order sequential split() calls make
+        # them, so the batch is seed-for-seed identical; coefficient row j
+        # joins row j of every secret's draw.
+        draws = [_random_rows(rng, k - 1, size) for size in sizes]
+        rows = [b"".join(secrets), *[b"".join(row) for row in zip(*draws)]]
+        evaluations = eval_poly_at_points(rows, range(1, m + 1))
         batches: List[List[Share]] = []
         offset = 0
         for size in sizes:

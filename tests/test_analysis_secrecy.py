@@ -140,7 +140,8 @@ class TestProductionKernel:
         subsets = list(itertools.combinations(range(self.M), k - 1))
         for secret in range(256):
             coeffs[0] = secret
-            shares = eval_poly_at_points(coeffs, points).astype(np.int64)
+            rows = [row.tobytes() for row in coeffs]
+            shares = eval_poly_at_points(rows, points).astype(np.int64)
             for subset in subsets:
                 code = np.zeros(tuples, dtype=np.int64)
                 for index in subset:

@@ -23,6 +23,22 @@ class TestMuGrid:
         grid = mu_grid(1.0, 5, step=0.3)
         assert grid[-1] == 5.0
 
+    @pytest.mark.parametrize(
+        "kappa,step",
+        [
+            (1.0, 0.0),
+            (1.0, -0.5),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+            (float("nan"), 0.5),
+            (float("inf"), 0.5),
+        ],
+    )
+    def test_grid_that_never_reaches_n_rejected(self, kappa, step):
+        # Each of these used to loop forever (or return [nan, 5.0]).
+        with pytest.raises(ValueError, match="mu_grid"):
+            mu_grid(kappa, 5, step)
+
 
 class TestSweep:
     def test_sweep_shape_and_monotonicity(self, five_channels):

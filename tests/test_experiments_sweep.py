@@ -187,6 +187,14 @@ class TestSweepCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {argv[2]} ")
 
+    @pytest.mark.parametrize("option", ["--mu-step", "--kappa"])
+    def test_non_finite_grid_value_is_an_error(self, option, capsys):
+        # The spec builder rejects the grid before any point runs.
+        assert cli_main(["sweep", "--figure", "fig3", "--quick", option, "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: mu_grid ")
+
     def test_runner_module_exit_codes(self):
         from repro.experiments.runner import main as runner_main
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.channel import Channel, ChannelSet
 from repro.fleet import FlowMux
 from repro.netsim.rng import RngRegistry
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import SOURCE_QUEUE_LIMIT, ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
 from repro.protocol.scheduler import DynamicParameterSampler
 
@@ -14,15 +14,16 @@ def build(
     channels=2,
     rate=2.0,
     link_queue=1,
-    source_queue_limit=1,
+    fill_sender=True,
     quantum=1.0,
     queue_limit=64,
     seed=3,
 ):
     """A two-node synthetic network with a mux on node A's sender.
 
-    The tiny link queue and source queue make the sender back-pressure
-    almost immediately, so the mux's DRR order is observable.
+    With ``fill_sender`` the sender's source queue starts full of flow-0
+    symbols, so every slot it frees afterwards goes to the mux and the
+    mux's DRR order is observable from its first offer.
     """
     channel_set = ChannelSet(
         Channel(risk=0.1, loss=0.0, delay=0.01, rate=rate) for _ in range(channels)
@@ -36,9 +37,10 @@ def build(
         mu=1.0,
         symbol_size=64,
         share_synthetic=True,
-        source_queue_limit=source_queue_limit,
     )
     node_a, node_b = network.node_pair(config, registry)
+    while fill_sender and node_a.sender.backlog < SOURCE_QUEUE_LIMIT:
+        assert node_a.sender.offer(None)
     mux = FlowMux(node_a.sender, quantum=quantum, queue_limit=queue_limit)
     return network, node_a, node_b, mux, registry
 
@@ -142,9 +144,7 @@ class TestBoundsAndBackpressure:
         assert mux.stats.dropped == 1
 
     def test_uncontended_flow_passes_straight_through(self):
-        network, node_a, _, mux, _ = build(
-            rate=64.0, link_queue=16, source_queue_limit=64
-        )
+        network, node_a, _, mux, _ = build(rate=64.0, link_queue=16, fill_sender=False)
         mux.register(1)
         for _ in range(4):
             assert mux.enqueue(1)
@@ -156,6 +156,8 @@ class TestBoundsAndBackpressure:
 
     def test_backpressure_drains_everything_eventually(self):
         network, node_a, node_b, mux, _ = build()
+        # The symbols build() queued ahead of the mux's are sent too.
+        filled = node_a.sender.stats.symbols_offered
         mux.register(1)
         mux.register(2, weight=3.0)
         for _ in range(25):
@@ -163,8 +165,8 @@ class TestBoundsAndBackpressure:
             mux.enqueue(2)
         network.engine.run()
         assert mux.backlog == 0
-        assert node_a.sender.stats.symbols_sent == 50
-        assert node_b.receiver.stats.symbols_delivered == 50
+        assert node_a.sender.stats.symbols_sent - filled == 50
+        assert node_b.receiver.stats.symbols_delivered - filled == 50
         assert mux.stats.offer_failures == 0
 
     def test_stats_shape(self):

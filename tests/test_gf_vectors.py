@@ -3,8 +3,9 @@
 Two layers of defence against a silent arithmetic regression:
 
 * **Field vectors.**  Fixed AES-polynomial mul/div/pow triples, asserted
-  against the table-driven scalar field, the numpy batch kernels, *and*
-  re-derived at runtime from the independent bit-by-bit
+  against the table-driven scalar field, the product-table rows the
+  ``bytes.translate`` batch kernels multiply with, *and* re-derived at
+  runtime from the independent bit-by-bit
   :func:`repro.gf.gf256._carryless_mul` oracle (which never touches the
   log/antilog tables).  A table-construction bug cannot hide from all
   three at once.
@@ -18,12 +19,10 @@ import numpy as np
 import pytest
 
 from repro.gf.batch import (
+    MUL_ROWS,
     MUL_TABLE,
     _lagrange_basis,
-    gf_div_vec,
-    gf_mul_vec,
-    gf_pow_vec,
-    lagrange_coeffs_at,
+    eval_poly_at_points,
     lagrange_interpolate,
 )
 from repro.gf.gf256 import GF256_FIELD, _carryless_mul
@@ -111,10 +110,8 @@ class TestFieldVectors:
             assert GF256_FIELD.mul(a, b) == want
 
     def test_mul_vectors_batch_kernel(self):
-        a = np.array([v[0] for v in MUL_VECTORS], dtype=np.uint8)
-        b = np.array([v[1] for v in MUL_VECTORS], dtype=np.uint8)
-        want = np.array([v[2] for v in MUL_VECTORS], dtype=np.uint8)
-        assert np.array_equal(gf_mul_vec(a, b), want)
+        for a, b, want in MUL_VECTORS:
+            assert bytes([a]).translate(MUL_ROWS[b]) == bytes([want])
 
     def test_mul_vectors_match_carryless_oracle(self):
         # The oracle never touches the log/exp tables, so a table bug
@@ -123,10 +120,8 @@ class TestFieldVectors:
             assert _carryless_mul(a, b) == want
 
     def test_pow_vectors(self):
-        base = np.array([v[0] for v in POW_VECTORS], dtype=np.uint8)
-        exp = np.array([v[1] for v in POW_VECTORS], dtype=np.int64)
-        want = np.array([v[2] for v in POW_VECTORS], dtype=np.uint8)
-        assert np.array_equal(gf_pow_vec(base, exp), want)
+        for a, e, want in POW_VECTORS:
+            assert GF256_FIELD.pow(a, e) == want
 
     def test_pow_vectors_match_carryless_oracle(self):
         for a, e, want in POW_VECTORS:
@@ -135,18 +130,9 @@ class TestFieldVectors:
                 acc = _carryless_mul(acc, a)
             assert acc == want
 
-    @pytest.mark.parametrize("exponent", [[1.5], [2.0]])
-    def test_pow_rejects_non_integer_exponents(self, exponent):
-        with pytest.raises(ValueError, match="integers"):
-            gf_pow_vec([2], exponent)
-
     def test_div_vectors(self):
-        a = np.array([v[0] for v in DIV_VECTORS], dtype=np.uint8)
-        b = np.array([v[1] for v in DIV_VECTORS], dtype=np.uint8)
-        want = np.array([v[2] for v in DIV_VECTORS], dtype=np.uint8)
-        assert np.array_equal(gf_div_vec(a, b), want)
-        for ai, bi, wanti in DIV_VECTORS:
-            assert GF256_FIELD.div(ai, bi) == wanti
+        for a, b, want in DIV_VECTORS:
+            assert GF256_FIELD.div(a, b) == want
 
     def test_div_vectors_match_carryless_oracle(self):
         # a/b == w  <=>  w*b == a, checked bit-by-bit.
@@ -154,14 +140,12 @@ class TestFieldVectors:
             assert _carryless_mul(want, b) == a
 
     def test_full_mul_table_matches_carryless_oracle(self):
-        # Exhaustive 256x256 sweep of the batch kernel against the oracle.
-        grid = np.arange(256, dtype=np.uint8)
-        batch = gf_mul_vec(grid[:, None], grid[None, :])
-        oracle = np.array(
-            [[_carryless_mul(a, b) for b in range(256)] for a in range(256)],
-            dtype=np.uint8,
-        )
-        assert np.array_equal(batch, oracle)
+        # Exhaustive 256x256 sweep of the kernels' translate tables
+        # against the oracle: row a applied to every field element.
+        grid = bytes(range(256))
+        batch = [grid.translate(MUL_ROWS[a]) for a in range(256)]
+        oracle = [bytes([_carryless_mul(a, b) for b in range(256)]) for a in range(256)]
+        assert batch == oracle
 
     def test_mul_table_pinned_to_carryless_oracle(self):
         # All 65536 product-table entries, read directly rather than
@@ -170,6 +154,11 @@ class TestFieldVectors:
         for a in range(256):
             for b in range(256):
                 assert MUL_TABLE[a, b] == _carryless_mul(a, b), (a, b)
+
+
+def _rows(ys):
+    """The byte rows of a 2-D uint8 array, the form the kernels take."""
+    return [row.tobytes() for row in ys]
 
 
 def _points_oracle(nodes, ys, x):
@@ -189,22 +178,17 @@ class TestLagrangeBasisCache:
         rng = np.random.default_rng(len(nodes) * 1000 + x)
         for _ in range(3):
             ys = rng.integers(0, 256, size=(len(nodes), 29), dtype=np.uint8)
-            got = lagrange_interpolate(np.array(nodes, dtype=np.uint8), ys, x)
+            got = lagrange_interpolate(np.array(nodes, dtype=np.uint8), _rows(ys), x)
             assert got.tobytes() == _points_oracle(nodes, ys.tolist(), x)
 
     def test_evaluating_at_a_node_returns_that_share(self):
         ys = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        got = lagrange_interpolate(np.array([4, 9, 2], dtype=np.uint8), ys, 9)
+        got = lagrange_interpolate(np.array([4, 9, 2], dtype=np.uint8), _rows(ys), 9)
         assert np.array_equal(got, ys[1])
-        assert lagrange_coeffs_at([4, 9, 2], 9).tolist() == [0, 1, 0]
 
     def test_mutating_results_does_not_poison_the_cache(self):
         nodes = np.array([1, 2, 3], dtype=np.uint8)
-        ys = np.arange(15, dtype=np.uint8).reshape(3, 5)
-        coeffs = lagrange_coeffs_at(nodes, 0)
-        want_coeffs = coeffs.copy()
-        coeffs[:] = 0
-        assert np.array_equal(lagrange_coeffs_at(nodes, 0), want_coeffs)
+        ys = _rows(np.arange(15, dtype=np.uint8).reshape(3, 5))
         first = lagrange_interpolate(nodes, ys, 0)
         want = first.copy()
         first ^= 0xFF
@@ -215,7 +199,7 @@ class TestLagrangeBasisCache:
         assert _lagrange_basis.cache_info().maxsize is not None
 
     def test_duplicate_nodes_rejected(self):
-        ys = np.zeros((2, 3), dtype=np.uint8)
+        ys = [bytes(3)] * 2
         with pytest.raises(ValueError, match="distinct"):
             lagrange_interpolate([5, 5], ys, 0)
         with pytest.raises(ValueError, match="distinct"):
@@ -223,33 +207,40 @@ class TestLagrangeBasisCache:
 
     def test_empty_node_set_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            lagrange_interpolate([], np.zeros((0, 3), dtype=np.uint8), 0)
-        with pytest.raises(ValueError, match="at least one"):
-            lagrange_coeffs_at([])
+            lagrange_interpolate([], [], 0)
 
 
 class TestInputValidation:
     @pytest.mark.parametrize("x", [256, -1, 2.5, "0", None])
     def test_evaluation_point_outside_field(self, x):
-        ys = np.zeros((2, 3), dtype=np.uint8)
+        ys = [bytes(3)] * 2
         with pytest.raises(ValueError, match="0..255"):
             lagrange_interpolate([1, 3], ys, x)
-        with pytest.raises(ValueError, match="0..255"):
-            lagrange_coeffs_at([1, 3], x)
 
     def test_numpy_integer_point_accepted(self):
-        ys = np.array([[7], [9]], dtype=np.uint8)
+        ys = [b"\x07", b"\x09"]
         assert np.array_equal(
             lagrange_interpolate([1, 3], ys, np.uint8(0)),
             lagrange_interpolate([1, 3], ys, 0),
         )
 
-    @pytest.mark.parametrize("bad", [[1.5], [2.0], [True]])
-    def test_non_integer_elements_rejected(self, bad):
-        with pytest.raises(ValueError, match="integers"):
-            gf_mul_vec(bad, [2])
-        with pytest.raises(ValueError, match="integers"):
-            gf_mul_vec([2], bad)
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.zeros((2, 3), dtype=np.uint8),
+            [np.zeros(3, dtype=np.uint8)] * 2,
+            [[0, 0, 0], [0, 0, 0]],
+            [b"abc", b"ab"],
+            [b"abc", "abc"],
+            [],
+        ],
+        ids=["2-d array", "array rows", "int lists", "ragged", "str row", "empty"],
+    )
+    def test_only_equal_length_byte_rows_accepted(self, rows):
+        with pytest.raises(ValueError, match="byte strings"):
+            eval_poly_at_points(rows, [1, 2])
+        with pytest.raises(ValueError, match="byte strings"):
+            lagrange_interpolate([1, 3], rows, 0)
 
     def test_negative_error_budget_rejected(self):
         shares = ShamirScheme().split(b"abc", 2, 4, np.random.default_rng(0))

@@ -31,8 +31,6 @@ class TestProtocolConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(symbol_size=0)
         with pytest.raises(ValueError):
-            ProtocolConfig(source_queue_limit=0)
-        with pytest.raises(ValueError):
             ProtocolConfig(reassembly_timeout=0.0)
 
     def test_nan_reassembly_timeout_rejected(self):

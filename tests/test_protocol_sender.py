@@ -8,7 +8,7 @@ from repro.netsim.engine import Engine
 from repro.netsim.host import CpuModel
 from repro.netsim.link import Link
 from repro.netsim.ports import ChannelPort
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import SOURCE_QUEUE_LIMIT, ProtocolConfig
 from repro.protocol.scheduler import DynamicParameterSampler, ExplicitScheduler
 from repro.protocol.sender import ShareSender
 from repro.protocol.wire import HEADER_SIZE, decode_share
@@ -102,10 +102,11 @@ class TestBackpressure:
     def test_source_queue_overflow_drops(self):
         engine = Engine()
         ports = make_ports(engine, byte_rate=10.0, queue_limit=1)
-        config = ProtocolConfig(kappa=1.0, mu=3.0, symbol_size=100, source_queue_limit=2)
+        config = ProtocolConfig(kappa=1.0, mu=3.0, symbol_size=100)
         sender = make_sender(engine, ports, config=config)
-        results = [sender.offer(bytes(100)) for _ in range(10)]
+        results = [sender.offer(bytes(100)) for _ in range(SOURCE_QUEUE_LIMIT + 10)]
         assert not all(results)
+        assert sender.backlog == SOURCE_QUEUE_LIMIT
         assert sender.stats.source_drops == results.count(False)
 
     def test_waits_for_enough_writable_channels(self):

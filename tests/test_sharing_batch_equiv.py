@@ -117,6 +117,17 @@ class TestShamirEquivalence:
         sequential = [scheme.split(secret, 3, 5, sequential_rng) for secret in secrets]
         assert [share_bytes(g) for g in batched] == [share_bytes(g) for g in sequential]
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_split_many_leaves_generator_state_of_sequential_splits(self, k):
+        scheme = ShamirScheme()
+        secrets = [payload_of(length, seed=80 + length) for length in (0, 1, 37, 1250)]
+        batch_rng = np.random.default_rng(k)
+        sequential_rng = np.random.default_rng(k)
+        scheme.split_many(secrets, k, 5, batch_rng)
+        for secret in secrets:
+            scheme.split(secret, k, 5, sequential_rng)
+        assert batch_rng.bit_generator.state == sequential_rng.bit_generator.state
+
     def test_reconstruct_many_matches_per_group(self):
         scheme = ShamirScheme()
         secrets = [payload_of(length, seed=60 + length) for length in (0, 5, 37, 37)]
@@ -185,6 +196,20 @@ class TestRampEquivalence:
                     secret, k, n, np.random.default_rng(13), blocks=blocks
                 )
                 assert share_bytes(batch) == share_bytes(scalar)
+
+    @pytest.mark.parametrize(
+        "blocks,k,m",
+        [(blocks, k, m) for blocks in (1, 2, 3) for k, m in ALL_KN if blocks <= k and m <= 5],
+    )
+    def test_split_leaves_generator_state_of_scalar_split(self, blocks, k, m):
+        scheme = RampScheme(blocks=blocks)
+        for length in (0, 1, 37, 1250):
+            secret = payload_of(length, seed=12000 + 31 * k + m)
+            batch_rng = np.random.default_rng(length)
+            scalar_rng = np.random.default_rng(length)
+            scheme.split(secret, k, m, batch_rng)
+            scalar_ramp_split(secret, k, m, scalar_rng, blocks=blocks)
+            assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
 
     @pytest.mark.parametrize("blocks", [2, 3])
     def test_reconstruct_bit_identical_to_scalar(self, blocks):
