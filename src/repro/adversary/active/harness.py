@@ -28,7 +28,7 @@ import math
 from typing import Optional, Sequence
 
 from repro.core.channel import Channel, ChannelSet
-from repro.netsim.rng import RngRegistry
+from repro.netsim.rng import RandomBytes, RngRegistry
 from repro.protocol.auth import AuthConfig, derive_root_key
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
@@ -143,7 +143,7 @@ def run_under_attack(
 
     node_b.on_deliver(on_deliver)
 
-    payload_rng = registry.stream("workload.payload")
+    payload_rng = RandomBytes(registry.stream("workload.payload"))
     interval = 1.0 / offered_rate
     end_time = warmup + duration
 

@@ -40,11 +40,14 @@ def mu_grid(kappa: float, n: int, step: float = 0.1) -> List[float]:
     """The paper's sweep grid: µ from κ to n in the given step (Sec. VI-A).
 
     The grid always ends exactly at n, even when the step does not divide
-    the range evenly.  κ must be finite and the step finite and positive,
-    or the grid would never reach n (ValueError).
+    the range evenly.  κ must lie in [1, n], or the grid would hold a µ
+    below κ or below 1, and the step must be finite and positive, or the
+    grid would never reach n (ValueError).
     """
-    if not (math.isfinite(kappa) and math.isfinite(step) and step > 0):
-        raise ValueError(f"mu_grid needs a finite κ and a step > 0, got κ={kappa}, step={step}")
+    if not (1 <= kappa <= n and math.isfinite(step) and step > 0):
+        raise ValueError(
+            f"mu_grid needs 1 <= κ <= n and a step > 0, got κ={kappa}, n={n}, step={step}"
+        )
     values: List[float] = []
     i = 0
     while True:

@@ -15,7 +15,8 @@ joined by five dedicated, shaped 10 GbE links).  It provides:
   to, exposing an epoll-like *writable* predicate;
 * :mod:`repro.netsim.readiness` -- the write-readiness selector backing
   ReMICSS's dynamic share schedule;
-* :mod:`repro.netsim.rng` -- named, reproducible random streams;
+* :mod:`repro.netsim.rng` -- named, reproducible random streams, and
+  block-drawn random bytes for single-owner byte streams;
 * :mod:`repro.netsim.trace` -- counters and summary statistics;
 * :mod:`repro.netsim.faults` -- declarative, deterministic fault injection
   (outages, flaps, burst loss, parameter overrides, partitions) driven by

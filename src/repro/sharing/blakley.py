@@ -26,10 +26,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.gf.gfp import next_prime
 from repro.sharing.base import (
+    ByteSource,
     ReconstructionError,
     SecretSharingScheme,
     Share,
@@ -120,7 +119,7 @@ class BlakleyScheme(SecretSharingScheme):
         # One field element needs this many bytes on the wire.
         self._element_len = (self.p.bit_length() + 7) // 8
 
-    def _random_element(self, rng: np.random.Generator) -> int:
+    def _random_element(self, rng: ByteSource) -> int:
         """Uniform element of GF(p) via rejection sampling over random bytes."""
         nbytes = self._element_len
         while True:
@@ -133,7 +132,7 @@ class BlakleyScheme(SecretSharingScheme):
         secret: bytes,
         k: int,
         m: int,
-        rng: np.random.Generator,
+        rng: ByteSource,
     ) -> List[Share]:
         validate_parameters(k, m)
         if len(secret) > self.max_secret_len:

@@ -35,11 +35,10 @@ from __future__ import annotations
 import struct
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.gf.batch import combine_rows, eval_poly_at_points
 from repro.gf.gf256 import GF256_FIELD
 from repro.sharing.base import (
+    ByteSource,
     ReconstructionError,
     SecretSharingScheme,
     Share,
@@ -119,7 +118,7 @@ class RampScheme(SecretSharingScheme):
         secret: bytes,
         k: int,
         m: int,
-        rng: np.random.Generator,
+        rng: ByteSource,
     ) -> List[Share]:
         validate_parameters(k, m)
         if m > self.MAX_SHARES:
@@ -136,10 +135,7 @@ class RampScheme(SecretSharingScheme):
         rows = [body[j * size : (j + 1) * size] for j in range(self.blocks)]
         rows += _random_rows(rng, k - self.blocks, size)
         evaluations = eval_poly_at_points(rows, range(1, m + 1))
-        return [
-            Share(index=x, data=evaluations[x - 1].tobytes(), k=k, m=m)
-            for x in range(1, m + 1)
-        ]
+        return [Share(x, evaluations[x - 1].tobytes(), k, m) for x in range(1, m + 1)]
 
     def reconstruct(self, shares: Sequence[Share]) -> bytes:
         k = check_share_group(shares)

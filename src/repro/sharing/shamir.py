@@ -7,12 +7,15 @@ length of the secret, which is the optimal ``H(Y) = H(X)`` case the paper's
 rate model assumes (Sec. III-C).
 
 ``split`` evaluates *all m share points for all payload bytes* by
-XOR-Horner over ``k`` coefficient rows: the secret and the ``k - 1`` rows of
-a single ``rng.integers`` draw, passed to :mod:`repro.gf.batch` as byte
-strings.  Each Horner step is one ``bytes.translate`` per share point and
-one numpy XOR.  ``reconstruct`` passes the share payloads as they are to one
-Lagrange evaluation, whose basis coefficients are cached per share-index
-set, and XORs one translated row per share.  The scalar path through
+XOR-Horner over ``k`` coefficient rows: the secret and the ``k - 1`` rows
+cut from a single ``rng.bytes`` draw, passed to :mod:`repro.gf.batch` as
+byte strings.  The sender serves that draw from block-drawn words
+(:class:`repro.netsim.rng.RandomBytes`), byte-identical to a direct
+``rng.integers(0, 256, ...)`` draw from the same generator.  Each Horner
+step is one ``bytes.translate`` per share point and one numpy XOR.
+``reconstruct`` passes the share payloads as they are to one Lagrange
+evaluation, whose basis coefficients are cached per share-index set, and
+XORs one translated row per share.  The scalar path through
 :mod:`repro.gf` (exposed as :mod:`repro.sharing.reference`) is the reference
 oracle: the batch kernels are bit-identical to it byte for byte, which
 ``tests/test_sharing_batch_equiv.py`` and the golden vectors in
@@ -23,10 +26,9 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.gf.batch import eval_poly_at_points, lagrange_interpolate
 from repro.sharing.base import (
+    ByteSource,
     ReconstructionError,
     SecretSharingScheme,
     Share,
@@ -57,15 +59,17 @@ def _share_rows(group: Sequence[Share]) -> Tuple[Tuple[int, ...], List[bytes]]:
     return tuple([share.index for share in group]), rows
 
 
-def _random_rows(rng: np.random.Generator, count: int, size: int) -> List[bytes]:
+def _random_rows(rng: ByteSource, count: int, size: int) -> List[bytes]:
     """``count`` uniform coefficient rows of ``size`` bytes, cut from one draw.
 
-    The draw is ``count * size`` bytes long, the same values and generator
-    state as a ``(count, size)`` draw; ``count == 0`` draws nothing.
+    The draw is ``rng.bytes(count * size)``: the same bytes and generator
+    state as a ``(count, size)`` ``rng.integers(0, 256, ...)`` draw.  An
+    empty draw is never made, because ``Generator.bytes(0)`` consumes a
+    word where the ``integers`` draw consumes none.
     """
-    if count < 1:
-        return []
-    draw = rng.integers(0, 256, size=count * size, dtype=np.uint8).tobytes()
+    if count * size == 0:
+        return [b""] * count
+    draw = rng.bytes(count * size)
     return [draw[j * size : (j + 1) * size] for j in range(count)]
 
 
@@ -90,7 +94,7 @@ class ShamirScheme(SecretSharingScheme):
         secret: bytes,
         k: int,
         m: int,
-        rng: np.random.Generator,
+        rng: ByteSource,
     ) -> List[Share]:
         validate_parameters(k, m)
         if m > self.MAX_SHARES:
@@ -101,10 +105,7 @@ class ShamirScheme(SecretSharingScheme):
         rows = [secret, *_random_rows(rng, k - 1, len(secret))]
         # Row x-1 of the evaluation is share x of every byte.
         evaluations = eval_poly_at_points(rows, range(1, m + 1))
-        return [
-            Share(index=x, data=evaluations[x - 1].tobytes(), k=k, m=m)
-            for x in range(1, m + 1)
-        ]
+        return [Share(x, evaluations[x - 1].tobytes(), k, m) for x in range(1, m + 1)]
 
     def reconstruct(self, shares: Sequence[Share]) -> bytes:
         k = check_share_group(shares)
@@ -117,7 +118,7 @@ class ShamirScheme(SecretSharingScheme):
         secrets: Sequence[bytes],
         k: int,
         m: int,
-        rng: np.random.Generator,
+        rng: ByteSource,
     ) -> List[List[Share]]:
         """Split a batch of secrets in one vectorized pass.
 
@@ -142,12 +143,7 @@ class ShamirScheme(SecretSharingScheme):
         offset = 0
         for size in sizes:
             block = evaluations[:, offset : offset + size]
-            batches.append(
-                [
-                    Share(index=x, data=block[x - 1].tobytes(), k=k, m=m)
-                    for x in range(1, m + 1)
-                ]
-            )
+            batches.append([Share(x, block[x - 1].tobytes(), k, m) for x in range(1, m + 1)])
             offset += size
         return batches
 

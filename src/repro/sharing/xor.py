@@ -18,6 +18,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.sharing.base import (
+    ByteSource,
     ReconstructionError,
     SecretSharingScheme,
     Share,
@@ -39,20 +40,19 @@ class XorScheme(SecretSharingScheme):
         secret: bytes,
         k: int,
         m: int,
-        rng: np.random.Generator,
+        rng: ByteSource,
     ) -> List[Share]:
         validate_parameters(k, m)
         if k != m:
             raise ValueError(f"XOR perfect sharing requires k == m, got k={k}, m={m}")
-        secret_vec = np.frombuffer(secret, dtype=np.uint8)
-        n = len(secret_vec)
+        running = np.frombuffer(secret, dtype=np.uint8).copy()
         shares = []
-        running = secret_vec.copy()
         for index in range(1, m):
-            pad = rng.integers(0, 256, size=n, dtype=np.uint8)
-            running = np.bitwise_xor(running, pad)
-            shares.append(Share(index=index, data=pad.tobytes(), k=k, m=m))
-        shares.append(Share(index=m, data=running.tobytes(), k=k, m=m))
+            # No empty draw: Generator.bytes(0) would consume a word.
+            pad = rng.bytes(len(running)) if len(running) else b""
+            running ^= np.frombuffer(pad, dtype=np.uint8)
+            shares.append(Share(index, pad, k, m))
+        shares.append(Share(m, running.tobytes(), k, m))
         return shares
 
     def reconstruct(self, shares: Sequence[Share]) -> bytes:

@@ -21,7 +21,7 @@ from repro.core.schedule import ShareSchedule
 from repro.adversary.active.plan import AttackPlan
 from repro.netsim.faults import FaultPlan
 from repro.netsim.host import CpuModel
-from repro.netsim.rng import RngRegistry
+from repro.netsim.rng import RandomBytes, RngRegistry
 from repro.netsim.trace import DelayStats, RateMeter
 from repro.obs.instrument import (
     Observability,
@@ -220,7 +220,7 @@ def run_iperf(
 
     node_b.on_deliver(on_deliver)
 
-    payload_rng = registry.stream("workload.payload")
+    payload_rng = RandomBytes(registry.stream("workload.payload"))
     interval = 1.0 / offered_rate
     end_time = warmup + duration
 

@@ -39,6 +39,13 @@ class TestMuGrid:
         with pytest.raises(ValueError, match="mu_grid"):
             mu_grid(kappa, 5, step)
 
+    @pytest.mark.parametrize("kappa", [7.0, 5.5, 0.5, 0.0, -1.0])
+    def test_kappa_outside_one_to_n_rejected(self, kappa):
+        # κ > n used to return [5.0], a point with µ < κ, and κ < 1 a grid
+        # whose first points have µ < 1; every point function rejects both.
+        with pytest.raises(ValueError, match="^mu_grid"):
+            mu_grid(kappa, 5)
+
 
 class TestSweep:
     def test_sweep_shape_and_monotonicity(self, five_channels):

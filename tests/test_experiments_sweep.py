@@ -187,10 +187,15 @@ class TestSweepCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {argv[2]} ")
 
-    @pytest.mark.parametrize("option", ["--mu-step", "--kappa"])
-    def test_non_finite_grid_value_is_an_error(self, option, capsys):
-        # The spec builder rejects the grid before any point runs.
-        assert cli_main(["sweep", "--figure", "fig3", "--quick", option, "nan"]) == 2
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--mu-step", "nan"), ("--kappa", "nan"), ("--kappa", "7"), ("--kappa", "0.5")],
+        ids=["--mu-step", "--kappa", "--kappa 7", "--kappa 0.5"],
+    )
+    def test_non_finite_grid_value_is_an_error(self, option, value, capsys):
+        # The spec builder rejects the grid before any point runs; a κ
+        # outside [1, n] used to fail every point instead.
+        assert cli_main(["sweep", "--figure", "fig3", "--quick", option, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: mu_grid ")
