@@ -9,7 +9,10 @@ byte actually crosses the network as threshold-shared symbols over three
 channels, one of them quite lossy.
 
 Run:  python examples/transparent_tunnel.py
+(exits 1 if any message arrives altered or not at all)
 """
+
+import sys
 
 from repro.core import ChannelSet
 from repro.netsim import RngRegistry
@@ -64,3 +67,5 @@ print(
     "\nreorders everything, which is the transport-agnostic design point of"
     "\nSec. V (DIBS instead of TCP interception)."
 )
+if server_log != requests:
+    sys.exit("tunnel FAILED: the server did not receive exactly the messages sent")

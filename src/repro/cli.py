@@ -214,7 +214,6 @@ def _run_sweep(
     """
     from repro.experiments import SWEEPS
     from repro.experiments.reporting import rows_to_table
-    from repro.obs import Observability
     from repro.sweep import DEFAULT_CACHE_DIR, ResultCache, SweepRunner
 
     build, point = SWEEPS[name]
@@ -231,8 +230,7 @@ def _run_sweep(
     cache = None
     if args.resume or args.cache_dir is not None:
         cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    obs = Observability.create()
-    runner = SweepRunner(jobs=args.jobs, retries=args.retries, cache=cache, obs=obs)
+    runner = SweepRunner(jobs=args.jobs, retries=args.retries, cache=cache)
     results = runner.run(build(**spec_kwargs), point)
 
     rows = [result.value for result in results if result.ok]
@@ -352,10 +350,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     to a serial run.  ``--parity-check`` proves it by re-running the
     fleet with ``--shards 1`` and comparing fingerprints.
     """
-    from repro.obs import Observability
     from repro.workloads.fleet import run_fleet
 
-    obs = Observability.create(tracing=False)
     kwargs = dict(
         flows=args.flows,
         flows_per_cell=args.flows_per_cell,
@@ -367,7 +363,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         synthetic=not (args.real or args.auth),
         auth=args.auth,
     )
-    report = run_fleet(shards=args.shards, obs=obs, **kwargs)
+    report = run_fleet(shards=args.shards, **kwargs)
     print(
         f"fleet: flows={report.flows_total} admitted={report.admitted} "
         f"cells={report.cells} shards={report.shards} "

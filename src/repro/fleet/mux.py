@@ -26,7 +26,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional
 
-from repro.protocol.config import SOURCE_QUEUE_LIMIT
 from repro.protocol.scheduler import ParameterSampler
 from repro.protocol.sender import ShareSender
 
@@ -158,7 +157,7 @@ class FlowMux:
             return
         self._pumping = True
         try:
-            while self._active and self._sender_space():
+            while self._active and self.sender.has_room():
                 flow = self._active[0]
                 queue = self._queues[flow]
                 if not self._turn_open:
@@ -168,7 +167,7 @@ class FlowMux:
                     self._deficits[flow] += self.quantum * self._weights[flow]
                     self.stats.rounds += 1
                     self._turn_open = True
-                while queue and self._deficits[flow] >= 1.0 and self._sender_space():
+                while queue and self._deficits[flow] >= 1.0 and self.sender.has_room():
                     payload = queue.popleft()
                     self._deficits[flow] -= 1.0
                     self.stats.count(flow, "offered")
@@ -186,9 +185,3 @@ class FlowMux:
                     return  # sender full mid-turn; a writable event resumes it
         finally:
             self._pumping = False
-
-    def _sender_space(self) -> bool:
-        return (
-            not self.sender.admission_paused
-            and self.sender.backlog < SOURCE_QUEUE_LIMIT
-        )

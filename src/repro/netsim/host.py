@@ -7,9 +7,9 @@ CPU is a serial resource through which per-share work items (splitting,
 sending, receiving, reconstructing) are queued, each with a configurable
 cost in CPU time.
 
-With ``capacity=None`` the CPU is infinitely fast and adds no delay, which
-is the regime of Figures 3-5 (the testbed CPUs are far from saturated at
-100 Mbps-class rates).
+A component built without a CPU (``cpu=None``) does its work at once and
+adds no delay, which is the regime of Figures 3-5 (the testbed CPUs are
+far from saturated at 100 Mbps-class rates).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ class CpuModel:
 
     Args:
         engine: the simulation engine.
-        capacity: work units the CPU retires per unit time; ``None`` means
-            infinitely fast (work runs immediately, synchronously).
+        capacity: work units the CPU retires per unit time (positive).
         queue_limit: bound on queued work items; submissions beyond it are
             rejected (modelling socket-buffer backpressure at a saturated
             sender).  ``None`` means unbounded.
@@ -38,11 +37,11 @@ class CpuModel:
     def __init__(
         self,
         engine: Engine,
-        capacity: Optional[float] = None,
+        capacity: float,
         queue_limit: Optional[int] = None,
     ):
-        if capacity is not None and not capacity > 0:  # NaN fails too
-            raise ValueError(f"capacity must be positive or None, got {capacity}")
+        if not capacity > 0:  # NaN fails too
+            raise ValueError(f"capacity must be positive, got {capacity}")
         if queue_limit is not None and queue_limit < 1:
             raise ValueError(f"queue_limit must be positive or None, got {queue_limit}")
         self.engine = engine
@@ -67,11 +66,6 @@ class CpuModel:
         """Queue a work item costing ``cost`` units; returns False if rejected."""
         if not cost >= 0:  # NaN fails too
             raise ValueError(f"cost must be nonnegative, got {cost}")
-        if self.capacity is None:
-            # Infinitely fast CPU: run synchronously, no queueing.
-            fn()
-            self.completed += 1
-            return True
         if self.queue_limit is not None and len(self._queue) >= self.queue_limit:
             self.rejected += 1
             return False

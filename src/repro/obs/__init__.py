@@ -8,8 +8,8 @@ simulator instead of scattered ad-hoc counters:
   gauges and fixed-bucket histograms.  Everything is keyed to simulated
   time (no wall clock anywhere), so a seeded run produces a byte-identical
   metrics dump every time.
-* :mod:`repro.obs.tracing` -- a structured event :class:`Tracer` with
-  spans (``with tracer.span("share_tx", channel=i): ...``) backed by a
+* :mod:`repro.obs.tracing` -- a structured event :class:`Tracer` of
+  sim-time point events (``tracer.event("share_tx", seq=7)``) backed by a
   bounded ring buffer.
 * :mod:`repro.obs.export` -- exporters to JSON-lines, CSV and Prometheus
   text format, plus parsers for round-trip testing.
@@ -17,10 +17,11 @@ simulator instead of scattered ad-hoc counters:
   wires a registry and tracer into a :class:`~repro.protocol.remicss.PointToPointNetwork`
   and its protocol nodes.
 
-Disabled observability (:meth:`Observability.disabled`, backed by
-:class:`NullRegistry` / :class:`NullTracer`) is a no-op on every hot path,
-so uninstrumented runs pay ~nothing.  See ``docs/OBSERVABILITY.md`` for
-the metric catalogue and naming convention.
+Observability is off when a run is given ``obs=None``, and tracing is
+off in a bundle built with ``Observability.create(tracing=False)``, whose
+tracer is ``None``; either way each push site on a hot path pays one
+``None`` check.  See ``docs/OBSERVABILITY.md`` for the metric catalogue
+and naming convention.
 """
 
 from repro.obs.export import (
@@ -40,20 +41,16 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
-from repro.obs.tracing import NullTracer, Span, TraceEvent, Tracer
+from repro.obs.tracing import TraceEvent, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "Tracer",
-    "NullTracer",
-    "Span",
     "TraceEvent",
     "Observability",
     "instrument_network",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from typing import Iterable, List, Optional, Sequence
 
 from repro.obs.tracing import TraceEvent
@@ -225,30 +224,3 @@ def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
     with open(path, "w") as handle:
         handle.write(trace_to_jsonl(events))
 
-
-def histogram_quantile(sample: dict, q: float) -> float:
-    """Estimate quantile ``q`` from a histogram sample's cumulative buckets.
-
-    Linear interpolation inside the winning bucket, Prometheus-style; the
-    +Inf bucket clamps to the largest finite bound (or the observed max
-    when present).  Returns ``nan`` for an empty histogram.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    total = sample["count"]
-    if not total:
-        return math.nan
-    target = q * total
-    lower_bound = 0.0
-    lower_count = 0
-    for le, cumulative in sample["buckets"]:
-        bound = math.inf if le == "+Inf" else float(le)
-        if cumulative >= target:
-            if math.isinf(bound):
-                return sample["max"] if sample.get("max") is not None else lower_bound
-            if cumulative == lower_count:
-                return bound
-            fraction = (target - lower_count) / (cumulative - lower_count)
-            return lower_bound + fraction * (bound - lower_bound)
-        lower_bound, lower_count = bound, cumulative
-    return lower_bound

@@ -4,8 +4,9 @@ Instrumentation comes in two flavours, chosen per metric by cost:
 
 * **push** -- the component updates an instrument on its own fast path
   (engine dispatch counters, the receiver's reconstruct-latency
-  histogram, trace spans).  Push sites hold a direct instrument
-  reference, so the disabled case costs one ``None`` check.
+  histogram, trace points).  Push sites hold a direct instrument
+  reference, ``None`` when observability or tracing is off, so the off
+  case costs one ``None`` check.
 * **pull** -- the component already keeps cheap plain-int counters
   (:class:`~repro.netsim.link.LinkStats`,
   :class:`~repro.protocol.sender.SenderStats`, ...); a *collector*
@@ -25,39 +26,32 @@ from repro.obs.metrics import (
     DEFAULT_DEPTH_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
-    NullRegistry,
 )
-from repro.obs.tracing import DEFAULT_CAPACITY, NullTracer, Tracer
+from repro.obs.tracing import Tracer
 
 
 class Observability:
     """A registry + tracer bundle handed through the simulation stack.
 
-    Build one with :meth:`create` (live) or :meth:`disabled` (no-op), then
-    wire it with :func:`instrument_network` / :func:`instrument_node` /
-    :func:`instrument_timeline`.
-    ``obs.enabled`` distinguishes the two without isinstance checks.
+    Build one with :meth:`create`, then wire it with
+    :func:`instrument_network` / :func:`instrument_node` /
+    :func:`instrument_timeline`.  A run given ``obs=None`` records
+    nothing; a bundle whose :attr:`tracer` is ``None`` records metrics
+    only.
     """
 
-    def __init__(self, registry: MetricsRegistry, tracer: Tracer):
+    def __init__(self, registry: MetricsRegistry, tracer: Optional[Tracer]):
         self.registry = registry
         self.tracer = tracer
 
     @classmethod
-    def create(cls, tracing: bool = True, trace_capacity: int = DEFAULT_CAPACITY) -> "Observability":
-        """A live bundle.  The tracer's clock is bound to the engine by
-        :func:`instrument_network` (until then it stamps time 0)."""
-        tracer: Tracer = Tracer(clock=lambda: 0.0, capacity=trace_capacity) if tracing else NullTracer()
-        return cls(MetricsRegistry(), tracer)
+    def create(cls, tracing: bool = True) -> "Observability":
+        """A live bundle; ``tracing=False`` leaves :attr:`tracer` ``None``.
 
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """A bundle whose every instrument is a no-op."""
-        return cls(NullRegistry(), NullTracer())
-
-    @property
-    def enabled(self) -> bool:
-        return self.registry.enabled
+        The tracer's clock is bound to the engine by
+        :func:`instrument_network` (until then it stamps time 0).
+        """
+        return cls(MetricsRegistry(), Tracer(clock=lambda: 0.0) if tracing else None)
 
     def snapshot(self):
         """Shorthand for ``registry.snapshot()``."""
@@ -108,8 +102,6 @@ class _EngineObserver:
 
 def instrument_engine(obs: Observability, engine) -> None:
     """Attach dispatch counting and queue-depth gauges to an engine."""
-    if not obs.enabled:
-        return
     observer = _EngineObserver()
     engine.set_dispatch_hook(observer)
 
@@ -172,12 +164,11 @@ def _link_collector(registry: MetricsRegistry, link, channel: int, direction: st
 def instrument_network(obs: Observability, network) -> None:
     """Wire a :class:`~repro.protocol.remicss.PointToPointNetwork`.
 
-    Binds the tracer clock to the network's engine, attaches the engine
-    dispatch hook, and registers pull collectors for every link.
+    Binds the tracer clock (if any) to the network's engine, attaches the
+    engine dispatch hook, and registers pull collectors for every link.
     """
-    if not obs.enabled:
-        return
-    obs.tracer.clock = lambda: network.engine.now
+    if obs.tracer is not None:
+        obs.tracer.clock = lambda: network.engine.now
     instrument_engine(obs, network.engine)
     registry = obs.registry
     for channel, duplex in enumerate(network.duplex):
@@ -223,17 +214,15 @@ _RECEIVER_COUNTERS = {
 }
 
 
-def instrument_node(obs: Observability, node, role: Optional[str] = None) -> None:
+def instrument_node(obs: Observability, node) -> None:
     """Wire one :class:`~repro.protocol.remicss.RemicssNode`.
 
     Registers pull collectors for the sender and receiver counter blocks
     (per-channel share counts, schedule picks, queue/backlog gauges) and
-    attaches the push-side reconstruct-latency histogram and trace hooks.
+    attaches the push-side reconstruct-latency histogram and the tracer.
     """
-    if not obs.enabled:
-        return
     registry = obs.registry
-    name = role or node.name
+    name = node.name
     sender, receiver = node.sender, node.receiver
 
     sender_counters = {
@@ -274,16 +263,15 @@ def instrument_node(obs: Observability, node, role: Optional[str] = None) -> Non
     registry.register_collector(collect)
 
     # Push side: reconstruct latency lands straight in a histogram, and the
-    # sender's transmit path emits share_tx spans when tracing is on.
+    # sender's transmit path emits share_tx events when tracing is on.
     receiver.latency_histogram = registry.histogram(
         "sim_receiver_reconstruct_latency", buckets=DEFAULT_LATENCY_BUCKETS, node=name
     )
     receiver.occupancy_histogram = registry.histogram(
         "sim_receiver_occupancy", buckets=DEFAULT_DEPTH_BUCKETS, node=name
     )
-    if obs.tracer.enabled:
-        sender.tracer = obs.tracer
-        receiver.tracer = obs.tracer
+    sender.tracer = obs.tracer
+    receiver.tracer = obs.tracer
 
 
 # -- fault and attack timelines ----------------------------------------------------
@@ -304,8 +292,6 @@ def instrument_timeline(obs: Observability, injector) -> None:
     ``adv_<field>_total`` counter per :class:`AttackStats` field; attaches
     the tracer so every applied event emits a ``<kind>_applied`` trace.
     """
-    if not obs.enabled:
-        return
     registry = obs.registry
     events_metric, plan_metric, stats_prefix = _TIMELINE_METRICS[injector.KIND]
     stat_counters = {}
@@ -354,8 +340,6 @@ def instrument_resilience(obs: Observability, manager) -> None:
     per-channel gauges: the quarantine state (0 = healthy, 1 = suspect,
     2 = quarantined, 3 = probing) and the detector's EWMA loss estimate.
     """
-    if not obs.enabled:
-        return
     # Local import: repro.protocol.resilience pulls in the planner stack,
     # which this low-level wiring module must not depend on at import time.
     from repro.protocol.resilience.manager import STATE_ORDINALS

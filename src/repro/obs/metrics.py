@@ -6,9 +6,9 @@ Design constraints, in order:
    (sim-time latencies, event counts, queue depths).  Nothing here reads a
    wall clock or iterates an unordered container when exporting, so two
    runs with the same seed dump byte-identical snapshots.
-2. **Near-zero cost when off.**  :class:`NullRegistry` hands out shared
-   no-op instruments; an uninstrumented hot path pays one attribute check
-   or an empty method call at most.
+2. **Nothing recorded when off.**  Observability is off when a run is
+   given ``obs=None``: no registry exists, and a push site pays one
+   ``None`` check.
 3. **Prometheus-compatible naming.**  Metric names are
    ``snake_case`` with a ``sim_`` prefix and conventional suffixes
    (``_total`` for counters, ``_bytes``/``_seconds``-style units spelled
@@ -166,10 +166,6 @@ class MetricsRegistry:
     into the registry without touching the per-packet fast path.
     """
 
-    #: Distinguishes a live registry from :class:`NullRegistry` without
-    #: isinstance checks on hot paths.
-    enabled = True
-
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, str, Tuple[Tuple[str, str], ...]], object] = {}
         self._collectors: List = []
@@ -222,56 +218,6 @@ class MetricsRegistry:
         ]
         samples.sort(key=lambda s: (s["name"], _label_key(s["labels"]), s["type"]))
         return samples
-
-
-class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry(MetricsRegistry):
-    """A registry that records nothing (observability disabled).
-
-    Every factory returns one shared no-op instrument and collectors are
-    discarded, so instrumented code runs with effectively zero overhead
-    and :meth:`snapshot` is always empty.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str, **labels: str):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels: str):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, buckets: Optional[Sequence[float]] = None, **labels: str):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def register_collector(self, collector) -> None:
-        pass
-
-    def snapshot(self) -> List[dict]:
-        return []
 
 
 def merge_counters(samples: Iterable[dict], name: str) -> float:

@@ -1,21 +1,22 @@
-"""Structured event tracing with sim-time spans and a bounded ring buffer.
+"""Structured event tracing with sim-time stamps and a bounded ring buffer.
 
-A :class:`Tracer` records :class:`TraceEvent` tuples -- point events and
-begin/end span pairs -- stamped with *simulated* time from the clock
-callable it is constructed with (typically ``lambda: engine.now``).  The
-buffer is a ring: once ``capacity`` events have been recorded the oldest
-are overwritten, so tracing a long run has bounded memory; the number of
-events dropped that way is kept so exports can say so.
+A :class:`Tracer` records :class:`TraceEvent` point events stamped with
+*simulated* time from the clock callable it is constructed with
+(typically ``lambda: engine.now``).  The buffer is a ring: once
+``capacity`` events have been recorded the oldest are overwritten, so
+tracing a long run has bounded memory; the number of events dropped that
+way is kept so exports can say so.
 
 Nothing here reads a wall clock, so traces from seeded runs are
-byte-identical across repetitions.
+byte-identical across repetitions.  Tracing is off when a component's
+``tracer`` is ``None``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Iterator, List
 
 #: Default ring-buffer capacity (events).
 DEFAULT_CAPACITY = 65536
@@ -27,64 +28,22 @@ class TraceEvent:
 
     Attributes:
         time: simulated time of the record.
-        kind: "event" for point events, "span" for completed spans.
-        name: the event/span name (snake_case by convention).
+        kind: the record type; ``"event"`` (every trace point is a point
+            event).
+        name: the event name (snake_case by convention).
         fields: structured payload (JSON-friendly scalars).
-        duration: sim-time length for spans, ``None`` for point events.
     """
 
     time: float
     kind: str
     name: str
     fields: Dict[str, object] = field(default_factory=dict)
-    duration: Optional[float] = None
 
     def as_dict(self) -> dict:
         record: dict = {"time": self.time, "kind": self.kind, "name": self.name}
-        if self.duration is not None:
-            record["duration"] = self.duration
         if self.fields:
             record["fields"] = dict(self.fields)
         return record
-
-
-class Span:
-    """An open span; close it (or use it as a context manager) to record.
-
-    The recorded :class:`TraceEvent` carries the span's *start* time and
-    its sim-time ``duration`` (end - start).  Extra fields can be attached
-    while the span is open via :meth:`annotate`.
-    """
-
-    __slots__ = ("_tracer", "name", "fields", "start", "_closed")
-
-    def __init__(self, tracer: "Tracer", name: str, fields: Dict[str, object]):
-        self._tracer = tracer
-        self.name = name
-        self.fields = fields
-        self.start = tracer.clock()
-        self._closed = False
-
-    def annotate(self, **fields: object) -> "Span":
-        """Attach extra structured fields to the span."""
-        self.fields.update(fields)
-        return self
-
-    def close(self) -> None:
-        """Record the span (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        end = self._tracer.clock()
-        self._tracer._record(
-            TraceEvent(self.start, "span", self.name, self.fields, duration=end - self.start)
-        )
-
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class Tracer:
@@ -95,8 +54,6 @@ class Tracer:
         capacity: ring-buffer size in events (oldest evicted first).
     """
 
-    enabled = True
-
     def __init__(self, clock: Callable[[], float], capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -105,19 +62,12 @@ class Tracer:
         self.dropped = 0
         self._buffer: Deque[TraceEvent] = deque()
 
-    def _record(self, event: TraceEvent) -> None:
+    def event(self, name: str, **fields: object) -> None:
+        """Record a point event at the current simulated time."""
         if len(self._buffer) >= self.capacity:
             self._buffer.popleft()
             self.dropped += 1
-        self._buffer.append(event)
-
-    def event(self, name: str, **fields: object) -> None:
-        """Record a point event at the current simulated time."""
-        self._record(TraceEvent(self.clock(), "event", name, fields))
-
-    def span(self, name: str, **fields: object) -> Span:
-        """Open a span; use as ``with tracer.span("share_tx", channel=i):``."""
-        return Span(self, name, fields)
+        self._buffer.append(TraceEvent(self.clock(), "event", name, fields))
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -134,39 +84,3 @@ class Tracer:
         """Empty the buffer and reset the dropped-event count."""
         self._buffer.clear()
         self.dropped = 0
-
-
-class _NullSpan:
-    """Shared no-op span."""
-
-    __slots__ = ()
-
-    def annotate(self, **fields: object) -> "_NullSpan":
-        return self
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer(Tracer):
-    """A tracer that records nothing (tracing disabled)."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(clock=lambda: 0.0, capacity=1)
-
-    def event(self, name: str, **fields: object) -> None:
-        pass
-
-    def span(self, name: str, **fields: object):  # type: ignore[override]
-        return _NULL_SPAN

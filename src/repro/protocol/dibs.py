@@ -8,19 +8,26 @@ into fixed-size protocol symbols on the way in and reassembled on the way
 out, so applications never see the symbol size.
 
 Frame format inside the symbol stream: each application datagram becomes
-``[4-byte length][data]``, the concatenated stream is cut into symbol-size
-chunks, and the final chunk is zero-padded (a length of zero marks padding,
-which the reader skips).
+``[4-byte length][data]``, and the concatenated frames are cut into
+symbol bodies.  Every symbol is ``[2-byte offset][body]``, where the
+offset locates the first frame that begins in the body (``0xFFFF`` when
+none does), so a reader that lost a symbol resumes at the next frame
+boundary.  The final body is zero-padded; a length of zero marks padding,
+which the reader skips (datagrams are never empty).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.protocol.remicss import RemicssNode
 
 _LENGTH = struct.Struct(">I")
+_OFFSET = struct.Struct(">H")
+#: Offset of a symbol in which no frame begins.
+_NO_FRAME = 0xFFFF
 
 
 class DibsInterceptor:
@@ -32,9 +39,13 @@ class DibsInterceptor:
             datagram on the receive side.
 
     Notes:
-        Delivery is sensitive to symbol loss and reordering: symbols are
-        re-sequenced by their protocol sequence number, and a gap flushes
-        the partially accumulated datagram (a best-effort IP-like drop).
+        Symbols the sender has no room for wait in the shim and are
+        offered when one of the sender's links turns writable, so the
+        sender never refuses one.  Delivery is sensitive to symbol loss
+        and reordering: symbols are re-sequenced by their protocol
+        sequence number, and a gap that does not fill drops the datagrams
+        it cut (a best-effort IP-like drop); reading resumes at the first
+        frame that begins after it.
     """
 
     def __init__(
@@ -44,17 +55,32 @@ class DibsInterceptor:
     ):
         self.node = node
         self.symbol_size = node.config.symbol_size
+        self._body = self.symbol_size - _OFFSET.size
+        if not 0 < self._body <= _NO_FRAME:
+            raise ValueError(
+                f"DIBS needs a symbol size of 3..{_NO_FRAME + _OFFSET.size} bytes, "
+                f"got {self.symbol_size}"
+            )
         self._callbacks: List[Callable[[bytes], None]] = []
         if on_datagram is not None:
             self._callbacks.append(on_datagram)
         self._outbuf = b""
+        #: Offset in ``_outbuf`` of the first frame that begins in the
+        #: symbol being filled; None while no frame begins in it.
+        self._first_frame: Optional[int] = None
+        #: Cut symbols waiting for room in the sender's source queue.
+        self._unsent: Deque[bytes] = deque()
         self._expected_seq: Optional[int] = None
         self._stash: Dict[int, bytes] = {}
-        self._inbuf = b""
+        #: The partial frame being reassembled; None until the reader is at
+        #: a frame boundary (at the start, and after a gap).
+        self._inbuf: Optional[bytes] = None
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
         self.datagrams_corrupted = 0
         node.on_deliver(self._on_symbol)
+        for port in node.sender.ports:
+            port.link.watch_writable(self._offer)
 
     def on_datagram(self, callback: Callable[[bytes], None]) -> None:
         """Register a receive callback for reassembled datagrams."""
@@ -64,21 +90,35 @@ class DibsInterceptor:
 
     def intercept(self, datagram: bytes) -> None:
         """Accept one application datagram and push full symbols out."""
+        if not datagram:
+            raise ValueError("DIBS carries IP packets, which are never empty")
         self.datagrams_sent += 1
+        if self._first_frame is None:
+            self._first_frame = len(self._outbuf)
         self._outbuf += _LENGTH.pack(len(datagram)) + datagram
-        while len(self._outbuf) >= self.symbol_size:
-            symbol, self._outbuf = (
-                self._outbuf[: self.symbol_size],
-                self._outbuf[self.symbol_size :],
-            )
-            self.node.send(symbol)
+        while len(self._outbuf) >= self._body:
+            self._cut(self._outbuf[: self._body])
+            self._outbuf = self._outbuf[self._body :]
 
     def flush(self) -> None:
         """Zero-pad and send any buffered partial symbol."""
         if self._outbuf:
-            symbol = self._outbuf.ljust(self.symbol_size, b"\0")
+            self._cut(self._outbuf.ljust(self._body, b"\0"))
             self._outbuf = b""
-            self.node.send(symbol)
+
+    def _cut(self, body: bytes) -> None:
+        # Every frame but the newest began before the first cut of an
+        # intercept, so later cuts carry only the newest's continuation.
+        first = _NO_FRAME if self._first_frame is None else self._first_frame
+        self._first_frame = None
+        self._unsent.append(_OFFSET.pack(first) + body)
+        self._offer()
+
+    def _offer(self) -> None:
+        """Hand waiting symbols to the sender while it has room."""
+        # has_room() is offer()'s own acceptance test, so no send is refused.
+        while self._unsent and self.node.sender.has_room():
+            self.node.send(self._unsent.popleft())
 
     # -- reinject (receive side) ----------------------------------------------------
 
@@ -103,14 +143,29 @@ class DibsInterceptor:
 
     def _resync(self) -> None:
         self.datagrams_corrupted += 1
-        self._inbuf = b""
+        self._inbuf = None
         self._expected_seq = min(self._stash)
         while self._expected_seq in self._stash:
             self._consume(self._stash.pop(self._expected_seq))
             self._expected_seq += 1
 
     def _consume(self, symbol: bytes) -> None:
-        self._inbuf += symbol
+        (first,) = _OFFSET.unpack_from(symbol)
+        body = symbol[_OFFSET.size :]
+        if first == _NO_FRAME:
+            if self._inbuf is not None:
+                self._inbuf += body
+                self._parse()
+            return
+        if self._inbuf is not None:
+            # The bytes before the first frame end the one in progress;
+            # whatever is left of it after that is padding.
+            self._inbuf += body[:first]
+            self._parse()
+        self._inbuf = body[first:]
+        self._parse()
+
+    def _parse(self) -> None:
         while True:
             if len(self._inbuf) < _LENGTH.size:
                 return

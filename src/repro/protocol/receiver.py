@@ -232,7 +232,7 @@ class ReassemblyBuffer:
 
     def handle_datagram(self, datagram: Datagram) -> None:
         """Entry point wired to every inbound channel port."""
-        if self.cpu is None or self.cpu.capacity is None:
+        if self.cpu is None:
             self._process(datagram)
             return
         accepted = self.cpu.submit(CPU_SHARE_COST, lambda: self._process(datagram))
@@ -395,7 +395,7 @@ class ReassemblyBuffer:
                     return
             self._deliver(entry, payload)
 
-        if self.cpu is None or self.cpu.capacity is None:
+        if self.cpu is None:
             finish()
             return
         cost = entry.k * CPU_RECONSTRUCT_COST_PER_K

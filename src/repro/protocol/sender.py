@@ -125,7 +125,7 @@ class ShareSender:
         #: (k, m) -> times the sampler picked that pair (schedule mix audit).
         self.schedule_picks: "dict[tuple[int, int], int]" = {}
         #: Structured tracer attached by :mod:`repro.obs.instrument`; when
-        #: set, every transmitted symbol emits a ``share_tx`` span.
+        #: set, every transmitted symbol emits a ``share_tx`` event.
         self.tracer = None
         #: When True (the resilience layer's DEGRADED mode), offered
         #: symbols are refused at the source queue instead of being sent
@@ -151,6 +151,15 @@ class ShareSender:
     def backlog(self) -> int:
         """Symbols waiting in the source queue."""
         return len(self._source)
+
+    def has_room(self) -> bool:
+        """Whether :meth:`offer` would queue a symbol now.
+
+        Callers that hold symbols back (the fleet mux, the DIBS shim) offer
+        only while this holds and resume on a writable notification from
+        one of :attr:`ports`' links.
+        """
+        return not self.admission_paused and len(self._source) < SOURCE_QUEUE_LIMIT
 
     # -- ingress ----------------------------------------------------------------
 
@@ -212,7 +221,7 @@ class ShareSender:
             if chosen is None:
                 self.stats.readiness_stalls += 1
                 return  # blocked; a writable notification will re-pump
-            if self.cpu is None or self.cpu.capacity is None:
+            if self.cpu is None:
                 self._source.popleft()
                 self._transmit(symbol, chosen)
                 continue

@@ -59,7 +59,6 @@ def run_echo(
     warmup: float = 5.0,
     seed: int = 1,
     schedule: Optional[ShareSchedule] = None,
-    queue_limit: int = 16,
 ) -> EchoResult:
     """Run the echo client/server pair and report mean one-way delay.
 
@@ -70,9 +69,7 @@ def run_echo(
         raise ValueError("echo needs real payloads; disable share_synthetic")
     check_run_window(offered_rate, duration, warmup)
     registry = RngRegistry(seed)
-    network = PointToPointNetwork(
-        channels, config.symbol_size, registry, queue_limit=queue_limit
-    )
+    network = PointToPointNetwork(channels, config.symbol_size, registry)
     engine = network.engine
     client, server = network.node_pair(config, registry, schedule=schedule)
 

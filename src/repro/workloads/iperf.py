@@ -115,13 +115,12 @@ def run_iperf(
     schedule: Optional[ShareSchedule] = None,
     sender_cpu_capacity: Optional[float] = None,
     receiver_cpu_capacity: Optional[float] = None,
-    queue_limit: int = 16,
     fault_plan: Optional[FaultPlan] = None,
     attack_plan: Optional[AttackPlan] = None,
     obs: Optional[Observability] = None,
     resilience: bool = False,
     requirements: Optional[Requirements] = None,
-    auth: "bool | bytes" = False,
+    auth: bool = False,
 ) -> IperfResult:
     """Run one iperf-style measurement and return its results.
 
@@ -139,7 +138,6 @@ def run_iperf(
             unit time); ``None`` disables the CPU bottleneck.
         receiver_cpu_capacity: same for the receiver; its work queue
             holds 64 items (overload -> drops).
-        queue_limit: per-link queue capacity in packets.
         fault_plan: optional deterministic fault timeline (see
             :mod:`repro.netsim.faults`) armed against the run's channels.
         attack_plan: optional active-adversary timeline (see
@@ -157,10 +155,10 @@ def run_iperf(
         requirements: deployment bounds for the resilience layer's LP
             failover; without them failover masks the dynamic selector
             instead of re-planning.
-        auth: arm authenticated shares (docs/AUTH.md).  ``True`` derives
-            the root key from ``seed``; a ``bytes`` value is used as the
-            root key directly.  Overrides ``config.auth`` when set; the
-            config must use real share payloads.
+        auth: arm authenticated shares (docs/AUTH.md) under a root key
+            derived from ``seed``.  Overrides ``config.auth`` when set; an
+            explicit key goes in ``config.auth`` instead.  The config must
+            use real share payloads.
     """
     check_run_window(offered_rate, duration, warmup)
     if auth:
@@ -168,12 +166,9 @@ def run_iperf(
 
         from repro.protocol.auth import AuthConfig, derive_root_key
 
-        root_key = auth if isinstance(auth, (bytes, bytearray)) else derive_root_key(seed)
-        config = replace(config, auth=AuthConfig(root_key=bytes(root_key)))
+        config = replace(config, auth=AuthConfig(root_key=derive_root_key(seed)))
     registry = RngRegistry(seed)
-    network = PointToPointNetwork(
-        channels, config.symbol_size, registry, queue_limit=queue_limit
-    )
+    network = PointToPointNetwork(channels, config.symbol_size, registry)
     engine = network.engine
     injector = network.apply_faults(fault_plan) if fault_plan is not None else None
     attacker = (

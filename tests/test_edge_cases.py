@@ -102,7 +102,9 @@ class TestDibsResync:
         rx_shim = DibsInterceptor(node_b, on_datagram=received.append)
         # Bypass the sender shim: inject symbols with a gap directly by
         # feeding the rx shim's symbol hook.
-        good = b"\x00\x00\x00\x05hello".ljust(64, b"\0")
+        # A symbol whose first frame starts at body offset 0: one 5-byte
+        # datagram, then padding.
+        good = (b"\x00\x00" + b"\x00\x00\x00\x05hello").ljust(64, b"\0")
         rx_shim._on_symbol(0, good, 0.0)
         assert received == [b"hello"]
         # Deliver far-future symbols only: eventually triggers resync.

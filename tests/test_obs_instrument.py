@@ -7,6 +7,7 @@ from repro.netsim.engine import Engine
 from repro.obs import Observability, metrics_to_jsonl, trace_to_jsonl
 from repro.obs.metrics import merge_counters
 from repro.protocol.config import ProtocolConfig
+from repro.workloads import iperf
 from repro.workloads.iperf import practical_max_rate, run_iperf
 from repro.workloads.setups import FAULT_SCENARIOS, diverse_setup, lossy_setup
 from repro.workloads.setups import testbed_fault_plan as fault_plan_for
@@ -136,11 +137,33 @@ class TestInstrumentedRun:
         assert observed.sender_stats == plain.sender_stats
         assert observed.receiver_stats == plain.receiver_stats
 
-    def test_disabled_observability_is_silent(self):
-        obs = Observability.disabled()
-        run(obs)
-        assert obs.snapshot() == []
-        assert obs.tracer.events == []
+    def test_disabled_observability_is_silent(self, monkeypatch):
+        # Tracing off: every wired component keeps a None tracer, and the
+        # metrics are exactly those of a traced run.
+        wired = {"instrument_node": [], "instrument_timeline": []}
+
+        def recording(name, wire):
+            def record(obs, part):
+                wired[name].append(part)
+                wire(obs, part)
+
+            return record
+
+        for name in wired:
+            monkeypatch.setattr(iperf, name, recording(name, getattr(iperf, name)))
+        traced = Observability.create(tracing=True)
+        run(traced, scenario="flap")
+        for parts in wired.values():
+            parts.clear()
+        obs = Observability.create(tracing=False)
+        run(obs, scenario="flap")
+        assert obs.tracer is None
+        nodes, injectors = wired["instrument_node"], wired["instrument_timeline"]
+        assert len(nodes) == 2 and len(injectors) == 1
+        for node in nodes:
+            assert node.sender.tracer is None and node.receiver.tracer is None
+        assert injectors[0].tracer is None
+        assert metrics_to_jsonl(obs.snapshot()) == metrics_to_jsonl(traced.snapshot())
 
 
 class TestSeededDeterminism:

@@ -8,7 +8,6 @@ from repro.obs.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     merge_counters,
 )
 
@@ -128,22 +127,3 @@ class TestSnapshot:
         registry.counter("sim_x_total", c="0").inc(2)
         registry.counter("sim_x_total", c="1").inc(3)
         assert merge_counters(registry.snapshot(), "sim_x_total") == 5.0
-
-
-class TestNullRegistry:
-    def test_everything_is_noop(self):
-        registry = NullRegistry()
-        assert registry.enabled is False
-        counter = registry.counter("sim_x_total")
-        gauge = registry.gauge("sim_y")
-        hist = registry.histogram("sim_z")
-        counter.inc()
-        gauge.set(3)
-        gauge.dec()
-        hist.observe(1.0)
-        registry.register_collector(lambda: 1 / 0)  # must never run
-        assert registry.snapshot() == []
-
-    def test_shared_instrument(self):
-        registry = NullRegistry()
-        assert registry.counter("sim_a") is registry.gauge("sim_b")

@@ -1,9 +1,8 @@
-"""Unit tests for the structured tracer: events, spans, ring buffer."""
+"""Unit tests for the structured tracer: events, ring buffer."""
 
 import pytest
 
-from repro.netsim.engine import Engine
-from repro.obs.tracing import NullTracer, Tracer
+from repro.obs.tracing import Tracer
 
 
 class FakeClock:
@@ -25,44 +24,12 @@ class TestEvents:
         assert event.kind == "event"
         assert event.name == "share_tx"
         assert event.fields == {"channel": 3}
-        assert event.duration is None
 
     def test_as_dict_omits_empty_fields(self):
         tracer = Tracer(FakeClock())
         tracer.event("tick")
         (event,) = tracer.events
         assert event.as_dict() == {"time": 0.0, "kind": "event", "name": "tick"}
-
-
-class TestSpans:
-    def test_span_duration_in_sim_time(self):
-        clock = FakeClock()
-        tracer = Tracer(clock)
-        clock.now = 1.0
-        with tracer.span("reconstruct", seq=7) as span:
-            clock.now = 3.5
-            span.annotate(shares=2)
-        (event,) = tracer.events
-        assert event.kind == "span"
-        assert event.time == 1.0
-        assert event.duration == 2.5
-        assert event.fields == {"seq": 7, "shares": 2}
-
-    def test_close_is_idempotent(self):
-        tracer = Tracer(FakeClock())
-        span = tracer.span("x")
-        span.close()
-        span.close()
-        assert len(tracer) == 1
-
-    def test_span_against_real_engine_clock(self):
-        engine = Engine()
-        tracer = Tracer(lambda: engine.now)
-        span = tracer.span("window")
-        engine.schedule_at(4.0, lambda: span.close())
-        engine.run()
-        (event,) = tracer.events
-        assert event.duration == 4.0
 
 
 class TestRingBuffer:
@@ -85,14 +52,3 @@ class TestRingBuffer:
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
             Tracer(FakeClock(), capacity=0)
-
-
-class TestNullTracer:
-    def test_records_nothing(self):
-        tracer = NullTracer()
-        assert tracer.enabled is False
-        tracer.event("x", a=1)
-        with tracer.span("y") as span:
-            span.annotate(b=2)
-        assert tracer.events == []
-        assert len(tracer) == 0

@@ -1,5 +1,7 @@
 """The MICSS baseline and the DIBS interception shim."""
 
+import numpy as np
+import pytest
 
 from repro.core.channel import ChannelSet
 from repro.netsim.rng import RngRegistry
@@ -76,16 +78,18 @@ class TestMicssReliability:
 
 
 class TestDibs:
-    def _pair(self, seed=1, losses=None):
+    def _pair(self, seed=1, losses=None, symbol_size=100, kappa=2.0, mu=3.0):
+        losses = losses or [0.0] * 3
+        n = len(losses)
         channels = ChannelSet.from_vectors(
-            risks=[0.0] * 3,
-            losses=losses or [0.0] * 3,
-            delays=[0.01] * 3,
-            rates=[100.0] * 3,
+            risks=[0.0] * n,
+            losses=losses,
+            delays=[0.01] * n,
+            rates=[100.0] * n,
         )
         registry = RngRegistry(seed)
-        network = PointToPointNetwork(channels, 100, registry)
-        config = ProtocolConfig(kappa=2.0, mu=3.0, symbol_size=100)
+        network = PointToPointNetwork(channels, symbol_size, registry)
+        config = ProtocolConfig(kappa=kappa, mu=mu, symbol_size=symbol_size)
         node_a, node_b = network.node_pair(config, registry)
         return network, node_a, node_b
 
@@ -133,3 +137,73 @@ class TestDibs:
         tx.flush()
         network.engine.run_until(20.0)
         assert rx_shim.datagrams_delivered == 1
+
+    def test_refused_symbols_wait_for_sender_room(self):
+        # One datagram of ~118 symbols overfills the sender's source queue;
+        # the symbols it has no room for must wait, not vanish.
+        network, a, b = self._pair(seed=7, symbol_size=256)
+        received = []
+        DibsInterceptor(b, on_datagram=received.append)
+        tx = DibsInterceptor(a)
+        sent = [bytes(range(256)) * 117 + bytes(48)]
+        sent += [i.to_bytes(2, "big") * 50 for i in range(400)]
+        tx.intercept(sent[0])
+        for i, datagram in enumerate(sent[1:]):
+            network.engine.schedule_at(0.5 * (i + 1), tx.intercept, datagram)
+        network.engine.schedule_at(0.5 * len(sent), tx.flush)
+        network.engine.run_until(0.5 * len(sent) + 20.0)
+        assert received == sent
+        assert a.sender.stats.source_drops == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_lost_symbols_cost_only_their_datagrams(self, seed):
+        network, a, b = self._pair(
+            seed=seed, losses=[0.05] * 2, symbol_size=256, kappa=1.0, mu=1.0
+        )
+        received = []
+        DibsInterceptor(b, on_datagram=received.append)
+        tx = DibsInterceptor(a)
+        rng = np.random.default_rng(seed)
+        sent = [rng.bytes(int(rng.integers(50, 450))) for _ in range(2000)]
+        for i, datagram in enumerate(sent):
+            network.engine.schedule_at(0.05 * i, tx.intercept, datagram)
+        network.engine.schedule_at(0.05 * len(sent), tx.flush)
+        network.engine.run_until(0.05 * len(sent) + 20.0)
+        assert set(received) <= set(sent)
+        assert len(received) >= 0.8 * len(sent)
+
+    @pytest.mark.parametrize("symbol_size", [2, 65538])
+    def test_symbol_size_must_fit_the_frame_offset(self, symbol_size):
+        network, a, b = self._pair(symbol_size=symbol_size)
+        with pytest.raises(ValueError, match="symbol size"):
+            DibsInterceptor(a)
+
+    def test_empty_datagram_rejected(self):
+        network, a, b = self._pair()
+        received = []
+        DibsInterceptor(b, on_datagram=received.append)
+        tx = DibsInterceptor(a)
+        tx.intercept(b"first")
+        with pytest.raises(ValueError, match="never empty"):
+            tx.intercept(b"")
+        for message in (b"second", b"x" * 150, b"third"):
+            tx.intercept(message)
+        tx.flush()
+        network.engine.run_until(20.0)
+        assert received == [b"first", b"second", b"x" * 150, b"third"]
+        assert tx.datagrams_sent == 4
+
+    @pytest.mark.parametrize("size", [91, 92, 93])
+    def test_padding_shorter_than_a_length_prefix(self, size):
+        # A flush that leaves 1-3 bytes of padding must not swallow the
+        # frame that begins the next symbol.
+        network, a, b = self._pair()
+        received = []
+        DibsInterceptor(b, on_datagram=received.append)
+        tx = DibsInterceptor(a)
+        tx.intercept(b"p" * size)
+        tx.flush()
+        tx.intercept(b"next")
+        tx.flush()
+        network.engine.run_until(20.0)
+        assert received == [b"p" * size, b"next"]

@@ -153,7 +153,7 @@ class TestInjector:
 
     def test_disabled_obs_leaves_the_injector_alone(self):
         injector = FaultInjector(None, [], FaultPlan())
-        instrument_timeline(Observability.disabled(), injector)
+        instrument_timeline(Observability.create(tracing=False), injector)
         assert injector.tracer is None
 
 

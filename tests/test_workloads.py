@@ -5,6 +5,7 @@ import pytest
 
 from repro.adversary.active import canonical_attack, run_under_attack
 from repro.core.rate import optimal_rate
+from repro.protocol.auth import AuthConfig
 from repro.protocol.config import ProtocolConfig
 from repro.workloads.echo import run_echo
 from repro.workloads.iperf import run_iperf
@@ -165,10 +166,11 @@ class TestIperf:
 
     def test_auth_accepts_explicit_root_key(self):
         channels = identical_setup(50.0)
-        config = ProtocolConfig(kappa=2.0, mu=3.0)
+        config = ProtocolConfig(
+            kappa=2.0, mu=3.0, auth=AuthConfig(root_key=b"an out-of-band 16B+")
+        )
         result = run_iperf(
-            channels, config, offered_rate=30.0, duration=5.0, warmup=1.0,
-            auth=b"an out-of-band 16B+",
+            channels, config, offered_rate=30.0, duration=5.0, warmup=1.0
         )
         assert result.symbols_delivered > 0
         assert result.receiver_stats["auth_verified_shares"] > 0
