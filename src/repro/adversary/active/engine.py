@@ -415,6 +415,11 @@ class AttackInjector(TimelineInjector):
                 state.holding = False
                 state.flush_held()
 
+    def stop(self) -> None:
+        """Drop the link states and attackers, which point back here (run teardown)."""
+        self._states.clear()
+        self.adaptive = self.targeter = None
+
     # -- reporting --------------------------------------------------------------
 
     def summary(self) -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.channel import Channel, ChannelSet
 from repro.netsim.rng import RandomBytes, RngRegistry
@@ -34,7 +34,7 @@ from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
 from repro.protocol.resilience import ResilienceManager
 from repro.adversary.active.plan import AttackPlan
-from repro.workloads.setups import check_run_window
+from repro.workloads.setups import check_run_window, schedule_offers
 
 #: Extra run time after the offer window closes so in-flight shares,
 #: repair rounds and held batches drain before stats are read.
@@ -71,8 +71,6 @@ def run_under_attack(
     warmup: float = 2.0,
     seed: int = 7,
     resilience: bool = False,
-    channels: Optional[ChannelSet] = None,
-    risks: Optional[Sequence[float]] = None,
     auth: bool = False,
 ) -> dict:
     """Run one seeded measurement under ``plan`` and return a JSON row.
@@ -92,9 +90,6 @@ def run_under_attack(
         resilience: arm the resilience layer (quarantine/failover/repair)
             on the A -> B direction; with no requirements, failover masks
             the dynamic selector.
-        channels: testbed override (default :func:`default_channels`).
-        risks: adaptive-attacker risk ranking override (defaults to the
-            channel set's own risks).
         auth: arm authenticated shares (docs/AUTH.md): every share carries
             a keyed MAC under a root key derived from ``seed``, the
             receiver drops bad-tag shares before reassembly, and robust
@@ -106,8 +101,6 @@ def run_under_attack(
         (tests/test_attack_properties.py) for the invariants it carries.
     """
     check_run_window(offered_rate, duration, warmup)
-    if channels is None:
-        channels = default_channels()
     registry = RngRegistry(seed)
     config = ProtocolConfig(
         kappa=kappa,
@@ -117,24 +110,19 @@ def run_under_attack(
         byzantine_tolerance=tolerance,
         auth=AuthConfig(root_key=derive_root_key(seed)) if auth else None,
     )
-    network = PointToPointNetwork(channels, symbol_size, registry)
+    network = PointToPointNetwork(default_channels(), symbol_size, registry)
     engine = network.engine
-    attacker = network.apply_attack(plan, registry, risks=risks)
+    attacker = network.apply_attack(plan, registry)
     node_a, node_b = network.node_pair(config, registry)
-    manager = None
-    if resilience:
-        manager = ResilienceManager(network, node_a, node_b, registry)
+    manager = ResilienceManager(network, node_a, node_b, registry) if resilience else None
 
     # Remember every accepted payload by its (acceptance-order) sequence
     # number; compare each delivery byte-for-byte against it.
     originals = {}
-    accepted = {"count": 0}
-    delivered = {"count": 0}
     wrong = {"count": 0}
     digest = hashlib.sha256()
 
     def on_deliver(seq: int, payload: Optional[bytes], delay: float) -> None:
-        delivered["count"] += 1
         body = hashlib.sha256(payload).hexdigest() if payload is not None else "none"
         digest.update(f"{seq}:{body}:{delay!r}\n".encode())
         original = originals.get(seq)
@@ -144,33 +132,29 @@ def run_under_attack(
     node_b.on_deliver(on_deliver)
 
     payload_rng = RandomBytes(registry.stream("workload.payload"))
-    interval = 1.0 / offered_rate
-    end_time = warmup + duration
 
     def offer() -> None:
         payload = payload_rng.bytes(symbol_size)
         if node_a.send(payload):
-            originals[accepted["count"]] = payload
-            accepted["count"] += 1
-        if engine.now + interval < end_time:
-            engine.schedule(interval, offer)
+            originals[len(originals)] = payload
 
-    engine.schedule_at(0.0, offer)
+    end_time = schedule_offers(engine, offer, offered_rate, warmup, duration)
     # run_until, never run(): the attack campaigns self-reschedule and an
     # open-ended run would chase forge/replay ticks forever.
     engine.run_until(end_time + DRAIN)
+    network.teardown(node_a, node_b)
 
     sender_stats = node_a.sender.stats
     receiver = node_b.receiver
-    picks = sorted(node_a.sender.schedule_picks.items())
-    min_k = min((k for (k, _m), _count in picks), default=None)
+    delivered = receiver.stats.symbols_delivered
+    min_k = min((k for _flow, k, _m in node_a.sender.schedule_picks), default=None)
     k_floor = math.floor(kappa)
-    row = {
+    return {
         "transmitted": sender_stats.symbols_sent,
-        "delivered": delivered["count"],
+        "delivered": delivered,
         "wrong_payloads": wrong["count"],
         "delivery_ratio": (
-            delivered["count"] / sender_stats.symbols_sent
+            delivered / sender_stats.symbols_sent
             if sender_stats.symbols_sent
             else 0.0
         ),
@@ -193,4 +177,3 @@ def run_under_attack(
         "resilience": manager.summary() if manager is not None else None,
         "digest": digest.hexdigest(),
     }
-    return row

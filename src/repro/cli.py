@@ -348,7 +348,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     ``--shards J`` executes cells on J worker processes; the merged
     report (every per-flow delivery digest included) is byte-identical
     to a serial run.  ``--parity-check`` proves it by re-running the
-    fleet with ``--shards 1`` and comparing fingerprints.
+    fleet with ``--shards 1`` and comparing the fleet digest, the
+    per-flow records (the κ audit included) and the tenant summaries.
     """
     from repro.workloads.fleet import run_fleet
 
@@ -384,7 +385,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(f"report -> {args.out}")
     if args.parity_check:
         serial = run_fleet(shards=1, **kwargs)
-        if serial.fleet_digest != report.fleet_digest:
+        if (serial.fleet_digest, serial.per_flow, serial.tenants) != (
+            report.fleet_digest, report.per_flow, report.tenants
+        ):
             print(
                 f"fleet parity: MISMATCH (serial {serial.fleet_digest})",
                 file=sys.stderr,

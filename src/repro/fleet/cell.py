@@ -22,7 +22,7 @@ digest iff their per-flow delivery traces are byte-identical.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -32,29 +32,9 @@ from repro.fleet.spec import FleetSpec
 from repro.netsim.rng import RngRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
-from repro.protocol.scheduler import DynamicParameterSampler, ParameterSampler
+from repro.protocol.scheduler import DynamicParameterSampler
 
 __all__ = ["run_cell"]
-
-
-class _AuditedSampler(ParameterSampler):
-    """Wraps a sampler, counting every (k, m) pick (κ-compliance audit)."""
-
-    def __init__(self, inner: ParameterSampler):
-        self.inner = inner
-        self.picks: Dict[Tuple[int, int], int] = {}
-
-    def sample(self):
-        k, m, subset = self.inner.sample()
-        self.picks[(k, m)] = self.picks.get((k, m), 0) + 1
-        return k, m, subset
-
-    def average_kappa(self) -> Optional[float]:
-        """Observed mean threshold, or None before the first pick."""
-        total = sum(self.picks.values())
-        if total == 0:
-            return None
-        return sum(k * count for (k, _m), count in self.picks.items()) / total
 
 
 def _digest_update(digest: "hashlib._Hash", seq: int, payload: Optional[bytes], delay: float) -> None:
@@ -119,19 +99,13 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         queue_limit=int(params["queue_limit"]),
     )
 
-    audits: Dict[int, _AuditedSampler] = {}
     sources: Dict[int, np.random.Generator] = {}
     for flow_spec in fleet.flows:
         tenant = fleet.tenant(flow_spec.tenant)
-        audit = _AuditedSampler(
-            DynamicParameterSampler(
-                flow_spec.kappa,
-                flow_spec.mu,
-                registry.stream(f"flow{flow_spec.flow}.sched"),
-            )
+        sampler = DynamicParameterSampler(
+            flow_spec.kappa, flow_spec.mu, registry.stream(f"flow{flow_spec.flow}.sched")
         )
-        audits[flow_spec.flow] = audit
-        mux.register(flow_spec.flow, weight=tenant.weight, sampler=audit)
+        mux.register(flow_spec.flow, weight=tenant.weight, sampler=sampler)
         if not synthetic:
             sources[flow_spec.flow] = registry.stream(f"flow{flow_spec.flow}.src")
 
@@ -164,6 +138,13 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     engine.run()
     network.teardown(node_a, node_b)
 
+    # The κ audit: each flow's picks and their summed k.
+    picks = dict.fromkeys(delivered, 0)
+    k_sums = dict.fromkeys(delivered, 0)
+    for (flow, k, _m), count in node_a.sender.schedule_picks.items():
+        picks[flow] += count
+        k_sums[flow] += k * count
+
     flows_out: Dict[str, Any] = {}
     for flow_spec in fleet.flows:
         flow = flow_spec.flow
@@ -180,8 +161,8 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
             "mux_drops": mux_block["dropped"],
             "delivered": delivered[flow],
             "digest": digests[flow].hexdigest(),
-            "avg_kappa": audits[flow].average_kappa(),
-            "picks": sum(audits[flow].picks.values()),
+            "avg_kappa": k_sums[flow] / picks[flow] if picks[flow] else None,
+            "picks": picks[flow],
         }
     return {
         "cell": int(params["cell"]),

@@ -14,10 +14,11 @@ while privacy (each flow's own (κ, µ) sampler, registered in
 below, per symbol.
 
 Back-pressure is event-driven and deterministic: the mux stops when the
-sender's source queue fills and resumes from the same flow on the next
-link-writable notification, the same mechanism the sender itself pumps
-on.  While the sender has room the mux hands symbols straight through,
-so an uncontended flow sees no added queueing.
+sender's source queue fills and resumes from the same flow when the
+sender reports room again (its room watchers, which run after it pumps
+on a link-writable notification).  While the sender has room the mux
+hands symbols straight through, so an uncontended flow sees no added
+queueing.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ class FlowMux:
     """Fair multiplexer in front of one sender's source queue.
 
     Args:
-        sender: the shared send path.  The mux watches the sender's links
-            for writable notifications, so it resumes exactly when the
-            sender can drain again.
+        sender: the shared send path.  The mux is one of its room
+            watchers, so it resumes exactly when the sender can take
+            symbols again.
         quantum: credit (in symbols) granted per DRR visit to a flow of
             weight 1.  Must be positive; fractional quanta are fine --
             credit accumulates across rounds.
@@ -100,8 +101,7 @@ class FlowMux:
         #: after sender back-pressure interrupted its turn.
         self._turn_open = False
         self._pumping = False
-        for port in sender.ports:
-            port.link.watch_writable(self.pump)
+        sender.room_watchers.append(self.pump)
 
     def register(
         self,
@@ -182,6 +182,6 @@ class FlowMux:
                     self._active.rotate(-1)  # credit spent; next flow's turn
                     self._turn_open = False
                 else:
-                    return  # sender full mid-turn; a writable event resumes it
+                    return  # sender full mid-turn; its room watchers resume it
         finally:
             self._pumping = False

@@ -160,6 +160,10 @@ class Engine:
                 self._dispatch_hook(event, len(queue))
             event.callback(*event.args)
 
+    def clear(self) -> None:
+        """Drop every queued event (run teardown; the engine runs no more)."""
+        self._queue.clear()
+
     def pending(self) -> int:
         """Number of not-yet-run, not-cancelled events (an exact count)."""
         return sum(1 for _time, _seq, event in self._queue if not event.cancelled)

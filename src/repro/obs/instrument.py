@@ -246,7 +246,10 @@ def instrument_node(obs: Observability, node) -> None:
             registry.counter(
                 "sim_sender_channel_shares_total", node=name, channel=str(channel)
             ).value = float(shares)
-        for (k, m), picks in sorted(sender.schedule_picks.items()):
+        pair_picks: Dict[tuple, int] = {}
+        for (_flow, k, m), picks in sender.schedule_picks.items():
+            pair_picks[k, m] = pair_picks.get((k, m), 0) + picks
+        for (k, m), picks in sorted(pair_picks.items()):
             registry.counter(
                 "sim_sender_schedule_picks_total", node=name, k=str(k), m=str(m)
             ).value = float(picks)

@@ -22,6 +22,7 @@ import struct
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
+from repro.netsim.engine import Event
 from repro.protocol.remicss import RemicssNode
 
 _LENGTH = struct.Struct(">I")
@@ -40,12 +41,14 @@ class DibsInterceptor:
 
     Notes:
         Symbols the sender has no room for wait in the shim and are
-        offered when one of the sender's links turns writable, so the
-        sender never refuses one.  Delivery is sensitive to symbol loss
-        and reordering: symbols are re-sequenced by their protocol
-        sequence number, and a gap that does not fill drops the datagrams
-        it cut (a best-effort IP-like drop); reading resumes at the first
-        frame that begins after it.
+        offered when the sender reports room again (its room watchers),
+        so the sender never refuses one.  Delivery is sensitive to symbol
+        loss and reordering: symbols are re-sequenced by their protocol
+        sequence number, and a gap still open one reassembly timeout
+        after a later symbol arrived drops the datagrams it cut (a
+        best-effort IP-like drop); reading resumes at the first frame
+        that begins after it, and a symbol from before that point is
+        dropped.
     """
 
     def __init__(
@@ -72,6 +75,8 @@ class DibsInterceptor:
         self._unsent: Deque[bytes] = deque()
         self._expected_seq: Optional[int] = None
         self._stash: Dict[int, bytes] = {}
+        #: The pending gap timeout, armed while the stash holds symbols.
+        self._gap_timer: Optional[Event] = None
         #: The partial frame being reassembled; None until the reader is at
         #: a frame boundary (at the start, and after a gap).
         self._inbuf: Optional[bytes] = None
@@ -79,8 +84,7 @@ class DibsInterceptor:
         self.datagrams_delivered = 0
         self.datagrams_corrupted = 0
         node.on_deliver(self._on_symbol)
-        for port in node.sender.ports:
-            port.link.watch_writable(self._offer)
+        node.sender.room_watchers.append(self._offer)
 
     def on_datagram(self, callback: Callable[[bytes], None]) -> None:
         """Register a receive callback for reassembled datagrams."""
@@ -128,18 +132,36 @@ class DibsInterceptor:
             return  # synthetic mode carries no data to reassemble
         if self._expected_seq is None:
             self._expected_seq = seq
+        if seq < self._expected_seq:
+            return  # behind a gap already given up
         if seq != self._expected_seq:
             self._stash[seq] = payload
             # A badly out-of-window symbol means the gap will never fill;
             # drop the partial datagram and resync.
             if len(self._stash) > 64:
                 self._resync()
+            elif self._gap_timer is None:
+                self._arm_gap_timer()
             return
         self._consume(payload)
         self._expected_seq += 1
         while self._expected_seq in self._stash:
             self._consume(self._stash.pop(self._expected_seq))
             self._expected_seq += 1
+
+    def _arm_gap_timer(self) -> None:
+        self._gap_timer = self.node.engine.schedule(
+            self.node.config.reassembly_timeout, self._gap_timeout, max(self._stash)
+        )
+
+    def _gap_timeout(self, horizon: int) -> None:
+        """Give up on every gap still open below ``horizon``, a symbol that
+        has waited a whole reassembly timeout in the stash."""
+        self._gap_timer = None
+        while self._stash and self._expected_seq < horizon:
+            self._resync()
+        if self._stash:
+            self._arm_gap_timer()
 
     def _resync(self) -> None:
         self.datagrams_corrupted += 1

@@ -218,12 +218,13 @@ class ReassemblyBuffer:
         return len(self._table)
 
     def detach(self) -> None:
-        """Drop the delivery callback and the sweep (run teardown).
-
-        Both are bound methods that lead back to this buffer (the owning
-        node's dispatcher, the sweep's ``_evict``).
+        """Drop the delivery callback, repair hook, CPU and sweep (run
+        teardown): each leads back to this buffer, through the owning
+        node, the resilience manager, the CPU's queued work or ``_evict``.
         """
         self.on_deliver = None
+        self.repair_policy = None
+        self.cpu = None
         if self._sweep is not None:
             self._sweep.cancel()
             self._sweep = None

@@ -171,6 +171,8 @@ class PointToPointNetwork:
                     name=channel.name or f"ch{i}",
                 )
             )
+        #: Attack injectors and resilience managers armed here; teardown stops them.
+        self.armed: List = []
         # Host A sends on forward links and receives on reverse links.
         self.ports_a_out = [ChannelPort(i, d.forward) for i, d in enumerate(self.duplex)]
         self.ports_b_in = self.ports_a_out  # same objects: B registers receive callbacks
@@ -198,22 +200,29 @@ class PointToPointNetwork:
 
         if risks is None:
             risks = [channel.risk for channel in self.channels]
-        return AttackInjector(self.engine, self.duplex, plan, registry, risks=risks).arm()
+        injector = AttackInjector(self.engine, self.duplex, plan, registry, risks=risks).arm()
+        self.armed.append(injector)
+        return injector
 
     def teardown(self, *nodes: RemicssNode) -> None:
         """Unwire a finished run so reference counting alone frees it.
 
-        Detaches every link's callbacks and each node's delivery callback
-        and reassembly sweep: without this, links, senders, receivers and
-        nodes form reference cycles that live until the cyclic garbage
-        collector happens to run.  Neither the network nor the nodes can
-        run again afterwards.
+        Drops the engine's queued events and the links' and nodes'
+        callbacks, and stops what is :attr:`armed`: otherwise links,
+        senders, receivers, nodes and what was armed on them form reference
+        cycles that live until the cyclic garbage collector runs.  Neither
+        the network nor the nodes can run again afterwards.
         """
+        self.engine.clear()
         for duplex in self.duplex:
             for link in duplex.links:
                 link.detach()
         for node in nodes:
+            node._deliver_callbacks.clear()
+            node.sender.room_watchers.clear()
             node.receiver.detach()
+        while self.armed:
+            self.armed.pop().stop()
 
     def node_pair(
         self,

@@ -160,7 +160,6 @@ class FailoverController:
     def _install(self, sampler: ParameterSampler) -> None:
         self.degraded = False
         self.node.sender.sampler = sampler
-        self.node.sender.admission_paused = False
         self.node.sender.resample_head()
 
     def _remap(self, schedule: ShareSchedule, survivors: List[int]) -> ShareSchedule:

@@ -141,6 +141,7 @@ class ResilienceManager:
         #: armed); deltas feed HealthMonitor suspicion like loss does.
         self._last_auth_fails = [0] * n
         self._review_timer = self.engine.schedule(REVIEW_PERIOD, self._review)
+        network.armed.append(self)
 
     # -- public surface -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
@@ -122,8 +122,9 @@ class ShareSender:
         )
         self.stats = SenderStats()
         self.shares_per_channel = [0] * len(self.ports)
-        #: (k, m) -> times the sampler picked that pair (schedule mix audit).
-        self.schedule_picks: "dict[tuple[int, int], int]" = {}
+        #: (flow, k, m) -> times the flow's sampler picked (k, m): the κ
+        #: audit every run path reads.
+        self.schedule_picks: "dict[tuple[int, int, int], int]" = {}
         #: Structured tracer attached by :mod:`repro.obs.instrument`; when
         #: set, every transmitted symbol emits a ``share_tx`` event.
         self.tracer = None
@@ -144,8 +145,12 @@ class ShareSender:
         #: Next sequence number per flow; every flow counts from 0.
         self._seqs: Dict[int, int] = {}
         self._cpu_busy = False
+        #: Callbacks run when the sender may have room again: after it pumps
+        #: on a link's writable notification, after each CPU finish and
+        #: after :meth:`resample_head`.
+        self.room_watchers: List[Callable[[], None]] = []
         for port in self.ports:
-            port.link.watch_writable(self._pump)
+            port.link.watch_writable(self._resume)
 
     @property
     def backlog(self) -> int:
@@ -156,8 +161,7 @@ class ShareSender:
         """Whether :meth:`offer` would queue a symbol now.
 
         Callers that hold symbols back (the fleet mux, the DIBS shim) offer
-        only while this holds and resume on a writable notification from
-        one of :attr:`ports`' links.
+        only while this holds and resume from :attr:`room_watchers`.
         """
         return not self.admission_paused and len(self._source) < SOURCE_QUEUE_LIMIT
 
@@ -194,7 +198,8 @@ class ShareSender:
         return True
 
     def resample_head(self) -> None:
-        """Drop queued symbols' sticky parameters and re-pump.
+        """Lift an admission pause, drop queued symbols' sticky parameters
+        and re-pump.
 
         Sampled parameters normally stick while a symbol waits.  After a
         failover swaps the sampler, the head may be waiting on a subset
@@ -202,12 +207,19 @@ class ShareSender:
         only clear when the dead channel recovers); re-sampling under the
         new schedule lets it proceed over the survivors.
         """
+        self.admission_paused = False
         for queued in self._source:
             queued.k = queued.m = None
             queued.subset = None
-        self._pump()
+        self._resume()
 
     # -- the pipeline -------------------------------------------------------------
+
+    def _resume(self) -> None:
+        """Pump, then tell the room watchers."""
+        self._pump()
+        for watcher in self.room_watchers:
+            watcher()
 
     def _pump(self) -> None:
         """Advance the head symbol if its channels are ready (and CPU free)."""
@@ -235,7 +247,7 @@ class ShareSender:
             def finish(sym: _PendingSymbol = symbol, ports: List[ChannelPort] = chosen) -> None:
                 self._transmit(sym, ports)
                 self._cpu_busy = False
-                self._pump()
+                self._resume()
 
             self.cpu.submit(cost, finish)
             return
@@ -244,8 +256,8 @@ class ShareSender:
         """Draw and record (k, m, M) for one queued symbol."""
         sampler = self.flow_samplers.get(symbol.flow, self.sampler)
         symbol.k, symbol.m, symbol.subset = sampler.sample()
-        pair = (symbol.k, symbol.m)
-        self.schedule_picks[pair] = self.schedule_picks.get(pair, 0) + 1
+        key = (symbol.flow, symbol.k, symbol.m)
+        self.schedule_picks[key] = self.schedule_picks.get(key, 0) + 1
 
     def _choose_ports(self, symbol: _PendingSymbol) -> Optional[List[ChannelPort]]:
         """The ports to use for this symbol, or None if not all are ready."""

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.channel import ChannelSet
-from repro.core.schedule import ShareSchedule
 from repro.netsim.rng import RngRegistry
 from repro.netsim.trace import DelayStats
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
-from repro.workloads.setups import check_run_window, delay_to_ms
+from repro.workloads.setups import check_run_window, delay_to_ms, schedule_offers
 
 _TIMESTAMP = struct.Struct(">d")
 
@@ -58,7 +57,6 @@ def run_echo(
     duration: float = 30.0,
     warmup: float = 5.0,
     seed: int = 1,
-    schedule: Optional[ShareSchedule] = None,
 ) -> EchoResult:
     """Run the echo client/server pair and report mean one-way delay.
 
@@ -71,11 +69,9 @@ def run_echo(
     registry = RngRegistry(seed)
     network = PointToPointNetwork(channels, config.symbol_size, registry)
     engine = network.engine
-    client, server = network.node_pair(config, registry, schedule=schedule)
+    client, server = network.node_pair(config, registry)
 
     stats = DelayStats()
-    sent = {"count": 0}
-    window = {"open": False}
 
     def on_server_deliver(seq: int, payload: Optional[bytes], delay: float) -> None:
         del seq, delay
@@ -83,7 +79,7 @@ def run_echo(
 
     def on_client_deliver(seq: int, payload: Optional[bytes], delay: float) -> None:
         del seq, delay
-        if not window["open"]:
+        if engine.now < warmup:
             return
         (sent_at,) = _TIMESTAMP.unpack_from(payload)
         stats.record((engine.now - sent_at) / 2.0)
@@ -91,21 +87,15 @@ def run_echo(
     server.on_deliver(on_server_deliver)
     client.on_deliver(on_client_deliver)
 
-    interval = 1.0 / offered_rate
-    end_time = warmup + duration
     padding = b"\0" * (config.symbol_size - _TIMESTAMP.size)
 
     def offer() -> None:
-        payload = _TIMESTAMP.pack(engine.now) + padding
-        if client.send(payload):
-            sent["count"] += 1
-        if engine.now + interval < end_time:
-            engine.schedule(interval, offer)
+        client.send(_TIMESTAMP.pack(engine.now) + padding)
 
-    engine.schedule_at(0.0, offer)
-    engine.schedule_at(warmup, lambda: window.__setitem__("open", True))
+    end_time = schedule_offers(engine, offer, offered_rate, warmup, duration)
     # Let late echoes drain a little so the tail of the window is counted.
     engine.run_until(end_time + warmup)
+    network.teardown(client, server)
 
     if stats.count == 0:
         raise RuntimeError("no echoes completed; offered rate may exceed capacity")
@@ -114,5 +104,5 @@ def run_echo(
         min_delay=stats.minimum,
         max_delay=stats.maximum,
         echoes=stats.count,
-        sent=sent["count"],
+        sent=client.sender.stats.symbols_offered - client.sender.stats.source_drops,
     )

@@ -33,7 +33,7 @@ from repro.obs.instrument import (
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
 from repro.protocol.resilience import ResilienceManager
-from repro.workloads.setups import check_run_window, delay_to_ms, rate_to_mbps
+from repro.workloads.setups import check_run_window, delay_to_ms, rate_to_mbps, schedule_offers
 
 
 @dataclass(frozen=True)
@@ -206,41 +206,30 @@ def run_iperf(
 
     meter = RateMeter()
     delays = DelayStats()
-    measuring = {"open": False}
+    window = {}  # "sent": the sender's symbols_sent when the window opened
 
     def on_deliver(seq, payload, delay):
         meter.record(engine.now)
-        if measuring["open"]:
+        if window:
             delays.record(delay)
 
     node_b.on_deliver(on_deliver)
 
     payload_rng = RandomBytes(registry.stream("workload.payload"))
-    interval = 1.0 / offered_rate
-    end_time = warmup + duration
 
     def offer() -> None:
-        if config.share_synthetic:
-            node_a.send(None)
-        else:
-            node_a.send(payload_rng.bytes(config.symbol_size))
-        if engine.now + interval < end_time:
-            engine.schedule(interval, offer)
-
-    engine.schedule_at(0.0, offer)
-
-    transmitted_at_open = {"value": 0}
+        node_a.send(None if config.share_synthetic else payload_rng.bytes(config.symbol_size))
 
     def open_window() -> None:
         meter.start(engine.now)
-        measuring["open"] = True
-        transmitted_at_open["value"] = node_a.sender.stats.symbols_sent
+        window["sent"] = node_a.sender.stats.symbols_sent
 
-    engine.schedule_at(warmup, open_window)
+    end_time = schedule_offers(engine, offer, offered_rate, warmup, duration, open_window)
     engine.run_until(end_time)
     meter.stop(engine.now)
+    network.teardown(node_a, node_b)
 
-    transmitted = node_a.sender.stats.symbols_sent - transmitted_at_open["value"]
+    transmitted = node_a.sender.stats.symbols_sent - window["sent"]
     delivered = meter.count
     loss_fraction = 1.0 - delivered / transmitted if transmitted else 0.0
     return IperfResult(

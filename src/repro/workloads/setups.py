@@ -31,9 +31,10 @@ privacy validation tests and examples; pass ``risks=...`` to override.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.channel import ChannelSet
+from repro.netsim.engine import Engine
 from repro.netsim.faults import CANONICAL_SCENARIOS, FaultPlan, canonical_plan
 
 #: Symbol payload size in bytes (10,000 bits).
@@ -66,6 +67,33 @@ def check_run_window(offered_rate: float, duration: float, warmup: float) -> Non
         raise ValueError(f"duration must be finite and positive, got {duration}")
     if not (math.isfinite(warmup) and warmup >= 0):
         raise ValueError(f"warmup must be finite and nonnegative, got {warmup}")
+
+
+def schedule_offers(
+    engine: Engine,
+    offer: Callable,
+    offered_rate: float,
+    warmup: float,
+    duration: float,
+    open_window: Optional[Callable] = None,
+) -> float:
+    """Call ``offer()`` at 0, 1/rate, 2/rate, ... before the window closes
+    at ``warmup + duration`` (returned), and ``open_window()`` at ``warmup``.
+
+    Each offer schedules the next.  The loop's state rides in its events'
+    arguments, so no closure refers to itself and keeps a run alive.
+    """
+    end_time = warmup + duration
+    engine.schedule_at(0.0, _offer_tick, engine, offer, 1.0 / offered_rate, end_time)
+    if open_window is not None:
+        engine.schedule_at(warmup, open_window)
+    return end_time
+
+
+def _offer_tick(engine: Engine, offer: Callable, interval: float, end_time: float) -> None:
+    offer()
+    if engine.now + interval < end_time:
+        engine.schedule(interval, _offer_tick, engine, offer, interval, end_time)
 
 
 def mbps_to_rate(mbps: float) -> float:

@@ -2,10 +2,10 @@
 
 Each case runs :func:`repro.fleet.cell.run_cell` on the same six flows over
 four slow, lossy channels (deep sender queues, late shares) and pins every
-flow's delivery digest plus the cell's sender, receiver and mux counters.
-The literals are the protocol's observable behaviour: a refactor of the
-send or receive path that keeps them keeps the wire shares, the delivery
-order, the payloads and the delays.  ``events`` is not pinned -- it counts
+flow's delivery digest and κ audit plus the cell's sender, receiver and
+mux counters.  The literals are the protocol's observable behaviour: a
+refactor of the send or receive path that keeps them keeps the wire
+shares, the delivery order, the payloads and the delays.  ``events`` is not pinned -- it counts
 engine bookkeeping, not behaviour.  The same cells also check that a
 finished cell leaves no reference cycles behind.
 """
@@ -45,6 +45,12 @@ DIGESTS = {
         "5": "8531db1e2490c858df8ff733ab0544ffc5a499610f56f719f7e295f68c25c245",
         "6": "1044e4d6ad825a72a569687a9319a7d4da48974eccbe167d6d068eeb7237da1e",
     },
+}
+
+#: Per-flow κ audit, ``(avg_kappa, picks)``: the same in every case.
+KAPPA_AUDIT = {
+    "1": (2.0, 8), "2": (1.625, 8), "3": (1.0, 8),
+    "4": (2.0, 8), "5": (2.0, 8), "6": (1.75, 8),
 }
 
 #: Nonzero aggregate counters; every other counter must be zero.
@@ -100,6 +106,10 @@ def test_cell_matches_golden(case):
     result = run_cell(cell_params(**CASES[case]), SEED)
     assert {flow: record["digest"] for flow, record in result["flows"].items()} == DIGESTS[case]
     assert all(record["delivered"] == 8 for record in result["flows"].values())
+    assert {
+        flow: (record["avg_kappa"], record["picks"])
+        for flow, record in result["flows"].items()
+    } == KAPPA_AUDIT
     assert nonzero(result["sender"]) == SENDER[case]
     assert nonzero(result["receiver"]) == RECEIVER[case]
     assert result["mux"] == {"rounds": 48, "offer_failures": 0}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.channel import ChannelSet
+from repro.netsim.host import CpuModel
 from repro.netsim.rng import RngRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.dibs import DibsInterceptor
@@ -171,6 +172,45 @@ class TestDibs:
         network.engine.run_until(0.05 * len(sent) + 20.0)
         assert set(received) <= set(sent)
         assert len(received) >= 0.8 * len(sent)
+
+    def test_sender_cpu_room_resumes_the_shim(self):
+        # A finite sender CPU holds the source queue full while no link is
+        # full, so only the sender's room notification resumes the shim.
+        channels = ChannelSet.from_vectors(
+            risks=[0.0] * 3, losses=[0.0] * 3, delays=[0.01] * 3, rates=[100.0] * 3
+        )
+        registry = RngRegistry(7)
+        network = PointToPointNetwork(channels, 256, registry)
+        config = ProtocolConfig(kappa=2.0, mu=3.0, symbol_size=256)
+        a, b = network.node_pair(
+            config, registry, sender_cpu=CpuModel(network.engine, 20.0)
+        )
+        received = []
+        DibsInterceptor(b, on_datagram=received.append)
+        tx = DibsInterceptor(a)
+        datagram = bytes(range(250)) * 120
+        tx.intercept(datagram)
+        tx.flush()
+        network.engine.run_until(200.0)
+        assert received == [datagram]
+        assert not tx._unsent
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_gap_gives_up_after_a_reassembly_timeout(self, seed):
+        # A symbol lost near the end of the stream must not strand the
+        # symbols after it in the stash.
+        network, a, b = self._pair(
+            seed=seed, losses=[0.05] * 2, symbol_size=256, kappa=1.0, mu=1.0
+        )
+        rx = DibsInterceptor(b)
+        tx = DibsInterceptor(a)
+        rng = np.random.default_rng(seed)
+        sent = [rng.bytes(int(rng.integers(50, 450))) for _ in range(2000)]
+        for i, datagram in enumerate(sent):
+            network.engine.schedule_at(0.05 * i, tx.intercept, datagram)
+        network.engine.schedule_at(0.05 * len(sent), tx.flush)
+        network.engine.run_until(0.05 * len(sent) + 20.0)
+        assert rx._stash == {}
 
     @pytest.mark.parametrize("symbol_size", [2, 65538])
     def test_symbol_size_must_fit_the_frame_offset(self, symbol_size):

@@ -85,9 +85,9 @@ class TestPinned:
         "scenario,modes,digest",
         [
             ("partition_heal", ["replanned", "restored"],
-             "b648ed6d0161a963a576c64ef2bb8d3e295566bb157a9c7f32a88083526ddbfa"),
+             "b4eed8a32c8d02cbbe15a1d56d140975f959f9e58e8c8b5a683cd28bf7e56d12"),
             ("burst", [],
-             "c74f8e9673d25a8efe9395fb02d65bee5526e84529f6be3fe1f50c2ab2125dc9"),
+             "3c42574e7a2c23c7f47332151f69e0bfb4b06c7c9fc187e7576fff66e5c5ab0f"),
         ],
     )
     def test_serialization_digest(self, scenario, modes, digest):

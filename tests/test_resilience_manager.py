@@ -125,12 +125,12 @@ class TestPrivacyFloor:
         engine.run_until(24.0)  # still inside the outage window
         assert FAULT_CHANNEL in manager.quarantined
         picked = {
-            km: count - before.get(km, 0)
-            for km, count in node_a.sender.schedule_picks.items()
-            if count - before.get(km, 0) > 0
+            key: count - before.get(key, 0)
+            for key, count in node_a.sender.schedule_picks.items()
+            if count - before.get(key, 0) > 0
         }
         assert picked, "sender must keep sampling on the survivor plan"
-        assert all(k >= floor for (k, _m) in picked)
+        assert all(k >= floor for (_flow, k, _m) in picked)
 
     def test_failover_schedule_never_weakens_threshold(self):
         network, node_a, _, manager = build(fault_plan=outage_plan())

@@ -83,7 +83,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "00d379e1d50634b8d1172d6657276c88fb06fedd84dfe8d900c86e2739d83b5f",
+            "metrics": "ca2d8f6487eeebd2200d67b4ea9564b1300b06bf90b33e316b4098b3e2a20e18",
             "trace": "c5cf1c2cf0bce8992bc9875d317247a0c9f5d0023364a40107f8684d98d0e0d3",
         },
     },
@@ -93,7 +93,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "8229fcebf81bb27ece3b04c7c7c40d06cbca20ede158ee0c4ffd8481469c266b",
+            "metrics": "dba2817dd90ae57b383fc1ab5b8af1c9f5ce5e7a1aed01e1b60eef849a3827a7",
             "trace": "7b56e6400204371b0f96d81c7e6247237200d58892de2f1f3084816fee980a2e",
         },
     },
@@ -103,7 +103,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "5fdfc3f2479e97d374d0421dee6cdbacee7d6466c86891ccc7d36c59c9fcb2cc",
+            "metrics": "05bcf7111574f7ddb5c0e591669b4c0c4ebfd01a3e212f301c551fca215dd499",
             "trace": "cae39161ac41e3765543b0b377fe224192dbf7d86ca981d369eae0cfe74fe89f",
         },
     },
@@ -113,7 +113,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "ef83831eef9884096f6266acff1c78b12421219646a0b8f3edbe84118d312973",
+            "metrics": "1ad1b7c1d2ee686a4634bfed6af21e13c54e59b7598bfd026e929f82ee3e7ea4",
             "trace": "efdd249e978ea2fc56bc62e1a6bda87eff818dc349fca14b9f1f82677c87d9fd",
         },
     },
@@ -123,7 +123,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "1ea99120a00b475cda6db1cc2630dd49b5c8c4e58b8085cfebce34dcd2f74267",
+            "metrics": "7245807362e909e48c8354a283093e468a6abe0c18b77c2e768c3c9ca89ffe97",
             "trace": "4535fafea538a126cbcb1b2cf318d1bfc7c9d79c7eabdcea1d14ed686c3f608f",
         },
     },
@@ -139,7 +139,7 @@ ATTACK_GOLDENS = {
             "stats": {**ZERO_STATS, "shares_corrupted": 523, "packets_captured": 1992},
         },
         "digests": {
-            "metrics": "7f17b497a4aecc1963f7179aa1797b4c1d53154e11e6462bc397157323c09bf7",
+            "metrics": "b3f5de3d8bb14f08a818ce1c2bbe68fdfc5250b64b08498d71134e2b490844a0",
             "trace": "2bfe1be3e93fc3b2469279a7ed1d64b54d7f869b2faebc218b8a8b30c4c0578c",
         },
     },
@@ -150,7 +150,7 @@ ATTACK_GOLDENS = {
             "stats": {**ZERO_STATS, "shares_forged": 95, "packets_captured": 1992},
         },
         "digests": {
-            "metrics": "a9203430ea1ceb1d00d85362ef4f18b7f69b348fedee6d37e4f5b9bbcf1eb173",
+            "metrics": "785746afd5f733dd1f4890230fd331eab83e954f867b5dad63ee140ed75f484f",
             "trace": "5d712b3c96d9f9c648e70d53facd2b4a7432df7b6aeed1067991b6f9699ffd06",
         },
     },
@@ -161,7 +161,7 @@ ATTACK_GOLDENS = {
             "stats": {**ZERO_STATS, "packets_replayed": 95, "packets_captured": 1992},
         },
         "digests": {
-            "metrics": "13202edfa59f76d3360b5470daa6f69a73dc63ccbe62e8f7f5ce201f129f03c9",
+            "metrics": "9504dcb00ea285fa81164449f4570970a71bce32024f778bb2168ee574368ceb",
             "trace": "a7f2b512a78a28c9dfba1b6b155c243298caebff564e3e1682d30a219181b02c",
         },
     },
@@ -175,7 +175,7 @@ ATTACK_GOLDENS = {
             },
         },
         "digests": {
-            "metrics": "7fd2702d835bfecc6c179665183a94c7a483ac312289bd1d3f9757612880da4f",
+            "metrics": "fba152e073d0e970ebfe4c64349395497ca1f34cc5b11233284e92680ac3a1da",
             "trace": "0789b28e00f8cc6b71116a647f44db65ea14bcc188a5608bf9c263f52a0013ba",
         },
     },
@@ -189,7 +189,7 @@ ATTACK_GOLDENS = {
             },
         },
         "digests": {
-            "metrics": "ca06073fc30c29dfe8c0b7dc84d9a4e946bd835b3841166bb7994850c9c8f880",
+            "metrics": "171f0c69af8498cb146817d4362ce147e48b119fec455c28586a057487aafd56",
             "trace": "7f3684c26b30fc18c859e82c0f0522c692149f9f1f8fc500d980d05c3574ec97",
         },
     },

@@ -95,3 +95,26 @@ class TestRunTrace:
         a = run_trace(clean_channels, config, kind="messaging", duration=10.0, seed=3)
         b = run_trace(clean_channels, config, kind="messaging", duration=10.0, seed=3)
         assert a == b
+
+
+class TestLossyTrace:
+    """Two 5%-loss channels at κ = µ = 1: every lost symbol opens a gap in
+    the tunnel's symbol stream."""
+
+    CONFIG = ProtocolConfig(kappa=1.0, mu=1.0, symbol_size=256)
+
+    @pytest.fixture
+    def lossy_channels(self):
+        return ChannelSet.from_vectors(
+            risks=[0.0] * 2, losses=[0.05] * 2, delays=[0.01] * 2, rates=[40.0] * 2
+        )
+
+    def test_a_gap_strands_no_later_datagram(self, lossy_channels):
+        result = run_trace(lossy_channels, self.CONFIG, kind="messaging", duration=30.0, seed=3)
+        assert result.sent == 32
+        assert result.delivered >= 28
+
+    def test_intact_matches_in_order(self, lossy_channels):
+        result = run_trace(lossy_channels, self.CONFIG, kind="web", duration=30.0, seed=1)
+        assert result.delivered < result.sent
+        assert result.intact == result.delivered
