@@ -53,7 +53,7 @@ def test_byzantine_end_to_end_integrity(benchmark):
         )
         registry = RngRegistry(13)
         network = PointToPointNetwork(channels, 256, registry)
-        network.duplex[0].forward.corruption = 0.3
+        network.duplex[0].forward.set_corruption(0.3)
         config = ProtocolConfig(
             kappa=2.0, mu=4.0, symbol_size=256,
             byzantine_tolerance=byzantine_tolerance,

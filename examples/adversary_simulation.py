@@ -52,7 +52,7 @@ for k in range(1, 5):
     def offer():
         payload = payload_rng.bytes(SYMBOL_SIZE)
         if node_a.send(payload):
-            originals[counter["sent"]] = payload
+            originals[(0, counter["sent"])] = payload
             counter["sent"] += 1
 
     engine = network.engine

@@ -32,7 +32,7 @@ def run(byzantine_tolerance: int):
     )
     registry = RngRegistry(17)
     network = PointToPointNetwork(channels, symbol_size=256, rng_registry=registry)
-    network.duplex[TAMPER_CHANNEL].forward.corruption = TAMPER_PROBABILITY
+    network.duplex[TAMPER_CHANNEL].forward.set_corruption(TAMPER_PROBABILITY)
     config = ProtocolConfig(
         kappa=2.0,
         mu=4.0,

@@ -11,9 +11,7 @@ package provides:
 * :mod:`~repro.adversary.montecarlo` -- fast vectorised Monte-Carlo
   estimators of Z(p), L(p) and D(p) that sample the model directly
   (without the protocol machinery), used to validate the closed-form
-  subset/schedule formulas independently; the ``*_sweep`` variants split
-  the trial budget into independently seeded chunks orchestrated by
-  :mod:`repro.sweep` (process-pool fan-out, cacheable);
+  subset/schedule formulas independently;
 * :mod:`~repro.adversary.riskassess` -- the HMM-based network risk
   assessment the paper cites as the source of the z vector: IDS alert
   streams filtered into per-channel compromise probabilities;
@@ -38,9 +36,7 @@ from repro.adversary.active import (
 from repro.adversary.eavesdropper import Eavesdropper
 from repro.adversary.montecarlo import (
     estimate_schedule_properties,
-    estimate_schedule_properties_sweep,
     estimate_subset_properties,
-    estimate_subset_properties_sweep,
 )
 from repro.adversary.riskassess import (
     HmmRiskEstimator,
@@ -58,9 +54,7 @@ __all__ = [
     "run_under_attack",
     "Eavesdropper",
     "estimate_schedule_properties",
-    "estimate_schedule_properties_sweep",
     "estimate_subset_properties",
-    "estimate_subset_properties_sweep",
     "HmmRiskModel",
     "HmmRiskEstimator",
     "assess_channel_set",

@@ -19,17 +19,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.protocol.wire import (
-    FLAG_AUTH,
-    FLAG_FLOW,
-    FLOW_HEADER_SIZE,
     HEADER_SIZE,
     SCHEME_IDS,
     SHARE_MAGIC,
-    TAG_SIZE,
     WireFormatError,
     decode_share,
     encode_share,
     is_control,
+    share_layout,
 )
 from repro.sharing.base import Share
 
@@ -43,20 +40,14 @@ def share_body_offset(packet: bytes) -> Optional[int]:
     """Offset of the share payload inside a share packet.
 
     Returns ``None`` when the packet is not a well-formed share carrying
-    at least one payload byte (nothing to corrupt).
+    at least one payload byte (nothing to corrupt).  The offset skips an
+    authenticated frame's MAC, so corruption hits the true share body --
+    flipping tag bytes would be a strictly weaker attack (the share itself
+    stays consistent; only verification fails).
     """
     if not is_share(packet) or len(packet) < HEADER_SIZE:
         return None
-    version = packet[2]
-    flags = packet[15]
-    offset = HEADER_SIZE
-    if version >= 2 and flags & FLAG_FLOW:
-        offset = FLOW_HEADER_SIZE
-    if version >= 3 and flags & FLAG_AUTH:
-        # Skip the MAC so corruption hits the true share body -- flipping
-        # tag bytes would be a strictly weaker attack (the share itself
-        # stays consistent; only verification fails).
-        offset += TAG_SIZE
+    _, _, offset = share_layout(packet[2], packet[15])
     if len(packet) <= offset:
         return None
     return offset

@@ -4,14 +4,15 @@ The adversary taps every channel's forward link.  Each transmitted share
 is observed independently with the channel's risk probability ``z_i`` --
 observation happens at transmission time, so shares lost in transit can
 still be captured (exactly the paper's threat model).  Captured shares are
-grouped by symbol; once at least k shares of a symbol are held, the
-adversary performs a *real* reconstruction, so the compromise counter is
-ground truth rather than an assumption about the sharing scheme.
+grouped by symbol, ``(flow, seq)``, since every flow numbers its symbols
+from 0.  Once at least k shares of a symbol are held, the adversary
+performs a *real* reconstruction, so the compromise counter is ground
+truth rather than an assumption about the sharing scheme.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +20,9 @@ from repro.netsim.link import Link
 from repro.netsim.packet import Datagram
 from repro.protocol.wire import WireFormatError, decode_share
 from repro.sharing.base import ReconstructionError, SecretSharingScheme, Share
+
+#: A symbol's identity on the wire: ``(flow, seq)``.
+SymbolKey = Tuple[int, int]
 
 
 class Eavesdropper:
@@ -50,11 +54,10 @@ class Eavesdropper:
         self.scheme = scheme
         self.shares_seen = 0
         self.shares_captured = 0
-        self.symbols_observed: "set[int]" = set()
-        self.compromised: Dict[int, bytes] = {}
-        self._partial: Dict[int, List[Share]] = {}
-        self._thresholds: Dict[int, int] = {}
-        self._synthetic_counts: Dict[int, int] = {}
+        self.symbols_observed: "set[SymbolKey]" = set()
+        self.compromised: Dict[SymbolKey, bytes] = {}
+        self._partial: Dict[SymbolKey, List[Share]] = {}
+        self._synthetic_counts: Dict[SymbolKey, int] = {}
         for index, link in enumerate(links):
             link.watch_transmit(lambda dg, i=index: self._observe(i, dg))
 
@@ -70,30 +73,31 @@ class Eavesdropper:
             header, share = decode_share(datagram.payload)
         except WireFormatError:
             return
-        self.symbols_observed.add(header.seq)
-        if header.seq in self.compromised:
+        key = (header.flow, header.seq)
+        self.symbols_observed.add(key)
+        if key in self.compromised:
             return
-        captured = self._partial.setdefault(header.seq, [])
+        captured = self._partial.setdefault(key, [])
         captured.append(share)
-        self._thresholds[header.seq] = header.k
         if len(captured) >= header.k and self.scheme is not None:
             try:
                 secret = self.scheme.reconstruct(captured)
             except ReconstructionError:
                 return
-            self.compromised[header.seq] = secret
-            del self._partial[header.seq]
+            self.compromised[key] = secret
+            del self._partial[key]
 
     def _observe_synthetic(self, datagram: Datagram) -> None:
         meta = datagram.meta
         seq, k = meta.get("seq"), meta.get("k")
         if seq is None or k is None:
             return
-        self.symbols_observed.add(seq)
-        count = self._synthetic_counts.get(seq, 0) + 1
-        self._synthetic_counts[seq] = count
+        key = (meta.get("flow", 0), seq)
+        self.symbols_observed.add(key)
+        count = self._synthetic_counts.get(key, 0) + 1
+        self._synthetic_counts[key] = count
         if count >= k:
-            self.compromised.setdefault(seq, b"")
+            self.compromised.setdefault(key, b"")
 
     # -- reporting ----------------------------------------------------------------
 
@@ -107,9 +111,10 @@ class Eavesdropper:
             raise ValueError("symbols_sent must be positive")
         return len(self.compromised) / symbols_sent
 
-    def verify_plaintexts(self, originals: Dict[int, bytes]) -> bool:
-        """Check every reconstructed secret against the true payloads."""
+    def verify_plaintexts(self, originals: Dict[SymbolKey, bytes]) -> bool:
+        """Check every reconstructed secret against the true payloads,
+        keyed ``(flow, seq)``."""
         return all(
-            seq in originals and originals[seq] == secret
-            for seq, secret in self.compromised.items()
+            key in originals and originals[key] == secret
+            for key, secret in self.compromised.items()
         )

@@ -4,29 +4,18 @@ These estimators sample the protocol *model* directly -- draw (k, M) from
 the schedule, draw per-channel observation/loss events, compute arrival
 order statistics -- without any of the protocol or simulator machinery.
 They serve as an independent check that the subset and schedule formulas
-of Sec. IV-A are correct, and power the adversary-simulation example.
-
-Tight estimates need many independent trials, so the
-``estimate_*_properties_sweep`` variants split the sample budget into
-independently-seeded chunks enumerated through a
-:class:`~repro.sweep.SweepSpec` and executed by
-:class:`~repro.sweep.SweepRunner` -- the same orchestration the figure
-sweeps use, so chunks fan out over worker processes and are cacheable,
-and every chunk's seed derives from its identity rather than from worker
-order (the result is independent of ``jobs``).
+of Sec. IV-A are correct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
-
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.channel import ChannelSet
 from repro.core.schedule import ShareSchedule
-from repro.sweep import ResultCache, SweepRunner, SweepSpec, values
 
 
 @dataclass(frozen=True)
@@ -123,176 +112,3 @@ def estimate_schedule_properties(
         samples=used,
     )
 
-
-# -- sweep-orchestrated estimation ----------------------------------------------
-
-
-def _split_samples(samples: int, chunks: int) -> List[int]:
-    """Split a sample budget into ``chunks`` near-equal nonzero parts."""
-    if samples < 1 or chunks < 1:
-        raise ValueError(f"need samples >= 1 and chunks >= 1, got {samples}, {chunks}")
-    chunks = min(chunks, samples)
-    base, extra = divmod(samples, chunks)
-    return [base + (1 if i < extra else 0) for i in range(chunks)]
-
-
-def _channel_vectors(channels: ChannelSet) -> Dict[str, List[float]]:
-    """A ChannelSet as JSON-serialisable vectors (the sweep-param form)."""
-    return {
-        "risks": [float(v) for v in channels.risks],
-        "losses": [float(v) for v in channels.losses],
-        "delays": [float(v) for v in channels.delays],
-        "rates": [float(v) for v in channels.rates],
-    }
-
-
-def mc_chunk_point(params: Dict, seed: int) -> Dict[str, float]:
-    """One independently-seeded Monte-Carlo chunk (picklable point fn).
-
-    Rebuilds the channel set from vectors, seeds a fresh generator from the
-    point's derived seed, and returns the chunk's estimates as a plain
-    dict (cache- and pool-friendly).
-    """
-    channels = ChannelSet.from_vectors(
-        risks=params["risks"],
-        losses=params["losses"],
-        delays=params["delays"],
-        rates=params["rates"],
-    )
-    estimate = estimate_subset_properties(
-        channels,
-        int(params["k"]),
-        [int(i) for i in params["subset"]],
-        np.random.default_rng(seed),
-        samples=int(params["samples"]),
-    )
-    return {
-        "risk": estimate.risk,
-        "loss": estimate.loss,
-        "delay": estimate.delay,
-        "samples": estimate.samples,
-    }
-
-
-def _pool_chunks(chunk_values: Iterable[Dict[str, float]]) -> PropertyEstimates:
-    """Exactly pool per-chunk estimates into one.
-
-    Risk and loss are means over trials, so they pool weighted by chunk
-    size.  Delay is conditioned on delivery, so it pools weighted by each
-    chunk's *delivered* count (``samples x (1 - loss)``); a chunk where
-    every trial lost the symbol contributes nothing.
-    """
-    total = 0
-    risk_sum = 0.0
-    loss_sum = 0.0
-    delay_sum = 0.0
-    delivered_sum = 0.0
-    for chunk in chunk_values:
-        samples = chunk["samples"]
-        total += samples
-        risk_sum += chunk["risk"] * samples
-        loss_sum += chunk["loss"] * samples
-        delivered = samples * (1.0 - chunk["loss"])
-        if delivered > 0 and not np.isnan(chunk["delay"]):
-            delay_sum += chunk["delay"] * delivered
-            delivered_sum += delivered
-    if total == 0:
-        raise ValueError("no chunks to pool")
-    return PropertyEstimates(
-        risk=risk_sum / total,
-        loss=loss_sum / total,
-        delay=delay_sum / delivered_sum if delivered_sum > 0 else float("nan"),
-        samples=total,
-    )
-
-
-def subset_sweep_spec(
-    channels: ChannelSet,
-    k: int,
-    subset: Iterable[int],
-    samples: int = 100_000,
-    chunks: int = 8,
-    seed: int = 0,
-) -> SweepSpec:
-    """The chunked z/l/d(k, M) estimation as a declarative spec."""
-    members = sorted(channels.validate_subset(subset))
-    base = dict(_channel_vectors(channels))
-    base.update({"k": int(k), "subset": members, "seed": int(seed)})
-    return SweepSpec(
-        spec_id="mc/subset",
-        base=base,
-        grid=[
-            {"chunk": index, "samples": count}
-            for index, count in enumerate(_split_samples(samples, chunks))
-        ],
-    )
-
-
-def estimate_subset_properties_sweep(
-    channels: ChannelSet,
-    k: int,
-    subset: Iterable[int],
-    samples: int = 100_000,
-    chunks: int = 8,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> PropertyEstimates:
-    """Estimate z(k, M), l(k, M), d(k, M) over independently-seeded chunks.
-
-    Functionally the same estimator as
-    :func:`estimate_subset_properties`, but the trial budget is split into
-    ``chunks`` sweep points so the work fans out over ``jobs`` processes
-    and intermediate chunks can be cached; the pooled result depends only
-    on ``(channels, k, subset, samples, chunks, seed)``, never on ``jobs``.
-    """
-    spec = subset_sweep_spec(channels, k, subset, samples, chunks, seed)
-    runner = SweepRunner(jobs=jobs, cache=cache)
-    return _pool_chunks(values(runner.run(spec, mc_chunk_point)))
-
-
-def estimate_schedule_properties_sweep(
-    schedule: ShareSchedule,
-    samples: int = 100_000,
-    chunks: int = 8,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-) -> PropertyEstimates:
-    """Estimate Z(p), L(p), D(p) with sweep-orchestrated chunked trials.
-
-    Stratified exactly like :func:`estimate_schedule_properties` (each
-    schedule atom gets a sample share proportional to its probability,
-    atoms combine with exact weights), with each atom's trials further
-    split into independently-seeded chunks run through the sweep runner.
-    """
-    total_risk = 0.0
-    total_loss = 0.0
-    total_delay = 0.0
-    delay_valid = True
-    used = 0
-    for (k, members), probability in schedule.support():
-        atom_samples = max(1000, int(round(samples * probability)))
-        estimate = estimate_subset_properties_sweep(
-            schedule.channels,
-            k,
-            members,
-            samples=atom_samples,
-            chunks=chunks,
-            seed=seed,
-            jobs=jobs,
-            cache=cache,
-        )
-        used += estimate.samples
-        total_risk += probability * estimate.risk
-        total_loss += probability * estimate.loss
-        if np.isnan(estimate.delay):
-            delay_valid = False
-        else:
-            total_delay += probability * estimate.delay
-    return PropertyEstimates(
-        risk=total_risk,
-        loss=total_loss,
-        delay=total_delay if delay_valid else float("nan"),
-        samples=used,
-    )

@@ -330,7 +330,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if obs is not None:
         snapshot = obs.registry.snapshot()
         if args.metrics_out:
-            fmt = write_metrics(args.metrics_out, snapshot, fmt=args.metrics_format)
+            fmt = write_metrics(args.metrics_out, snapshot)
             print(f"metrics        = {len(snapshot)} series -> {args.metrics_out} ({fmt})")
         if args.trace_out:
             write_trace(args.trace_out, obs.tracer.events)
@@ -466,14 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--metrics-out",
-        help="write a metrics dump to this path after the run (format "
-        "inferred from the suffix: .jsonl/.json, .csv, .prom/.txt; see "
+        help="write a metrics dump to this path after the run (Prometheus "
+        "text for a .prom/.txt suffix, JSON-lines otherwise; see "
         "docs/OBSERVABILITY.md)",
-    )
-    simulate.add_argument(
-        "--metrics-format",
-        choices=["jsonl", "csv", "prometheus"],
-        help="force the metrics dump format regardless of suffix",
     )
     simulate.add_argument(
         "--trace-out",

@@ -48,9 +48,9 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     Args:
         params: JSON-able cell description -- ``cell`` (index), ``flows``
             and ``tenants`` (descriptor dicts, see :mod:`repro.fleet.spec`),
-            plus the shared knobs ``channels``, ``loss``, ``delay``,
-            ``rate``, ``symbol_size``, ``synthetic``, ``quantum`` and
-            ``queue_limit``; the
+            plus the shared knobs ``channels``, ``symbol_size``,
+            ``synthetic`` and the fleet runner's ``CELL_SHAPE`` (``loss``,
+            ``delay``, ``rate``, ``quantum``, ``queue_limit``); the
             optional ``auth`` knob (present only when armed, so existing
             cell seeds are untouched) authenticates every share under a
             cell root key derived from the cell's own seed.

@@ -31,6 +31,17 @@ from repro.sweep.spec import SweepSpec
 
 __all__ = ["FleetReport", "FleetRunner"]
 
+#: Every cell's channel shape (``loss``, ``delay``, ``rate``) and mux
+#: (``quantum``, ``queue_limit``).  They enter each cell's sweep-point
+#: parameters, so they are part of every cell's derived seed.
+CELL_SHAPE: Dict[str, Any] = {
+    "loss": 0.0,
+    "delay": 0.05,
+    "rate": 64.0,
+    "quantum": 1.0,
+    "queue_limit": 64,
+}
+
 
 @dataclass
 class FleetReport:
@@ -95,8 +106,6 @@ class FleetRunner:
         shards: worker processes for cell execution (1 = serial, the
             reference path; any value yields byte-identical reports).
         flows_per_cell: how many flows share one cell's channels.
-        retries: extra attempts per failed cell.
-        cache: optional :class:`~repro.sweep.cache.ResultCache`.
         obs: optional :class:`~repro.obs.instrument.Observability`.
     """
 
@@ -104,8 +113,6 @@ class FleetRunner:
         self,
         shards: int = 1,
         flows_per_cell: int = 32,
-        retries: int = 0,
-        cache: Optional[Any] = None,
         obs: Optional[Any] = None,
     ):
         if shards < 1:
@@ -114,8 +121,6 @@ class FleetRunner:
             raise ValueError(f"flows_per_cell must be >= 1, got {flows_per_cell}")
         self.shards = shards
         self.flows_per_cell = flows_per_cell
-        self.retries = retries
-        self.cache = cache
         self.obs = obs
 
     def run(
@@ -123,24 +128,19 @@ class FleetRunner:
         fleet: FleetSpec,
         spec_id: str = "fleet",
         channels: int = 4,
-        loss: float = 0.0,
-        delay: float = 0.05,
-        rate: float = 64.0,
         symbol_size: int = 64,
         synthetic: bool = True,
-        quantum: float = 1.0,
-        queue_limit: int = 64,
         auth: bool = False,
     ) -> FleetReport:
         """Admit, shard, execute and merge one fleet.
 
         The keyword knobs describe the per-cell environment (channel
-        shape, symbol size, mux) and become part of every cell's
-        sweep-point parameters -- changing any of them changes every
-        cell's derived seed, exactly like editing a sweep grid.  ``auth``
-        arms authenticated shares (docs/AUTH.md) and requires real
-        payloads; it enters the cell parameters only when armed, so every
-        existing unauthenticated cell keeps its exact seed.
+        count, symbol size, payloads) and become part of every cell's
+        sweep-point parameters, beside :data:`CELL_SHAPE` -- changing any
+        of them changes every cell's derived seed, exactly like editing a
+        sweep grid.  ``auth`` arms authenticated shares (docs/AUTH.md) and
+        requires real payloads; it enters the cell parameters only when
+        armed, so every existing unauthenticated cell keeps its exact seed.
 
         Raises ValueError before any cell runs when ``channels`` or
         ``symbol_size`` is below 1, or when an admitted flow's ⌈µ⌉ exceeds
@@ -182,21 +182,15 @@ class FleetRunner:
         base = {
             "tenants": [tenant.as_dict() for tenant in fleet.tenants],
             "channels": channels,
-            "loss": loss,
-            "delay": delay,
-            "rate": rate,
             "symbol_size": symbol_size,
             "synthetic": synthetic,
-            "quantum": quantum,
-            "queue_limit": queue_limit,
+            **CELL_SHAPE,
         }
         if auth:
             base["auth"] = True
 
         cell_values: List[Dict[str, Any]] = []
-        sweep = SweepRunner(
-            jobs=self.shards, retries=self.retries, cache=self.cache, obs=self.obs
-        )
+        sweep = SweepRunner(jobs=self.shards, obs=self.obs)
         if grid:
             spec = SweepSpec(spec_id=spec_id, grid=grid, base=base)
             cell_values = values(sweep.run(spec, run_cell))

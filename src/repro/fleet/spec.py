@@ -199,21 +199,23 @@ _PROFILES: Tuple[Tuple[float, float], ...] = (
     (3.0, 4.0),
 )
 
+#: Start offset between consecutive tenants' flows in a synthesized fleet.
+STAGGER = 0.05
+
 
 def synthesize_fleet(
     flows: int,
     tenants: Sequence[Tenant] = DEFAULT_TENANTS,
     rate: float = 4.0,
     symbols: int = 4,
-    stagger: float = 0.05,
 ) -> FleetSpec:
     """A deterministic fleet of ``flows`` flows over ``tenants``.
 
     Flow ``f`` (1-based) belongs to tenant ``(f - 1) % len(tenants)`` and
     takes the next (κ, µ) profile -- restricted to profiles at or above
     the tenant's κ floor -- in a fixed cycle.  Starts are staggered by
-    ``stagger`` per flow so arrivals interleave rather than all landing at
-    time zero.  Everything is plain arithmetic on the flow id: no RNG, no
+    :data:`STAGGER` per flow so arrivals interleave rather than all landing
+    at time zero.  Everything is plain arithmetic on the flow id: no RNG, no
     ambient state, identical output in every process.
     """
     if flows < 0:
@@ -242,7 +244,7 @@ def synthesize_fleet(
                 mu=mu,
                 rate=rate,
                 symbols=symbols,
-                start=stagger * ((flow - 1) % len(tenants)),
+                start=STAGGER * ((flow - 1) % len(tenants)),
             )
         )
     return FleetSpec(tenants=tuple(tenants), flows=tuple(specs))

@@ -42,13 +42,9 @@ from repro.netsim.packet import Datagram
 from repro.netsim.ports import ChannelPort
 from repro.netsim.readiness import WriteSelector
 from repro.netsim.rng import RngRegistry
-from repro.netsim.topology import EdgeTapAdversary, PathPort, TopologyNetwork
 from repro.netsim.trace import DelayStats, RateMeter
 
 __all__ = [
-    "TopologyNetwork",
-    "PathPort",
-    "EdgeTapAdversary",
     "Engine",
     "Event",
     "Datagram",

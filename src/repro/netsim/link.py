@@ -97,18 +97,13 @@ class Link:
         byte_rate: serialisation rate in bytes per unit time (> 0).
         loss: iid probability that a serialised packet is dropped.
         delay: propagation delay added to every surviving packet.
-        rng: random stream for the loss and jitter draws.
+        rng: random stream for the loss, jitter and corruption draws.
         queue_limit: queue capacity in packets; a send() arriving with the
             queue full is tail-dropped.
-        jitter: netem-style delay variation: each packet's propagation
-            delay is drawn uniformly from [delay - jitter, delay + jitter]
-            (clamped at zero).  Jitter can reorder packets, exactly as
-            netem does; the protocol's reassembly buffer absorbs this.
-        corruption: probability that a delivered packet's payload is
-            tampered with in transit (one byte flipped) -- the Byzantine
-            channel of the PSMT threat model.  Applies only to packets
-            carrying real payloads.
         name: label used in traces.
+
+    A link starts with no jitter and no corruption; :meth:`set_jitter` and
+    :meth:`set_corruption` turn them on.
     """
 
     def __init__(
@@ -119,8 +114,6 @@ class Link:
         delay: float,
         rng: np.random.Generator,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        jitter: float = 0.0,
-        corruption: float = 0.0,
         name: str = "",
     ):
         if byte_rate <= 0:
@@ -129,18 +122,14 @@ class Link:
             raise ValueError(f"loss must be in [0, 1), got {loss}")
         if delay < 0:
             raise ValueError(f"delay must be nonnegative, got {delay}")
-        if jitter < 0:
-            raise ValueError(f"jitter must be nonnegative, got {jitter}")
-        if not 0.0 <= corruption <= 1.0:
-            raise ValueError(f"corruption must be a probability, got {corruption}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be at least 1, got {queue_limit}")
         self.engine = engine
         self.byte_rate = byte_rate
         self.loss = loss
         self.delay = delay
-        self.jitter = jitter
-        self.corruption = corruption
+        self.jitter = 0.0
+        self.corruption = 0.0
         self.rng = rng
         self.queue_limit = queue_limit
         self.name = name
@@ -290,13 +279,24 @@ class Link:
         self.delay = delay
 
     def set_jitter(self, jitter: float) -> None:
-        """Change the delay jitter half-width."""
+        """Change the delay jitter half-width.
+
+        netem-style delay variation: each packet's propagation delay is
+        drawn uniformly from [delay - jitter, delay + jitter] (clamped at
+        zero).  Jitter can reorder packets, exactly as netem does; the
+        protocol's reassembly buffer absorbs this.
+        """
         if jitter < 0:
             raise ValueError(f"jitter must be nonnegative, got {jitter}")
         self.jitter = jitter
 
     def set_corruption(self, corruption: float) -> None:
-        """Change the per-delivery tamper probability."""
+        """Change the per-delivery tamper probability.
+
+        A delivered packet's payload is tampered with (one byte flipped)
+        with this probability -- the Byzantine channel of the PSMT threat
+        model.  Applies only to packets carrying real payloads.
+        """
         if not 0.0 <= corruption <= 1.0:
             raise ValueError(f"corruption must be a probability, got {corruption}")
         self.corruption = corruption
@@ -416,18 +416,14 @@ class DuplexChannel:
         forward_rng: np.random.Generator,
         reverse_rng: np.random.Generator,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        jitter: float = 0.0,
-        corruption: float = 0.0,
         name: str = "",
     ):
         self.name = name
         self.forward = Link(
-            engine, byte_rate, loss, delay, forward_rng, queue_limit,
-            jitter=jitter, corruption=corruption, name=f"{name}:fwd",
+            engine, byte_rate, loss, delay, forward_rng, queue_limit, name=f"{name}:fwd"
         )
         self.reverse = Link(
-            engine, byte_rate, loss, delay, reverse_rng, queue_limit,
-            jitter=jitter, corruption=corruption, name=f"{name}:rev",
+            engine, byte_rate, loss, delay, reverse_rng, queue_limit, name=f"{name}:rev"
         )
 
     @property

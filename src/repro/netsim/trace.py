@@ -14,7 +14,7 @@ from typing import Optional
 
 
 class RateMeter:
-    """Counts delivered symbols/bytes over an explicit measurement window.
+    """Counts delivered symbols over an explicit measurement window.
 
     Warm-up traffic before :meth:`start` is ignored, mirroring how the
     experiments let queues fill before measuring.
@@ -24,22 +24,19 @@ class RateMeter:
         self._started_at: Optional[float] = None
         self._ended_at: Optional[float] = None
         self.count = 0
-        self.bytes = 0
 
     def start(self, now: float) -> None:
         """Open the measurement window at simulated time ``now``."""
         self._started_at = now
         self.count = 0
-        self.bytes = 0
 
-    def record(self, now: float, size: int = 0) -> None:
-        """Record one delivered symbol of ``size`` bytes."""
+    def record(self, now: float) -> None:
+        """Record one delivered symbol."""
         if self._started_at is None or now < self._started_at:
             return
         if self._ended_at is not None and now > self._ended_at:
             return
         self.count += 1
-        self.bytes += size
 
     def stop(self, now: float) -> None:
         """Close the measurement window."""
@@ -61,12 +58,6 @@ class RateMeter:
         """
         window = self.window
         return self.count / window if window > 0 else 0.0
-
-    def byte_rate(self) -> float:
-        """Delivered bytes per unit time over the window (0.0 when the
-        window has zero length, mirroring :meth:`rate`)."""
-        window = self.window
-        return self.bytes / window if window > 0 else 0.0
 
 
 @dataclass
@@ -96,18 +87,3 @@ class DelayStats:
     @property
     def stddev(self) -> float:
         return math.sqrt(self.variance)
-
-    def merge(self, other: "DelayStats") -> "DelayStats":
-        """Combine two independent stats objects (parallel-axis theorem)."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            return other
-        merged = DelayStats()
-        merged.count = self.count + other.count
-        delta = other.mean - self.mean
-        merged.mean = self.mean + delta * other.count / merged.count
-        merged._m2 = self._m2 + other._m2 + delta**2 * self.count * other.count / merged.count
-        merged.minimum = min(self.minimum, other.minimum)
-        merged.maximum = max(self.maximum, other.maximum)
-        return merged

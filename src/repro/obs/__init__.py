@@ -11,8 +11,8 @@ simulator instead of scattered ad-hoc counters:
 * :mod:`repro.obs.tracing` -- a structured event :class:`Tracer` of
   sim-time point events (``tracer.event("share_tx", seq=7)``) backed by a
   bounded ring buffer.
-* :mod:`repro.obs.export` -- exporters to JSON-lines, CSV and Prometheus
-  text format, plus parsers for round-trip testing.
+* :mod:`repro.obs.export` -- exporters to JSON-lines and Prometheus text
+  format.
 * :mod:`repro.obs.instrument` -- :class:`Observability`, the bundle that
   wires a registry and tracer into a :class:`~repro.protocol.remicss.PointToPointNetwork`
   and its protocol nodes.
@@ -25,9 +25,6 @@ and naming convention.
 """
 
 from repro.obs.export import (
-    metrics_from_csv,
-    metrics_from_jsonl,
-    metrics_to_csv,
     metrics_to_jsonl,
     metrics_to_prometheus,
     trace_to_jsonl,
@@ -56,10 +53,7 @@ __all__ = [
     "instrument_network",
     "instrument_node",
     "metrics_to_jsonl",
-    "metrics_to_csv",
     "metrics_to_prometheus",
-    "metrics_from_jsonl",
-    "metrics_from_csv",
     "trace_to_jsonl",
     "write_metrics",
     "write_trace",

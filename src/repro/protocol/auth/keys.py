@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.protocol.wire import TAG_SIZE
 from repro.sweep.spec import canonical_json
 
 #: Accepted root/flow key lengths in bytes (inclusive).  BLAKE2b keyed
@@ -98,21 +97,16 @@ class KeyChain:
 class AuthConfig:
     """Configuration for the authenticated-share layer.
 
+    Tags are :data:`repro.protocol.wire.TAG_SIZE` bytes of truncated
+    BLAKE2b, fixed by wire version 3.
+
     Attributes:
         root_key: the shared root secret (16..64 bytes).
-        tag_size: bytes of truncated BLAKE2b tag on the wire (fixed at
-            :data:`repro.protocol.wire.TAG_SIZE` in this wire version;
-            kept explicit so the config is self-describing).
     """
 
-    def __init__(self, root_key: bytes, tag_size: int = TAG_SIZE) -> None:
+    def __init__(self, root_key: bytes) -> None:
         self.root_key = _check_key(root_key, "root_key")
-        if tag_size != TAG_SIZE:
-            raise ValueError(
-                f"wire version 3 carries exactly {TAG_SIZE}-byte tags, got {tag_size}"
-            )
-        self.tag_size = tag_size
 
     def __repr__(self) -> str:
         # Redacted: the root key is the deployment's whole secret.
-        return f"AuthConfig(root_key=<{len(self.root_key)} bytes>, tag_size={self.tag_size})"
+        return f"AuthConfig(root_key=<{len(self.root_key)} bytes>)"

@@ -29,12 +29,16 @@ from repro.netsim.engine import Engine, Event
 from repro.netsim.packet import Datagram
 from repro.netsim.ports import ChannelPort
 from repro.netsim.rng import RngRegistry
+from repro.protocol.config import SOURCE_QUEUE_LIMIT
 from repro.protocol.wire import HEADER_SIZE, WireFormatError, decode_share, encode_share
 from repro.sharing.base import Share
 from repro.sharing.xor import XorScheme
 
 #: Size of an acknowledgement datagram in bytes (a minimal header).
 ACK_SIZE = 32
+
+#: How many symbols may be in flight (un-acked) at once.
+WINDOW = 32
 
 
 @dataclass
@@ -75,12 +79,11 @@ class MicssNode:
         ports_in: inbound ports.
         symbol_size: source symbol payload size.
         rng_registry: random streams for the XOR pads.
-        source_queue_limit: bound on symbols awaiting transmission.
-        window: how many symbols may be in flight (un-acked) at once.
-        rto: retransmission timeout; when ``None`` it is derived per
-            channel as 4x the channel's (serialisation + propagation)
-            round trip plus a small floor.
         name: label for rng streams.
+
+    Up to ``SOURCE_QUEUE_LIMIT`` symbols wait for transmission, up to
+    :data:`WINDOW` are in flight, and each channel's retransmission
+    timeout is :meth:`channel_rto`.
     """
 
     def __init__(
@@ -90,9 +93,6 @@ class MicssNode:
         ports_in: Sequence[ChannelPort],
         symbol_size: int,
         rng_registry: RngRegistry,
-        source_queue_limit: int = 64,
-        window: int = 32,
-        rto: Optional[float] = None,
         name: str = "micss",
     ):
         self.engine = engine
@@ -101,11 +101,8 @@ class MicssNode:
         self.symbol_size = symbol_size
         self.scheme = XorScheme()
         self.rng = rng_registry.stream(f"{name}.pad")
-        self.source_queue_limit = source_queue_limit
-        self.window = window
         self.name = name
         self.stats = MicssStats()
-        self._rto = rto
         self._source: Deque[Tuple[int, bytes, float]] = deque()
         self._next_seq = 0
         self._outstanding: Dict[Tuple[int, int], _OutstandingShare] = {}
@@ -127,9 +124,9 @@ class MicssNode:
         self._deliver_callbacks.append(callback)
 
     def channel_rto(self, channel: int) -> float:
-        """The retransmission timeout used for shares on ``channel``."""
-        if self._rto is not None:
-            return self._rto
+        """The retransmission timeout used for shares on ``channel``: 4x
+        the channel's (serialisation + propagation) round trip plus a
+        small floor."""
         link = self.ports_out[channel].link
         share_time = (self.symbol_size + HEADER_SIZE) / link.byte_rate
         return 4.0 * (share_time + 2.0 * link.delay) + 16.0 * share_time
@@ -141,7 +138,7 @@ class MicssNode:
         self.stats.symbols_offered += 1
         if len(payload) != self.symbol_size:
             raise ValueError(f"payload must be {self.symbol_size} bytes, got {len(payload)}")
-        if len(self._source) >= self.source_queue_limit:
+        if len(self._source) >= SOURCE_QUEUE_LIMIT:
             self.stats.source_drops += 1
             return False
         self._source.append((self._next_seq, payload, self.engine.now))
@@ -151,7 +148,7 @@ class MicssNode:
 
     def _pump(self) -> None:
         while self._source:
-            if len(self._inflight_symbols) >= self.window:
+            if len(self._inflight_symbols) >= WINDOW:
                 return
             # MICSS sends every symbol on every channel; wait until all of
             # them can take a share (reliable transport never sheds load).

@@ -143,10 +143,26 @@ class ShareHeader(NamedTuple):
         return SCHEME_NAMES.get(self.scheme_id, f"unknown({self.scheme_id})")
 
 
-def share_packet_size(payload_size: int, flow: int = 0, authenticated: bool = False) -> int:
-    """Total wire size of a share packet for a ``payload_size``-byte share."""
-    size = payload_size + (HEADER_SIZE if flow == 0 else FLOW_HEADER_SIZE)
-    return size + TAG_SIZE if authenticated else size
+def share_packet_size(payload_size: int, flow: int = 0) -> int:
+    """Total wire size of an untagged share packet for a ``payload_size``-byte share."""
+    return payload_size + (HEADER_SIZE if flow == 0 else FLOW_HEADER_SIZE)
+
+
+def share_layout(version: int, flags: int) -> Tuple[Optional[int], Optional[int], int]:
+    """Offsets of the flow id, the tag and the share body in a share frame.
+
+    ``version`` and ``flags`` are the frame's bytes 2 and 15.  After the
+    fixed header come the flow id (``FLAG_FLOW``, version 2 and up) and
+    then the tag (``FLAG_AUTH``, version 3 and up); an absent extension's
+    offset is ``None``.
+    """
+    flow_at = tag_at = None
+    offset = HEADER_SIZE
+    if version >= _VERSION_FLOW and flags & FLAG_FLOW:
+        flow_at, offset = offset, FLOW_HEADER_SIZE
+    if version >= _VERSION_AUTH and flags & FLAG_AUTH:
+        tag_at, offset = offset, offset + TAG_SIZE
+    return flow_at, tag_at, offset
 
 
 def encode_share(
@@ -221,27 +237,13 @@ def decode_share(packet: bytes) -> Tuple[ShareHeader, Share]:
         raise WireFormatError(f"bad magic 0x{magic:04x}")
     if version not in (_VERSION, _VERSION_FLOW, _VERSION_AUTH):
         raise WireFormatError(f"unsupported version {version}")
-    flow = 0
-    offset = HEADER_SIZE
-    if version >= _VERSION_FLOW and flags & FLAG_FLOW:
-        if len(packet) < FLOW_HEADER_SIZE:
-            raise WireFormatError(
-                f"packet of {len(packet)} bytes is shorter than the flow header"
-            )
-        try:
-            (flow,) = _FLOW_STRUCT.unpack_from(packet, HEADER_SIZE)
-        except struct.error as exc:
-            raise WireFormatError(str(exc)) from exc
-        offset = FLOW_HEADER_SIZE
-    tag = None
-    if version >= _VERSION_AUTH and flags & FLAG_AUTH:
-        if len(packet) < offset + TAG_SIZE:
-            raise WireFormatError(
-                f"FLAG_AUTH set but packet of {len(packet)} bytes cannot carry "
-                f"a {TAG_SIZE}-byte tag at offset {offset}"
-            )
-        tag = packet[offset:offset + TAG_SIZE]
-        offset += TAG_SIZE
+    flow_at, tag_at, offset = share_layout(version, flags)
+    if len(packet) < offset:
+        raise WireFormatError(
+            f"packet of {len(packet)} bytes is shorter than its {offset}-byte header"
+        )
+    flow = 0 if flow_at is None else _FLOW_STRUCT.unpack_from(packet, flow_at)[0]
+    tag = None if tag_at is None else packet[tag_at:offset]
     try:
         share = Share(index, packet[offset:], k, m)
     except ValueError as exc:

@@ -8,6 +8,8 @@
   rate and datagram loss over a warmed-up window;
 * :mod:`repro.workloads.echo` -- the paper's custom echo tool: timestamped
   datagrams echoed back by the far node, reporting mean RTT/2;
+* :mod:`repro.workloads.traces` -- synthetic web, streaming and messaging
+  traces replayed through the DIBS tunnel (``run_trace``);
 * :mod:`repro.workloads.fleet` -- the fleet-scale multi-tenant workload
   (many flows, DRR-fair multiplexing, sharded execution; docs/FLEET.md).
 """

@@ -22,20 +22,12 @@ def run_fleet(
     shards: int = 1,
     flows_per_cell: int = 32,
     symbols_per_flow: int = 4,
-    flow_rate: float = 4.0,
     channels: int = 4,
-    loss: float = 0.0,
-    delay: float = 0.05,
-    rate: float = 64.0,
     symbol_size: int = 64,
     synthetic: bool = True,
-    quantum: float = 1.0,
-    queue_limit: int = 64,
     auth: bool = False,
     spec_id: str = "fleet/default",
     obs: Optional[Any] = None,
-    cache: Optional[Any] = None,
-    retries: int = 0,
 ) -> FleetReport:
     """Run a synthesized fleet of ``flows`` flows over ``shards`` workers.
 
@@ -45,40 +37,26 @@ def run_fleet(
         shards: worker processes; the report is byte-identical for any
             value (docs/FLEET.md).
         flows_per_cell: flows sharing one simulated channel set.
-        symbols_per_flow: source symbols each flow offers.
-        flow_rate: per-flow offered rate (symbols per unit time).
-        channels, loss, delay, rate: the per-cell channel shape.
+        symbols_per_flow: source symbols each flow offers, at 4 per unit
+            time.
+        channels: channels per cell (their shape and the mux are
+            :data:`repro.fleet.runner.CELL_SHAPE`).
         symbol_size: payload bytes per source symbol.
         synthetic: True skips real share payloads (pure scale runs);
             False splits and reconstructs real secrets.
         auth: arm authenticated shares per cell (requires
             ``synthetic=False``; tenant flows get isolated per-flow MAC
             keys -- see docs/AUTH.md).
-        quantum: DRR credit per visit (symbols).
-        queue_limit: per-flow mux queue bound.
         spec_id: sweep spec id (part of every cell's seed derivation).
         obs: optional Observability for ``fleet_*`` metrics.
-        cache: optional sweep result cache.
-        retries: extra attempts per failed cell.
     """
-    fleet = synthesize_fleet(flows, rate=flow_rate, symbols=symbols_per_flow)
-    runner = FleetRunner(
-        shards=shards,
-        flows_per_cell=flows_per_cell,
-        retries=retries,
-        cache=cache,
-        obs=obs,
-    )
+    fleet = synthesize_fleet(flows, symbols=symbols_per_flow)
+    runner = FleetRunner(shards=shards, flows_per_cell=flows_per_cell, obs=obs)
     return runner.run(
         fleet,
         spec_id=spec_id,
         channels=channels,
-        loss=loss,
-        delay=delay,
-        rate=rate,
         symbol_size=symbol_size,
         synthetic=synthetic,
-        quantum=quantum,
-        queue_limit=queue_limit,
         auth=auth,
     )

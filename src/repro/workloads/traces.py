@@ -19,6 +19,7 @@ statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
@@ -144,9 +145,11 @@ def run_trace(
         channels: the channel set shaping the simulated links.
         config: protocol configuration (real payload mode required).
         kind: "web", "streaming" or "messaging".
-        duration: trace length in unit times.
+        duration: trace length in unit times (finite and positive).
         seed: root seed for the trace and the network.
     """
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and positive, got {duration}")
     if config.share_synthetic:
         raise ValueError("trace workloads need real payloads")
     if kind not in TRACE_GENERATORS:

@@ -13,6 +13,7 @@ from repro.adversary.active.primitives import (
 from repro.protocol.wire import (
     FLOW_HEADER_SIZE,
     HEADER_SIZE,
+    TAG_SIZE,
     decode_share,
     encode_probe,
     encode_share,
@@ -21,11 +22,14 @@ from repro.sharing.shamir import ShamirScheme
 
 scheme = ShamirScheme()
 
+#: A stand-in MAC: the primitives locate the tag, they never verify it.
+TAG = bytes(range(100, 100 + TAG_SIZE))
 
-def make_share_packet(seq=7, secret=b"attack at dawn!!", k=2, m=4, flow=0, seed=3):
+
+def make_share_packet(seq=7, secret=b"attack at dawn!!", k=2, m=4, flow=0, seed=3, tag=None):
     rng = np.random.default_rng(seed)
     share = scheme.split(secret, k, m, rng)[0]
-    return encode_share(seq, share, scheme.name, flow=flow)
+    return encode_share(seq, share, scheme.name, flow=flow, tag=tag)
 
 
 @pytest.fixture
@@ -54,6 +58,19 @@ class TestRecognisers:
 
     def test_body_offset_none_for_headerless_body(self):
         assert share_body_offset(make_share_packet()[:HEADER_SIZE]) is None
+
+    @pytest.mark.parametrize("flow", [0, 3])
+    def test_body_offset_skips_the_tag(self, flow):
+        # Corrupting the MAC would only fail verification; the body is the
+        # share itself.
+        packet = make_share_packet(flow=flow, tag=TAG)
+        offset = share_body_offset(packet)
+        assert packet[offset - TAG_SIZE:offset] == TAG
+        assert packet[offset:] == decode_share(packet)[1].data
+
+    def test_body_offset_none_for_tag_without_body(self):
+        packet = make_share_packet(flow=3, tag=TAG)
+        assert share_body_offset(packet[:FLOW_HEADER_SIZE + TAG_SIZE]) is None
 
 
 class TestCorruptShare:

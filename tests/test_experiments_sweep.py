@@ -1,20 +1,10 @@
-"""Sweep-orchestrated experiments: figure wiring, MC chunking, CLI surface."""
+"""Sweep-orchestrated experiments: figure wiring and CLI surface."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.adversary.montecarlo import (
-    _pool_chunks,
-    _split_samples,
-    estimate_schedule_properties_sweep,
-    estimate_subset_properties_sweep,
-    subset_sweep_spec,
-)
 from repro.cli import main as cli_main
-from repro.core.channel import ChannelSet
-from repro.core.properties import subset_loss, subset_risk
 from repro.experiments import run_figure
 from repro.experiments.fig3 import fig3_point, fig3_spec
 from repro.experiments.fig67 import fig6_spec, fig7_spec
@@ -22,16 +12,6 @@ from repro.sweep import ResultCache, SweepRunner, values
 
 
 QUICK = dict(kappas=(1.0, 3.0), mu_step=1.0, duration=4.0, warmup=1.0)
-
-
-@pytest.fixture
-def five_channels():
-    return ChannelSet.from_vectors(
-        risks=[0.2, 0.1, 0.3, 0.05, 0.15],
-        losses=[0.01, 0.02, 0.005, 0.03, 0.01],
-        delays=[1.0, 2.0, 3.0, 4.0, 5.0],
-        rates=[10.0] * 5,
-    )
 
 
 class TestFigureWiring:
@@ -78,72 +58,6 @@ class TestFigureWiring:
         spec = fig3_spec(setup="identical", kappas=(1.0, 2.0, 3.0, 4.0, 5.0), mu_step=0.1)
         seeds = [p.seed for p in spec]
         assert len(set(seeds)) == len(seeds)
-
-
-class TestMonteCarloSweep:
-    def test_chunk_split_conserves_samples(self):
-        assert _split_samples(10, 3) == [4, 3, 3]
-        assert _split_samples(2, 8) == [1, 1]
-        assert sum(_split_samples(100_000, 7)) == 100_000
-        with pytest.raises(ValueError):
-            _split_samples(0, 3)
-
-    def test_pooling_weights_delay_by_delivered(self):
-        pooled = _pool_chunks(
-            [
-                {"risk": 0.1, "loss": 0.5, "delay": 2.0, "samples": 100},
-                {"risk": 0.3, "loss": 0.0, "delay": 4.0, "samples": 100},
-            ]
-        )
-        assert pooled.risk == pytest.approx(0.2)
-        assert pooled.loss == pytest.approx(0.25)
-        # 50 delivered at 2.0, 100 delivered at 4.0.
-        assert pooled.delay == pytest.approx((50 * 2.0 + 100 * 4.0) / 150)
-        assert pooled.samples == 200
-
-    def test_pooling_all_lost_gives_nan_delay(self):
-        pooled = _pool_chunks(
-            [{"risk": 0.0, "loss": 1.0, "delay": float("nan"), "samples": 10}]
-        )
-        assert np.isnan(pooled.delay)
-
-    def test_sweep_estimates_match_closed_forms(self, five_channels):
-        estimate = estimate_subset_properties_sweep(
-            five_channels, 2, [0, 2, 4], samples=120_000, chunks=6, seed=3
-        )
-        assert estimate.samples == 120_000
-        assert estimate.risk == pytest.approx(
-            subset_risk(five_channels, 2, [0, 2, 4]), abs=0.01
-        )
-        assert estimate.loss == pytest.approx(
-            subset_loss(five_channels, 2, [0, 2, 4]), abs=0.005
-        )
-
-    @pytest.mark.slow
-    def test_jobs_do_not_change_estimates(self, five_channels):
-        kwargs = dict(samples=40_000, chunks=4, seed=9)
-        serial = estimate_subset_properties_sweep(five_channels, 2, [0, 1, 2], **kwargs)
-        parallel = estimate_subset_properties_sweep(
-            five_channels, 2, [0, 1, 2], jobs=2, **kwargs
-        )
-        assert serial == parallel
-
-    def test_chunks_are_independently_seeded(self, five_channels):
-        spec = subset_sweep_spec(five_channels, 2, [0, 1, 2], samples=1000, chunks=4)
-        seeds = [p.seed for p in spec]
-        assert len(set(seeds)) == 4
-
-    def test_schedule_sweep_matches_closed_forms(self, five_channels):
-        from repro.core.schedule import ShareSchedule
-
-        schedule = ShareSchedule(
-            five_channels, {(2, frozenset({0, 1, 2})): 0.5, (3, frozenset({1, 2, 3, 4})): 0.5}
-        )
-        estimate = estimate_schedule_properties_sweep(
-            schedule, samples=60_000, chunks=3, seed=1
-        )
-        assert estimate.risk == pytest.approx(schedule.privacy_risk(), abs=0.01)
-        assert estimate.loss == pytest.approx(schedule.loss(), abs=0.01)
 
 
 class TestSweepCli:

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.fleet.runner as fleet_runner
 from repro.fleet import FleetRunner, FleetSpec, FlowSpec, Tenant, synthesize_fleet
+from repro.fleet.runner import CELL_SHAPE
 from repro.obs import Observability
 
 
@@ -37,6 +39,29 @@ class TestShardParity:
         b = FleetRunner(shards=1, flows_per_cell=8).run(fleet)
         assert a.delivered_total == b.delivered_total == 16
         assert a.cells == 4 and b.cells == 1
+
+
+class TestCellShape:
+    def test_shape_keeps_the_cell_seeds(self):
+        # Every value enters each cell's derived seed: changing one re-keys
+        # every fleet cell and moves every fleet digest.
+        assert CELL_SHAPE == {
+            "loss": 0.0, "delay": 0.05, "rate": 64.0, "quantum": 1.0, "queue_limit": 64,
+        }
+
+    def test_every_cell_runs_with_the_shape(self, monkeypatch):
+        seen = []
+        run_cell = fleet_runner.run_cell
+
+        def recording_cell(params, seed):
+            seen.append(params)
+            return run_cell(params, seed)
+
+        monkeypatch.setattr(fleet_runner, "run_cell", recording_cell)
+        report = FleetRunner(shards=1, flows_per_cell=2).run(small_fleet(flows=6, symbols=2))
+        assert report.cells == len(seen) == 3
+        for params in seen:
+            assert {key: params[key] for key in CELL_SHAPE} == CELL_SHAPE
 
 
 class TestReport:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fleet import FleetSpec, FlowSpec, Tenant, synthesize_fleet
+from repro.fleet.spec import STAGGER
 from repro.sweep.spec import canonical_json
 
 
@@ -111,6 +112,13 @@ class TestSynthesize:
     def test_empty_fleet(self):
         fleet = synthesize_fleet(0)
         assert fleet.flows == ()
+
+    def test_starts_are_staggered_per_tenant_slot(self):
+        fleet = synthesize_fleet(7)
+        assert [f.start for f in fleet.flows] == [
+            STAGGER * ((f.flow - 1) % 3) for f in fleet.flows
+        ]
+        assert {f.start for f in fleet.flows} == {0.0, STAGGER, 2 * STAGGER}
 
     def test_infeasible_tenant_floor_rejected(self):
         strict = Tenant(name="paranoid", min_kappa=9.0)

@@ -136,8 +136,9 @@ class TestLiveTree:
         assert report.ok, "\n".join(f.render() for f in report.findings)
         # The four wall-time reporting sites in experiments/runner.py, the
         # fingerprint override in sweep/cache.py and the documented
-        # exact-zero sentinels are suppressed, not silently exempted.
-        assert len(report.suppressed) >= 8
+        # exact-zero sentinels in adversary/riskassess.py and
+        # core/overlap.py are suppressed, not silently exempted.
+        assert len(report.suppressed) >= 7
 
     def test_cli_exits_zero_on_repo(self, capsys):
         assert lint_main(["--root", REPO_ROOT]) == 0

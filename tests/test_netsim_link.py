@@ -389,3 +389,75 @@ class TestDuplex:
         )
         assert duplex.forward.name == "x:fwd"
         assert duplex.reverse.name == "x:rev"
+
+
+class TestCorruption:
+    """The benign Byzantine channel: a delivered payload loses one byte."""
+
+    @staticmethod
+    def _deliver(link, engine, datagrams):
+        received = []
+        link.set_receiver(received.append)
+        for datagram in datagrams:
+            link.send(datagram)
+        engine.run()
+        return received
+
+    def test_links_start_without_jitter_or_corruption(self):
+        engine = Engine()
+        duplex = DuplexChannel(
+            engine, 1.0, 0.0, 0.0,
+            np.random.default_rng(0), np.random.default_rng(1), name="x",
+        )
+        for link in (make_link(engine), *duplex.links):
+            assert (link.jitter, link.corruption) == (0.0, 0.0)
+
+    def test_full_corruption_flips_one_byte_of_every_payload(self):
+        engine = Engine()
+        link = make_link(engine, byte_rate=1e6, queue_limit=100)
+        link.set_corruption(1.0)
+        payloads = [bytes([i]) * 12 for i in range(50)]
+        received = self._deliver(
+            link, engine, [Datagram(size=12, payload=p) for p in payloads]
+        )
+        assert len(received) == 50
+        for sent, got in zip(payloads, received):
+            assert len(got.payload) == len(sent)
+            assert sum(a != b for a, b in zip(sent, got.payload)) == 1
+        assert link.stats.corruptions == 50
+
+    def test_corruption_spares_datagrams_without_payload(self):
+        engine = Engine()
+        link = make_link(engine, byte_rate=1e6)
+        link.set_corruption(1.0)
+        received = self._deliver(
+            link, engine, [Datagram(size=12), Datagram(size=12, payload=b"")]
+        )
+        assert [d.payload for d in received] == [None, b""]
+        assert link.stats.corruptions == 0
+
+    def test_corruption_rate_statistical(self):
+        engine = Engine()
+        link = make_link(engine, byte_rate=1e6, queue_limit=2000, seed=4)
+        link.set_corruption(0.3)
+        received = self._deliver(
+            link, engine, [Datagram(size=8, payload=bytes(8)) for _ in range(2000)]
+        )
+        tampered = sum(d.payload != bytes(8) for d in received)
+        assert tampered == link.stats.corruptions
+        assert tampered / 2000 == pytest.approx(0.3, abs=0.04)
+
+    def test_zero_corruption_delivers_payloads_untouched(self):
+        engine = Engine()
+        link = make_link(engine, byte_rate=1e6)
+        link.set_corruption(1.0)
+        link.set_corruption(0.0)
+        received = self._deliver(link, engine, [Datagram(size=8, payload=b"intact!!")])
+        assert received[0].payload == b"intact!!"
+
+    @pytest.mark.parametrize("corruption", [-0.01, float("nan")])
+    def test_set_corruption_rejects(self, corruption):
+        link = make_link(Engine())
+        with pytest.raises(ValueError, match="probability"):
+            link.set_corruption(corruption)
+        assert link.corruption == 0.0

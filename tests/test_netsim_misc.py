@@ -197,13 +197,12 @@ class TestRateMeter:
         meter = RateMeter()
         meter.record(0.5)  # before start: ignored
         meter.start(1.0)
-        meter.record(1.5, size=10)
-        meter.record(2.5, size=10)
+        meter.record(1.5)
+        meter.record(2.5)
         meter.stop(3.0)
         meter.record(3.5)  # after stop: ignored
         assert meter.count == 2
         assert meter.rate() == pytest.approx(1.0)
-        assert meter.byte_rate() == pytest.approx(10.0)
 
     def test_unstarted_meter_raises(self):
         with pytest.raises(RuntimeError):
@@ -212,17 +211,15 @@ class TestRateMeter:
     def test_zero_length_window_is_zero_rate(self):
         meter = RateMeter()
         meter.start(2.0)
-        meter.record(2.0, size=100)
+        meter.record(2.0)
         meter.stop(2.0)
         assert meter.rate() == 0.0
-        assert meter.byte_rate() == 0.0
 
     def test_zero_length_empty_window(self):
         meter = RateMeter()
         meter.start(0.0)
         meter.stop(0.0)
         assert meter.rate() == 0.0
-        assert meter.byte_rate() == 0.0
 
 
 class TestDelayStats:
@@ -240,27 +237,6 @@ class TestDelayStats:
         stats = DelayStats()
         stats.record(5.0)
         assert stats.variance == 0.0
-
-    def test_merge_matches_pooled(self):
-        rng = np.random.default_rng(0)
-        xs, ys = rng.normal(size=50), rng.normal(loc=3, size=70)
-        a, b = DelayStats(), DelayStats()
-        for v in xs:
-            a.record(v)
-        for v in ys:
-            b.record(v)
-        merged = a.merge(b)
-        pooled = np.concatenate([xs, ys])
-        assert merged.count == 120
-        assert merged.mean == pytest.approx(pooled.mean())
-        assert merged.variance == pytest.approx(pooled.var(ddof=1))
-
-    def test_merge_with_empty(self):
-        a = DelayStats()
-        b = DelayStats()
-        b.record(1.0)
-        assert a.merge(b) is b
-        assert b.merge(a) is b
 
 
 def _port(engine, index, queue_limit=4, byte_rate=100.0):

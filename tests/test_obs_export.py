@@ -1,13 +1,11 @@
 """Exporter round-trips (snapshot -> text -> parse -> equal values) and
 seeded-determinism of full metric dumps."""
 
+import json
+
 import pytest
 
 from repro.obs.export import (
-    format_for_path,
-    metrics_from_csv,
-    metrics_from_jsonl,
-    metrics_to_csv,
     metrics_to_jsonl,
     metrics_to_prometheus,
     trace_to_jsonl,
@@ -31,37 +29,12 @@ def sample_registry() -> MetricsRegistry:
 class TestJsonlRoundTrip:
     def test_values_survive(self):
         snapshot = sample_registry().snapshot()
-        parsed = metrics_from_jsonl(metrics_to_jsonl(snapshot))
+        text = metrics_to_jsonl(snapshot)
+        parsed = [json.loads(line) for line in text.splitlines()]
         assert parsed == snapshot
 
     def test_empty_snapshot(self):
         assert metrics_to_jsonl([]) == ""
-        assert metrics_from_jsonl("") == []
-
-
-class TestCsvRoundTrip:
-    def test_values_survive(self):
-        snapshot = sample_registry().snapshot()
-        parsed = metrics_from_csv(metrics_to_csv(snapshot))
-        assert len(parsed) == len(snapshot)
-        for original, back in zip(snapshot, parsed):
-            assert back["name"] == original["name"]
-            assert back["type"] == original["type"]
-            assert back["labels"] == original["labels"]
-            if original["type"] == "histogram":
-                assert back["count"] == original["count"]
-                assert back["sum"] == pytest.approx(original["sum"])
-                assert back["min"] == original["min"]
-                assert back["max"] == original["max"]
-                assert [
-                    [le, count] for le, count in original["buckets"]
-                ] == back["buckets"]
-            else:
-                assert back["value"] == original["value"]
-
-    def test_rejects_foreign_header(self):
-        with pytest.raises(ValueError):
-            metrics_from_csv("a,b\n1,2\n")
 
 
 class TestPrometheus:
@@ -86,16 +59,26 @@ class TestWriteMetrics:
     def test_suffix_dispatch(self, tmp_path):
         snapshot = sample_registry().snapshot()
         assert write_metrics(str(tmp_path / "m.jsonl"), snapshot) == "jsonl"
-        assert write_metrics(str(tmp_path / "m.csv"), snapshot) == "csv"
         assert write_metrics(str(tmp_path / "m.prom"), snapshot) == "prometheus"
         assert write_metrics(str(tmp_path / "m.unknown"), snapshot) == "jsonl"
-        assert write_metrics(str(tmp_path / "m.dat"), snapshot, fmt="csv") == "csv"
-        parsed = metrics_from_csv((tmp_path / "m.csv").read_text())
-        assert len(parsed) == len(snapshot)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            format_for_path("x.jsonl", fmt="xml")
+    @pytest.mark.parametrize(
+        "name,fmt",
+        [
+            ("m.prom", "prometheus"),
+            ("m.txt", "prometheus"),
+            ("M.PROM", "prometheus"),
+            ("m.jsonl", "jsonl"),
+            ("m.json", "jsonl"),
+            ("m.csv", "jsonl"),
+            ("metrics", "jsonl"),
+        ],
+    )
+    def test_suffix_picks_the_text(self, tmp_path, name, fmt):
+        snapshot = sample_registry().snapshot()
+        render = metrics_to_prometheus if fmt == "prometheus" else metrics_to_jsonl
+        assert write_metrics(str(tmp_path / name), snapshot) == fmt
+        assert (tmp_path / name).read_text() == render(snapshot)
 
 
 class TestTraceExport:

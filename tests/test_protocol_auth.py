@@ -78,10 +78,6 @@ class TestKeyDerivation:
 
 
 class TestAuthConfig:
-    def test_rejects_foreign_tag_size(self):
-        with pytest.raises(ValueError):
-            AuthConfig(root_key=ROOT, tag_size=TAG_SIZE - 1)
-
     def test_rejects_short_root_key(self):
         with pytest.raises(ValueError):
             AuthConfig(root_key=b"short")

@@ -6,10 +6,11 @@ import pytest
 from repro.core.channel import ChannelSet
 from repro.netsim.host import CpuModel
 from repro.netsim.rng import RngRegistry
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import SOURCE_QUEUE_LIMIT, ProtocolConfig
 from repro.protocol.dibs import DibsInterceptor
-from repro.protocol.micss import MicssNode
+from repro.protocol.micss import WINDOW, MicssNode
 from repro.protocol.remicss import PointToPointNetwork
+from repro.protocol.wire import HEADER_SIZE
 
 
 def micss_pair(losses, symbol_size=100, seed=1, delays=None, rates=None):
@@ -59,15 +60,44 @@ class TestMicssReliability:
 
     def test_source_queue_bound(self):
         network, a, b = micss_pair([0.0] * 2, seed=4)
-        a.source_queue_limit = 4
-        a.window = 1
-        results = [a.send(bytes(100)) for _ in range(20)]
+        results = [a.send(bytes(100)) for _ in range(200)]
         assert not all(results)
         assert a.stats.source_drops > 0
+
+    def test_source_queue_holds_source_queue_limit_symbols(self):
+        network, a, b = micss_pair([0.0] * 2, seed=4)
+        results = [a.send(bytes(100)) for _ in range(200)]
+        # What the links took at once, then a full source queue.
+        on_links = a.stats.shares_sent // 2
+        assert results == [True] * (on_links + SOURCE_QUEUE_LIMIT) + [False] * (
+            200 - on_links - SOURCE_QUEUE_LIMIT
+        )
+        assert a.stats.source_drops == 200 - on_links - SOURCE_QUEUE_LIMIT
+
+    def test_window_bounds_symbols_in_flight(self):
+        # Fast links with a 1.0 delay: no ack is back before t = 2.
+        network, a, b = micss_pair([0.0] * 2, rates=[1e5] * 2, delays=[1.0] * 2)
+        got = []
+        b.on_deliver(lambda seq, payload, delay: got.append(seq))
+        assert all(a.send(bytes(100)) for _ in range(80))
+        network.engine.run_until(1.5)
+        assert a.stats.shares_sent == WINDOW * 2
+        network.engine.run_until(100.0)
+        assert sorted(got) == list(range(80))
+        assert a.stats.retransmissions == 0
 
     def test_rto_scales_with_channel(self):
         network, a, b = micss_pair([0.0] * 2, delays=[0.001, 1.0])
         assert a.channel_rto(1) > a.channel_rto(0)
+
+    def test_rto_is_derived_from_each_channel(self):
+        network, a, b = micss_pair([0.0] * 2, delays=[0.001, 1.0], rates=[100.0, 400.0])
+        for channel in (0, 1):
+            link = a.ports_out[channel].link
+            share_time = (100 + HEADER_SIZE) / link.byte_rate
+            assert a.channel_rto(channel) == pytest.approx(
+                4.0 * (share_time + 2.0 * link.delay) + 16.0 * share_time
+            )
 
     def test_uses_every_channel_per_symbol(self):
         network, a, b = micss_pair([0.0] * 4)

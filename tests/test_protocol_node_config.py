@@ -165,8 +165,9 @@ class TestLinkJitter:
         engine = Engine()
         link = Link(
             engine, byte_rate=1e6, loss=0.0, delay=1.0,
-            rng=np.random.default_rng(0), queue_limit=1000, jitter=0.5,
+            rng=np.random.default_rng(0), queue_limit=1000,
         )
+        link.set_jitter(0.5)
         arrivals = []
         link.set_receiver(lambda dg: arrivals.append(engine.now))
         for _ in range(200):
@@ -196,11 +197,11 @@ class TestLinkJitter:
         from repro.netsim.engine import Engine
         from repro.netsim.link import Link
 
+        link = Link(
+            Engine(), byte_rate=1.0, loss=0.0, delay=1.0, rng=np.random.default_rng(0)
+        )
         with pytest.raises(ValueError):
-            Link(
-                Engine(), byte_rate=1.0, loss=0.0, delay=1.0,
-                rng=np.random.default_rng(0), jitter=-0.1,
-            )
+            link.set_jitter(-0.1)
 
     def test_protocol_handles_jitter_reordering(self):
         """Jitter reorders shares; the reassembly buffer still reconstructs."""
@@ -216,11 +217,13 @@ class TestLinkJitter:
                 engine, byte_rate=100.0 * 100, loss=0.0, delay=0.5,
                 forward_rng=registry.stream(f"f{i}"),
                 reverse_rng=registry.stream(f"r{i}"),
-                jitter=0.4,
                 name=f"j{i}",
             )
             for i in range(3)
         ]
+        for duplex in duplexes:
+            for link in duplex.links:
+                link.set_jitter(0.4)
         ports_out = [ChannelPort(i, d.forward) for i, d in enumerate(duplexes)]
         ports_in = [ChannelPort(i, d.reverse) for i, d in enumerate(duplexes)]
         config = ProtocolConfig(kappa=3.0, mu=3.0, symbol_size=100,

@@ -5,16 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.protocol.wire import (
+    FLAG_AUTH,
     FLAG_FLOW,
     FLOW_HEADER_SIZE,
     HEADER_SIZE,
     MAX_FLOW,
+    TAG_SIZE,
     ShareHeader,
     WireFormatError,
     decode_control,
     decode_share,
     encode_nack,
     encode_share,
+    share_layout,
     share_packet_size,
 )
 from repro.sharing.base import Share
@@ -212,3 +215,52 @@ class TestFlows:
     def test_nack_flow_out_of_range(self):
         with pytest.raises(ValueError):
             encode_nack(0, 2, 3, have=[1], flow=MAX_FLOW + 1)
+
+
+class TestShareLayout:
+    """``share_layout`` is the one reading of a frame's extensions."""
+
+    TAG = bytes(range(TAG_SIZE))
+
+    @pytest.mark.parametrize(
+        "version,flags,expected",
+        [
+            (1, 0, (None, None, HEADER_SIZE)),
+            # Extension flags mean nothing below the version that defines them.
+            (1, FLAG_FLOW | FLAG_AUTH, (None, None, HEADER_SIZE)),
+            (2, 0, (None, None, HEADER_SIZE)),
+            (2, FLAG_FLOW, (HEADER_SIZE, None, FLOW_HEADER_SIZE)),
+            (2, FLAG_FLOW | FLAG_AUTH, (HEADER_SIZE, None, FLOW_HEADER_SIZE)),
+            (3, FLAG_AUTH, (None, HEADER_SIZE, HEADER_SIZE + TAG_SIZE)),
+            (
+                3,
+                FLAG_FLOW | FLAG_AUTH,
+                (HEADER_SIZE, FLOW_HEADER_SIZE, FLOW_HEADER_SIZE + TAG_SIZE),
+            ),
+        ],
+    )
+    def test_offsets(self, version, flags, expected):
+        assert share_layout(version, flags) == expected
+
+    @pytest.mark.parametrize("flow", [0, 9])
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_offsets_locate_the_encoded_fields(self, flow, tagged):
+        share = make_share()
+        tag = self.TAG if tagged else None
+        packet = encode_share(7, share, "shamir-gf256", flow=flow, tag=tag)
+        flow_at, tag_at, body_at = share_layout(packet[2], packet[15])
+        assert packet[body_at:] == share.data
+        if flow == 0:
+            assert flow_at is None
+        else:
+            assert int.from_bytes(packet[flow_at:flow_at + 4], "big") == flow
+        if tagged:
+            assert packet[tag_at:body_at] == self.TAG
+        else:
+            assert tag_at is None
+
+    @pytest.mark.parametrize("flow", [0, 3])
+    def test_truncated_tag_extension(self, flow):
+        packet = encode_share(0, make_share(data=b""), "shamir-gf256", flow=flow, tag=self.TAG)
+        with pytest.raises(WireFormatError):
+            decode_share(packet[:-1])

@@ -6,6 +6,7 @@ import pytest
 from repro.core.channel import ChannelSet
 from repro.protocol.config import ProtocolConfig
 from repro.workloads.traces import (
+    TRACE_GENERATORS,
     messaging_trace,
     run_trace,
     streaming_trace,
@@ -84,6 +85,17 @@ class TestRunTrace:
         config = ProtocolConfig(share_synthetic=True)
         with pytest.raises(ValueError):
             run_trace(clean_channels, config)
+
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_rejects_a_duration_no_trace_ends_in(self, clean_channels, monkeypatch, duration):
+        # With an infinite or NaN duration the web and messaging
+        # generators never stop, so the check must come before they run.
+        def generator(*args):
+            raise AssertionError("the trace generator ran")
+
+        monkeypatch.setitem(TRACE_GENERATORS, "web", generator)
+        with pytest.raises(ValueError, match="duration must be finite and positive"):
+            run_trace(clean_channels, ProtocolConfig(symbol_size=256), duration=duration)
 
     def test_unknown_kind(self, clean_channels):
         config = ProtocolConfig(symbol_size=256)
