@@ -8,8 +8,8 @@ Two complementary verification layers live here:
   prime fields and computing entropies and mutual information in
   closed form.
 * :mod:`repro.analysis.framework` is the static-analysis substrate and
-  the one analyser front end (discovery, directives, reports, baselines,
-  the command line) shared by the determinism linter (``repro.lint``)
+  the one analyser front end (discovery, directives, reports, the
+  command line) shared by the determinism linter (``repro.lint``)
   and the secret-taint analysis (:mod:`repro.analysis.taint`), which
   proves the *implementation* honours that secrecy by tracking where
   raw secret bytes flow.

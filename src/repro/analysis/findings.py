@@ -1,16 +1,16 @@
-"""The :class:`Finding` record and its stable JSON round-trip.
+"""The :class:`Finding` record and its stable JSON form.
 
 A finding pinpoints one reproducibility hazard: which file, which line
 and column, which rule fired and a human-readable message.  Findings
 sort by ``(file, line, column, rule)`` so reports are deterministic, and
-serialise to plain sorted-key JSON so the ``--format json`` output and
-the baseline file are stable across runs and platforms.
+serialise to plain sorted-key JSON so the ``--format json`` output is
+stable across runs and platforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 __all__ = ["Finding"]
 
@@ -34,16 +34,6 @@ class Finding:
     rule: str
     message: str
 
-    def identity(self) -> Tuple[str, str, str]:
-        """The location-independent identity used for baseline matching.
-
-        Line and column are deliberately excluded: unrelated edits move
-        findings around, and a baseline that pinned line numbers would
-        churn on every refactor.  Two findings with the same file, rule
-        and message are interchangeable for grandfathering purposes.
-        """
-        return (self.file, self.rule, self.message)
-
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form for JSON output (keys sorted by the dumper)."""
         return {
@@ -53,17 +43,6 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict`; raises ``KeyError`` on missing keys."""
-        return cls(
-            file=str(data["file"]),
-            line=int(data["line"]),
-            column=int(data["column"]),
-            rule=str(data["rule"]),
-            message=str(data["message"]),
-        )
 
     def render(self) -> str:
         """The one-line text form: ``file:line:col: rule: message``."""

@@ -5,24 +5,22 @@ The determinism linter (:mod:`repro.lint`) and the secret-taint analysis
 mechanical substrate, which this module owns: sorted file discovery,
 the per-file prologue (:func:`parse_source`: ``# tool:`` directives,
 ``bad-directive`` and ``parse-error`` findings, one ``ast.parse``), the
-run epilogue (:func:`finish_report`: sorting, the baseline partition and
-the ``<tool>_*`` counters through :mod:`repro.obs`), and the command
-line (:func:`add_arguments` / :func:`run` / :func:`main`, parameterised
-by a :class:`Tool` record) behind ``repro-model lint``, ``repro-model
-taint``, ``python -m repro.lint`` and ``python -m repro.analysis.taint``.
+run epilogue (:func:`finish_report`: sorting and the ``<tool>_*``
+counters through :mod:`repro.obs`), and the command line
+(:func:`add_arguments` / :func:`run`, parameterised by a :class:`Tool`
+record) behind ``repro-model lint`` and ``repro-model taint``.
 
 So both tools share one option set, one report format and one exit-code
-contract -- 0 clean, 1 live findings, 2 usage errors (a missing path, a
-malformed or missing explicit baseline) -- pinned by
-``tests/test_lint_regression.py`` and ``tests/test_taint_cli.py``.  The
-engines keep only their analysis: rule dispatch in
-:class:`~repro.lint.engine.LintEngine`, the summary fixpoint in
-:class:`~repro.analysis.taint.engine.TaintEngine`.
+contract -- 0 clean, 1 live findings, 2 usage errors (a missing path, an
+unknown option) -- pinned by ``tests/test_lint_regression.py`` and
+``tests/test_taint_cli.py``.  A finding is exempted only by an inline
+``# <tool>: disable=<rule>`` on its line.  The engines keep only their
+analysis: rule dispatch in :class:`~repro.lint.engine.LintEngine`, the
+summary fixpoint in :class:`~repro.analysis.taint.engine.TaintEngine`.
 
-The primitive types -- :class:`~repro.analysis.findings.Finding`,
-:class:`~repro.analysis.baseline.Baseline`, the suppression parser and the
-import-alias resolver -- are re-exported here so analysis packages have
-a single import surface.
+The primitive types -- :class:`~repro.analysis.findings.Finding`, the
+suppression parser and the import-alias resolver -- are re-exported here
+so analysis packages have a single import surface.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.resolve import collect_aliases, qualified_name
 from repro.analysis.suppressions import (
@@ -48,7 +45,6 @@ from repro.analysis.suppressions import (
 __all__ = [
     "AnalysisReport",
     "BAD_DIRECTIVE",
-    "Baseline",
     "FileSuppressions",
     "Finding",
     "PARSE_ERROR",
@@ -58,7 +54,6 @@ __all__ = [
     "collect_aliases",
     "discover",
     "finish_report",
-    "main",
     "parse_source",
     "parse_suppressions",
     "print_report",
@@ -79,16 +74,14 @@ SKIP_DIRS = frozenset({"__pycache__", ".git", ".ruff_cache", ".pytest_cache"})
 class AnalysisReport:
     """The outcome of one analysis run.
 
-    ``findings`` are the live (non-suppressed, non-baselined) hazards;
-    ``ok`` is the CI gate.  ``findings`` + ``suppressed`` + ``baselined``
-    partitions the raw finding set, so a report always accounts for
-    every hazard the analysis saw.
+    ``findings`` are the live (non-suppressed) hazards; ``ok`` is the CI
+    gate.  ``findings`` + ``suppressed`` partitions the raw finding set,
+    so a report always accounts for every hazard the analysis saw.
     """
 
     files_scanned: int = 0
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -104,20 +97,18 @@ class AnalysisReport:
     def to_dict(self) -> dict:
         """The ``--format json`` schema (documented in docs/LINTING.md)."""
         return {
-            "version": 1,
+            "version": 2,
             "files_scanned": self.files_scanned,
             "ok": self.ok,
             "counts": self.rule_counts(),
             "findings": [finding.to_dict() for finding in self.findings],
             "suppressed": len(self.suppressed),
-            "baselined": len(self.baselined),
         }
 
     def summary(self) -> str:
         """One-line human summary for the end of text output."""
         return (
-            f"{len(self.findings)} finding(s) "
-            f"({len(self.suppressed)} suppressed, {len(self.baselined)} baselined) "
+            f"{len(self.findings)} finding(s) ({len(self.suppressed)} suppressed) "
             f"in {self.files_scanned} file(s)"
         )
 
@@ -199,28 +190,21 @@ def split_suppressed(
 
 def finish_report(
     per_file: Iterable[Tuple[List[Finding], List[Finding]]],
-    baseline: Optional[Baseline],
     obs,
     tool: str,
 ) -> AnalysisReport:
     """The run epilogue: one report from each file's ``(live, suppressed)``.
 
-    Live findings are sorted run-wide and split by ``baseline`` (when
-    given) into ``findings`` and ``baselined``.  With ``obs`` it counts
-    ``{tool}_files_scanned_total``, ``{tool}_findings_total{rule=...}``,
-    ``{tool}_suppressed_total{rule=...}`` and ``{tool}_baselined_total``.
+    Live findings are sorted run-wide.  With ``obs`` it counts
+    ``{tool}_files_scanned_total``, ``{tool}_findings_total{rule=...}``
+    and ``{tool}_suppressed_total{rule=...}``.
     """
     report = AnalysisReport()
-    raw: List[Finding] = []
     for live, suppressed in per_file:
-        raw.extend(live)
+        report.findings.extend(live)
         report.suppressed.extend(suppressed)
         report.files_scanned += 1
-    raw.sort()
-    if baseline is not None:
-        report.findings, report.baselined = baseline.partition(raw)
-    else:
-        report.findings = raw
+    report.findings.sort()
     if obs is not None:
         registry = obs.registry
         registry.counter(f"{tool}_files_scanned_total").inc(report.files_scanned)
@@ -231,7 +215,6 @@ def finish_report(
             suppressed_counts[finding.rule] = suppressed_counts.get(finding.rule, 0) + 1
         for rule_id, count in sorted(suppressed_counts.items()):
             registry.counter(f"{tool}_suppressed_total", rule=rule_id).inc(count)
-        registry.counter(f"{tool}_baselined_total").inc(len(report.baselined))
     return report
 
 
@@ -253,13 +236,10 @@ def print_report(report: AnalysisReport, fmt: str) -> None:
 class Tool:
     """What the shared command line needs to know about one analyser.
 
-    ``name`` is the directive prefix, the obs counter prefix and the
-    stem of the default baseline (``<name>-baseline.json`` next to
-    ``--root``).  ``engine(baseline=..., obs=...)`` builds an object whose
-    ``run(root, paths)`` returns an :class:`AnalysisReport`.
-    ``catalogue_flag`` (e.g. ``--list-rules``) makes the run call
-    ``print_catalogue`` instead.  ``prog`` and ``description`` title the
-    standalone ``python -m`` parser.
+    ``name`` is the directive prefix and the obs counter prefix.
+    ``engine(obs=...)`` builds an object whose ``run(root, paths)``
+    returns an :class:`AnalysisReport`.  ``catalogue_flag`` (e.g.
+    ``--list-rules``) makes the run call ``print_catalogue`` instead.
     """
 
     name: str
@@ -269,8 +249,6 @@ class Tool:
     catalogue_flag: str
     catalogue_help: str
     print_catalogue: Callable[[], None]
-    prog: str
-    description: str
 
 
 def add_arguments(parser: argparse.ArgumentParser, tool: Tool) -> None:
@@ -292,22 +270,6 @@ def add_arguments(parser: argparse.ArgumentParser, tool: Tool) -> None:
         help="report format (text: file:line:col lines; json: stable schema)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=f"baseline file of grandfathered findings (default: "
-        f"{tool.name}-baseline.json next to --root when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report every finding)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         tool.catalogue_flag,
         dest="catalogue",
         action="store_true",
@@ -323,7 +285,11 @@ def add_arguments(parser: argparse.ArgumentParser, tool: Tool) -> None:
 
 
 def run(tool: Tool, args: argparse.Namespace) -> int:
-    """Execute a parsed ``tool`` invocation; returns the process exit code."""
+    """Execute a parsed ``tool`` invocation; returns the process exit code.
+
+    A missing path raises ``FileNotFoundError``, which ``repro.cli.main``
+    reports as ``error: ...`` with exit status 2.
+    """
     if args.catalogue:
         tool.print_catalogue()
         return 0
@@ -333,8 +299,7 @@ def run(tool: Tool, args: argparse.Namespace) -> int:
         p for p in tool.default_paths if os.path.exists(os.path.join(root, p))
     ]
     if not paths:
-        print(f"error: no default {tool.name} paths exist under {root}", file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"no default {tool.name} paths exist under {root}")
 
     obs = None
     if args.metrics_out:
@@ -342,24 +307,7 @@ def run(tool: Tool, args: argparse.Namespace) -> int:
 
         obs = Observability.create()
 
-    baseline_path = args.baseline or os.path.join(root, f"{tool.name}-baseline.json")
-    try:
-        baseline = None
-        if not (args.no_baseline or args.update_baseline):
-            if os.path.exists(baseline_path):
-                baseline = Baseline.load(baseline_path)
-            elif args.baseline:
-                raise FileNotFoundError(f"baseline file not found: {args.baseline}")
-        report = tool.engine(baseline=baseline, obs=obs).run(root, paths)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.update_baseline:
-        Baseline.from_findings(report.findings).write(baseline_path)
-        print(f"baseline: {len(report.findings)} finding(s) -> {baseline_path}")
-        return 0
-
+    report = tool.engine(obs=obs).run(root, paths)
     print_report(report, args.format)
 
     if obs is not None:
@@ -368,10 +316,3 @@ def run(tool: Tool, args: argparse.Namespace) -> int:
         write_metrics(args.metrics_out, obs.registry.snapshot())
 
     return 0 if report.ok else 1
-
-
-def main(tool: Tool, argv: Optional[Sequence[str]] = None) -> int:
-    """The standalone ``python -m`` entry point for ``tool``."""
-    parser = argparse.ArgumentParser(prog=tool.prog, description=tool.description)
-    add_arguments(parser, tool)
-    return run(tool, parser.parse_args(argv))

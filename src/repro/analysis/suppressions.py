@@ -1,13 +1,9 @@
 """``# lint: disable=...`` / ``# taint: ...`` directive parsing.
 
-Two directive forms, modelled on the usual linter conventions:
-
-* ``# lint: disable=rule-a,rule-b`` suppresses those rules on the line
-  the comment sits on (put it on the first line of a multi-line
-  statement -- findings anchor to the statement's first line).
-* ``# lint: file-disable=rule-a`` anywhere in a file (conventionally in
-  the module docstring block at the top) suppresses the rule for the
-  whole file.
+One suppression form, modelled on the usual linter conventions:
+``# lint: disable=rule-a,rule-b`` suppresses those rules on the line the
+comment sits on (put it on the first line of a multi-line statement --
+findings anchor to the statement's first line).
 
 The same machinery serves every analysis tool: the directive prefix is
 the ``tool`` argument (``lint:`` for the determinism linter, ``taint:``
@@ -19,10 +15,10 @@ suppressing anything (see docs/TAINT.md for their semantics).
 Every suppression is expected to carry a human justification in an
 adjacent comment -- the linter cannot check prose, but reviews can; see
 docs/LINTING.md.  Directives naming a rule that does not exist are
-themselves reported under the ``bad-directive`` pseudo-rule, so typos
-cannot silently disable nothing.  Only genuine ``#`` comments count:
-the source is tokenised, so directive *examples* inside docstrings and
-string literals are inert.
+themselves reported under the ``bad-directive`` pseudo-rule, and so is
+any other ``# lint: <word>=`` comment, so typos cannot silently disable
+nothing.  Only genuine ``#`` comments count: the source is tokenised,
+so directive *examples* inside docstrings and string literals are inert.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ BAD_DIRECTIVE = "bad-directive"
 def _directive_re(tool: str) -> "re.Pattern[str]":
     return re.compile(
         r"#\s*" + re.escape(tool)
-        + r":\s*(?P<scope>file-disable|disable)\s*=\s*(?P<rules>[A-Za-z0-9_,\- ]+)"
+        + r":\s*disable\s*=\s*(?P<rules>[A-Za-z0-9_,\- ]+)"
     )
 
 
@@ -58,8 +54,6 @@ class FileSuppressions:
     """The parsed suppression/annotation state of one source file."""
 
     def __init__(self) -> None:
-        #: rules disabled for the entire file
-        self.file_rules: Set[str] = set()
         #: line number -> rules disabled on that line
         self.line_rules: Dict[int, Set[str]] = {}
         #: (line, column, message) triples for malformed directives
@@ -69,8 +63,8 @@ class FileSuppressions:
         self.annotations: Dict[int, List[Tuple[str, str]]] = {}
 
     def is_suppressed(self, rule: str, line: int) -> bool:
-        """True if ``rule`` is disabled on ``line`` (or file-wide)."""
-        return rule in self.file_rules or rule in self.line_rules.get(line, ())
+        """True if ``rule`` is disabled on ``line``."""
+        return rule in self.line_rules.get(line, ())
 
     def annotations_on(self, line: int, kind: str) -> List[str]:
         """The values of every ``kind`` annotation on ``line``."""
@@ -142,7 +136,7 @@ def parse_suppressions(
             if re.match(r"#\s*" + re.escape(tool) + r":\s*\S+\s*=", text):
                 suppressions.bad_directives.append(
                     (lineno, column, f"malformed {tool} directive (expected "
-                     f"'# {tool}: disable=<rule>[,<rule>]' or '# {tool}: file-disable=<rule>')")
+                     f"'# {tool}: disable=<rule>[,<rule>]')")
                 )
             continue
         names = [name.strip() for name in match.group("rules").split(",")]
@@ -153,10 +147,6 @@ def parse_suppressions(
                 (lineno, column, f"unknown rule(s) in {tool} directive: {', '.join(unknown)}")
             )
         valid = {name for name in names if name in known}
-        if not valid:
-            continue
-        if match.group("scope") == "file-disable":
-            suppressions.file_rules.update(valid)
-        else:
+        if valid:
             suppressions.line_rules.setdefault(lineno, set()).update(valid)
     return suppressions

@@ -7,12 +7,12 @@ threshold, shares reveal *nothing* (H(Y) = H(X)) -- but one
 proves the implementation honours the model: a source/sink/sanitizer
 dataflow analysis (policy in :mod:`~repro.analysis.taint.policy`,
 propagation in :mod:`~repro.analysis.taint.propagation`) built on the
-same framework, report format, suppressions and baseline machinery as
-the determinism linter.  ``repro-model taint`` is the CLI; docs/TAINT.md
+same framework, report format and suppressions as the determinism
+linter.  ``repro-model taint`` is its one command line; docs/TAINT.md
 is the threat model in prose.
 """
 
-from repro.analysis.taint.engine import ANNOTATION_KINDS, TaintEngine, taint_paths
+from repro.analysis.taint.engine import ANNOTATION_KINDS, TaintEngine
 from repro.analysis.taint.policy import (
     Sanitizer,
     Sink,
@@ -34,5 +34,4 @@ __all__ = [
     "TaintEngine",
     "TaintPolicy",
     "default_policy",
-    "taint_paths",
 ]

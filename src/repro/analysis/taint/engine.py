@@ -1,4 +1,4 @@
-"""The whole-program taint engine.
+"""The whole-program taint engine and its command-line record.
 
 Runs in three stages over the discovered tree:
 
@@ -12,19 +12,24 @@ Runs in three stages over the discovered tree:
    ``netsim`` -> ``obs`` call chains.
 3. **Collection**: one final pass emits findings, which then flow
    through the run epilogue the determinism linter uses -- same
-   suppression/baseline pipeline, same JSON schema, ``taint_*`` obs
-   counters instead of ``lint_*``.
+   suppression pipeline, same JSON schema, ``taint_*`` obs counters
+   instead of ``lint_*``.
+
+The :data:`TAINT` record puts the engine behind ``repro-model taint``
+through the shared command line in :mod:`repro.analysis.framework`.
+Exit status is the linter's: 0 clean, 1 live findings, 2 usage errors.
+Unlike the linter, the default scope is the shipped package only: tests
+and benchmarks legitimately print and persist secret-adjacent fixtures.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis import framework
 from repro.analysis.framework import (
     AnalysisReport,
-    Baseline,
     Finding,
     FileSuppressions,
     collect_aliases,
@@ -34,7 +39,7 @@ from repro.analysis.taint.policy import default_policy
 from repro.analysis.taint.propagation import ModuleAnalyzer, ModuleInfo, module_name
 from repro.analysis.taint.summaries import SummaryTable
 
-__all__ = ["ANNOTATION_KINDS", "MAX_PASSES", "TaintEngine", "taint_paths"]
+__all__ = ["ANNOTATION_KINDS", "MAX_PASSES", "TAINT", "TaintEngine", "print_catalogue"]
 
 #: The ``# taint:`` annotation directive keywords (see docs/TAINT.md).
 ANNOTATION_KINDS = ("source", "sink", "declassified")
@@ -50,21 +55,14 @@ class TaintEngine:
     (:func:`default_policy`).
 
     Args:
-        baseline: grandfathered findings (``taint-baseline.json`` ships
-            empty; the mechanism exists for future policy additions).
         obs: optional :class:`repro.obs.Observability`; emits
-            ``taint_files_scanned_total``, ``taint_findings_total{rule=...}``,
-            ``taint_suppressed_total{rule=...}`` and ``taint_baselined_total``.
+            ``taint_files_scanned_total``, ``taint_findings_total{rule=...}``
+            and ``taint_suppressed_total{rule=...}``.
     """
 
-    def __init__(self, baseline: Optional[Baseline] = None, obs=None):
+    def __init__(self, obs=None):
         self.policy = default_policy()
-        self.baseline = baseline
         self.obs = obs
-
-    @staticmethod
-    def discover(root: str, paths: Sequence[str]) -> List[str]:
-        return framework.discover(root, paths, label="taint")
 
     def analyze_sources(self, files: Sequence[Tuple[str, str]]) -> AnalysisReport:
         """Analyze ``(relpath, source)`` pairs (filesystem-free entry point)."""
@@ -103,22 +101,46 @@ class TaintEngine:
             split_suppressed(sorted(findings[relpath]), suppressions[relpath])
             for relpath in sorted(findings)
         )
-        return framework.finish_report(split, self.baseline, self.obs, "taint")
+        return framework.finish_report(split, self.obs, "taint")
 
     def run(self, root: str, paths: Sequence[str]) -> AnalysisReport:
         """Analyze every ``.py`` file under ``paths`` (relative to ``root``)."""
         files: List[Tuple[str, str]] = []
-        for relpath in self.discover(root, paths):
+        for relpath in framework.discover(root, paths, label="taint"):
             with open(os.path.join(root, relpath), encoding="utf-8") as handle:
                 files.append((relpath, handle.read()))
         return self.analyze_sources(files)
 
 
-def taint_paths(
-    root: str,
-    paths: Iterable[str],
-    baseline: Optional[Baseline] = None,
-    obs=None,
-) -> AnalysisReport:
-    """Convenience wrapper: build an engine and run it once."""
-    return TaintEngine(baseline=baseline, obs=obs).run(root, list(paths))
+def print_catalogue() -> None:
+    """The ``--list-sinks`` catalogue: sinks, sources and sanitizers."""
+    policy = default_policy()
+    print("sinks:")
+    for rule_id, description in policy.sink_catalogue():
+        print(f"  {rule_id:18s} {description}")
+    print("sources:")
+    for sp in policy.source_params:
+        scope = ", ".join(sp.includes) if sp.includes else "everywhere"
+        print(f"  param {', '.join(sp.names)}  [scope: {scope}]")
+    for sc in policy.source_calls:
+        names = ", ".join(sc.qualnames + sc.methods)
+        print(f"  call {names}  [{sc.label}]")
+    print("sanitizers:")
+    for sanitizer in policy.sanitizers:
+        names = ", ".join(
+            sanitizer.qualnames
+            + tuple(f"{p}*" for p in sanitizer.prefixes)
+            + tuple(f".{m}()" for m in sanitizer.methods)
+        )
+        print(f"  {names}")
+
+
+TAINT = framework.Tool(
+    name="taint",
+    verb="analyze",
+    engine=TaintEngine,
+    default_paths=("src",),
+    catalogue_flag="--list-sinks",
+    catalogue_help="print the source/sink/sanitizer catalogue and exit",
+    print_catalogue=print_catalogue,
+)

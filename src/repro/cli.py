@@ -290,9 +290,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     channels = load_channels(args.channels, args.channel)
     config = ProtocolConfig(kappa=args.kappa, mu=args.mu, share_synthetic=True)
-    offered = args.offered_rate or practical_max_rate(
-        channels, args.mu, config.symbol_size
-    )
+    offered = args.offered_rate
+    if offered is None:
+        offered = practical_max_rate(channels, args.mu, config.symbol_size)
     fault_plan = load_fault_plan(args.faults, args.duration, args.warmup)
     obs = None
     if args.metrics_out or args.trace_out:
@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tree.  Exits 0 on a clean tree, 1 on findings.  See docs/LINTING.md.",
     )
     from repro.analysis.framework import add_arguments
-    from repro.lint.cli import LINT
+    from repro.lint.engine import LINT
 
     add_arguments(lint, LINT)
 
@@ -633,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         "persistence or repr/f-string formatting.  Exits 0 on a clean "
         "tree, 1 on findings.  See docs/TAINT.md.",
     )
-    from repro.analysis.taint.cli import TAINT
+    from repro.analysis.taint.engine import TAINT
 
     add_arguments(taint, TAINT)
 

@@ -10,10 +10,9 @@ the paper's own methodology (guarantees derived statically from the
 model rather than observed empirically).
 
 The subsystem is a small set of determinism rules on top of the shared
-static-analysis framework (:mod:`repro.analysis`: the :class:`Finding`
-record, import-alias resolution, ``# lint:`` directives and the JSON
-baseline of grandfathered findings, which ships empty -- see
-docs/LINTING.md):
+static-analysis framework (:mod:`repro.analysis.framework`: the
+``Finding`` record, import-alias resolution, ``# lint: disable=``
+directives, the report and the command line -- see docs/LINTING.md):
 
 * :mod:`repro.lint.rules` -- the :class:`Rule` base class.
 * :mod:`repro.lint.checks` -- the determinism rule catalogue, the
@@ -21,9 +20,8 @@ docs/LINTING.md):
   ``unordered-iteration``, ``env-read``, ``mutable-default``,
   ``float-eq``).
 * :mod:`repro.lint.engine` -- the single-pass visitor that walks the
-  tree once per file and dispatches every node to the interested rules.
-* :mod:`repro.lint.cli` -- the linter's record for the shared analyser
-  front end (:mod:`repro.analysis.framework`) behind ``repro-model lint``.
+  tree once per file and dispatches every node to the interested rules,
+  and the ``LINT`` record behind ``repro-model lint``.
 
 The linter is itself deterministic: files are discovered in sorted
 order, nodes are visited in AST order and findings are reported sorted
@@ -32,19 +30,8 @@ byte-identical output.  CI gates on ``repro-model lint`` exiting zero
 (see ``.github/workflows/ci.yml`` and docs/LINTING.md).
 """
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.findings import Finding
-from repro.analysis.suppressions import FileSuppressions
 from repro.lint.checks import default_rules
-from repro.lint.engine import LintEngine, lint_paths
+from repro.lint.engine import LintEngine
 from repro.lint.rules import Rule
 
-__all__ = [
-    "Baseline",
-    "FileSuppressions",
-    "Finding",
-    "LintEngine",
-    "Rule",
-    "default_rules",
-    "lint_paths",
-]
+__all__ = ["LintEngine", "Rule", "default_rules"]

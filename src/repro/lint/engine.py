@@ -1,4 +1,4 @@
-"""The single-pass lint engine.
+"""The single-pass lint engine and its command-line record.
 
 One ``ast.parse`` and one tree walk per file, however many rules are
 in the catalogue: per file, the engine builds a ``node type ->
@@ -6,10 +6,11 @@ interested rules`` dispatch table from the rules whose scope covers the
 file and feeds every node to exactly the rules that declared that type.
 
 The per-file prologue (directives, ``bad-directive`` and ``parse-error``
-findings) and the run epilogue (sorting, the baseline partition and the
-``lint_*`` obs counters) live in :mod:`repro.analysis.framework`,
-shared with the secret-taint analysis; this module keeps only the
-lint-specific rule dispatch.  Two runs over the same tree produce
+findings), the run epilogue (sorting and the ``lint_*`` obs counters)
+and the command line live in :mod:`repro.analysis.framework`, shared
+with the secret-taint analysis; this module keeps only the
+lint-specific rule dispatch and the :data:`LINT` record behind
+``repro-model lint``.  Two runs over the same tree produce
 byte-identical reports (pinned by ``tests/test_lint_regression.py``).
 """
 
@@ -17,54 +18,35 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Sequence, Tuple, Type
 
 from repro.analysis import framework
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
-from repro.analysis.framework import (
-    PARSE_ERROR,
-    AnalysisReport,
-    collect_aliases,
-    split_suppressed,
-)
+from repro.analysis.framework import AnalysisReport, collect_aliases, split_suppressed
 from repro.lint.checks import default_rules
 from repro.lint.rules import FileContext, Rule
 
-__all__ = ["LintEngine", "lint_paths", "PARSE_ERROR"]
+__all__ = ["LINT", "LintEngine", "print_rules"]
 
 
 class LintEngine:
     """Walks files once and dispatches AST nodes to the catalogue's rules.
 
     Args:
-        baseline: grandfathered findings; absorbed findings are reported
-            separately and do not fail the run.
         obs: optional :class:`repro.obs.Observability`; when given, the
             engine emits ``lint_files_scanned_total``,
-            ``lint_findings_total{rule=...}``, ``lint_suppressed_total{rule=...}``
-            and ``lint_baselined_total`` counters.
+            ``lint_findings_total{rule=...}`` and
+            ``lint_suppressed_total{rule=...}`` counters.
     """
 
-    def __init__(self, baseline: Optional[Baseline] = None, obs=None):
+    def __init__(self, obs=None):
         self.rules: List[Rule] = default_rules()
-        self.baseline = baseline
         self.obs = obs
-
-    @staticmethod
-    def discover(root: str, paths: Sequence[str]) -> List[str]:
-        """Resolve files/directories to a sorted list of ``.py`` files.
-
-        Delegates to :func:`repro.analysis.framework.discover`: sorted
-        walk, cache/VCS directories skipped, forward-slash relpaths.
-        """
-        return framework.discover(root, paths, label="lint")
 
     def lint_source(self, relpath: str, source: str) -> Tuple[List[Finding], List[Finding]]:
         """Lint one file's source text.
 
-        Returns ``(raw_findings, suppressed)`` -- baseline handling is
-        run-level, not file-level.
+        Returns ``(live, suppressed)``, each sorted.
         """
         tree, suppressions, findings = framework.parse_source(
             relpath, source, "lint", [rule.rule_id for rule in self.rules]
@@ -87,18 +69,26 @@ class LintEngine:
         """Lint every ``.py`` file under ``paths`` (relative to ``root``)."""
 
         def per_file():
-            for relpath in self.discover(root, paths):
+            for relpath in framework.discover(root, paths, label="lint"):
                 with open(os.path.join(root, relpath), encoding="utf-8") as handle:
                     yield self.lint_source(relpath, handle.read())
 
-        return framework.finish_report(per_file(), self.baseline, self.obs, "lint")
+        return framework.finish_report(per_file(), self.obs, "lint")
 
 
-def lint_paths(
-    root: str,
-    paths: Iterable[str],
-    baseline: Optional[Baseline] = None,
-    obs=None,
-) -> AnalysisReport:
-    """Convenience wrapper: build an engine and run it once."""
-    return LintEngine(baseline=baseline, obs=obs).run(root, list(paths))
+def print_rules() -> None:
+    """The ``--list-rules`` catalogue: id, description and scope per rule."""
+    for rule in default_rules():
+        scope = ", ".join(rule.includes) if rule.includes else "everywhere"
+        print(f"{rule.rule_id:22s} {rule.description}  [scope: {scope}]")
+
+
+LINT = framework.Tool(
+    name="lint",
+    verb="lint",
+    engine=LintEngine,
+    default_paths=("src", "tests", "benchmarks"),
+    catalogue_flag="--list-rules",
+    catalogue_help="print the rule catalogue and exit",
+    print_catalogue=print_rules,
+)

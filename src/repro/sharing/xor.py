@@ -56,12 +56,12 @@ class XorScheme(SecretSharingScheme):
         return shares
 
     def reconstruct(self, shares: Sequence[Share]) -> bytes:
-        k = check_share_group(shares)
+        # All shares are required regardless of the stored threshold.
+        check_share_group(shares)
         if len(shares) < shares[0].m:
             raise ReconstructionError(
                 f"XOR perfect sharing needs all {shares[0].m} shares, got {len(shares)}"
             )
-        del k  # all shares are required regardless of stored threshold
         lengths = {len(s.data) for s in shares}
         if len(lengths) != 1:
             raise ReconstructionError(f"shares have inconsistent lengths: {sorted(lengths)}")

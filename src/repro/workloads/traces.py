@@ -169,7 +169,10 @@ def run_trace(
     sent_payloads = [payload for _, payload in events]
     for when, payload in events:
         network.engine.schedule_at(when, tunnel.intercept, payload)
-    network.engine.schedule_at(duration, tunnel.flush)
+    # A response can be timed after the window ends; flushing any earlier
+    # would strand its last partial symbol in the tunnel's buffer.
+    last = events[-1][0] if events else duration
+    network.engine.schedule_at(max(duration, last), tunnel.flush)
     network.engine.run_until(duration + DRAIN)
     network.teardown(node_a, node_b)
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import load_channels, main
+from repro.protocol.config import ProtocolConfig
+from repro.workloads.iperf import practical_max_rate
 
 CHANNELS = [
     [0.3, 0.01, 0.25, 5.0],
@@ -225,13 +227,43 @@ class TestSimulateCommand:
         text = metrics_path.read_text()
         assert "# TYPE sim_link_delivered_total counter" in text
 
+    def test_offered_rate_defaults_to_practical_maximum(self, channels_file, capsys):
+        code = main(
+            [
+                "simulate", "--channels", channels_file,
+                "--kappa", "1", "--mu", "1",
+                "--duration", "5", "--warmup", "1",
+            ]
+        )
+        assert code == 0
+        channels = load_channels(channels_file, None)
+        maximum = practical_max_rate(channels, 1.0, ProtocolConfig(kappa=1.0, mu=1.0).symbol_size)
+        assert f"offered rate   = {maximum:.4f} symbols/unit" in capsys.readouterr().out
+
+    def test_explicit_offered_rate_is_used(self, channels_file, capsys):
+        code = main(
+            [
+                "simulate", "--channels", channels_file,
+                "--kappa", "1", "--mu", "1",
+                "--duration", "5", "--warmup", "1", "--offered-rate", "3",
+            ]
+        )
+        assert code == 0
+        assert "offered rate   = 3.0000 symbols/unit" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "option,value",
-        [("--offered-rate", "inf"), ("--offered-rate", "nan"), ("--duration", "-1")],
+        [
+            ("--offered-rate", "inf"),
+            ("--offered-rate", "nan"),
+            ("--offered-rate", "0"),
+            ("--duration", "-1"),
+        ],
     )
     def test_unrunnable_window_rejected(self, channels_file, capsys, option, value):
-        # --offered-rate inf used to hang, nan to exit 0 with zeros, and
-        # --duration -1 to die in a RuntimeError traceback.
+        # --offered-rate inf used to hang, nan to exit 0 with zeros, 0 to
+        # run at the practical maximum rate, and --duration -1 to die in a
+        # RuntimeError traceback.
         code = main(
             [
                 "simulate", "--channels", channels_file,

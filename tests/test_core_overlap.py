@@ -108,8 +108,6 @@ class TestJointRisk:
 
     def test_exact_against_monte_carlo(self, rng):
         graph = nx.Graph()
-        rngs = np.random.default_rng(0)
-        nodes = ["s", "x", "y", "t"]
         graph.add_edge("s", "x", risk=0.2, rate=1.0)
         graph.add_edge("x", "t", risk=0.4, rate=1.0)
         graph.add_edge("s", "y", risk=0.3, rate=1.0)

@@ -1,21 +1,22 @@
 """CLI surface of the determinism linter, plus the live-tree meta-test."""
 
+import importlib.util
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-from repro.analysis.taint.cli import main as taint_main
 from repro.cli import main as repro_main
-from repro.lint import Baseline, lint_paths
-from repro.lint.cli import main as lint_main
+from repro.lint import LintEngine
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 HAZARD = "import time\nt = time.time()\n"
 CLEAN = "def f(x):\n    return x + 1\n"
+
+
+def lint_main(argv):
+    return repro_main(["lint", *argv])
 
 
 @pytest.fixture
@@ -47,15 +48,29 @@ class TestLintCli:
         assert data["counts"] == {"wall-clock": 1}
         assert data["findings"][0]["file"] == "src/repro/netsim/bad.py"
 
-    def test_update_then_gate_on_baseline(self, tree, capsys):
-        assert lint_main(["--root", str(tree), "--update-baseline", "src"]) == 0
-        baseline_path = tree / "lint-baseline.json"
-        assert len(Baseline.load(str(baseline_path))) == 1
-        # The default baseline next to --root is picked up automatically...
-        assert lint_main(["--root", str(tree), "src"]) == 0
-        capsys.readouterr()
-        # ...and --no-baseline reports the grandfathered finding again.
-        assert lint_main(["--root", str(tree), "--no-baseline", "src"]) == 1
+    def test_baseline_file_next_to_root_gates_nothing(self, tree, capsys):
+        # A finding is exempted only inline: a baseline file next to --root
+        # that lists it ({"version": 1, "findings": [...]}) changes nothing.
+        assert lint_main(["--root", str(tree), "--format", "json", "src"]) == 1
+        entries = [
+            {"count": 1, "file": f["file"], "message": f["message"], "rule": f["rule"]}
+            for f in json.loads(capsys.readouterr().out)["findings"]
+        ]
+        (tree / "lint-baseline.json").write_text(
+            json.dumps({"findings": entries, "version": 1})
+        )
+        assert lint_main(["--root", str(tree), "src"]) == 1
+        assert "1 finding(s) (0 suppressed) in 2 file(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tool", ["lint", "taint"])
+    @pytest.mark.parametrize(
+        "option", [["--no-baseline"], ["--update-baseline"], ["--baseline", "b.json"]]
+    )
+    def test_baseline_options_are_unknown(self, tree, tool, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main([tool, "--root", str(tree), *option, "src"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
     def test_repro_cli_lint_subcommand(self, tree, capsys):
         assert repro_main(["lint", "--root", str(tree), "src"]) == 1
@@ -84,55 +99,119 @@ class TestLintCli:
     def test_missing_path_is_an_error(self, tmp_path, capsys):
         assert lint_main(["--root", str(tmp_path), "nope"]) == 2
 
-    def test_missing_explicit_baseline_ignored_without_gating(self, tree, tmp_path, capsys):
-        absent = str(tmp_path / "absent.json")
-        argv = ["--root", str(tree), "--baseline", absent, "src"]
-        assert lint_main(["--no-baseline", *argv]) == 1
-        assert lint_main(["--update-baseline", *argv]) == 0
-        assert os.path.exists(absent)
+
+#: Per tool: a file with one live finding at line 2, column 4, and the
+#: same hazard exempted inline, on its own line, with its justification.
+PLANTED = {
+    "lint": (
+        "src/repro/netsim/mod.py",
+        "import time\n"
+        "t = time.time()\n"
+        "# Reporting-only wall time in this fixture.\n"
+        "u = time.time()  # lint: disable=wall-clock\n",
+        "wall-clock",
+    ),
+    "taint": (
+        "src/repro/demo/mod.py",
+        "def deliver(secret):\n"
+        "    print(secret)\n"
+        "\n"
+        "\n"
+        "def audit(secret):\n"
+        "    # Demonstration fixture, not a real sink.\n"
+        "    print(secret)  # taint: disable=taint-print\n",
+        "taint-print",
+    ),
+}
 
 
-class TestBadBaseline:
-    """Both analysers share one front end: on every entry point, an explicit
-    baseline that cannot be used is a usage error (exit 2), never a
-    traceback or a silently un-baselined run."""
+@pytest.fixture(params=sorted(PLANTED))
+def planted(request, tmp_path):
+    tool = request.param
+    relpath, source, rule = PLANTED[tool]
+    path = tmp_path / relpath
+    path.parent.mkdir(parents=True)
+    path.write_text(source)
+    return tool, tmp_path, relpath, rule
 
-    @pytest.mark.parametrize(
-        "content", ["{not json", '{"version": 2}', None], ids=["malformed", "version-2", "missing"]
-    )
-    @pytest.mark.parametrize("via", ["main", "python-m"])
-    @pytest.mark.parametrize("module", ["repro.lint", "repro.analysis.taint"])
-    def test_exit_two(self, tree, tmp_path, module, via, content, capsys):
-        baseline = tmp_path / "baseline.json"
-        if content is not None:
-            baseline.write_text(content)
-        argv = ["--root", str(tree), "--baseline", str(baseline), "src"]
-        if via == "main":
-            main = lint_main if module == "repro.lint" else taint_main
-            code, err = main(argv), capsys.readouterr().err
-        else:
-            env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-            proc = subprocess.run(
-                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
-            )
-            code, err = proc.returncode, proc.stderr
-        assert code == 2
-        assert err.startswith("error: ")
-        if content is None:
-            assert err == f"error: baseline file not found: {baseline}\n"
+
+class TestSharedFrontEnd:
+    """Both analysers have one way in, ``repro-model <tool>``, and one way
+    to exempt a finding, an inline directive on its line.  Every usage
+    error there exits 2 with one ``error:`` line, never a traceback."""
+
+    def test_inline_disable_is_counted_as_suppressed(self, planted, capsys):
+        tool, root, relpath, rule = planted
+        assert repro_main([tool, "--root", str(root), "src"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith(f"{relpath}:2:4: {rule}: ")
+        assert lines[1] == "1 finding(s) (1 suppressed) in 1 file(s)"
+
+    def test_metrics_out_counts_live_and_suppressed(self, planted, tmp_path, capsys):
+        tool, root, _, rule = planted
+        metrics = tmp_path / "metrics.jsonl"
+        argv = [tool, "--root", str(root), "--metrics-out", str(metrics), "src"]
+        assert repro_main(argv) == 1
+        values = {
+            (sample["name"], tuple(sorted(sample["labels"].items()))): sample["value"]
+            for sample in map(json.loads, metrics.read_text().splitlines())
+        }
+        assert values == {
+            (f"{tool}_files_scanned_total", ()): 1.0,
+            (f"{tool}_findings_total", (("rule", rule),)): 1.0,
+            (f"{tool}_suppressed_total", (("rule", rule),)): 1.0,
+        }
+
+    def test_whole_file_directive_fails_loudly(self, planted, capsys):
+        tool, root, relpath, rule = planted
+        path = root / relpath
+        path.write_text(f"# {tool}: file-disable={rule}\n" + path.read_text())
+        assert repro_main([tool, "--root", str(root), "src"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            f"{relpath}:1:0: bad-directive: malformed {tool} directive "
+            f"(expected '# {tool}: disable=<rule>[,<rule>]')"
+        )
+        assert lines[1].startswith(f"{relpath}:3:4: {rule}: ")
+        assert lines[2] == "2 finding(s) (1 suppressed) in 1 file(s)"
+
+    def test_missing_path_is_one_error_line(self, planted, capsys):
+        tool, root, _, _ = planted
+        assert repro_main([tool, "--root", str(root), "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tool} path does not exist: 'nope'\n"
+
+    def test_no_default_paths_is_one_error_line(self, planted, capsys):
+        tool, root, _, _ = planted
+        empty = root / "empty"
+        empty.mkdir()
+        assert repro_main([tool, "--root", str(empty)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no default {tool} paths exist under {empty}\n"
+
+    def test_unknown_format_is_rejected(self, planted, capsys):
+        tool, root, _, _ = planted
+        with pytest.raises(SystemExit) as exc:
+            repro_main([tool, "--root", str(root), "--format", "xml", "src"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("package", ["repro.lint", "repro.analysis.taint"])
+    def test_no_module_entry_point(self, package):
+        assert importlib.util.find_spec(package) is not None
+        assert importlib.util.find_spec(f"{package}.__main__") is None
 
 
 class TestLiveTree:
-    """The acceptance gate: this repository lints clean, baseline empty."""
+    """The acceptance gate: this repository lints clean."""
 
     PATHS = ("src", "tests", "benchmarks")
 
-    def test_shipped_baseline_is_empty(self):
-        baseline = Baseline.load(os.path.join(REPO_ROOT, "lint-baseline.json"))
-        assert len(baseline) == 0
-
     def test_tree_lints_clean(self):
-        report = lint_paths(REPO_ROOT, [p for p in self.PATHS])
+        report = LintEngine().run(REPO_ROOT, list(self.PATHS))
         assert report.ok, "\n".join(f.render() for f in report.findings)
         # The four wall-time reporting sites in experiments/runner.py, the
         # fingerprint override in sweep/cache.py and the documented

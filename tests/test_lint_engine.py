@@ -1,9 +1,8 @@
-"""Engine-level semantics: suppressions, baseline, resolution, discovery.
+"""Engine-level semantics: suppressions, resolution, discovery.
 
 The rule-specific fixtures live in test_lint_rules.py; here the subject
-is the machinery around them -- directive parsing, grandfathering,
-alias resolution, deterministic file discovery and the JSON round-trip
-of findings and reports.
+is the machinery around them -- directive parsing, alias resolution,
+deterministic file discovery and the JSON form of findings and reports.
 """
 
 import ast
@@ -12,8 +11,10 @@ import textwrap
 
 import pytest
 
+from repro.analysis import framework
+from repro.analysis.findings import Finding
 from repro.analysis.resolve import collect_aliases, qualified_name
-from repro.lint import Baseline, Finding, LintEngine, lint_paths
+from repro.lint import LintEngine
 
 SCOPED = "src/repro/netsim/fixture.py"
 
@@ -49,7 +50,7 @@ class TestSuppressions:
         assert live == []
         assert sorted(f.rule for f in suppressed) == ["env-read", "wall-clock"]
 
-    def test_file_disable(self):
+    def test_whole_file_directive_is_a_bad_directive(self):
         code = """
         # Wall-time is reporting-only in this fixture.
         # lint: file-disable=wall-clock
@@ -58,8 +59,11 @@ class TestSuppressions:
         b = time.time()
         """
         live, suppressed = lint(code)
-        assert live == []
-        assert len(suppressed) == 2
+        assert [f.rule for f in live] == ["bad-directive", "wall-clock", "wall-clock"]
+        assert live[0].message == (
+            "malformed lint directive (expected '# lint: disable=<rule>[,<rule>]')"
+        )
+        assert suppressed == []
 
     def test_unknown_rule_is_reported(self):
         live, _ = lint("x = 1  # lint: disable=no-such-rule\n")
@@ -82,52 +86,6 @@ class TestSuppressions:
     def test_directive_does_not_suppress_other_rules(self):
         live, _ = lint("import time\nt = time.time()  # lint: disable=env-read\n")
         assert [f.rule for f in live] == ["wall-clock"]
-
-
-class TestBaseline:
-    def finding(self, line=2):
-        return Finding(file=SCOPED, line=line, column=4, rule="wall-clock", message="m")
-
-    def test_partition_absorbs_by_identity_not_line(self):
-        baseline = Baseline.from_findings([self.finding(line=2)])
-        new, grandfathered = baseline.partition([self.finding(line=99)])
-        assert new == [] and len(grandfathered) == 1
-
-    def test_counts_absorb_at_most_count_occurrences(self):
-        baseline = Baseline.from_findings([self.finding()])
-        new, grandfathered = baseline.partition([self.finding(3), self.finding(7)])
-        assert len(grandfathered) == 1 and len(new) == 1
-
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        original = Baseline.from_findings([self.finding(), self.finding(), self.finding(9)])
-        original.write(path)
-        loaded = Baseline.load(path)
-        assert loaded.counts == original.counts
-        # Regenerating on unchanged input is byte-identical.
-        second = str(tmp_path / "baseline2.json")
-        loaded.write(second)
-        assert open(path).read() == open(second).read()
-
-    def test_load_rejects_bad_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError):
-            Baseline.load(str(path))
-        path.write_text(json.dumps({"version": 1, "findings": [{"file": "x"}]}))
-        with pytest.raises(ValueError):
-            Baseline.load(str(path))
-
-    def test_engine_reports_baselined_separately(self, tmp_path):
-        root = tmp_path / "repo"
-        target = root / "src" / "repro" / "netsim"
-        target.mkdir(parents=True)
-        (target / "mod.py").write_text(WALL_CLOCK_SNIPPET)
-        report = lint_paths(str(root), ["src"])
-        assert not report.ok and len(report.findings) == 1
-        baseline = Baseline.from_findings(report.findings)
-        gated = lint_paths(str(root), ["src"], baseline=baseline)
-        assert gated.ok and len(gated.baselined) == 1
 
 
 class TestResolution:
@@ -177,11 +135,11 @@ class TestEngine:
         (root / "src" / "a.py").write_text("x = 1\n")
         (root / "src" / "__pycache__" / "a.cpython-311.py").write_text("x = 1\n")
         (root / "src" / "notes.txt").write_text("not python\n")
-        assert LintEngine.discover(str(root), ["src"]) == ["src/a.py", "src/b.py"]
+        assert framework.discover(str(root), ["src"]) == ["src/a.py", "src/b.py"]
 
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            LintEngine.discover(str(tmp_path), ["nope"])
+            framework.discover(str(tmp_path), ["nope"])
 
     def test_parse_error_is_a_finding(self):
         live, _ = lint("def broken(:\n")
@@ -193,27 +151,42 @@ class TestEngine:
         target.mkdir(parents=True)
         (target / "b.py").write_text(WALL_CLOCK_SNIPPET)
         (target / "a.py").write_text("import os\nv = os.getenv('X')\n")
-        first = lint_paths(str(root), ["src"])
-        second = lint_paths(str(root), ["src"])
+        first = LintEngine().run(str(root), ["src"])
+        second = LintEngine().run(str(root), ["src"])
         assert [f.to_dict() for f in first.findings] == [f.to_dict() for f in second.findings]
         assert first.findings == sorted(first.findings)
         assert first.files_scanned == 2
 
     def test_finding_json_round_trip(self):
+        # The JSON form carries every field: it rebuilds the same finding.
         live, _ = lint(WALL_CLOCK_SNIPPET)
         (finding,) = live
-        assert Finding.from_dict(json.loads(json.dumps(finding.to_dict()))) == finding
+        assert Finding(**json.loads(json.dumps(finding.to_dict()))) == finding
+
+    def test_empty_report(self):
+        report = framework.AnalysisReport()
+        assert report.ok
+        assert report.to_dict() == {
+            "version": 2,
+            "files_scanned": 0,
+            "ok": True,
+            "counts": {},
+            "findings": [],
+            "suppressed": 0,
+        }
+        assert report.summary() == "0 finding(s) (0 suppressed) in 0 file(s)"
 
     def test_report_schema(self, tmp_path):
         root = tmp_path / "repo"
         target = root / "src" / "repro" / "netsim"
         target.mkdir(parents=True)
         (target / "mod.py").write_text(WALL_CLOCK_SNIPPET)
-        data = lint_paths(str(root), ["src"]).to_dict()
-        assert data["version"] == 1
+        data = LintEngine().run(str(root), ["src"]).to_dict()
+        assert data["version"] == 2
         assert data["ok"] is False
         assert data["counts"] == {"wall-clock": 1}
-        assert data["suppressed"] == 0 and data["baselined"] == 0
+        assert data["suppressed"] == 0
+        assert set(data) == {"version", "files_scanned", "ok", "counts", "findings", "suppressed"}
         assert set(data["findings"][0]) == {"file", "line", "column", "rule", "message"}
 
     def test_obs_counters(self, tmp_path):
@@ -226,7 +199,7 @@ class TestEngine:
             WALL_CLOCK_SNIPPET + "u = time.time()  # lint: disable=wall-clock\n"
         )
         obs = Observability.create()
-        report = lint_paths(str(root), ["src"], obs=obs)
+        report = LintEngine(obs=obs).run(str(root), ["src"])
         assert len(report.findings) == 1 and len(report.suppressed) == 1
         registry = obs.registry
         assert registry.counter("lint_files_scanned_total").value == 1

@@ -4,7 +4,7 @@ The lint engine was rehosted onto the shared ``repro.analysis.framework``
 when the taint analysis landed (docs/TAINT.md).  These tests pin the
 *observable* lint contract to literal byte strings captured from the
 pre-refactor implementation: CLI text and JSON output, the finding
-render format, the baseline file format, and the public import paths.
+render format, and the public import paths.
 If the framework refactor (or any future one) changes a byte of lint
 output, these fail with a diff rather than silently shifting CI gates.
 """
@@ -17,8 +17,8 @@ import pytest
 
 from repro.analysis.findings import Finding
 from repro.analysis.suppressions import parse_suppressions
-from repro.lint import Baseline, LintEngine
-from repro.lint.cli import main as lint_main
+from repro.cli import main as repro_main
+from repro.lint import LintEngine
 
 WALL_CLOCK_MESSAGE = (
     "wall-clock read time.time() is nondeterministic; use simulated time, "
@@ -28,14 +28,13 @@ WALL_CLOCK_MESSAGE = (
 #: Exact pre-refactor CLI text output for the fixture tree below.
 GOLDEN_TEXT = (
     f"src/repro/netsim/bad.py:2:4: wall-clock: {WALL_CLOCK_MESSAGE}\n"
-    "1 finding(s) (0 suppressed, 0 baselined) in 2 file(s)\n"
+    "1 finding(s) (0 suppressed) in 2 file(s)\n"
 )
 
 #: Exact pre-refactor CLI JSON output (indent=1, sorted keys, trailing
 #: newline) for the same tree.
 GOLDEN_JSON = (
     "{\n"
-    ' "baselined": 0,\n'
     ' "counts": {\n'
     '  "wall-clock": 1\n'
     " },\n"
@@ -51,24 +50,13 @@ GOLDEN_JSON = (
     " ],\n"
     ' "ok": false,\n'
     ' "suppressed": 0,\n'
-    ' "version": 1\n'
+    ' "version": 2\n'
     "}\n"
 )
 
-#: Exact pre-refactor baseline file content for one grandfathered finding.
-GOLDEN_BASELINE = (
-    "{\n"
-    ' "findings": [\n'
-    "  {\n"
-    '   "count": 1,\n'
-    '   "file": "src/a.py",\n'
-    '   "message": "msg here",\n'
-    '   "rule": "wall-clock"\n'
-    "  }\n"
-    " ],\n"
-    ' "version": 1\n'
-    "}\n"
-)
+
+def lint_main(argv):
+    return repro_main(["lint", *argv])
 
 
 @pytest.fixture
@@ -92,7 +80,7 @@ class TestCliOutputBytes:
     def test_json_is_loadable_and_versioned(self, fixture_tree, capsys):
         lint_main(["--root", str(fixture_tree), "--format", "json", "src"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
 
 
 class TestFindingContract:
@@ -131,31 +119,6 @@ class TestFindingContract:
         ]
 
 
-class TestBaselineBytes:
-    def test_write_format_is_byte_identical(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        Baseline.from_findings(
-            [Finding(file="src/a.py", line=3, column=0, rule="wall-clock", message="msg here")]
-        ).write(str(path))
-        assert path.read_text() == GOLDEN_BASELINE
-
-    def test_load_round_trip_partitions(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        grandfathered = Finding(
-            file="src/a.py", line=3, column=0, rule="wall-clock", message="msg here"
-        )
-        Baseline.from_findings([grandfathered]).write(str(path))
-        loaded = Baseline.load(str(path))
-        # Line drift must not defeat the baseline: identity is (file, rule, message).
-        moved = Finding(
-            file="src/a.py", line=99, column=2, rule="wall-clock", message="msg here"
-        )
-        fresh = Finding(file="src/a.py", line=4, column=0, rule="wall-clock", message="other")
-        live, baselined = loaded.partition([moved, fresh])
-        assert live == [fresh]
-        assert baselined == [moved]
-
-
 class TestImportPaths:
     """Directive diagnostics keep their wording at the shared parser."""
 
@@ -172,7 +135,7 @@ class TestExitCodes:
         pkg.mkdir()
         (pkg / "ok.py").write_text("x = 1\n")
         assert lint_main(["--root", str(tmp_path), "src"]) == 0
-        assert capsys.readouterr().out == "0 finding(s) (0 suppressed, 0 baselined) in 1 file(s)\n"
+        assert capsys.readouterr().out == "0 finding(s) (0 suppressed) in 1 file(s)\n"
 
     def test_missing_path_exit_two(self, tmp_path, capsys):
         assert lint_main(["--root", str(tmp_path), "nope"]) == 2

@@ -190,11 +190,10 @@ class TestCancellation:
 
     def test_pending_excludes_cancelled(self):
         engine = Engine()
-        keep = engine.schedule(1.0, lambda: None)
+        engine.schedule(1.0, lambda: None)
         drop = engine.schedule(2.0, lambda: None)
         drop.cancel()
         assert engine.pending() == 1
-        del keep
 
     def test_events_processed_counter(self):
         engine = Engine()

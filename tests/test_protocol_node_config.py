@@ -173,7 +173,6 @@ class TestLinkJitter:
         for _ in range(200):
             link.send(Datagram(size=1))
         engine.run()
-        spreads = np.diff(sorted(arrivals))
         assert max(arrivals) - min(arrivals) > 0.5
         assert all(0.4 < a < 1.7 for a in np.array(arrivals) - np.arange(len(arrivals)) * 1e-6)
 

@@ -1,10 +1,10 @@
 """End-to-end tests for the ``repro-model taint`` command line.
 
 Mirrors tests/test_lint_cli.py: temporary trees with planted leaks for
-the exit-code/format/baseline contract, plus the live-tree meta-test --
-the shipped repository must analyze clean with an *empty* baseline, so
-every secret flow in ``src/repro`` is either sanitized, declassified
-with a justification, or genuinely absent.
+the exit-code/format contract, plus the live-tree meta-test -- the
+shipped repository must analyze clean, so every secret flow in
+``src/repro`` is either sanitized, declassified with a justification,
+or genuinely absent.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import os
 
 import pytest
 
-from repro.analysis.taint import TaintEngine, taint_paths
-from repro.analysis.taint.cli import main as taint_main
+from repro.analysis import framework
+from repro.analysis.taint import TaintEngine
 from repro.cli import main as repro_main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -29,6 +29,10 @@ CLEAN = """\
 def deliver(count):
     return count + 1
 """
+
+
+def taint_main(argv):
+    return repro_main(["taint", *argv])
 
 
 def build_tree(tmp_path, files):
@@ -80,7 +84,7 @@ class TestJsonFormat:
     def test_schema(self, leaky_tree, capsys):
         assert taint_main(["--root", str(leaky_tree), "--format", "json", "src"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["ok"] is False
         assert payload["files_scanned"] == 2
         assert payload["counts"] == {"taint-print": 1}
@@ -93,43 +97,25 @@ class TestJsonFormat:
         """The shared framework keeps lint and taint JSON key-compatible."""
         taint_main(["--root", str(leaky_tree), "--format", "json", "src"])
         taint_payload = json.loads(capsys.readouterr().out)
-        from repro.lint.cli import main as lint_main
-
-        lint_main(["--root", str(leaky_tree), "--format", "json", "src"])
+        repro_main(["lint", "--root", str(leaky_tree), "--format", "json", "src"])
         lint_payload = json.loads(capsys.readouterr().out)
         assert sorted(taint_payload) == sorted(lint_payload)
 
 
-class TestBaseline:
-    def test_update_then_gate(self, leaky_tree, capsys):
-        assert taint_main(["--root", str(leaky_tree), "--update-baseline", "src"]) == 0
-        assert (leaky_tree / "taint-baseline.json").exists()
-        capsys.readouterr()
-        # Grandfathered finding no longer fails the gate...
-        assert taint_main(["--root", str(leaky_tree), "src"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # ...but --no-baseline still sees it.
-        assert taint_main(["--root", str(leaky_tree), "--no-baseline", "src"]) == 1
-
-    def test_new_finding_fails_despite_baseline(self, leaky_tree, capsys):
-        taint_main(["--root", str(leaky_tree), "--update-baseline", "src"])
-        (leaky_tree / "src/repro/demo/clean.py").write_text(
-            "def deliver(secret):\n    return str(secret)\n"
+class TestBaselineFile:
+    def test_baseline_file_next_to_root_gates_nothing(self, leaky_tree, capsys):
+        # A finding is exempted only inline: a baseline file next to --root
+        # that lists it ({"version": 1, "findings": [...]}) changes nothing.
+        assert taint_main(["--root", str(leaky_tree), "--format", "json", "src"]) == 1
+        entries = [
+            {"count": 1, "file": f["file"], "message": f["message"], "rule": f["rule"]}
+            for f in json.loads(capsys.readouterr().out)["findings"]
+        ]
+        (leaky_tree / "taint-baseline.json").write_text(
+            json.dumps({"findings": entries, "version": 1})
         )
-        capsys.readouterr()
         assert taint_main(["--root", str(leaky_tree), "src"]) == 1
-        assert "taint-format" in capsys.readouterr().out
-
-    def test_explicit_baseline_path(self, leaky_tree, tmp_path, capsys):
-        custom = tmp_path / "custom-baseline.json"
-        taint_main(
-            ["--root", str(leaky_tree), "--update-baseline", "--baseline", str(custom), "src"]
-        )
-        assert custom.exists()
-        capsys.readouterr()
-        assert (
-            taint_main(["--root", str(leaky_tree), "--baseline", str(custom), "src"]) == 0
-        )
+        assert "1 finding(s) (0 suppressed) in 2 file(s)" in capsys.readouterr().out
 
 
 class TestCatalogue:
@@ -170,33 +156,13 @@ class TestReproCli:
         assert repro_main(["taint", "--root", str(leaky_tree), "src"]) == 1
         assert "taint-print" in capsys.readouterr().out
 
-    def test_module_entry_point(self, clean_tree):
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis.taint", "--root", str(clean_tree), "src"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-
 
 class TestLiveTree:
     """The repository's own sources must be taint-clean -- the satellite
     acceptance criterion (`live-tree-taints-clean`)."""
 
-    def test_shipped_baseline_is_empty(self):
-        path = os.path.join(REPO_ROOT, "taint-baseline.json")
-        assert os.path.exists(path)
-        payload = json.loads(open(path).read())
-        assert payload == {"findings": [], "version": 1}
-
     def test_src_tree_is_clean(self):
-        report = taint_paths(REPO_ROOT, ["src"])
+        report = TaintEngine().run(REPO_ROOT, ["src"])
         assert report.findings == [], [f.render() for f in report.findings]
         assert report.ok
         assert report.files_scanned > 100
@@ -209,7 +175,7 @@ class TestLiveTree:
         """A second engine run over the same sources reports identically
         (determinism: sorted discovery + bounded fixpoint)."""
         files = []
-        for relpath in TaintEngine.discover(REPO_ROOT, ["src/repro/sharing"]):
+        for relpath in framework.discover(REPO_ROOT, ["src/repro/sharing"], label="taint"):
             with open(os.path.join(REPO_ROOT, relpath), encoding="utf-8") as handle:
                 files.append((relpath, handle.read()))
         first = TaintEngine().analyze_sources(files)

@@ -519,6 +519,17 @@ class TestDirectives:
         assert report.findings == []
         assert [f.rule for f in report.suppressed] == ["taint-print"]
 
+    def test_disable_covers_only_its_line(self):
+        report = analyze_one(
+            """
+            def handle(secret):
+                # taint: disable=taint-print
+                print(secret)
+            """
+        )
+        assert live_rules(report) == ["taint-print"]
+        assert report.suppressed == []
+
     def test_unknown_rule_in_directive_is_flagged(self):
         report = analyze_one(
             """

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.channel import ChannelSet
+from repro.core.channel import Channel, ChannelSet
 from repro.protocol.config import ProtocolConfig
 from repro.workloads.traces import (
     TRACE_GENERATORS,
@@ -101,6 +101,17 @@ class TestRunTrace:
         config = ProtocolConfig(symbol_size=256)
         with pytest.raises(ValueError):
             run_trace(clean_channels, config, kind="voip")
+
+    @pytest.mark.parametrize("seed,sent", [(20, 124), (31, 92), (36, 106)])
+    def test_response_after_the_window_is_flushed(self, seed, sent):
+        # Each seed times one web response after the 30-unit window ends;
+        # the tunnel's final flush must still send its last symbol.
+        channels = ChannelSet(
+            [Channel(0.1, 0.0, 0.01, 40.0)] * 2 + [Channel(0.1, 0.0, 0.02, 40.0)]
+        )
+        config = ProtocolConfig(kappa=2.0, mu=3.0, symbol_size=256, reassembly_timeout=20.0)
+        result = run_trace(channels, config, "web", 30.0, seed=seed)
+        assert (result.sent, result.delivered, result.intact) == (sent, sent, sent)
 
     def test_deterministic(self, clean_channels):
         config = ProtocolConfig(kappa=2.0, mu=2.0, symbol_size=256)
