@@ -16,15 +16,25 @@ entropy arithmetic), which vouches for the construction itself.
 
 The production GF(2^8) sharing does not run this module's algebra
 (:mod:`repro.gf.poly`): :class:`~repro.sharing.shamir.ShamirScheme` splits
-with :func:`repro.gf.batch.eval_poly_at_points` (XOR-Horner, one
-``bytes.translate`` by a ``MUL_ROWS`` product-table row per share point and
-step) and reconstructs with cached Lagrange bases.  The test
-suite enumerates that kernel exactly as well: for k ≤ 3 and five shares,
-every (secret, coefficient) tuple in GF(2^8)^k goes through the kernel,
-and for each secret the shares at any k−1 indices are in bijection with
-the coefficients, so they carry exactly zero information; ``reconstruct``
-recovers every byte value from every k-subset.  The ramp scheme and the
-XOR (n, n) scheme have no exact check yet.
+with :func:`repro.gf.batch.eval_poly_at_points` (one ``bytes.translate``
+by a ``MUL_ROWS[x^j]`` product-table row per share point and coefficient,
+then one XOR, on Python ints for short operands and in numpy for long
+ones) and reconstructs with cached Lagrange bases.  The test suite
+(``tests/test_analysis_secrecy.py``) enumerates that code exactly as well:
+
+* Shamir, k ≤ 3 and five shares: every (secret, coefficient) tuple in
+  GF(2^8)^k goes through the kernel on both XOR engines, and for each
+  secret the shares at any k−1 indices are in bijection with the
+  coefficients, so they carry exactly zero information; ``reconstruct``
+  recovers every byte value from every k-subset.
+* XOR (n, n), n = 2 and 3: every pad tuple goes through
+  ``XorScheme.split``; any n−1 shares take every value exactly once for
+  each of the 256 secrets, so they carry exactly zero information.
+* Ramp, L = 2, k = 3, m = 4: every (b₀, b₁, r) goes through the kernel.
+  For each secret pair one share is a bijection of r (0 bits leak); two
+  shares take 256 distinct values per secret pair and each observed pair
+  occurs 256 times over all 2^24 tuples, so two shares carry exactly 8 of
+  the secret's 16 bits -- the graded leakage of a ramp scheme.
 """
 
 from __future__ import annotations

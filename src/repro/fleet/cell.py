@@ -17,6 +17,12 @@ The per-flow *delivery digest* is the parity instrument: a SHA-256 over
 the flow's reconstructed symbols in delivery order (sequence number,
 payload hash, delivery delay).  Two runs of the same fleet agree on every
 digest iff their per-flow delivery traces are byte-identical.
+
+A real-payload cell draws each flow's payloads from its own
+``flow<N>.src`` stream through :class:`~repro.netsim.rng.RandomBytes`,
+which serves exactly the bytes of a per-arrival
+``integers(0, 256, size=symbol_size, dtype=uint8)`` draw, from one small
+block draw per few symbols.
 """
 
 from __future__ import annotations
@@ -24,12 +30,10 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from repro.core.channel import Channel, ChannelSet
 from repro.fleet.mux import FlowMux
 from repro.fleet.spec import FleetSpec
-from repro.netsim.rng import RngRegistry
+from repro.netsim.rng import RandomBytes, RngRegistry
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.remicss import PointToPointNetwork
 from repro.protocol.scheduler import DynamicParameterSampler
@@ -99,7 +103,7 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         queue_limit=int(params["queue_limit"]),
     )
 
-    sources: Dict[int, np.random.Generator] = {}
+    sources: Dict[int, RandomBytes] = {}
     for flow_spec in fleet.flows:
         tenant = fleet.tenant(flow_spec.tenant)
         sampler = DynamicParameterSampler(
@@ -107,7 +111,7 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         )
         mux.register(flow_spec.flow, weight=tenant.weight, sampler=sampler)
         if not synthetic:
-            sources[flow_spec.flow] = registry.stream(f"flow{flow_spec.flow}.src")
+            sources[flow_spec.flow] = RandomBytes(registry.stream(f"flow{flow_spec.flow}.src"))
 
     digests: Dict[int, "hashlib._Hash"] = {
         flow_spec.flow: hashlib.sha256() for flow_spec in fleet.flows
@@ -121,15 +125,7 @@ def run_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     node_b.receiver.on_deliver = record
 
     def arrive(flow: int) -> None:
-        if synthetic:
-            payload = None
-        else:
-            payload = (
-                sources[flow]
-                .integers(0, 256, size=symbol_size, dtype=np.uint8)
-                .tobytes()
-            )
-        mux.enqueue(flow, payload)
+        mux.enqueue(flow, None if synthetic else sources[flow].bytes(symbol_size))
 
     engine = network.engine
     for flow_spec in fleet.flows:

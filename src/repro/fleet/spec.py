@@ -18,10 +18,19 @@ to thread through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["FleetSpec", "FlowSpec", "Tenant", "synthesize_fleet"]
+
+
+def _require_finite(record: object, *names: str) -> None:
+    """Reject a NaN or infinite value in any of ``record``'s named fields."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,9 @@ class Tenant:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
+        _require_finite(self, "min_kappa", "weight")
+        if self.max_flows is not None:
+            _require_finite(self, "max_flows")
         if self.min_kappa < 1.0:
             raise ValueError(f"min_kappa must be >= 1, got {self.min_kappa}")
         if self.weight <= 0:
@@ -96,6 +108,7 @@ class FlowSpec:
     def __post_init__(self) -> None:
         if self.flow < 1:
             raise ValueError(f"flow ids start at 1, got {self.flow}")
+        _require_finite(self, "kappa", "mu", "rate", "symbols", "start")
         if not 1.0 <= self.kappa <= self.mu:
             raise ValueError(f"need 1 <= κ <= µ, got κ={self.kappa}, µ={self.mu}")
         if self.rate <= 0:

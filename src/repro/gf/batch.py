@@ -1,10 +1,10 @@
-"""Vectorized GF(2^8) kernels for whole-batch secret sharing.
+"""Row kernels for whole-batch secret sharing over GF(2^8).
 
 The scalar field in :mod:`repro.gf.gf256` and the generic polynomial code in
 :mod:`repro.gf.poly` are the *reference oracle*: correct, simple, and slow.
 This module re-expresses the two sharing primitives -- polynomial evaluation
 and Lagrange interpolation -- as ``bytes.translate`` passes over whole byte
-rows plus numpy XORs, so a whole datagram (every byte position x every share
+rows plus one XOR, so a whole datagram (every byte position x every share
 point) moves through the field in a few C-level passes.
 
 Everything here is *exact* field arithmetic derived from the same
@@ -23,24 +23,35 @@ Table layout and kernels:
 * ``MUL_ROWS[c]`` is row ``c`` of that table as a 256-byte string: the
   ``bytes.translate`` table for "multiply by c", so
   ``row.translate(MUL_ROWS[c])`` multiplies every byte of ``row`` by ``c``.
-* Every kernel takes its rows as a list or tuple of equal-length
+  A factor of 1 needs no table: the row is its own product.
+* Rows in, rows out: every kernel takes a list or tuple of equal-length
   ``bytes``/``bytearray`` -- the form share payloads and an ``rng`` draw
-  already have, so the schemes build no matrix per symbol.
-* ``eval_poly_at_points`` runs XOR-Horner for all ``m`` points at once:
-  each step translates every point's accumulator row by ``MUL_ROWS[x]``,
-  joins the ``m`` products into one buffer, and XORs that ``(m, n)`` view
-  with the next coefficient row in one numpy operation.
+  already have -- and returns ``bytes``, so the schemes build no matrix
+  per symbol and convert nothing.
+* ``eval_poly_at_points`` evaluates the power form ``XOR_j c_j * x^j``.
+  Term ``j`` joins, over the ``m`` points, coefficient row ``j``
+  translated by ``MUL_ROWS[x^j]`` (the tables of a point set are cached
+  per degree); the ``k`` joined terms are XORed once, and share ``x`` is
+  slice ``x - 1`` of the result.
 * ``combine_rows`` is the one multiply-accumulate loop:
   ``XOR_i rows[i].translate(MUL_ROWS[weights[i]])``.
   ``lagrange_interpolate`` runs it with the basis ``l_i(x)`` of its node
   set, read from a bounded cache (share-index sets repeat on every
   symbol); the ramp scheme runs it once per inverse-Vandermonde row.
+
+The XOR is the only step with two engines, chosen by the row length.
+Rows shorter than :data:`XOR_CROSSOVER` bytes (a 64-byte fleet symbol)
+XOR as Python ints: one ``int.from_bytes`` per operand and one
+``to_bytes``, with no numpy call at all.  Longer rows (a 1250-byte testbed
+symbol) take one numpy XOR per operand and one ``tobytes``.  The constant
+is the measured crossover of the two; docs/MODEL.md ("Two XOR engines")
+has the table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +60,7 @@ from repro.gf.gf256 import _EXP, _LOG, GF256_FIELD
 __all__ = [
     "MUL_TABLE",
     "MUL_ROWS",
+    "XOR_CROSSOVER",
     "combine_rows",
     "eval_poly_at_points",
     "lagrange_interpolate",
@@ -64,6 +76,11 @@ MUL_TABLE.setflags(write=False)
 #: ``MUL_ROWS[c]`` is ``MUL_TABLE[c]`` as bytes: the ``bytes.translate``
 #: table that multiplies every byte of a string by ``c``.
 MUL_ROWS = tuple([row.tobytes() for row in MUL_TABLE])
+
+#: Rows shorter than this many bytes XOR as Python ints, rows this long or
+#: longer in numpy: where the two engines' kernel calls cost the same
+#: (docs/MODEL.md, "Two XOR engines").
+XOR_CROSSOVER = 256
 
 
 def _as_point(x) -> int:
@@ -100,16 +117,49 @@ def _row_length(rows) -> int:
     raise ValueError("rows must be a non-empty list of equal-length byte strings")
 
 
-def combine_rows(weights: Sequence[int], rows: Sequence[bytes]) -> np.ndarray:
-    """``XOR_i weights[i] * rows[i]`` as a fresh uint8 array, byte-wise in
-    GF(2^8): one field element (a Python int) per equal-length byte row."""
-    out = np.frombuffer(rows[0].translate(MUL_ROWS[weights[0]]), np.uint8).copy()
-    for weight, row in zip(weights[1:], rows[1:]):
-        out ^= np.frombuffer(row.translate(MUL_ROWS[weight]), np.uint8)
-    return out
+def _xor(row: bytes, operands: List[bytes], count: int = 1) -> bytes:
+    """``row`` repeated ``count`` times and XORed byte-wise with every operand
+    (``count`` rows of ``len(row)`` bytes, joined), as ``bytes``."""
+    if not operands:
+        return bytes(row * count)
+    if len(row) < XOR_CROSSOVER:
+        acc = int.from_bytes(row * count, "little")
+        for operand in operands:
+            acc ^= int.from_bytes(operand, "little")
+        return acc.to_bytes(count * len(row), "little")
+    out = np.frombuffer(operands[0], np.uint8)
+    if count == 1:
+        out = out ^ np.frombuffer(row, np.uint8)
+    else:
+        # The row broadcasts over the first operand's (count, len(row)) view.
+        out = (out.reshape(count, len(row)) ^ np.frombuffer(row, np.uint8)).reshape(-1)
+    for operand in operands[1:]:
+        out ^= np.frombuffer(operand, np.uint8)
+    return out.tobytes()
 
 
-def eval_poly_at_points(coeffs: Sequence[bytes], xs) -> np.ndarray:
+def combine_rows(weights: Sequence[int], rows: Sequence[bytes]) -> bytes:
+    """``XOR_i weights[i] * rows[i]`` byte-wise in GF(2^8), as ``bytes``: one
+    field element (a Python int) per equal-length byte row."""
+    products = [
+        row if weight == 1 else row.translate(MUL_ROWS[weight])
+        for weight, row in zip(weights, rows)
+    ]
+    return _xor(products[0], products[1:])
+
+
+@lru_cache(maxsize=1024)
+def _power_rows(points: Tuple[int, ...], degree: int) -> Tuple[Tuple[Optional[bytes], ...], ...]:
+    """For ``j = 1..degree``, the ``MUL_ROWS[x^j]`` table of every point ``x``,
+    or None where ``x^j == 1`` (that product is the row itself)."""
+    terms = []
+    for j in range(1, degree + 1):
+        powers = [GF256_FIELD.pow(x, j) for x in points]
+        terms.append(tuple([None if power == 1 else MUL_ROWS[power] for power in powers]))
+    return tuple(terms)
+
+
+def eval_poly_at_points(coeffs: Sequence[bytes], xs) -> List[bytes]:
     """Evaluate ``n`` byte-wise polynomials at ``m`` points.
 
     Args:
@@ -119,27 +169,20 @@ def eval_poly_at_points(coeffs: Sequence[bytes], xs) -> np.ndarray:
         xs: the ``m`` evaluation points, integers in 0..255.
 
     Returns:
-        uint8 array of shape ``(m, n)`` where row ``i`` is the evaluation
-        of every byte polynomial at ``xs[i]`` -- i.e. share ``xs[i]`` of
-        the whole batch, by Horner's rule with one ``MUL_ROWS[xs[i]]``
-        translation per coefficient.
+        ``m`` byte strings of length ``n``: row ``i`` is the evaluation of
+        every byte polynomial at ``xs[i]`` -- i.e. share ``xs[i]`` of the
+        whole batch -- as ``XOR_j coeffs[j] * xs[i]^j``.
     """
     size = _row_length(coeffs)
-    tables = [MUL_ROWS[x] for x in _as_points(xs)]
-    shape = (len(tables), size)
-    if len(coeffs) == 1:
-        # A constant polynomial: every point evaluates to the one row.
-        return np.frombuffer(bytearray(coeffs[0] * shape[0]), np.uint8).reshape(shape)
-    # Every point's accumulator starts at the leading coefficient.
-    acc = [coeffs[-1]] * shape[0]
-    for j in range(len(coeffs) - 2, -1, -1):
-        products = b"".join([row.translate(table) for row, table in zip(acc, tables)])
-        out = np.frombuffer(products, np.uint8).reshape(shape) ^ np.frombuffer(
-            coeffs[j], np.uint8
-        )
-        if j:
-            acc = [row.tobytes() for row in out]
-    return out
+    points = _as_points(xs)
+    # Term j joins the products coeffs[j] * x^j of every point x, in point
+    # order; the constant row is the same at every point.
+    terms = [
+        b"".join([row if table is None else row.translate(table) for table in tables])
+        for row, tables in zip(coeffs[1:], _power_rows(points, len(coeffs) - 1))
+    ]
+    flat = _xor(coeffs[0], terms, len(points))
+    return [flat[i * size : (i + 1) * size] for i in range(len(points))]
 
 
 @lru_cache(maxsize=1024)
@@ -165,7 +208,7 @@ def _lagrange_basis(nodes: Tuple[int, ...], x: int) -> Tuple[int, ...]:
     return tuple(basis)
 
 
-def lagrange_interpolate(xs, ys: Sequence[bytes], x: int = 0) -> np.ndarray:
+def lagrange_interpolate(xs, ys: Sequence[bytes], x: int = 0) -> bytes:
     """Interpolate a whole share batch and evaluate at ``x`` in one pass.
 
     Args:
@@ -176,9 +219,8 @@ def lagrange_interpolate(xs, ys: Sequence[bytes], x: int = 0) -> np.ndarray:
             secret.
 
     Returns:
-        uint8 array of shape ``(n,)``: the unique degree-<t byte-wise
-        polynomial through the shares, evaluated at ``x`` for every byte
-        position at once.
+        ``n`` bytes: the unique degree-<t byte-wise polynomial through the
+        shares, evaluated at ``x`` for every byte position at once.
     """
     basis = _lagrange_basis(_as_points(xs), _as_point(x))
     _row_length(ys)

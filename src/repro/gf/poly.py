@@ -6,8 +6,8 @@ operations, plus a small :class:`Polynomial` convenience wrapper used by
 tests and examples to reason about the algebra directly.
 
 This is the scalar *reference oracle*: the sharing hot path runs on the
-numpy kernels in :mod:`repro.gf.batch`, and the equivalence suite asserts
-the batch results match this module byte for byte.
+byte-row kernels in :mod:`repro.gf.batch`, and the equivalence suite
+asserts the batch results match this module byte for byte.
 """
 
 from __future__ import annotations

@@ -7,9 +7,13 @@ are independent of each other and of the order in which other components
 consume randomness, so adding instrumentation never perturbs results.
 
 A stream that only ever serves uniform bytes and has one owner (the
-sender's share pad, a workload's payloads) can be wrapped in
-:class:`RandomBytes`, which draws the generator's words in blocks and
-serves every request byte for byte as a direct draw would.
+sender's share pad, a workload's payloads, a fleet flow's payloads) can
+be wrapped in :class:`RandomBytes`, which draws the generator's words in
+blocks and serves every request byte for byte as a direct draw would.
+A refill is sized from the request that needs it: eight requests' worth
+at first, then twice the buffer it replaces, up to a 1024-word block.  A
+fleet flow's eight 64-byte payloads so cost one 512-byte draw, and a
+long-lived stream reaches whole blocks after a few refills.
 """
 
 from __future__ import annotations
@@ -58,9 +62,12 @@ class RngRegistry:
         )
 
 
-#: Words one :class:`RandomBytes` refill draws (4 KiB), unless one
+#: Most words one :class:`RandomBytes` refill draws (4 KiB), unless one
 #: request needs more.
 _BLOCK_WORDS = 1024
+
+#: Requests' worth of words a stream's first refill draws.
+_FIRST_REFILL_REQUESTS = 8
 
 
 class RandomBytes:
@@ -75,11 +82,14 @@ class RandomBytes:
     call while paying numpy's per-call cost once per block.  ``bytes(0)``
     draws nothing, like ``integers`` (``generator.bytes(0)`` draws a word).
 
-    A refill draws :data:`_BLOCK_WORDS` words, or what a larger request
-    needs.  The wrapper must own its generator: a direct draw would land
-    after the buffered words and move every later byte.  The buffered
-    bytes are future coefficients or payloads, so the repr counts them
-    and shows none (docs/TAINT.md).
+    A refill draws :data:`_FIRST_REFILL_REQUESTS` times the request's
+    words, or twice the words of the buffer it replaces if that is more,
+    capped at :data:`_BLOCK_WORDS`; a request larger than the cap draws
+    what it needs.  So a short stream buffers a few requests' worth and a
+    long one reaches whole blocks after a few refills.  The wrapper must
+    own its generator: a direct draw would land after the buffered words
+    and move every later byte.  The buffered bytes are future coefficients
+    or payloads, so the repr counts them and shows none (docs/TAINT.md).
     """
 
     __slots__ = ("_generator", "_buffer", "_offset")
@@ -97,18 +107,19 @@ class RandomBytes:
                 raise ValueError(f"cannot draw a negative number of bytes: {n}")
             return b""
         start = self._offset
-        end = start + ((n + 3) & ~3)
+        size = (n + 3) & ~3
+        end = start + size
         if end > len(self._buffer):
-            self._refill((end - len(self._buffer)) >> 2)
-            start, end = 0, end - start
+            self._refill((end - len(self._buffer)) >> 2, size >> 2)
+            start, end = 0, size
         self._offset = end
         return self._buffer[start : start + n]
 
-    def _refill(self, missing: int) -> None:
-        """Append at least ``missing`` fresh words to the unread bytes."""
-        words = self._generator.integers(
-            0, 2**32, size=max(_BLOCK_WORDS, missing), dtype=np.uint32
-        )
+    def _refill(self, missing: int, request: int) -> None:
+        """Append at least ``missing`` fresh words to the unread bytes,
+        sized from the ``request`` (in words) that needs them."""
+        block = min(_BLOCK_WORDS, max(_FIRST_REFILL_REQUESTS * request, len(self._buffer) >> 1))
+        words = self._generator.integers(0, 2**32, size=max(block, missing), dtype=np.uint32)
         self._buffer = self._buffer[self._offset :] + words.astype("<u4", copy=False).tobytes()
         self._offset = 0
 

@@ -22,7 +22,7 @@ in ``benchmarks/bench_ramp.py``.
 Construction: for each byte position, a random polynomial of degree
 ``k − 1`` over GF(2^8) whose first L coefficients are the L secret block
 bytes and whose remaining ``k − L`` coefficients are uniform; share i is
-the evaluation at x = i, all m of them from one XOR-Horner pass over the
+the evaluation at x = i, all m of them from one kernel call over the
 k coefficient rows (the L blocks and the slices of one uniform draw).
 Reconstruction inverts the k x k Vandermonde system of the share indices;
 secret block l is then the weighted row combination
@@ -131,11 +131,11 @@ class RampScheme(SecretSharingScheme):
         size = self.share_size(len(secret))
         body = body.ljust(size * self.blocks, b"\0")
         # Coefficient rows 0..L-1 are the secret blocks, rows L..k-1 one
-        # uniform draw; one Horner pass covers all m points.
+        # uniform draw; one kernel call covers all m points.
         rows = [body[j * size : (j + 1) * size] for j in range(self.blocks)]
         rows += _random_rows(rng, k - self.blocks, size)
         evaluations = eval_poly_at_points(rows, range(1, m + 1))
-        return [Share(x, evaluations[x - 1].tobytes(), k, m) for x in range(1, m + 1)]
+        return [Share(x, evaluations[x - 1], k, m) for x in range(1, m + 1)]
 
     def reconstruct(self, shares: Sequence[Share]) -> bytes:
         k = check_share_group(shares)
@@ -148,7 +148,7 @@ class RampScheme(SecretSharingScheme):
         # Secret block l is row l of the inverse Vandermonde matrix applied
         # to every byte position at once: XOR_i inverse[l][i] * share_i.
         inverse = _vandermonde_inverse_rows(xs, self.blocks)
-        body = b"".join([combine_rows(weights, payloads).tobytes() for weights in inverse])
+        body = b"".join([combine_rows(weights, payloads) for weights in inverse])
         if len(body) < _LENGTH.size:
             raise ReconstructionError("ramp shares too short to carry a length prefix")
         (length,) = _LENGTH.unpack_from(body)

@@ -63,7 +63,7 @@ def evaluate_shares_at(shares: Sequence[Share], x: int) -> bytes:
     nodes, rows = _share_rows(shares)
     if len(set(nodes)) != len(nodes):
         raise ReconstructionError(f"duplicate share indices: {sorted(nodes)}")
-    return lagrange_interpolate(nodes, rows, x).tobytes()
+    return lagrange_interpolate(nodes, rows, x)
 
 
 @dataclass(frozen=True)

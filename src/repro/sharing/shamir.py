@@ -6,16 +6,19 @@ with constant term ``secret[b]``.  Every share therefore has exactly the
 length of the secret, which is the optimal ``H(Y) = H(X)`` case the paper's
 rate model assumes (Sec. III-C).
 
-``split`` evaluates *all m share points for all payload bytes* by
-XOR-Horner over ``k`` coefficient rows: the secret and the ``k - 1`` rows
+``split`` evaluates *all m share points for all payload bytes* in one
+kernel call over ``k`` coefficient rows: the secret and the ``k - 1`` rows
 cut from a single ``rng.bytes`` draw, passed to :mod:`repro.gf.batch` as
 byte strings.  The sender serves that draw from block-drawn words
 (:class:`repro.netsim.rng.RandomBytes`), byte-identical to a direct
-``rng.integers(0, 256, ...)`` draw from the same generator.  Each Horner
-step is one ``bytes.translate`` per share point and one numpy XOR.
-``reconstruct`` passes the share payloads as they are to one Lagrange
-evaluation, whose basis coefficients are cached per share-index set, and
-XORs one translated row per share.  The scalar path through
+``rng.integers(0, 256, ...)`` draw from the same generator.  The kernel
+translates each coefficient row once per share point by ``MUL_ROWS[x^j]``
+and XORs the results once -- on Python ints for a small datagram, in
+numpy for a large one -- and returns the share payloads as ``bytes``
+rows, so the shares take them as they are.  ``reconstruct`` passes the
+share payloads as they are to one Lagrange evaluation, whose basis
+coefficients are cached per share-index set, and XORs one translated row
+per share into the secret's bytes.  The scalar path through
 :mod:`repro.gf` (exposed as :mod:`repro.sharing.reference`) is the reference
 oracle: the batch kernels are bit-identical to it byte for byte, which
 ``tests/test_sharing_batch_equiv.py`` and the golden vectors in
@@ -105,13 +108,13 @@ class ShamirScheme(SecretSharingScheme):
         rows = [secret, *_random_rows(rng, k - 1, len(secret))]
         # Row x-1 of the evaluation is share x of every byte.
         evaluations = eval_poly_at_points(rows, range(1, m + 1))
-        return [Share(x, evaluations[x - 1].tobytes(), k, m) for x in range(1, m + 1)]
+        return [Share(x, evaluations[x - 1], k, m) for x in range(1, m + 1)]
 
     def reconstruct(self, shares: Sequence[Share]) -> bytes:
         k = check_share_group(shares)
         nodes, rows = _share_rows(list(shares)[:k])
         # Batched Lagrange interpolation at x = 0 across every byte position.
-        return lagrange_interpolate(nodes, rows, 0).tobytes()
+        return lagrange_interpolate(nodes, rows, 0)
 
     def split_many(
         self,
@@ -138,13 +141,14 @@ class ShamirScheme(SecretSharingScheme):
         # joins row j of every secret's draw.
         draws = [_random_rows(rng, k - 1, size) for size in sizes]
         rows = [b"".join(secrets), *[b"".join(row) for row in zip(*draws)]]
-        evaluations = eval_poly_at_points(rows, range(1, m + 1))
+        points = range(1, m + 1)
+        evaluations = eval_poly_at_points(rows, points)
         batches: List[List[Share]] = []
         offset = 0
         for size in sizes:
-            block = evaluations[:, offset : offset + size]
-            batches.append([Share(x, block[x - 1].tobytes(), k, m) for x in range(1, m + 1)])
-            offset += size
+            end = offset + size
+            batches.append([Share(x, evaluations[x - 1][offset:end], k, m) for x in points])
+            offset = end
         return batches
 
     def reconstruct_many(self, groups: Sequence[Sequence[Share]]) -> List[bytes]:
@@ -172,5 +176,5 @@ class ShamirScheme(SecretSharingScheme):
             ]
             flat = lagrange_interpolate(nodes, stacked, 0)
             for slot, position in enumerate(positions):
-                results[position] = flat[slot * size : (slot + 1) * size].tobytes()
+                results[position] = flat[slot * size : (slot + 1) * size]
         return results

@@ -32,6 +32,14 @@ class TestTenant:
         with pytest.raises(ValueError):
             Tenant(**{"name": "t", **kwargs})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["min_kappa", "weight", "max_flows"])
+    def test_rejects_non_finite_numbers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Tenant(**{"name": "t", name: value})
+        with pytest.raises(ValueError, match=name):
+            Tenant.from_dict({**tenant().as_dict(), name: value})
+
     def test_dict_roundtrip(self):
         t = Tenant(name="gold", min_kappa=2.0, weight=2.0, max_flows=5)
         assert Tenant.from_dict(t.as_dict()) == t
@@ -57,6 +65,21 @@ class TestFlowSpec:
         base = {"flow": 1, "tenant": "t", "kappa": 1.0, "mu": 2.0}
         with pytest.raises(ValueError):
             FlowSpec(**{**base, **kwargs})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["kappa", "mu", "rate", "symbols", "start"])
+    def test_rejects_non_finite_numbers(self, name, value):
+        # An infinite µ once passed here and overflowed ceil(µ) mid-run.
+        base = {"flow": 1, "tenant": "t", "kappa": 1.0, "mu": 2.0, "symbols": 3}
+        with pytest.raises(ValueError, match=name):
+            FlowSpec(**{**base, name: value})
+        if name != "symbols":  # from_dict's int() already refuses these
+            with pytest.raises(ValueError, match=name):
+                FlowSpec.from_dict({**FlowSpec(**base).as_dict(), name: value})
+
+    def test_infinite_kappa_and_mu_rejected(self):
+        with pytest.raises(ValueError, match="kappa"):
+            FlowSpec(flow=1, tenant="t", kappa=float("inf"), mu=float("inf"))
 
 
 class TestFleetSpec:

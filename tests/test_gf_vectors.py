@@ -13,6 +13,10 @@ Two layers of defence against a silent arithmetic regression:
   fixed seed and payload, pinned *before* the vectorized rewrite landed.
   Any change to rng consumption, coefficient layout, or evaluation order
   shows up here as a hex diff, not as a subtly different privacy model.
+
+The kernels XOR short rows as Python ints and long ones in numpy
+(:data:`repro.gf.batch.XOR_CROSSOVER`), so the kernel vectors run at row
+lengths on both sides of that crossover.
 """
 
 import numpy as np
@@ -21,12 +25,13 @@ import pytest
 from repro.gf.batch import (
     MUL_ROWS,
     MUL_TABLE,
+    XOR_CROSSOVER,
     _lagrange_basis,
     eval_poly_at_points,
     lagrange_interpolate,
 )
 from repro.gf.gf256 import GF256_FIELD, _carryless_mul
-from repro.gf.poly import lagrange_interpolate_at
+from repro.gf.poly import evaluate, lagrange_interpolate_at
 from repro.sharing.base import Share
 from repro.sharing.ramp import RampScheme
 from repro.sharing.reference import scalar_ramp_split, scalar_shamir_split
@@ -169,30 +174,37 @@ def _points_oracle(nodes, ys, x):
     )
 
 
+#: Row lengths on the int engine (29 and the crossover - 1) and on the
+#: numpy engine (the crossover itself).
+ROW_LENGTHS = [29, XOR_CROSSOVER - 1, XOR_CROSSOVER]
+
+
 class TestLagrangeBasisCache:
     NODES = [(1, 2), (3, 1, 2), (5, 4, 2, 7), (200, 17, 255, 1, 9)]
 
+    @pytest.mark.parametrize("size", ROW_LENGTHS)
     @pytest.mark.parametrize("nodes", NODES)
     @pytest.mark.parametrize("x", [0, 6, 254])
-    def test_repeated_calls_match_scalar_oracle(self, nodes, x):
+    def test_repeated_calls_match_scalar_oracle(self, nodes, x, size):
         rng = np.random.default_rng(len(nodes) * 1000 + x)
         for _ in range(3):
-            ys = rng.integers(0, 256, size=(len(nodes), 29), dtype=np.uint8)
+            ys = rng.integers(0, 256, size=(len(nodes), size), dtype=np.uint8)
             got = lagrange_interpolate(np.array(nodes, dtype=np.uint8), _rows(ys), x)
-            assert got.tobytes() == _points_oracle(nodes, ys.tolist(), x)
+            assert got == _points_oracle(nodes, ys.tolist(), x)
 
-    def test_evaluating_at_a_node_returns_that_share(self):
-        ys = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    @pytest.mark.parametrize("size", [4, XOR_CROSSOVER])
+    def test_evaluating_at_a_node_returns_that_share(self, size):
+        ys = (np.arange(3 * size) % 256).astype(np.uint8).reshape(3, size)
         got = lagrange_interpolate(np.array([4, 9, 2], dtype=np.uint8), _rows(ys), 9)
-        assert np.array_equal(got, ys[1])
+        assert got == ys[1].tobytes()
 
     def test_mutating_results_does_not_poison_the_cache(self):
         nodes = np.array([1, 2, 3], dtype=np.uint8)
         ys = _rows(np.arange(15, dtype=np.uint8).reshape(3, 5))
-        first = lagrange_interpolate(nodes, ys, 0)
-        want = first.copy()
-        first ^= 0xFF
-        assert np.array_equal(lagrange_interpolate(nodes, ys, 0), want)
+        first = bytearray(lagrange_interpolate(nodes, ys, 0))
+        want = bytes(first)
+        first[:] = bytes(byte ^ 0xFF for byte in first)
+        assert lagrange_interpolate(nodes, ys, 0) == want
         assert isinstance(_lagrange_basis((1, 2, 3), 0), tuple)
 
     def test_cache_is_bounded(self):
@@ -210,6 +222,23 @@ class TestLagrangeBasisCache:
             lagrange_interpolate([], [], 0)
 
 
+def _evaluation_oracle(coeffs, x):
+    """Byte-wise scalar Horner evaluation through the generic poly code."""
+    return bytes(evaluate(GF256_FIELD, column, x) for column in zip(*coeffs))
+
+
+class TestEvaluationEngines:
+    @pytest.mark.parametrize("size", ROW_LENGTHS)
+    @pytest.mark.parametrize("points", [(), (1,), (3, 1), (1, 2, 3), (200, 17, 255, 1, 9)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_scalar_oracle(self, points, k, size):
+        rng = np.random.default_rng(100 * k + len(points))
+        coeffs = [rng.integers(0, 256, size, dtype=np.uint8).tobytes() for _ in range(k)]
+        assert eval_poly_at_points(coeffs, points) == [
+            _evaluation_oracle(coeffs, x) for x in points
+        ]
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("x", [256, -1, 2.5, "0", None])
     def test_evaluation_point_outside_field(self, x):
@@ -219,9 +248,8 @@ class TestInputValidation:
 
     def test_numpy_integer_point_accepted(self):
         ys = [b"\x07", b"\x09"]
-        assert np.array_equal(
-            lagrange_interpolate([1, 3], ys, np.uint8(0)),
-            lagrange_interpolate([1, 3], ys, 0),
+        assert lagrange_interpolate([1, 3], ys, np.uint8(0)) == lagrange_interpolate(
+            [1, 3], ys, 0
         )
 
     @pytest.mark.parametrize(
@@ -251,6 +279,20 @@ class TestInputValidation:
 
 
 class TestSchemeVectors:
+    @pytest.mark.parametrize("engine", ["int", "numpy"])
+    def test_kernels_reproduce_pinned_shamir_shares(self, engine):
+        # Byte columns are independent polynomials, so tiling the columns
+        # tiles the shares: 46-byte rows XOR as ints, and enough tiles to
+        # reach the crossover XOR in numpy.
+        tiles = 1 if engine == "int" else -(-XOR_CROSSOVER // len(GOLDEN_PAYLOAD))
+        assert (len(GOLDEN_PAYLOAD) * tiles < XOR_CROSSOVER) == (engine == "int")
+        draw = np.random.default_rng(GOLDEN_SEED).bytes(2 * len(GOLDEN_PAYLOAD))
+        rows = [GOLDEN_PAYLOAD, draw[: len(GOLDEN_PAYLOAD)], draw[len(GOLDEN_PAYLOAD) :]]
+        shares = eval_poly_at_points([row * tiles for row in rows], range(1, 6))
+        assert [row.hex() for row in shares] == [SHAMIR_3_OF_5[x] * tiles for x in range(1, 6)]
+        pinned = [bytes.fromhex(SHAMIR_3_OF_5[x]) * tiles for x in (2, 4, 5)]
+        assert lagrange_interpolate((2, 4, 5), pinned, 0) == GOLDEN_PAYLOAD * tiles
+
     def test_shamir_split_pinned(self):
         shares = ShamirScheme().split(
             GOLDEN_PAYLOAD, 3, 5, np.random.default_rng(GOLDEN_SEED)

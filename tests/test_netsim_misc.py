@@ -171,6 +171,17 @@ class TestRandomBytes:
         source.bytes(1250)  # both requests came from one 4096-byte refill
         assert repr(source) == f"RandomBytes({generator!r}, buffered=1592)"
 
+    def test_refills_are_sized_from_the_request(self):
+        # A 64-byte payload stream draws eight payloads' worth first, not a
+        # whole 1024-word block; once drained, the next refill doubles.
+        generator = np.random.default_rng(3)
+        source = RandomBytes(generator)
+        source.bytes(64)
+        assert repr(source) == f"RandomBytes({generator!r}, buffered=448)"
+        for _ in range(8):
+            source.bytes(64)
+        assert repr(source) == f"RandomBytes({generator!r}, buffered=960)"
+
     @pytest.mark.parametrize(
         "scheme,k,m,secrets",
         [

@@ -4,8 +4,9 @@ The vectorized kernels in :mod:`repro.gf.batch` power ``split`` and
 ``reconstruct`` for the GF(2^8) schemes; :mod:`repro.sharing.reference`
 keeps the byte-at-a-time scalar oracle.  This suite asserts the two are
 *bit-identical* -- not approximately equal -- for every scheme (xor,
-shamir, ramp, blakley, robust), payload lengths including 0, 1, and
-non-multiples of the ramp block size, and every ``(k, n)`` with
+shamir, ramp, blakley, robust), payload lengths including 0, 1,
+non-multiples of the ramp block size and rows on both sides of the
+kernels' int/numpy crossover, and every ``(k, n)`` with
 ``1 <= k <= n <= 10``; and that any k-subset of shares reconstructs.
 
 Exactness is load-bearing: the privacy model treats share bytes as exact
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 import repro.sharing.robust as robust_module
 import repro.sharing.shamir as shamir_module
+from repro.gf.batch import XOR_CROSSOVER
 from repro.sharing.base import Share
 from repro.sharing.blakley import BlakleyScheme
 from repro.sharing.ramp import RampScheme
@@ -41,8 +43,9 @@ from repro.sharing.xor import XorScheme
 ALL_KN = [(k, n) for n in range(1, 11) for k in range(1, n + 1)]
 
 #: Payload lengths: empty, single byte, a prime (non-multiple of any ramp
-#: block size), and a round block.
-PAYLOAD_LENGTHS = [0, 1, 37, 64]
+#: block size), a round block, a row either side of the kernels' int/numpy
+#: XOR crossover, and a testbed datagram.
+PAYLOAD_LENGTHS = [0, 1, 37, 64, XOR_CROSSOVER - 1, XOR_CROSSOVER, 1250]
 
 
 def payload_of(length: int, seed: int) -> bytes:
@@ -87,12 +90,13 @@ class TestShamirEquivalence:
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_reconstruct_bit_identical_to_scalar(self, k, n):
         scheme = ShamirScheme()
-        secret = payload_of(37, seed=3000 + 31 * k + n)
-        shares = scheme.split(secret, k, n, np.random.default_rng(9))
-        # Scalar interpolation is per-byte Python; spot-check one subset
-        # per geometry (the full-subset sweep above uses the batch path).
-        subset = list(shares)[n - k :]
-        assert scheme.reconstruct(subset) == scalar_shamir_reconstruct(subset) == secret
+        for length in PAYLOAD_LENGTHS:
+            secret = payload_of(length, seed=3000 + 31 * k + n)
+            shares = scheme.split(secret, k, n, np.random.default_rng(9))
+            # Scalar interpolation is per-byte Python; spot-check one subset
+            # per geometry (the full-subset sweep above uses the batch path).
+            subset = list(shares)[n - k :]
+            assert scheme.reconstruct(subset) == scalar_shamir_reconstruct(subset) == secret
 
     @given(
         secret=st.binary(min_size=0, max_size=300),
@@ -217,15 +221,15 @@ class TestRampEquivalence:
         for k, n in ALL_KN:
             if k < blocks:
                 continue
-            # 37 is a non-multiple of every block size in play.
-            secret = payload_of(37, seed=5000 + 31 * k + n)
-            shares = scheme.split(secret, k, n, np.random.default_rng(17))
-            subset = list(shares)[n - k :]
-            assert (
-                scheme.reconstruct(subset)
-                == scalar_ramp_reconstruct(subset, blocks=blocks)
-                == secret
-            )
+            for length in PAYLOAD_LENGTHS:
+                secret = payload_of(length, seed=5000 + 31 * k + n)
+                shares = scheme.split(secret, k, n, np.random.default_rng(17))
+                subset = list(shares)[n - k :]
+                assert (
+                    scheme.reconstruct(subset)
+                    == scalar_ramp_reconstruct(subset, blocks=blocks)
+                    == secret
+                )
 
     def test_every_k_subset_reconstructs(self):
         scheme = RampScheme(blocks=2)
