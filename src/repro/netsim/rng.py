@@ -6,6 +6,22 @@ from its own named stream derived from a single experiment seed.  Streams
 are independent of each other and of the order in which other components
 consume randomness, so adding instrumentation never perturbs results.
 
+A stream is seeded on first use.  :meth:`RngRegistry.stream` returns an
+:class:`RngStream` handle at once; the first draw from it (any public
+attribute read) seeds its generator exactly as an eager registry would,
+so a run draws the same numbers whichever streams it touches and in
+whatever order.  Most streams a run names are never drawn: a loss-free
+link's loss stream, a single-atom (κ, µ) sampler's schedule stream, a
+synthetic sender's pad, the resilience and attack streams of a run that
+arms neither.  A consumer that will certainly draw seeds its stream when
+it is built, so that the seeding counts as set-up rather than run: a
+:class:`~repro.protocol.scheduler.DynamicParameterSampler` whose mixture
+has more than one atom, and every :class:`RandomBytes`.  Seeding every
+stream at its first draw instead moved that cost into the timed run: on
+the ledger's ``fleet_synth`` workload (2-core VM) it cut ``setup_s`` by
+81% but lost 4.4% of ``flows_per_s``.  A link whose loss, jitter or
+corruption a fault or an attack sets later seeds at its first draw.
+
 A stream that only ever serves uniform bytes and has one owner (the
 sender's share pad, a workload's payloads, a fleet flow's payloads) can
 be wrapped in :class:`RandomBytes`, which draws the generator's words in
@@ -19,7 +35,7 @@ long-lived stream reaches whole blocks after a few refills.
 from __future__ import annotations
 
 import zlib
-from typing import Dict
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -29,27 +45,65 @@ def _stable_hash(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
+class RngStream:
+    """A registry's named ``numpy.random.Generator``, seeded on first use.
+
+    Stands in for the generator everywhere: the first read of a public
+    attribute (``random``, ``integers``, ``bytes``, ``uniform``,
+    ``bit_generator``, ...) seeds it with
+    ``default_rng(SeedSequence(entropy=root_seed, spawn_key=(key,)))`` and
+    caches the attribute on the handle.  Later reads find the generator's
+    bound method in the handle's own ``__dict__``, so a draw costs what a
+    draw on the generator costs.  The repr names the stream and shows no
+    state.
+    """
+
+    _generator: Optional[np.random.Generator] = None
+
+    def __init__(self, name: str, root_seed: int, key: int):
+        self._name = name
+        self._root_seed = root_seed
+        self._key = key
+
+    def __getattr__(self, attr: str) -> Any:
+        # Reached only for attributes not yet cached on the handle.
+        if attr.startswith("_"):
+            raise AttributeError(attr)
+        if self._generator is None:
+            self._generator = np.random.default_rng(
+                np.random.SeedSequence(entropy=self._root_seed, spawn_key=(self._key,))
+            )
+        value = getattr(self._generator, attr)
+        setattr(self, attr, value)
+        return value
+
+    def __repr__(self) -> str:
+        return f"RngStream({self._name!r})"
+
+
 class RngRegistry:
-    """A factory of independent named ``numpy.random.Generator`` streams.
+    """A factory of independent named random streams.
 
     Streams are memoised: asking for the same name twice returns the same
-    generator object (so its state advances coherently).
+    :class:`RngStream` (so its state advances coherently).
     """
 
     def __init__(self, root_seed: int):
+        if isinstance(root_seed, bool) or not isinstance(root_seed, (int, np.integer)):
+            raise TypeError(f"root seed must be a nonnegative integer, got {root_seed!r}")
         if root_seed < 0:
-            raise ValueError("root seed must be nonnegative")
+            raise ValueError(f"root seed must be nonnegative, got {root_seed!r}")
         self.root_seed = root_seed
-        self._streams: Dict[str, np.random.Generator] = {}
+        self._streams: Dict[str, RngStream] = {}
 
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the generator for ``name``, creating it on first use."""
-        if name not in self._streams:
-            seed_seq = np.random.SeedSequence(
-                entropy=self.root_seed, spawn_key=(_stable_hash(name),)
-            )
-            self._streams[name] = np.random.default_rng(seed_seq)
-        return self._streams[name]
+    def stream(self, name: str) -> RngStream:
+        """Return the stream for ``name``, creating its handle on first use."""
+        stream = self._streams.get(name)
+        if stream is None:
+            if not isinstance(name, str):
+                raise TypeError(f"stream name must be a str, got {name!r}")
+            stream = self._streams[name] = RngStream(name, self.root_seed, _stable_hash(name))
+        return stream
 
     def fork(self, suffix: str) -> "RngRegistry":
         """Derive a child registry (e.g. one per repetition of a sweep)."""
@@ -86,19 +140,26 @@ class RandomBytes:
     words, or twice the words of the buffer it replaces if that is more,
     capped at :data:`_BLOCK_WORDS`; a request larger than the cap draws
     what it needs.  So a short stream buffers a few requests' worth and a
-    long one reaches whole blocks after a few refills.  The wrapper must
-    own its generator: a direct draw would land after the buffered words
-    and move every later byte.  The buffered bytes are future coefficients
-    or payloads, so the repr counts them and shows none (docs/TAINT.md).
+    long one reaches whole blocks after a few refills.  A request that
+    drains the buffer drops it, so a finished stream holds no bytes.  The
+    wrapper must own its generator: a direct draw would land after the
+    buffered words and move every later byte.  It binds the generator's
+    ``integers`` when built, which seeds a registry stream in set-up.  The
+    buffered bytes are future coefficients or payloads, so the repr counts
+    them and shows none (docs/TAINT.md).
     """
 
-    __slots__ = ("_generator", "_buffer", "_offset")
+    __slots__ = ("_generator", "_integers", "_buffer", "_offset", "_grow")
 
     def __init__(self, generator: np.random.Generator):
         self._generator = generator
+        self._integers = generator.integers
         self._buffer = b""
         #: Start of the unread bytes; always on a word boundary.
         self._offset = 0
+        #: Twice the words of the last refill's buffer: the least the next
+        #: refill draws (before the cap), kept after the buffer is dropped.
+        self._grow = 0
 
     def bytes(self, n: int) -> bytes:
         """``n`` uniform random bytes."""
@@ -109,19 +170,26 @@ class RandomBytes:
         start = self._offset
         size = (n + 3) & ~3
         end = start + size
-        if end > len(self._buffer):
-            self._refill((end - len(self._buffer)) >> 2, size >> 2)
+        buffer = self._buffer
+        if end > len(buffer):
+            self._refill((end - len(buffer)) >> 2, size >> 2)
+            buffer = self._buffer
             start, end = 0, size
-        self._offset = end
-        return self._buffer[start : start + n]
+        if end == len(buffer):
+            self._buffer = b""
+            self._offset = 0
+        else:
+            self._offset = end
+        return buffer[start : start + n]
 
     def _refill(self, missing: int, request: int) -> None:
         """Append at least ``missing`` fresh words to the unread bytes,
         sized from the ``request`` (in words) that needs them."""
-        block = min(_BLOCK_WORDS, max(_FIRST_REFILL_REQUESTS * request, len(self._buffer) >> 1))
-        words = self._generator.integers(0, 2**32, size=max(block, missing), dtype=np.uint32)
+        block = min(_BLOCK_WORDS, max(_FIRST_REFILL_REQUESTS * request, self._grow))
+        words = self._integers(0, 2**32, size=max(block, missing), dtype=np.uint32)
         self._buffer = self._buffer[self._offset :] + words.astype("<u4", copy=False).tobytes()
         self._offset = 0
+        self._grow = len(self._buffer) >> 1
 
     def __repr__(self) -> str:
         return f"RandomBytes({self._generator!r}, buffered={len(self._buffer) - self._offset})"

@@ -95,7 +95,8 @@ class ShareSender:
         config: protocol configuration.
         rng: random stream for share material.  The sender owns it and
             draws it only through :class:`~repro.netsim.rng.RandomBytes`
-            (``_pad``), so nothing else may draw from it.
+            (``_pad``), so nothing else may draw from it.  A synthetic
+            sender splits nothing, so it never wraps (or seeds) it.
         cpu: optional finite CPU serialising per-symbol work.
     """
 
@@ -113,7 +114,7 @@ class ShareSender:
         self.sampler = sampler
         self.config = config
         self.rng = rng
-        self._pad = RandomBytes(rng)
+        self._pad = None if config.share_synthetic else RandomBytes(rng)
         self.cpu = cpu
         self.selector = WriteSelector(self.ports, config.selector_ordering)
         #: Tags outbound shares when ``config.auth`` is set.

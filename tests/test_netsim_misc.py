@@ -1,6 +1,8 @@
 """CPU model, rng registry and block-drawn bytes, trace meters, ports and readiness selector."""
 
+import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +119,15 @@ class TestRngRegistry:
         with pytest.raises(ValueError):
             RngRegistry(-1)
 
+    @pytest.mark.parametrize("seed", [1.5, "7", None, True])
+    def test_non_integer_seed_rejected_at_construction(self, seed):
+        with pytest.raises(TypeError, match=re.escape(repr(seed))):
+            RngRegistry(seed)
+
+    def test_non_str_name_rejected_at_the_call(self):
+        with pytest.raises(TypeError, match="123"):
+            RngRegistry(1).stream(123)
+
 
 #: RandomBytes' refill block, in bytes (1024 words).
 BLOCK_BYTES = 4096
@@ -163,6 +174,18 @@ class TestRandomBytes:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             RandomBytes(np.random.default_rng(0)).bytes(-1)
+
+    def test_a_drained_buffer_is_dropped(self):
+        # Eight 64-byte payloads drain the first 512-byte refill; the stream
+        # then holds no bytes, and its next refill still doubles to 1024.
+        generator = np.random.default_rng(3)
+        source = RandomBytes(generator)
+        for _ in range(8):
+            source.bytes(64)
+        held = [len(r) for r in gc.get_referents(source) if isinstance(r, bytes)]
+        assert sum(held) == 0
+        source.bytes(64)
+        assert repr(source) == f"RandomBytes({generator!r}, buffered=960)"
 
     def test_repr_shows_no_buffered_bytes(self):
         generator = np.random.default_rng(3)
