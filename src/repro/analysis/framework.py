@@ -5,10 +5,10 @@ The determinism linter (:mod:`repro.lint`) and the secret-taint analysis
 mechanical substrate, which this module owns: sorted file discovery,
 the per-file prologue (:func:`parse_source`: ``# tool:`` directives,
 ``bad-directive`` and ``parse-error`` findings, one ``ast.parse``), the
-run epilogue (:func:`finish_report`: sorting and the ``<tool>_*``
-counters through :mod:`repro.obs`), and the command line
-(:func:`add_arguments` / :func:`run`, parameterised by a :class:`Tool`
-record) behind ``repro-model lint`` and ``repro-model taint``.
+run epilogue (:func:`finish_report`: one sorted report), and the command
+line (:func:`add_arguments` / :func:`run`, parameterised by a
+:class:`Tool` record) behind ``repro-model lint`` and ``repro-model
+taint``.
 
 So both tools share one option set, one report format and one exit-code
 contract -- 0 clean, 1 live findings, 2 usage errors (a missing path, an
@@ -188,16 +188,10 @@ def split_suppressed(
     return live, dead
 
 
-def finish_report(
-    per_file: Iterable[Tuple[List[Finding], List[Finding]]],
-    obs,
-    tool: str,
-) -> AnalysisReport:
+def finish_report(per_file: Iterable[Tuple[List[Finding], List[Finding]]]) -> AnalysisReport:
     """The run epilogue: one report from each file's ``(live, suppressed)``.
 
-    Live findings are sorted run-wide.  With ``obs`` it counts
-    ``{tool}_files_scanned_total``, ``{tool}_findings_total{rule=...}``
-    and ``{tool}_suppressed_total{rule=...}``.
+    Live findings are sorted run-wide.
     """
     report = AnalysisReport()
     for live, suppressed in per_file:
@@ -205,16 +199,6 @@ def finish_report(
         report.suppressed.extend(suppressed)
         report.files_scanned += 1
     report.findings.sort()
-    if obs is not None:
-        registry = obs.registry
-        registry.counter(f"{tool}_files_scanned_total").inc(report.files_scanned)
-        for rule_id, count in report.rule_counts().items():
-            registry.counter(f"{tool}_findings_total", rule=rule_id).inc(count)
-        suppressed_counts: Dict[str, int] = {}
-        for finding in report.suppressed:
-            suppressed_counts[finding.rule] = suppressed_counts.get(finding.rule, 0) + 1
-        for rule_id, count in sorted(suppressed_counts.items()):
-            registry.counter(f"{tool}_suppressed_total", rule=rule_id).inc(count)
     return report
 
 
@@ -236,15 +220,15 @@ def print_report(report: AnalysisReport, fmt: str) -> None:
 class Tool:
     """What the shared command line needs to know about one analyser.
 
-    ``name`` is the directive prefix and the obs counter prefix.
-    ``engine(obs=...)`` builds an object whose ``run(root, paths)``
-    returns an :class:`AnalysisReport`.  ``catalogue_flag`` (e.g.
-    ``--list-rules``) makes the run call ``print_catalogue`` instead.
+    ``name`` is the directive prefix.  ``engine()`` builds an object
+    whose ``run(root, paths)`` returns an :class:`AnalysisReport`.
+    ``catalogue_flag`` (e.g. ``--list-rules``) makes the run call
+    ``print_catalogue`` instead.
     """
 
     name: str
     verb: str
-    engine: Callable[..., Any]
+    engine: Callable[[], Any]
     default_paths: Tuple[str, ...]
     catalogue_flag: str
     catalogue_help: str
@@ -275,12 +259,6 @@ def add_arguments(parser: argparse.ArgumentParser, tool: Tool) -> None:
         action="store_true",
         help=tool.catalogue_help,
     )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help=f"also emit the {tool.name} rule-hit counters through repro.obs to "
-        "this path (format inferred from the suffix; see docs/OBSERVABILITY.md)",
-    )
     parser.set_defaults(func=functools.partial(run, tool))
 
 
@@ -301,18 +279,6 @@ def run(tool: Tool, args: argparse.Namespace) -> int:
     if not paths:
         raise FileNotFoundError(f"no default {tool.name} paths exist under {root}")
 
-    obs = None
-    if args.metrics_out:
-        from repro.obs import Observability
-
-        obs = Observability.create()
-
-    report = tool.engine(obs=obs).run(root, paths)
+    report = tool.engine().run(root, paths)
     print_report(report, args.format)
-
-    if obs is not None:
-        from repro.obs import write_metrics
-
-        write_metrics(args.metrics_out, obs.registry.snapshot())
-
     return 0 if report.ok else 1

@@ -12,8 +12,7 @@ Runs in three stages over the discovered tree:
    ``netsim`` -> ``obs`` call chains.
 3. **Collection**: one final pass emits findings, which then flow
    through the run epilogue the determinism linter uses -- same
-   suppression pipeline, same JSON schema, ``taint_*`` obs counters
-   instead of ``lint_*``.
+   suppression pipeline, same JSON schema.
 
 The :data:`TAINT` record puts the engine behind ``repro-model taint``
 through the shared command line in :mod:`repro.analysis.framework`.
@@ -53,16 +52,10 @@ class TaintEngine:
 
     The source/sink/sanitizer catalogue is the repository threat model
     (:func:`default_policy`).
-
-    Args:
-        obs: optional :class:`repro.obs.Observability`; emits
-            ``taint_files_scanned_total``, ``taint_findings_total{rule=...}``
-            and ``taint_suppressed_total{rule=...}``.
     """
 
-    def __init__(self, obs=None):
+    def __init__(self):
         self.policy = default_policy()
-        self.obs = obs
 
     def analyze_sources(self, files: Sequence[Tuple[str, str]]) -> AnalysisReport:
         """Analyze ``(relpath, source)`` pairs (filesystem-free entry point)."""
@@ -101,7 +94,7 @@ class TaintEngine:
             split_suppressed(sorted(findings[relpath]), suppressions[relpath])
             for relpath in sorted(findings)
         )
-        return framework.finish_report(split, self.obs, "taint")
+        return framework.finish_report(split)
 
     def run(self, root: str, paths: Sequence[str]) -> AnalysisReport:
         """Analyze every ``.py`` file under ``paths`` (relative to ``root``)."""

@@ -214,7 +214,7 @@ def _run_sweep(
     """
     from repro.experiments import SWEEPS
     from repro.experiments.reporting import rows_to_table
-    from repro.sweep import DEFAULT_CACHE_DIR, ResultCache, SweepRunner
+    from repro.sweep import SweepRunner, open_cache
 
     build, point = SWEEPS[name]
     accepted = inspect.signature(build).parameters
@@ -227,10 +227,7 @@ def _run_sweep(
             raise ValueError(f"--{option.replace('_', '-')} does not apply to {name}")
         spec_kwargs[keyword] = tuple(value) if isinstance(value, list) else value
 
-    cache = None
-    if args.resume or args.cache_dir is not None:
-        cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    runner = SweepRunner(jobs=args.jobs, retries=args.retries, cache=cache)
+    runner = SweepRunner(jobs=args.jobs, cache=open_cache(args.resume, args.cache_dir))
     results = runner.run(build(**spec_kwargs), point)
 
     rows = [result.value for result in results if result.ok]
@@ -241,8 +238,8 @@ def _run_sweep(
     for result in results:
         if not result.ok:
             print(
-                f"point {result.point.index} {result.point.params} failed "
-                f"after {result.attempts} attempts:\n{result.error}",
+                f"point {result.point.index} {result.point.params} failed:\n"
+                f"{result.error}",
                 file=sys.stderr,
             )
     print(runner.stats.summary())
@@ -495,9 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=1,
             metavar="N",
             help="worker processes (default 1 = serial; N>1 gives identical results, faster)",
-        )
-        p.add_argument(
-            "--retries", type=int, default=0, help="extra attempts per failing point"
         )
         p.add_argument(
             "--resume",

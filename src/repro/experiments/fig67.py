@@ -92,7 +92,7 @@ def fig6_spec(
     return SweepSpec(
         spec_id="fig6",
         base={"kappa": 1.0, "mu": 1.0, "duration": duration, "warmup": warmup, "seed": seed},
-        axes={"channel_mbps": [float(mbps) for mbps in sweep_mbps]},
+        grid=[{"channel_mbps": float(mbps)} for mbps in sweep_mbps],
     )
 
 
@@ -113,10 +113,11 @@ def fig7_spec(
     return SweepSpec(
         spec_id="fig7",
         base={"mu": 5.0, "duration": duration, "warmup": warmup, "seed": seed},
-        axes={
-            "kappa": [float(kappa) for kappa in kappas],
-            "channel_mbps": [float(mbps) for mbps in sweep_mbps],
-        },
+        grid=[
+            {"kappa": float(kappa), "channel_mbps": float(mbps)}
+            for kappa in kappas
+            for mbps in sweep_mbps
+        ],
     )
 
 

@@ -14,10 +14,11 @@ same pass; the committed ``results/fig*.csv`` are the ``--quick`` export.
 
 ``--jobs N`` fans each figure's sweep out over N worker processes (the
 rows are identical to a serial run -- see docs/SWEEPS.md), and
-``--resume`` caches finished points under ``results/cache/`` so an
-interrupted run picks up where it left off.  A series that raises is
-reported (with its traceback) and the remaining series still run; the
-exit code is then nonzero instead of dying mid-run with partial output.
+``--resume`` caches finished points under ``results/cache/`` (or
+``--cache-dir``, which caches on its own) so an interrupted run picks up
+where it left off.  A series that raises is reported (with its
+traceback) and the remaining series still run; the exit code is then
+nonzero instead of dying mid-run with partial output.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.experiments import SWEEPS, run_fig2, run_figure
 from repro.experiments.fig2 import FIG2_RATES
 from repro.experiments.fig67 import saturation_point
 from repro.experiments.reporting import rows_to_table, summarize_ratio, write_rows
-from repro.sweep import DEFAULT_CACHE_DIR, ResultCache
+from repro.sweep import DEFAULT_CACHE_DIR, ResultCache, open_cache
 
 
 class Series(NamedTuple):
@@ -138,8 +139,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help="cache location used with --resume",
+        help=f"cache location (default {DEFAULT_CACHE_DIR}; implies caching when given)",
     )
     parser.add_argument(
         "--csv",
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    cache = ResultCache(args.cache_dir) if args.resume else None
+    cache = open_cache(args.resume, args.cache_dir)
     # Wall-time reads below are progress reporting only: they are printed
     # for the operator and never reach figure rows, caches or traces.
     started = time.time()  # lint: disable=wall-clock

@@ -8,12 +8,6 @@ re-implemented: each cell's seed derives from its parameters alone
 (:func:`repro.sweep.spec.derive_seed`), so the merged
 :class:`FleetReport` -- every per-flow digest included -- is
 byte-identical for any shard count.
-
-Observability: a run counts ``fleet_flows_total``,
-``fleet_flows_admitted_total``, ``fleet_flows_rejected_total``,
-``fleet_cells_total``, ``fleet_symbols_delivered_total``,
-``fleet_mux_drops_total`` and ``fleet_kappa_floor_violations_total`` on
-the attached registry (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -21,9 +15,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.fleet.admission import REASONS, AdmissionController
+from repro.fleet.admission import AdmissionController
 from repro.fleet.cell import run_cell
 from repro.fleet.spec import FleetSpec
 from repro.sweep.runner import SweepRunner, values
@@ -60,7 +54,7 @@ class FleetReport:
         mux_drops_total: payloads shed at per-flow mux queues.
         kappa_floor_violations: admitted flows whose configured κ sits
             below their tenant's floor (always 0 unless admission is
-            bypassed; exported as a metric so regressions are loud).
+            bypassed; reported so regressions are loud).
         per_flow: flow id -> the cell's per-flow record (delivery count,
             digest, κ audit...).
         tenants: tenant name -> fleet-level summary (flows, delivered,
@@ -106,22 +100,15 @@ class FleetRunner:
         shards: worker processes for cell execution (1 = serial, the
             reference path; any value yields byte-identical reports).
         flows_per_cell: how many flows share one cell's channels.
-        obs: optional :class:`~repro.obs.instrument.Observability`.
     """
 
-    def __init__(
-        self,
-        shards: int = 1,
-        flows_per_cell: int = 32,
-        obs: Optional[Any] = None,
-    ):
+    def __init__(self, shards: int = 1, flows_per_cell: int = 32):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if flows_per_cell < 1:
             raise ValueError(f"flows_per_cell must be >= 1, got {flows_per_cell}")
         self.shards = shards
         self.flows_per_cell = flows_per_cell
-        self.obs = obs
 
     def run(
         self,
@@ -190,7 +177,7 @@ class FleetRunner:
             base["auth"] = True
 
         cell_values: List[Dict[str, Any]] = []
-        sweep = SweepRunner(jobs=self.shards, obs=self.obs)
+        sweep = SweepRunner(jobs=self.shards)
         if grid:
             spec = SweepSpec(spec_id=spec_id, grid=grid, base=base)
             cell_values = values(sweep.run(spec, run_cell))
@@ -199,7 +186,6 @@ class FleetRunner:
         self._merge(fleet, report, cell_values)
         if report.wall_time > 0:
             report.flows_per_sec = report.admitted / report.wall_time
-        self._count_metrics(report)
         return report
 
     # -- internals --------------------------------------------------------------
@@ -250,19 +236,3 @@ class FleetRunner:
                     record["kappa"] >= tenant.min_kappa for record in records
                 ),
             }
-
-    def _count_metrics(self, report: FleetReport) -> None:
-        if self.obs is None:
-            return
-        registry = self.obs.registry
-        registry.counter("fleet_flows_total").inc(report.flows_total)
-        registry.counter("fleet_flows_admitted_total").inc(report.admitted)
-        registry.counter("fleet_flows_rejected_total").inc(
-            sum(report.rejected.get(reason, 0) for reason in REASONS)
-        )
-        registry.counter("fleet_cells_total").inc(report.cells)
-        registry.counter("fleet_symbols_delivered_total").inc(report.delivered_total)
-        registry.counter("fleet_mux_drops_total").inc(report.mux_drops_total)
-        registry.counter("fleet_kappa_floor_violations_total").inc(
-            report.kappa_floor_violations
-        )

@@ -6,11 +6,10 @@ interested rules`` dispatch table from the rules whose scope covers the
 file and feeds every node to exactly the rules that declared that type.
 
 The per-file prologue (directives, ``bad-directive`` and ``parse-error``
-findings), the run epilogue (sorting and the ``lint_*`` obs counters)
-and the command line live in :mod:`repro.analysis.framework`, shared
-with the secret-taint analysis; this module keeps only the
-lint-specific rule dispatch and the :data:`LINT` record behind
-``repro-model lint``.  Two runs over the same tree produce
+findings), the run epilogue (one sorted report) and the command line
+live in :mod:`repro.analysis.framework`, shared with the secret-taint
+analysis; this module keeps only the lint-specific rule dispatch and
+the :data:`LINT` record behind ``repro-model lint``.  Two runs over the same tree produce
 byte-identical reports (pinned by ``tests/test_lint_regression.py``).
 """
 
@@ -30,18 +29,10 @@ __all__ = ["LINT", "LintEngine", "print_rules"]
 
 
 class LintEngine:
-    """Walks files once and dispatches AST nodes to the catalogue's rules.
+    """Walks files once and dispatches AST nodes to the catalogue's rules."""
 
-    Args:
-        obs: optional :class:`repro.obs.Observability`; when given, the
-            engine emits ``lint_files_scanned_total``,
-            ``lint_findings_total{rule=...}`` and
-            ``lint_suppressed_total{rule=...}`` counters.
-    """
-
-    def __init__(self, obs=None):
+    def __init__(self):
         self.rules: List[Rule] = default_rules()
-        self.obs = obs
 
     def lint_source(self, relpath: str, source: str) -> Tuple[List[Finding], List[Finding]]:
         """Lint one file's source text.
@@ -73,7 +64,7 @@ class LintEngine:
                 with open(os.path.join(root, relpath), encoding="utf-8") as handle:
                     yield self.lint_source(relpath, handle.read())
 
-        return framework.finish_report(per_file(), self.obs, "lint")
+        return framework.finish_report(per_file())
 
 
 def print_rules() -> None:

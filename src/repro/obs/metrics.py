@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default histogram buckets for sim-time latencies (unit times; with the
 #: paper's 10 ms unit this spans 1 ms .. 1 s).
@@ -47,7 +47,11 @@ def _label_key(labels: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
 
 
 class Counter:
-    """A monotonically increasing count (events, bytes, drops)."""
+    """A monotonically increasing count (events, bytes, drops).
+
+    Pull collectors assign :attr:`value` from the stats a component
+    already keeps.
+    """
 
     __slots__ = ("name", "labels", "value")
 
@@ -55,12 +59,6 @@ class Counter:
         self.name = name
         self.labels = labels
         self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be nonnegative) to the counter."""
-        if amount < 0:
-            raise ValueError(f"counters only go up; got {amount}")
-        self.value += amount
 
     def as_sample(self) -> dict:
         return {"type": "counter", "name": self.name, "labels": dict(self.labels), "value": self.value}
@@ -78,12 +76,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
     def as_sample(self) -> dict:
         return {"type": "gauge", "name": self.name, "labels": dict(self.labels), "value": self.value}
@@ -218,8 +210,3 @@ class MetricsRegistry:
         ]
         samples.sort(key=lambda s: (s["name"], _label_key(s["labels"]), s["type"]))
         return samples
-
-
-def merge_counters(samples: Iterable[dict], name: str) -> float:
-    """Sum a counter/gauge across label sets (snapshot post-processing)."""
-    return sum(s["value"] for s in samples if s["name"] == name and "value" in s)

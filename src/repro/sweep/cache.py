@@ -28,21 +28,18 @@ from typing import Any, Dict, Optional
 
 from repro.sweep.spec import SweepPoint, canonical_json
 
-__all__ = ["ResultCache", "code_fingerprint", "DEFAULT_CACHE_DIR"]
+__all__ = ["ResultCache", "code_fingerprint", "open_cache", "DEFAULT_CACHE_DIR"]
 
 logger = logging.getLogger(__name__)
 
 #: Default cache location, relative to the invoking working directory.
 DEFAULT_CACHE_DIR = os.path.join("results", "cache")
 
-#: Environment variable overriding the computed code fingerprint (useful
-#: for tests and for pinning a fingerprint across a checkout's lifetime).
-FINGERPRINT_ENV = "REPRO_SWEEP_FINGERPRINT"
-
 
 @lru_cache(maxsize=1)
-def _package_fingerprint() -> str:
-    """SHA-256 over every ``.py`` source file of the ``repro`` package.
+def code_fingerprint() -> str:
+    """The fingerprint mixed into every cache key by default: SHA-256 over
+    every ``.py`` source file of the ``repro`` package.
 
     Files are hashed as ``(relative path, content)`` pairs in sorted path
     order, so the digest is stable across machines and processes but
@@ -66,22 +63,6 @@ def _package_fingerprint() -> str:
             digest.update(handle.read())
         digest.update(b"\x00")
     return digest.hexdigest()
-
-
-def code_fingerprint() -> str:
-    """The fingerprint mixed into every cache key.
-
-    ``REPRO_SWEEP_FINGERPRINT`` in the environment wins; otherwise the
-    hash of the installed ``repro`` sources (see
-    :func:`_package_fingerprint`).
-    """
-    # Deliberate env read: an explicit operator/CI override of the cache
-    # fingerprint, which never alters computed results -- only whether a
-    # cache entry is considered valid (see docs/SWEEPS.md).
-    override = os.environ.get(FINGERPRINT_ENV)  # lint: disable=env-read
-    if override:
-        return override
-    return _package_fingerprint()
 
 
 class ResultCache:
@@ -147,7 +128,7 @@ class ResultCache:
             return None
         return entry
 
-    def put(self, point: SweepPoint, value: Any, duration: float, attempts: int) -> str:
+    def put(self, point: SweepPoint, value: Any, duration: float) -> str:
         """Store ``value`` for ``point``; returns the entry path.
 
         ``value`` must be JSON-serialisable (sweep point functions return
@@ -162,7 +143,6 @@ class ResultCache:
             "seed": point.seed,
             "value": value,
             "duration": duration,
-            "attempts": attempts,
         }
         payload = json.dumps(entry, sort_keys=True, indent=1, allow_nan=False)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -182,3 +162,16 @@ class ResultCache:
             os.remove(path)
         except OSError:
             pass
+
+
+def open_cache(resume: bool, cache_dir: Optional[str]) -> Optional[ResultCache]:
+    """The cache a sweep command runs with: one under ``cache_dir``
+    (default :data:`DEFAULT_CACHE_DIR`) when ``--resume`` is set or
+    ``--cache-dir`` is given, else None.
+
+    The one rule both sweep front ends (``repro sweep``/``repro attack``
+    and ``python -m repro.experiments.runner``) follow.
+    """
+    if resume or cache_dir is not None:
+        return ResultCache(cache_dir or DEFAULT_CACHE_DIR)
+    return None

@@ -1,9 +1,9 @@
-"""Sweep execution: serial or process-pool, with isolation, retry, cache.
+"""Sweep execution: serial or process-pool, with isolation and a cache.
 
-:class:`SweepRunner` takes a :class:`~repro.sweep.spec.SweepSpec` (or a
-plain point list) and a module-level *point function* ``fn(params, seed)
--> JSON-serialisable value`` and executes every point, handing each its
-deterministic derived seed:
+:class:`SweepRunner` takes a :class:`~repro.sweep.spec.SweepSpec` and a
+module-level *point function* ``fn(params, seed) -> JSON-serialisable
+value`` and executes every point, handing each its deterministic derived
+seed:
 
 * ``jobs=1`` (the default) runs in-process, in enumeration order -- the
   reference path, numerically identical to the nested loops it replaces;
@@ -11,12 +11,15 @@ deterministic derived seed:
   point's seed derives from its identity (never from worker order), the
   parallel results are *identical* to the serial ones, just faster.
 
-Every point is failure-isolated: an exception inside ``fn`` is caught,
-retried up to ``retries`` times, and finally recorded on that point's
-:class:`SweepResult` -- one diverging point never takes down a 500-point
-overnight sweep.  With a :class:`~repro.sweep.cache.ResultCache` attached,
-finished points are persisted as they complete and are served from disk on
-re-runs, which is what makes ``--resume`` work.
+Every point is failure-isolated: an exception inside ``fn`` is caught
+and recorded on that point's :class:`SweepResult` -- one diverging point
+never takes down a 500-point overnight sweep.  A point function is a pure
+function of its params and seed, so running a failed point again in the
+same sweep would fail the same way; it is never retried there.  With a
+:class:`~repro.sweep.cache.ResultCache` attached, finished points are
+persisted as they complete and are served from disk on re-runs, which is
+what makes ``--resume`` work (failed points are never cached, so a re-run
+computes them again).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.sweep.cache import ResultCache
 from repro.sweep.spec import SweepPoint, SweepSpec
@@ -42,16 +45,14 @@ class SweepResult:
     """The outcome of one sweep point.
 
     Exactly one of ``value``/``error`` is meaningful: ``error`` is None on
-    success, otherwise the formatted traceback of the last attempt.
-    ``duration`` is the wall time spent computing (0.0 for cache hits) and
-    ``attempts`` how many times ``fn`` ran (0 for cache hits).
+    success, otherwise the formatted traceback of the failure.
+    ``duration`` is the wall time spent computing (0.0 for cache hits).
     """
 
     point: SweepPoint
     value: Any = None
     error: Optional[str] = None
     duration: float = 0.0
-    attempts: int = 0
     cached: bool = False
 
     @property
@@ -66,43 +67,29 @@ def values(results: Iterable[SweepResult]) -> List[Any]:
         if not result.ok:
             raise SweepError(
                 f"sweep point {result.point.index} "
-                f"({result.point.params}) failed after {result.attempts} "
-                f"attempts:\n{result.error}"
+                f"({result.point.params}) failed:\n{result.error}"
             )
         out.append(result.value)
     return out
 
 
-def _execute_point(
-    fn: Callable[[Dict[str, Any], int], Any], point: SweepPoint, retries: int
-) -> SweepResult:
-    """Run ``fn`` on one point with bounded retry and failure isolation.
+def _execute_point(fn: Callable[[Dict[str, Any], int], Any], point: SweepPoint) -> SweepResult:
+    """Run ``fn`` on one point with failure isolation.
 
     Module-level so it is picklable and runs identically in-process and in
     a pool worker.  ``fn`` receives the point's params and its derived
     seed -- the only randomness root a point function should use.
     """
     started = time.perf_counter()
-    seed = point.seed
-    error = None
-    for attempt in range(1, retries + 2):
-        try:
-            value = fn(dict(point.params), seed)
-        except Exception:
-            error = traceback.format_exc()
-        else:
-            return SweepResult(
-                point=point,
-                value=value,
-                duration=time.perf_counter() - started,
-                attempts=attempt,
-            )
-    return SweepResult(
-        point=point,
-        error=error,
-        duration=time.perf_counter() - started,
-        attempts=retries + 1,
-    )
+    try:
+        value = fn(dict(point.params), point.seed)
+    except Exception:
+        return SweepResult(
+            point=point,
+            error=traceback.format_exc(),
+            duration=time.perf_counter() - started,
+        )
+    return SweepResult(point=point, value=value, duration=time.perf_counter() - started)
 
 
 @dataclass
@@ -112,7 +99,6 @@ class SweepStats:
     points: int = 0
     cache_hits: int = 0
     computed: int = 0
-    retries: int = 0
     failures: int = 0
     wall_time: float = 0.0
 
@@ -120,8 +106,8 @@ class SweepStats:
         """One greppable line (used by the CLI and the CI smoke check)."""
         return (
             f"sweep: points={self.points} cache_hits={self.cache_hits} "
-            f"computed={self.computed} retries={self.retries} "
-            f"failures={self.failures} wall={self.wall_time:.2f}s"
+            f"computed={self.computed} failures={self.failures} "
+            f"wall={self.wall_time:.2f}s"
         )
 
 
@@ -131,38 +117,27 @@ class SweepRunner:
 
     Args:
         jobs: worker processes; 1 (default) runs serially in-process.
-        retries: extra attempts per point after the first failure.
         cache: optional :class:`ResultCache`; hits skip computation and
             misses are persisted on success (failures are never cached).
-        obs: optional :class:`~repro.obs.instrument.Observability`; the
-            runner counts ``sweep_points_total``, ``sweep_cache_hits_total``,
-            ``sweep_retries_total`` and ``sweep_failures_total`` on its
-            registry.
     """
 
     jobs: int = 1
-    retries: int = 0
     cache: Optional[ResultCache] = None
-    obs: Optional[Any] = None
     stats: SweepStats = field(default_factory=SweepStats)
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
 
     def run(
-        self,
-        spec: Union[SweepSpec, Iterable[SweepPoint]],
-        fn: Callable[[Dict[str, Any], int], Any],
+        self, spec: SweepSpec, fn: Callable[[Dict[str, Any], int], Any]
     ) -> List[SweepResult]:
         """Execute every point of ``spec`` through ``fn``.
 
         Returns one :class:`SweepResult` per point, in enumeration order
         regardless of completion order, and refreshes :attr:`stats`.
         """
-        points = spec.points() if isinstance(spec, SweepSpec) else list(spec)
+        points = spec.points()
         started = time.perf_counter()
         self.stats = SweepStats(points=len(points))
 
@@ -179,13 +154,12 @@ class SweepRunner:
         if pending:
             if self.jobs == 1:
                 for slot in pending:
-                    results[slot] = _execute_point(fn, points[slot], self.retries)
+                    results[slot] = _execute_point(fn, points[slot])
                     self._finish(results[slot])
             else:
                 self._run_pool(points, pending, fn, results)
 
         self.stats.wall_time = time.perf_counter() - started
-        self._count_metrics()
         return [result for result in results if result is not None]
 
     # -- internals --------------------------------------------------------------
@@ -199,7 +173,7 @@ class SweepRunner:
     ) -> None:
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures = {
-                pool.submit(_execute_point, fn, points[slot], self.retries): slot
+                pool.submit(_execute_point, fn, points[slot]): slot
                 for slot in pending
             }
             remaining = set(futures)
@@ -213,9 +187,7 @@ class SweepRunner:
                         # The worker process died (OOM, signal) before it
                         # could even report: isolate like any other failure.
                         result = SweepResult(
-                            point=points[slot],
-                            error=traceback.format_exc(),
-                            attempts=self.retries + 1,
+                            point=points[slot], error=traceback.format_exc()
                         )
                     results[slot] = result
                     self._finish(result)
@@ -231,19 +203,7 @@ class SweepRunner:
     def _finish(self, result: SweepResult) -> None:
         """Bookkeeping for one computed (non-cached) result."""
         self.stats.computed += 1
-        self.stats.retries += max(0, result.attempts - 1)
         if not result.ok:
             self.stats.failures += 1
         elif self.cache is not None:
-            self.cache.put(
-                result.point, result.value, result.duration, result.attempts
-            )
-
-    def _count_metrics(self) -> None:
-        if self.obs is None:
-            return
-        registry = self.obs.registry
-        registry.counter("sweep_points_total").inc(self.stats.points)
-        registry.counter("sweep_cache_hits_total").inc(self.stats.cache_hits)
-        registry.counter("sweep_retries_total").inc(self.stats.retries)
-        registry.counter("sweep_failures_total").inc(self.stats.failures)
+            self.cache.put(result.point, result.value, result.duration)

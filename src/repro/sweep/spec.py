@@ -7,9 +7,9 @@ definition drives the serial loop, the process pool and the result cache.
 
 Two properties are load-bearing:
 
-1. **Deterministic enumeration.**  Points are the cartesian product of the
-   axes in declaration order, so a spec enumerates the same points in the
-   same order in every process and on every run.
+1. **Deterministic enumeration.**  Points are the grid's entries in list
+   order, so a spec enumerates the same points in the same order in every
+   process and on every run.
 2. **Deterministic seeds.**  Each point's RNG seed is derived by hashing
    ``(spec_id, point params)`` -- never from worker identity, submission
    order or a shared counter -- so results are independent of how the
@@ -20,10 +20,9 @@ Two properties are load-bearing:
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Mapping, Sequence
 
 __all__ = ["SweepPoint", "SweepSpec", "canonical_json", "derive_seed"]
 
@@ -90,65 +89,39 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A named parameter grid: fixed ``base`` params times variable ``axes``.
+    """A named parameter grid: one ``grid`` entry per point, over ``base``.
 
     Args:
         spec_id: stable name of the sweep (include anything that changes
             its meaning, e.g. ``"fig3/identical"``).  Two specs with the
             same id and params share seeds and cache entries -- that is
             the point.
-        axes: ordered mapping of axis name to its values; the grid is the
-            cartesian product in declaration order, last axis fastest
-            (matching the nested ``for`` loops the spec replaces).
+        grid: the per-point param dicts in enumeration order, each merged
+            over ``base``; a comprehension writes a cartesian product
+            (outer loop first) or a coupled grid (e.g. the µ range that
+            depends on κ) alike.
         base: parameters common to every point (durations, setup names,
-            the root seed...).  An axis may not shadow a base key.
-        grid: alternative to ``axes`` for *coupled* grids (e.g. the µ
-            range that depends on κ): an explicit list of per-point param
-            dicts, each merged over ``base``.  Mutually exclusive with
-            ``axes``.
+            the root seed...).  A grid entry may not shadow a base key.
     """
 
     spec_id: str
-    axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
+    grid: Sequence[Mapping[str, Any]]
     base: Mapping[str, Any] = field(default_factory=dict)
-    grid: Optional[Sequence[Mapping[str, Any]]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", {k: list(v) for k, v in self.axes.items()})
+        object.__setattr__(self, "grid", [dict(entry) for entry in self.grid])
         object.__setattr__(self, "base", dict(self.base))
-        if self.grid is not None:
-            if self.axes:
-                raise ValueError("give either axes or grid, not both")
-            object.__setattr__(self, "grid", [dict(entry) for entry in self.grid])
-            shadowed = set().union(*(set(entry) for entry in self.grid or [{}])) & set(self.base)
-        else:
-            shadowed = set(self.axes) & set(self.base)
+        shadowed = {key for entry in self.grid for key in entry} & set(self.base)
         if shadowed:
             raise ValueError(f"variable params shadow base params: {sorted(shadowed)}")
-        for name, values in self.axes.items():
-            if not values:
-                raise ValueError(f"axis {name!r} has no values")
 
     def __len__(self) -> int:
-        if self.grid is not None:
-            return len(self.grid)
-        count = 1
-        for values in self.axes.values():
-            count *= len(values)
-        return count
+        return len(self.grid)
 
     def __iter__(self) -> Iterator[SweepPoint]:
-        if self.grid is not None:
-            combos: Iterable[Dict[str, Any]] = (dict(entry) for entry in self.grid)
-        else:
-            names = list(self.axes)
-            combos = (
-                dict(zip(names, combo))
-                for combo in itertools.product(*self.axes.values())
-            )
-        for index, combo in enumerate(combos):
+        for index, entry in enumerate(self.grid):
             params: Dict[str, Any] = dict(self.base)
-            params.update(combo)
+            params.update(entry)
             yield SweepPoint(spec_id=self.spec_id, index=index, params=params)
 
     def points(self) -> List[SweepPoint]:

@@ -10,8 +10,6 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
 from repro.fleet import FleetReport, FleetRunner, synthesize_fleet
 
 __all__ = ["run_fleet"]
@@ -27,7 +25,6 @@ def run_fleet(
     synthetic: bool = True,
     auth: bool = False,
     spec_id: str = "fleet/default",
-    obs: Optional[Any] = None,
 ) -> FleetReport:
     """Run a synthesized fleet of ``flows`` flows over ``shards`` workers.
 
@@ -48,10 +45,9 @@ def run_fleet(
             ``synthetic=False``; tenant flows get isolated per-flow MAC
             keys -- see docs/AUTH.md).
         spec_id: sweep spec id (part of every cell's seed derivation).
-        obs: optional Observability for ``fleet_*`` metrics.
     """
     fleet = synthesize_fleet(flows, symbols=symbols_per_flow)
-    runner = FleetRunner(shards=shards, flows_per_cell=flows_per_cell, obs=obs)
+    runner = FleetRunner(shards=shards, flows_per_cell=flows_per_cell)
     return runner.run(
         fleet,
         spec_id=spec_id,

@@ -72,6 +72,20 @@ class TestSweepCli:
         assert "sweep: points=3 cache_hits=0 computed=3" in out
         assert "ratio" in out
 
+    def test_cache_dir_alone_caches(self, tmp_path, capsys):
+        args = self.ARGS + ["--cache-dir", str(tmp_path / "cache")]
+        assert cli_main(args) == 0
+        assert "cache_hits=0 computed=3" in capsys.readouterr().out
+        assert cli_main(args) == 0
+        assert "cache_hits=3 computed=0" in capsys.readouterr().out
+
+    def test_retries_is_not_an_option(self, capsys):
+        # A failing point runs once: its function is pure in (params, seed).
+        with pytest.raises(SystemExit) as exc:
+            cli_main(self.ARGS + ["--retries", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --retries" in capsys.readouterr().err
+
     @pytest.mark.slow
     def test_resume_round_trip_is_byte_identical(self, tmp_path, capsys):
         args = self.ARGS + [
@@ -126,3 +140,12 @@ class TestSweepCli:
         out = capsys.readouterr().out
         assert "Figure 6:" in out
         assert "Figure 7:" not in out
+
+    def test_runner_cache_dir_alone_caches(self, tmp_path, capsys):
+        # One rule for both front ends: --cache-dir implies caching
+        # without --resume, as on `repro sweep`.
+        from repro.experiments.runner import main as runner_main
+
+        cache_dir = tmp_path / "cache"
+        assert runner_main(["--only", "fig6", "--quick", "--cache-dir", str(cache_dir)]) == 0
+        assert len(list((cache_dir / "fig6").glob("*.json"))) == 8

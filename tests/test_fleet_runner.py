@@ -1,11 +1,10 @@
-"""Fleet execution: shard parity, merging, admission wiring, metrics."""
+"""Fleet execution: shard parity, merging, admission wiring."""
 
 import pytest
 
 import repro.fleet.runner as fleet_runner
 from repro.fleet import FleetRunner, FleetSpec, FlowSpec, Tenant, synthesize_fleet
 from repro.fleet.runner import CELL_SHAPE
-from repro.obs import Observability
 
 
 def small_fleet(flows=8, symbols=3):
@@ -92,6 +91,26 @@ class TestReport:
         assert report.tenants["gold"]["flows"] == 1
         assert report.tenants["gold"]["compliant"]
 
+    def test_report_counts_admission_and_delivery(self):
+        # The report is the fleet's one record of what it admitted,
+        # rejected and delivered.
+        tenants = (Tenant(name="gold", min_kappa=2.0),)
+        flows = (
+            FlowSpec(flow=1, tenant="gold", kappa=2.0, mu=3.0, symbols=2),
+            FlowSpec(flow=2, tenant="gold", kappa=1.0, mu=3.0, symbols=2),
+        )
+        report = FleetRunner(shards=1).run(FleetSpec(tenants=tenants, flows=flows))
+        assert report.flows_total == 2
+        assert report.admitted == 1
+        assert sum(report.rejected.values()) == 1
+        assert report.rejected_flows == {2: "kappa_floor"}
+        assert report.cells == 1
+        assert report.delivered_total == 2
+        assert report.delivered_total == sum(
+            record["delivered"] for record in report.per_flow.values()
+        )
+        assert report.kappa_floor_violations == 0
+
     def test_empty_fleet(self):
         report = FleetRunner(shards=1).run(FleetSpec())
         assert report.cells == 0
@@ -160,27 +179,3 @@ class TestAuthenticatedFleet:
             fleet, synthetic=False, auth=False
         )
         assert plain.fleet_digest == again.fleet_digest
-
-
-class TestObservability:
-    def test_fleet_metrics_are_counted(self):
-        tenants = (Tenant(name="gold", min_kappa=2.0),)
-        flows = (
-            FlowSpec(flow=1, tenant="gold", kappa=2.0, mu=3.0, symbols=2),
-            FlowSpec(flow=2, tenant="gold", kappa=1.0, mu=3.0, symbols=2),
-        )
-        obs = Observability.create(tracing=False)
-        report = FleetRunner(shards=1, obs=obs).run(
-            FleetSpec(tenants=tenants, flows=flows)
-        )
-        snapshot = {
-            sample["name"]: sample["value"] for sample in obs.registry.snapshot()
-        }
-        assert snapshot["fleet_flows_total"] == 2
-        assert snapshot["fleet_flows_admitted_total"] == 1
-        assert snapshot["fleet_flows_rejected_total"] == 1
-        assert snapshot["fleet_cells_total"] == 1
-        assert snapshot["fleet_symbols_delivered_total"] == report.delivered_total
-        assert snapshot["fleet_kappa_floor_violations_total"] == 0
-        # The sweep layer underneath counts its own points.
-        assert snapshot["sweep_points_total"] == 1

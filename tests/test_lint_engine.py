@@ -176,6 +176,19 @@ class TestEngine:
         }
         assert report.summary() == "0 finding(s) (0 suppressed) in 0 file(s)"
 
+    def test_report_counts_live_and_suppressed_by_rule(self, tmp_path):
+        root = tmp_path / "repo"
+        target = root / "src" / "repro" / "netsim"
+        target.mkdir(parents=True)
+        (target / "mod.py").write_text(
+            WALL_CLOCK_SNIPPET + "u = time.time()  # lint: disable=wall-clock\n"
+        )
+        report = LintEngine().run(str(root), ["src"])
+        assert report.files_scanned == 1
+        assert report.rule_counts() == {"wall-clock": 1}
+        assert [(f.rule, f.line) for f in report.findings] == [("wall-clock", 2)]
+        assert [(f.rule, f.line) for f in report.suppressed] == [("wall-clock", 3)]
+
     def test_report_schema(self, tmp_path):
         root = tmp_path / "repo"
         target = root / "src" / "repro" / "netsim"
@@ -188,20 +201,3 @@ class TestEngine:
         assert data["suppressed"] == 0
         assert set(data) == {"version", "files_scanned", "ok", "counts", "findings", "suppressed"}
         assert set(data["findings"][0]) == {"file", "line", "column", "rule", "message"}
-
-    def test_obs_counters(self, tmp_path):
-        from repro.obs import Observability
-
-        root = tmp_path / "repo"
-        target = root / "src" / "repro" / "netsim"
-        target.mkdir(parents=True)
-        (target / "mod.py").write_text(
-            WALL_CLOCK_SNIPPET + "u = time.time()  # lint: disable=wall-clock\n"
-        )
-        obs = Observability.create()
-        report = LintEngine(obs=obs).run(str(root), ["src"])
-        assert len(report.findings) == 1 and len(report.suppressed) == 1
-        registry = obs.registry
-        assert registry.counter("lint_files_scanned_total").value == 1
-        assert registry.counter("lint_findings_total", rule="wall-clock").value == 1
-        assert registry.counter("lint_suppressed_total", rule="wall-clock").value == 1

@@ -17,8 +17,8 @@ from repro.obs.tracing import Tracer
 
 def sample_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
-    registry.counter("sim_link_offered_total", channel="0", direction="fwd").inc(17)
-    registry.counter("sim_link_offered_total", channel="1", direction="fwd").inc(3)
+    registry.counter("sim_link_offered_total", channel="0", direction="fwd").value = 17.0
+    registry.counter("sim_link_offered_total", channel="1", direction="fwd").value = 3.0
     registry.gauge("sim_engine_queue_depth").set(4.5)
     hist = registry.histogram("sim_receiver_reconstruct_latency", buckets=(0.5, 1.0, 5.0), node="nodeB")
     for value in (0.2, 0.7, 0.7, 3.0, 9.0):
@@ -50,7 +50,7 @@ class TestPrometheus:
 
     def test_label_escaping(self):
         registry = MetricsRegistry()
-        registry.counter("sim_x_total", handler='say "hi"\\now').inc()
+        registry.counter("sim_x_total", handler='say "hi"\\now').value = 1.0
         text = metrics_to_prometheus(registry.snapshot())
         assert 'handler="say \\"hi\\"\\\\now"' in text
 

@@ -4,26 +4,10 @@ import math
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    merge_counters,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 class TestCounter:
-    def test_increments(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("sim_x_total", channel="0")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("sim_x_total", {}).inc(-1)
-
     def test_cached_by_name_and_labels(self):
         registry = MetricsRegistry()
         a = registry.counter("sim_x_total", channel="0")
@@ -31,6 +15,18 @@ class TestCounter:
         c = registry.counter("sim_x_total", channel="1")
         assert a is b
         assert a is not c
+
+    def test_starts_at_zero_and_is_assigned(self):
+        # Collectors copy the stats a component already keeps; there is
+        # no increment path to keep in step with them.
+        registry = MetricsRegistry()
+        counter = registry.counter("sim_x_total", channel="0")
+        assert counter.value == 0.0
+        assert not hasattr(counter, "inc")
+        counter.value = 7.0
+        assert registry.snapshot() == [
+            {"type": "counter", "name": "sim_x_total", "labels": {"channel": "0"}, "value": 7.0}
+        ]
 
     def test_label_values_coerced_to_str(self):
         registry = MetricsRegistry()
@@ -40,13 +36,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("sim_depth")
+    def test_set_stores_a_float(self):
+        gauge = MetricsRegistry().gauge("sim_depth")
         gauge.set(5)
-        gauge.inc(2)
-        gauge.dec()
-        assert gauge.value == 6.0
+        assert gauge.value == 5.0
+        assert isinstance(gauge.value, float)
 
 
 class TestNaming:
@@ -103,9 +97,9 @@ class TestHistogram:
 class TestSnapshot:
     def test_deterministic_ordering(self):
         registry = MetricsRegistry()
-        registry.counter("sim_b_total").inc()
-        registry.counter("sim_a_total", z="2").inc()
-        registry.counter("sim_a_total", z="1").inc()
+        registry.counter("sim_b_total").value = 1.0
+        registry.counter("sim_a_total", z="2").value = 1.0
+        registry.counter("sim_a_total", z="1").value = 1.0
         names = [(s["name"], s["labels"]) for s in registry.snapshot()]
         assert names == [
             ("sim_a_total", {"z": "1"}),
@@ -121,9 +115,3 @@ class TestSnapshot:
         state["v"] = 42
         (sample,) = registry.snapshot()
         assert sample["value"] == 42.0
-
-    def test_merge_counters_helper(self):
-        registry = MetricsRegistry()
-        registry.counter("sim_x_total", c="0").inc(2)
-        registry.counter("sim_x_total", c="1").inc(3)
-        assert merge_counters(registry.snapshot(), "sim_x_total") == 5.0

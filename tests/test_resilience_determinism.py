@@ -101,7 +101,7 @@ class TestPinned:
 class TestSweepParallelism:
     SPEC = SweepSpec(
         "resilience-determinism",
-        axes={"scenario": ["partition_heal", "burst"]},
+        grid=[{"scenario": "partition_heal"}, {"scenario": "burst"}],
     )
 
     def test_serial_and_parallel_sweeps_agree(self):

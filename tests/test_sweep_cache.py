@@ -5,7 +5,17 @@ import os
 import subprocess
 import sys
 
-from repro.sweep import ResultCache, SweepRunner, SweepSpec, code_fingerprint, values
+import pytest
+
+from repro.sweep import (
+    DEFAULT_CACHE_DIR,
+    ResultCache,
+    SweepRunner,
+    SweepSpec,
+    code_fingerprint,
+    open_cache,
+    values,
+)
 
 
 import repro
@@ -33,7 +43,7 @@ def logging_point(params, seed):
 
 def _spec(tmp_path=None, xs=(1, 2, 3, 4, 5)):
     base = {"dir": str(tmp_path)} if tmp_path is not None else {}
-    return SweepSpec("cachespec", axes={"x": list(xs)}, base=base)
+    return SweepSpec("cachespec", grid=[{"x": x} for x in xs], base=base)
 
 
 def _computed(tmp_path):
@@ -54,7 +64,7 @@ class TestKeys:
         point = _spec().points()[0]
         script = (
             "from repro.sweep import ResultCache, SweepSpec; "
-            "spec = SweepSpec('cachespec', axes={'x': [1, 2, 3, 4, 5]}); "
+            "spec = SweepSpec('cachespec', grid=[{'x': x} for x in (1, 2, 3, 4, 5)]); "
             f"print(ResultCache({str(tmp_path)!r}, fingerprint='f1').key(spec.points()[0]))"
         )
         out = subprocess.run(
@@ -70,44 +80,93 @@ class TestKeys:
         cache = ResultCache(str(tmp_path), fingerprint="f1")
         p1, p2 = _spec().points()[:2]
         assert cache.key(p1) != cache.key(p2)
-        other_spec = SweepSpec("otherspec", axes={"x": [1, 2]}).points()[0]
+        other_spec = SweepSpec("otherspec", grid=[{"x": 1}]).points()[0]
         assert cache.key(p1) != cache.key(other_spec)
         assert cache.key(p1) != ResultCache(str(tmp_path), fingerprint="f2").key(p1)
 
-    def test_code_fingerprint_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_FINGERPRINT", "pinned")
-        assert code_fingerprint() == "pinned"
-        assert ResultCache("unused").fingerprint == "pinned"
-
-    def test_code_fingerprint_is_hexdigest(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_FINGERPRINT", raising=False)
+    def test_code_fingerprint_is_hexdigest(self):
         fingerprint = code_fingerprint()
         assert len(fingerprint) == 64
         int(fingerprint, 16)
+
+    def test_code_fingerprint_ignores_the_environment(self, monkeypatch):
+        # Only the sources decide the fingerprint: no variable can pin a
+        # stale cache across a code change.
+        expected = code_fingerprint()
+        monkeypatch.setenv("REPRO_SWEEP_FINGERPRINT", "pinned")
+        code_fingerprint.cache_clear()
+        try:
+            assert code_fingerprint() == expected
+            assert ResultCache("unused").fingerprint == expected
+        finally:
+            code_fingerprint.cache_clear()
+
+    def test_spec_id_slash_stays_one_directory(self, tmp_path):
+        cache = ResultCache(str(tmp_path), fingerprint="f1")
+        point = SweepSpec("fig3/identical", grid=[{"x": 1}]).points()[0]
+        assert cache.path(point) == os.path.join(
+            str(tmp_path), "fig3_identical", cache.key(point) + ".json"
+        )
 
 
 class TestRoundTrip:
     def test_put_then_get(self, tmp_path):
         cache = ResultCache(str(tmp_path), fingerprint="f1")
         point = _spec().points()[0]
-        path = cache.put(point, {"square": 1}, duration=0.5, attempts=1)
+        path = cache.put(point, {"square": 1}, duration=0.5)
         assert os.path.exists(path)
         entry = cache.get(point)
         assert entry["value"] == {"square": 1}
-        assert entry["attempts"] == 1
+        assert entry["duration"] == 0.5
         assert entry["params"] == dict(point.params)
+
+    def test_entry_records_the_point(self, tmp_path):
+        cache = ResultCache(str(tmp_path), fingerprint="f1")
+        point = _spec().points()[1]
+        path = cache.put(point, {"square": 4}, 0.25)
+        assert path == os.path.join(str(tmp_path), "cachespec", cache.key(point) + ".json")
+        with open(path) as handle:
+            entry = json.load(handle)
+        assert entry == {
+            "key": cache.key(point),
+            "spec_id": "cachespec",
+            "params": {"x": 2},
+            "fingerprint": "f1",
+            "seed": point.seed,
+            "value": {"square": 4},
+            "duration": 0.25,
+        }
 
     def test_fingerprint_change_invalidates(self, tmp_path):
         point = _spec().points()[0]
-        ResultCache(str(tmp_path), fingerprint="f1").put(point, {"square": 1}, 0.0, 1)
+        ResultCache(str(tmp_path), fingerprint="f1").put(point, {"square": 1}, 0.0)
         assert ResultCache(str(tmp_path), fingerprint="f2").get(point) is None
 
     def test_values_round_trip_floats_exactly(self, tmp_path):
         cache = ResultCache(str(tmp_path), fingerprint="f1")
         point = _spec().points()[0]
         value = {"ratio": 0.1 + 0.2, "rate": 493.75}
-        cache.put(point, value, 0.0, 1)
+        cache.put(point, value, 0.0)
         assert cache.get(point)["value"] == value
+
+
+class TestOpenCache:
+    """The one rule both sweep front ends follow: ``--resume`` or
+    ``--cache-dir`` alone turns the cache on."""
+
+    def test_off_without_resume_or_cache_dir(self):
+        assert open_cache(False, None) is None
+
+    @pytest.mark.parametrize(
+        "resume,cache_dir,root",
+        [(True, None, DEFAULT_CACHE_DIR), (False, "d", "d"), (True, "d", "d")],
+        ids=["resume", "cache-dir", "both"],
+    )
+    def test_on_with_resume_or_cache_dir(self, resume, cache_dir, root):
+        cache = open_cache(resume, cache_dir)
+        assert isinstance(cache, ResultCache)
+        assert cache.root == root
+        assert cache.fingerprint == code_fingerprint()
 
 
 class TestCorruption:
@@ -155,9 +214,8 @@ class TestResume:
     def test_interrupted_run_resumes_missing_points_only(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"), fingerprint="f1")
         spec = _spec(tmp_path)
-        points = spec.points()
         # "Kill" the first run after three of five points.
-        SweepRunner(cache=cache).run(points[:3], logging_point)
+        SweepRunner(cache=cache).run(_spec(tmp_path, xs=(1, 2, 3)), logging_point)
         assert _computed(tmp_path) == [1, 2, 3]
         # Resume: the full sweep completes, recomputing only the missing two.
         runner = SweepRunner(cache=cache)
@@ -182,7 +240,7 @@ class TestResume:
     def test_failures_are_never_cached(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"), fingerprint="f1")
 
-        spec = SweepSpec("failing", axes={"x": [2]})
+        spec = SweepSpec("failing", grid=[{"x": 2}])
         runner = SweepRunner(cache=cache)
         results = runner.run(spec, poison_point)
         assert not results[0].ok
@@ -195,7 +253,7 @@ class TestResume:
     def test_parallel_resume_matches_serial(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"), fingerprint="f1")
         spec = _spec(tmp_path)
-        SweepRunner(cache=cache).run(spec.points()[:2], logging_point)
+        SweepRunner(cache=cache).run(_spec(tmp_path, xs=(1, 2)), logging_point)
         runner = SweepRunner(jobs=2, cache=cache)
         results = runner.run(spec, logging_point)
         assert all(r.ok for r in results)

@@ -1,10 +1,9 @@
-"""SweepRunner execution semantics: order, parallelism, isolation, retry."""
+"""SweepRunner execution semantics: order, parallelism, isolation."""
 
 import os
 
 import pytest
 
-from repro.obs import Observability
 from repro.sweep import SweepError, SweepRunner, SweepSpec, values
 
 
@@ -13,34 +12,38 @@ def square_point(params, seed):
     return {"square": params["x"] ** 2, "seed": seed}
 
 
-def flaky_point(params, seed):
-    """Fails on the first N calls per point, tracked via a marker file."""
-    marker = os.path.join(params["dir"], f"attempts-{params['x']}")
-    attempts = 0
-    if os.path.exists(marker):
-        with open(marker) as handle:
-            attempts = int(handle.read())
-    with open(marker, "w") as handle:
-        handle.write(str(attempts + 1))
-    if attempts < params["fail_first"]:
-        raise RuntimeError(f"transient failure {attempts}")
-    return {"x": params["x"]}
-
-
 def poison_point(params, seed):
     if params["x"] == 2:
         raise ValueError("poisoned point")
     return {"x": params["x"]}
 
 
-SPEC = SweepSpec("squares", axes={"x": [1, 2, 3, 4, 5]})
+def flaky_point(params, seed):
+    """Fails on its first call per point, counting calls in a marker file."""
+    marker = os.path.join(params["dir"], f"calls-{params['x']}")
+    calls = 0
+    if os.path.exists(marker):
+        with open(marker) as handle:
+            calls = int(handle.read())
+    with open(marker, "w") as handle:
+        handle.write(str(calls + 1))
+    if calls == 0:
+        raise RuntimeError("first call fails")
+    return {"x": params["x"]}
+
+
+def never_called(params, seed):
+    raise AssertionError("no point should run")
+
+
+SPEC = SweepSpec("squares", grid=[{"x": x} for x in (1, 2, 3, 4, 5)])
 
 
 class TestSerial:
     def test_results_in_enumeration_order(self):
         results = SweepRunner().run(SPEC, square_point)
         assert [r.value["square"] for r in results] == [1, 4, 9, 16, 25]
-        assert all(r.ok and r.attempts == 1 and not r.cached for r in results)
+        assert all(r.ok and not r.cached for r in results)
 
     def test_stats(self):
         runner = SweepRunner()
@@ -51,9 +54,22 @@ class TestSerial:
         assert runner.stats.failures == 0
         assert "points=5" in runner.stats.summary()
 
-    def test_point_list_accepted(self):
-        results = SweepRunner().run(SPEC.points()[:2], square_point)
-        assert len(results) == 2
+    def test_stats_describe_the_last_run_only(self):
+        runner = SweepRunner()
+        runner.run(SPEC, square_point)
+        runner.run(SPEC, poison_point)
+        assert runner.stats.points == 5
+        assert runner.stats.computed == 5
+        assert runner.stats.failures == 1
+        runner.run(SweepSpec("squares", grid=[{"x": 3}]), square_point)
+        assert runner.stats.points == 1
+        assert runner.stats.failures == 0
+
+    def test_empty_spec_runs_nothing(self):
+        runner = SweepRunner()
+        assert runner.run(SweepSpec("empty", grid=[]), never_called) == []
+        assert runner.stats.points == 0
+        assert runner.stats.computed == 0
 
 
 class TestParallel:
@@ -94,47 +110,24 @@ class TestFailureIsolation:
         assert runner.stats.failures == 1
         assert runner.stats.computed == 5
 
+    def test_values_error_names_the_point(self):
+        results = SweepRunner().run(SPEC, poison_point)
+        with pytest.raises(SweepError, match=r"sweep point 1 \(\{'x': 2\}\) failed"):
+            values(results)
 
-class TestRetry:
-    def test_bounded_retry_recovers_transient_failures(self, tmp_path):
-        spec = SweepSpec(
-            "flaky", axes={"x": [1, 2]},
-            base={"dir": str(tmp_path), "fail_first": 2},
-        )
-        results = SweepRunner(retries=2).run(spec, flaky_point)
-        assert all(r.ok for r in results)
-        assert all(r.attempts == 3 for r in results)
-
-    def test_retries_exhausted_records_failure(self, tmp_path):
-        spec = SweepSpec(
-            "flaky2", axes={"x": [1]},
-            base={"dir": str(tmp_path), "fail_first": 5},
-        )
-        runner = SweepRunner(retries=1)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_point_runs_once(self, tmp_path, jobs):
+        # A point function is pure in (params, seed), so a failed point is
+        # recorded after one call and never run again in the same sweep.
+        spec = SweepSpec("flaky", grid=[{"x": 1}, {"x": 2}], base={"dir": str(tmp_path)})
+        runner = SweepRunner(jobs=jobs)
         results = runner.run(spec, flaky_point)
-        assert not results[0].ok
-        assert results[0].attempts == 2
-        assert runner.stats.retries == 1
-        assert runner.stats.failures == 1
+        assert [r.ok for r in results] == [False, False]
+        assert all("first call fails" in r.error for r in results)
+        assert [(tmp_path / f"calls-{x}").read_text() for x in (1, 2)] == ["1", "1"]
+        assert runner.stats.computed == 2
+        assert runner.stats.failures == 2
 
-    def test_invalid_retries_rejected(self):
-        with pytest.raises(ValueError):
-            SweepRunner(retries=-1)
-
-
-class TestMetrics:
-    def test_counters_reach_the_registry(self):
-        obs = Observability.create()
-        runner = SweepRunner(obs=obs)
-        runner.run(SPEC, poison_point)
-        registry = obs.registry
-        assert registry.counter("sweep_points_total").value == 5
-        assert registry.counter("sweep_failures_total").value == 1
-        assert registry.counter("sweep_cache_hits_total").value == 0
-
-    def test_counters_accumulate_across_runs(self):
-        obs = Observability.create()
-        runner = SweepRunner(obs=obs)
-        runner.run(SPEC, square_point)
-        runner.run(SPEC, square_point)
-        assert obs.registry.counter("sweep_points_total").value == 10
+    def test_retries_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            SweepRunner(retries=1)

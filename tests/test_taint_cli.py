@@ -136,21 +136,6 @@ class TestCatalogue:
             assert rule in out
 
 
-class TestMetrics:
-    def test_metrics_out_exports_taint_counters(self, leaky_tree, tmp_path, capsys):
-        metrics = tmp_path / "taint.jsonl"
-        assert (
-            taint_main(["--root", str(leaky_tree), "--metrics-out", str(metrics), "src"])
-            == 1
-        )
-        names = {
-            json.loads(line)["name"] for line in metrics.read_text().splitlines()
-        }
-        assert "taint_files_scanned_total" in names
-        assert "taint_findings_total" in names
-        assert not any(name.startswith("lint_") for name in names)
-
-
 class TestReproCli:
     def test_taint_subcommand(self, leaky_tree, capsys):
         assert repro_main(["taint", "--root", str(leaky_tree), "src"]) == 1
