@@ -13,6 +13,10 @@ directly for the JSON comparison::
 
     PYTHONPATH=src python benchmarks/bench_sweep_parallel.py          # full
     PYTHONPATH=src python benchmarks/bench_sweep_parallel.py --quick  # CI
+
+The full run also writes the comparison to the tracked
+``results/bench_sweep_parallel.json``; ``--quick`` only prints it, so a
+smoke run leaves the tree as it found it.
 """
 
 import argparse
@@ -84,6 +88,8 @@ def main() -> None:
     args = parser.parse_args()
     comparison = run_comparison(quick=args.quick)
     print(json.dumps(comparison, indent=2))
+    if args.quick:
+        return
     out_dir = os.path.join(os.path.dirname(__file__), "..", "results")
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "bench_sweep_parallel.json")

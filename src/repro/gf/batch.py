@@ -34,7 +34,8 @@ Table layout and kernels:
   per degree); the ``k`` joined terms are XORed once, and share ``x`` is
   slice ``x - 1`` of the result.
 * ``combine_rows`` is the one multiply-accumulate loop:
-  ``XOR_i rows[i].translate(MUL_ROWS[weights[i]])``.
+  ``XOR_i rows[i].translate(MUL_ROWS[weights[i]])``; on the numpy engine
+  it XORs each product into the sum as it is made.
   ``lagrange_interpolate`` runs it with the basis ``l_i(x)`` of its node
   set, read from a bounded cache (share-index sets repeat on every
   symbol); the ramp scheme runs it once per inverse-Vandermonde row.
@@ -141,11 +142,18 @@ def _xor(row: bytes, operands: List[bytes], count: int = 1) -> bytes:
 def combine_rows(weights: Sequence[int], rows: Sequence[bytes]) -> bytes:
     """``XOR_i weights[i] * rows[i]`` byte-wise in GF(2^8), as ``bytes``: one
     field element (a Python int) per equal-length byte row."""
-    products = [
-        row if weight == 1 else row.translate(MUL_ROWS[weight])
-        for weight, row in zip(weights, rows)
-    ]
-    return _xor(products[0], products[1:])
+    if len(rows[0]) < XOR_CROSSOVER:
+        products = [
+            row if weight == 1 else row.translate(MUL_ROWS[weight])
+            for weight, row in zip(weights, rows)
+        ]
+        return _xor(products[0], products[1:])
+    # The numpy engine XORs each product as it is made: no product list.
+    acc = None
+    for weight, row in zip(weights, rows):
+        product = np.frombuffer(row if weight == 1 else row.translate(MUL_ROWS[weight]), np.uint8)
+        acc = product if acc is None else acc ^ product
+    return acc.tobytes()
 
 
 @lru_cache(maxsize=1024)

@@ -95,8 +95,9 @@ class ShareSender:
         config: protocol configuration.
         rng: random stream for share material.  The sender owns it and
             draws it only through :class:`~repro.netsim.rng.RandomBytes`
-            (``_pad``), so nothing else may draw from it.  A synthetic
-            sender splits nothing, so it never wraps (or seeds) it.
+            (``_pad``), so nothing else may draw from it.  The wrapper is
+            built at the first split, so a sender that never splits (a
+            synthetic one, or a node that only receives) never seeds it.
         cpu: optional finite CPU serialising per-symbol work.
     """
 
@@ -114,7 +115,7 @@ class ShareSender:
         self.sampler = sampler
         self.config = config
         self.rng = rng
-        self._pad = None if config.share_synthetic else RandomBytes(rng)
+        self._pad: Optional[RandomBytes] = None
         self.cpu = cpu
         self.selector = WriteSelector(self.ports, config.selector_ordering)
         #: Tags outbound shares when ``config.auth`` is set.
@@ -284,7 +285,10 @@ class ShareSender:
         if self.config.share_synthetic:
             shares: List[Optional[Share]] = [None] * m
         else:
-            shares = self.config.scheme.split(symbol.payload, k, m, self._pad)
+            pad = self._pad
+            if pad is None:
+                pad = self._pad = RandomBytes(self.rng)
+            shares = self.config.scheme.split(symbol.payload, k, m, pad)
         for position, port in enumerate(chosen):
             share = shares[position]
             datagram = self.frame_share(

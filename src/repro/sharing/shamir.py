@@ -9,7 +9,7 @@ rate model assumes (Sec. III-C).
 ``split`` evaluates *all m share points for all payload bytes* in one
 kernel call over ``k`` coefficient rows: the secret and the ``k - 1`` rows
 cut from a single ``rng.bytes`` draw, passed to :mod:`repro.gf.batch` as
-byte strings.  The sender serves that draw from block-drawn words
+byte strings.  The sender serves that draw from block-drawn raw words
 (:class:`repro.netsim.rng.RandomBytes`), byte-identical to a direct
 ``rng.integers(0, 256, ...)`` draw from the same generator.  The kernel
 translates each coefficient row once per share point by ``MUL_ROWS[x^j]``

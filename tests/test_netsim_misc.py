@@ -1,4 +1,5 @@
-"""CPU model, rng registry and block-drawn bytes, trace meters, ports and readiness selector."""
+"""CPU model, rng registry and block-drawn bytes, datagrams, trace meters,
+ports and readiness selector."""
 
 import gc
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.active import CANONICAL_ATTACKS, canonical_attack, run_under_attack
 from repro.netsim.engine import Engine
 from repro.netsim.host import CpuModel
 from repro.netsim.link import Link
@@ -17,10 +19,14 @@ from repro.netsim.ports import ChannelPort
 from repro.netsim.readiness import WriteSelector
 from repro.netsim.rng import RandomBytes, RngRegistry
 from repro.netsim.trace import DelayStats, RateMeter
+from repro.protocol.config import ProtocolConfig
 from repro.sharing.blakley import BlakleyScheme
 from repro.sharing.ramp import RampScheme
 from repro.sharing.shamir import ShamirScheme
 from repro.sharing.xor import XorScheme
+from repro.workloads.fleet import run_fleet
+from repro.workloads.iperf import practical_max_rate, run_iperf
+from repro.workloads.setups import SYMBOL_SIZE, diverse_setup
 
 
 class TestCpuModel:
@@ -171,6 +177,82 @@ class TestRandomBytes:
         for n in sizes:
             assert source.bytes(n) == direct_draw(twin, n)
 
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64],
+    )
+    def test_odd_word_refills_keep_the_trailing_half_word(self, bit_generator):
+        # 4097 bytes need 1025 words, one more than the block: that refill
+        # draws 513 raw words and the next request is served from the
+        # trailing half; 8193 bytes make another odd refill after 5000 and
+        # 3001 straddle blocks.
+        sizes = [4097, 1, 3, 5, 13, 5000, 3001, 8193, 2]
+        source = RandomBytes(np.random.Generator(bit_generator(4)))
+        twin = np.random.Generator(bit_generator(4))
+        bytes_twin = np.random.Generator(bit_generator(4))
+        for n in sizes:
+            served = source.bytes(n)
+            assert served == direct_draw(twin, n)
+            assert served == bytes_twin.bytes(n)
+
+    def test_a_32_bit_generator_is_refused(self):
+        with pytest.raises(ValueError, match="MT19937"):
+            RandomBytes(np.random.Generator(np.random.MT19937(0)))
+
+    def test_refills_draw_raw_words_only(self):
+        calls = []
+
+        class RawSpy(np.random.PCG64):
+            def random_raw(self, size=None, output=True):
+                calls.append(("random_raw", size))
+                return super().random_raw(size, output)
+
+        class GeneratorSpy:
+            """Logs every generator attribute read other than the bit generator."""
+
+            def __init__(self):
+                self.bit_generator = RawSpy(2)
+                self._generator = np.random.Generator(self.bit_generator)
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self._generator, name)
+
+        source = RandomBytes(GeneratorSpy())
+        twin = np.random.default_rng(2)
+        for n in [4097, 1250, 1250, 64]:
+            assert source.bytes(n) == direct_draw(twin, n)
+        # 1025 words need 513 raw ones; then a 1024-word block.
+        assert calls == [("random_raw", 513), ("random_raw", 512)]
+
+    def test_quick_ledger_runs_refill_as_often(self, monkeypatch):
+        # The ledger's quick testbed_real, fleet_auth and attack_auth runs at
+        # seed 1.  Every refill of theirs draws an even number of words, so
+        # raw draws refill exactly as often as 32-bit word draws did.
+        refills = [0]
+        refill = RandomBytes._refill
+
+        def counting(self, missing, request):
+            refills[0] += 1
+            refill(self, missing, request)
+
+        monkeypatch.setattr(RandomBytes, "_refill", counting)
+        channels = diverse_setup()
+        config = ProtocolConfig(kappa=2.0, mu=3.0, symbol_size=SYMBOL_SIZE)
+        rate = practical_max_rate(channels, 3.0, SYMBOL_SIZE)
+        run_iperf(channels, config, rate, duration=30.0, warmup=5.0, seed=1)
+        counts = [refills[0]]
+        run_fleet(
+            flows=192, shards=1, symbol_size=64, spec_id="bench/fleet_auth/1",
+            symbols_per_flow=8, synthetic=False, auth=True,
+        )
+        counts.append(refills[0] - sum(counts))
+        for name in sorted(CANONICAL_ATTACKS):
+            plan = canonical_attack(name, 4.0, 204.0)
+            run_under_attack(plan, symbol_size=64, duration=200.0, warmup=4.0, seed=1, auth=True)
+        counts.append(refills[0] - sum(counts))
+        assert counts == [1586, 233, 90]
+
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             RandomBytes(np.random.default_rng(0)).bytes(-1)
@@ -224,6 +306,38 @@ class TestRandomBytes:
         assert scheme.split_many(secrets, k, m, buffered) == scheme.split_many(
             secrets, k, m, direct
         )
+
+
+class TestDatagram:
+    def test_fields_live_in_slots(self):
+        datagram = Datagram(size=10)
+        assert not hasattr(datagram, "__dict__")
+        with pytest.raises(AttributeError):
+            datagram.channel = 1
+
+    def test_size_and_payload_checks(self):
+        with pytest.raises(ValueError, match="datagram size must be positive, got 0"):
+            Datagram(size=0)
+        with pytest.raises(ValueError, match="payload of 7 bytes exceeds datagram size 2"):
+            Datagram(2, b"toolong")
+
+    def test_equal_fields_compare_equal(self):
+        datagram = Datagram(8, b"abc", 1.5, {"seq": 3})
+        assert datagram == Datagram(size=8, payload=b"abc", sent_at=1.5, meta={"seq": 3})
+        assert datagram != Datagram(size=8, payload=b"abc", sent_at=1.5)
+        assert datagram != (8, b"abc", 1.5, {"seq": 3})
+        with pytest.raises(TypeError):
+            hash(datagram)
+
+    def test_repr(self):
+        assert repr(Datagram(size=8, payload=b"ab", meta={"seq": 3})) == (
+            "Datagram(size=8, payload=b'ab', sent_at=-1.0, meta={'seq': 3})"
+        )
+
+    def test_default_meta_is_fresh(self):
+        first, second = Datagram(size=1), Datagram(size=1)
+        first.meta["seq"] = 1
+        assert second.meta == {}
 
 
 class TestRateMeter:

@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.rng import RandomBytes, RngRegistry
+from repro.protocol.config import ProtocolConfig
 from repro.protocol.scheduler import DynamicParameterSampler
 from repro.workloads.fleet import run_fleet
+from repro.workloads.iperf import practical_max_rate, run_iperf
+from repro.workloads.setups import SYMBOL_SIZE, diverse_setup
 
 NAMES = ["link0.fwd.loss", "flow17.sched", "nodeA.pad", "workload.payload", "attack.ch2.fwd", ""]
 
@@ -88,6 +91,14 @@ class TestConstructionSeeds:
         RandomBytes(RngRegistry(1).stream("flow1.src"))
         assert len(seedings) == 1
 
+    def test_only_the_sending_node_seeds_a_pad(self, seedings):
+        channels = diverse_setup()
+        config = ProtocolConfig(kappa=2.0, mu=3.0, symbol_size=SYMBOL_SIZE)
+        rate = practical_max_rate(channels, 3.0, SYMBOL_SIZE)
+        run_iperf(channels, config, rate, duration=2.0, warmup=1.0, seed=1)
+        assert seedings.count((zlib.crc32(b"nodeA.pad"),)) == 1
+        assert (zlib.crc32(b"nodeB.pad"),) not in seedings
+
     @pytest.mark.parametrize("kappa, mu", [(1.0, 1.0), (2.0, 3.0), (3.0, 4.0)])
     def test_single_atom_sampler_never_seeds(self, seedings, kappa, mu):
         sampler = DynamicParameterSampler(kappa, mu, RngRegistry(1).stream("nodeA.sched"))
@@ -100,9 +111,10 @@ class TestFleetSeedings:
     # seeded: 44 in the synthetic cell (8 link loss streams, two nodes'
     # schedule and pad streams, 32 flow schedules) and 76 in the
     # authenticated one (plus 32 payload streams).  Now only the 11 flows
-    # whose κ or µ is fractional seed a schedule stream, a synthetic sender
-    # seeds no pad, and the real cell adds its two pads and 32 sources.
-    @pytest.mark.parametrize("synthetic, auth, seeded", [(True, False, 11), (False, True, 45)])
+    # whose κ or µ is fractional seed a schedule stream, and a pad is seeded
+    # at its sender's first split: the real cell adds the sending node's
+    # pad and 32 sources, and the node that only receives seeds no pad.
+    @pytest.mark.parametrize("synthetic, auth, seeded", [(True, False, 11), (False, True, 44)])
     def test_one_cell_seeds_only_what_it_draws(self, seedings, synthetic, auth, seeded):
         run_fleet(flows=32, shards=1, symbols_per_flow=4, synthetic=synthetic, auth=auth)
         assert len(seedings) == seeded
