@@ -5,9 +5,9 @@ seeded harness -- unauthenticated and with authenticated shares armed
 (docs/AUTH.md) -- and records, per scenario, the delivery ratio, the
 detected-corruption / auth-failure / replay-drop rates, and the delivery
 digest; plus a ``deterministic`` flag from re-running one scenario per
-arm and comparing the full JSON rows byte-for-byte, and an
-``auth_overhead`` block timing the sender hot path (split + tag + encode)
-tagged vs untagged in MB/s.
+arm and comparing the full JSON rows byte-for-byte.  What tagging costs
+in wall time is the benchmark ledger's ``protocol.auth.self_frac`` on
+``fleet_auth`` and ``attack_auth`` (benchmarks/ledger/README.md).
 
 The committed ``BENCH_adversary.json`` at the repo root is generated from
 a ``--quick`` run, and ``--check BENCH_adversary.json`` gates CI: the
@@ -15,11 +15,7 @@ simulation is deterministic end to end, so a fresh same-settings run must
 match the committed rows *exactly* -- any drift means attack or protocol
 behaviour changed and the trend file (and its PR) must say so.  Silent
 corruption (``wrong_payloads > 0`` in either arm) or a broken determinism
-flag fails the gate regardless of the baseline.  ``auth_overhead`` is
-wall-clock timing and is excluded from the exact-match comparison.
-
-Run under pytest-benchmark (``pytest benchmarks/bench_adversary.py -s``)
-or directly::
+flag fails the gate regardless of the baseline::
 
     PYTHONPATH=src python benchmarks/bench_adversary.py --quick \\
         --check BENCH_adversary.json
@@ -28,16 +24,9 @@ or directly::
 import argparse
 import json
 import sys
-import time
-
-import numpy as np
-from conftest import run_once
 
 from repro.adversary.active import canonical_attack, run_under_attack
 from repro.adversary.active.scenarios import CANONICAL_ATTACKS
-from repro.protocol.auth import AuthConfig, ShareAuthenticator, derive_root_key
-from repro.protocol.wire import SCHEME_IDS, encode_share
-from repro.sharing.shamir import ShamirScheme
 
 SCHEMA = "bench-adversary/2"
 SEED = 11
@@ -91,48 +80,6 @@ def measure(scenario: str, quick: bool = False, auth: bool = False) -> dict:
     return out
 
 
-def measure_auth_overhead(quick: bool = False) -> dict:
-    """Sender hot path (split + tag + encode) MB/s, tagged vs untagged.
-
-    Wall-clock timing: reported for the trend file but *excluded* from the
-    exact-match baseline comparison.
-    """
-    symbols = 64 if quick else 256
-    symbol_size = 1250
-    k, m = 2, 4
-    scheme = ShamirScheme()
-    scheme_id = SCHEME_IDS[scheme.name]
-    authenticator = ShareAuthenticator(AuthConfig(root_key=derive_root_key(SEED)))
-    rng = np.random.default_rng(SEED)
-    payloads = [rng.bytes(symbol_size) for _ in range(symbols)]
-
-    def pump(tagged: bool) -> float:
-        split_rng = np.random.default_rng(SEED + 1)
-        begin = time.perf_counter()
-        for seq, payload in enumerate(payloads):
-            for share in scheme.split(payload, k, m, split_rng):
-                tag = (
-                    authenticator.tag(0, seq, share, scheme_id) if tagged else None
-                )
-                encode_share(seq, share, scheme.name, tag=tag)
-        return time.perf_counter() - begin
-
-    pump(True)  # warm caches (GF tables, key chain) outside the clock
-    # Best-of-N: the pump is milliseconds long, so single runs are noisy.
-    untagged_elapsed = min(pump(False) for _ in range(5))
-    tagged_elapsed = min(pump(True) for _ in range(5))
-    megabytes = symbols * symbol_size / 1e6
-    return {
-        "symbols": symbols,
-        "symbol_size": symbol_size,
-        "k": k,
-        "m": m,
-        "untagged_mbps": round(megabytes / untagged_elapsed, 2),
-        "tagged_mbps": round(megabytes / tagged_elapsed, 2),
-        "tagged_over_untagged": round(tagged_elapsed / untagged_elapsed, 4),
-    }
-
-
 def run_adversary_bench(quick: bool = False) -> dict:
     """Both arms of every scenario plus the same-seed determinism flag."""
     names = sorted(CANONICAL_ATTACKS)
@@ -150,15 +97,13 @@ def run_adversary_bench(quick: bool = False) -> dict:
         "deterministic": deterministic,
         "scenarios": scenarios,
         "auth_scenarios": auth_scenarios,
-        "auth_overhead": measure_auth_overhead(quick=quick),
     }
 
 
 def check_against_baseline(results: dict, baseline: dict) -> "list[str]":
     """Exact-reproducibility gate; returns failure messages.
 
-    Every scenario row in both arms must match the committed file exactly;
-    ``auth_overhead`` is wall-clock timing and is not compared.
+    Every scenario row in both arms must match the committed file exactly.
     """
     failures = []
     if not results["deterministic"]:
@@ -199,24 +144,6 @@ def check_against_baseline(results: dict, baseline: dict) -> "list[str]":
                     "change; regenerate BENCH_adversary.json and explain it)"
                 )
     return failures
-
-
-def test_adversary_scenarios(benchmark):
-    results = run_once(benchmark, run_adversary_bench, quick=True)
-    print("\n" + json.dumps(results, indent=2, sort_keys=True))
-    assert results["deterministic"]
-    for name, row in results["scenarios"].items():
-        assert row["wrong_payloads"] == 0, name
-        assert row["delivery_ratio"] > 0, name
-    for name, row in results["auth_scenarios"].items():
-        assert row["wrong_payloads"] == 0, name
-        assert row["delivery_ratio"] > 0, name
-    # Forged/corrupted shares must land in the auth ledger, and tagging
-    # must actually cost something measurable but not dominate.
-    assert results["auth_scenarios"]["forged_injection"]["auth_failed_shares"] > 0
-    assert results["auth_scenarios"]["corruption_storm"]["auth_failed_shares"] > 0
-    assert results["auth_overhead"]["tagged_mbps"] > 0
-    assert results["auth_overhead"]["untagged_mbps"] > 0
 
 
 def main() -> None:

@@ -7,15 +7,13 @@ burst loss, delay spike, rate cut, partition/heal) is injected into the
 middle of a Diverse-setup measurement window and compared against the
 fault-free baseline on goodput and mean one-way delay.
 
-Run under pytest-benchmark (``pytest benchmarks/bench_faults.py -s``) or
-directly for the JSON comparison::
+Prints the comparison as JSON, then checks it (exit 1 on a failed
+claim)::
 
     PYTHONPATH=src python benchmarks/bench_faults.py
 """
 
 import json
-
-from conftest import run_once
 
 from repro.protocol.config import ProtocolConfig
 from repro.workloads.iperf import practical_max_rate, run_iperf
@@ -77,9 +75,8 @@ def compare_scenarios():
     return comparison
 
 
-def test_fault_scenarios_vs_baseline(benchmark):
-    comparison = run_once(benchmark, compare_scenarios)
-    print("\n" + json.dumps(comparison, indent=2, sort_keys=True))
+def check(comparison):
+    """The bench's qualitative claims; raises AssertionError when violated."""
     baseline = comparison["baseline"]
     assert baseline["symbols_delivered"] > 0
     for scenario in FAULT_SCENARIOS:
@@ -87,11 +84,15 @@ def test_fault_scenarios_vs_baseline(benchmark):
         # Faults degrade but never kill the protocol: it keeps delivering.
         assert row["symbols_delivered"] > 0, scenario
         assert row["fault_events_applied"] >= 2, scenario
-        assert row["goodput_symbols_per_unit"] <= baseline["goodput_symbols_per_unit"] * 1.01
+        assert (
+            row["goodput_symbols_per_unit"] <= baseline["goodput_symbols_per_unit"] * 1.01
+        ), scenario
 
 
 def main():
-    print(json.dumps(compare_scenarios(), indent=2, sort_keys=True))
+    comparison = compare_scenarios()
+    print(json.dumps(comparison, indent=2, sort_keys=True))
+    check(comparison)
 
 
 if __name__ == "__main__":

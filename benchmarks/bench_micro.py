@@ -1,14 +1,8 @@
-"""Microbenchmarks: the building blocks behind the figure reproductions.
+"""Microbenchmark: scalar reference oracle vs. the vectorized batch pipeline.
 
-These back the paper's feasibility claim ("secret sharing protocols can be
-efficiently implemented"): share splitting/reconstruction throughput --
-scalar reference oracle vs. the vectorized batch pipeline -- LP solve time
-for the schedule programs, subset-property evaluation, and raw simulator
-event throughput.
-
-Run under pytest for the pytest-benchmark timings, or directly to emit the
-committed throughput trend (see ``BENCH_micro.json`` at the repo root and
-``tests/test_bench_schema.py``)::
+Times share splitting and reconstruction on both paths for every scheme
+and emits the committed throughput trend (see ``BENCH_micro.json`` at the
+repo root and ``tests/test_bench_schema.py``)::
 
     PYTHONPATH=src python benchmarks/bench_micro.py --json BENCH_micro.json
     PYTHONPATH=src python benchmarks/bench_micro.py --quick --check BENCH_micro.json
@@ -25,12 +19,7 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
-from repro.core.program import Objective, build_program
-from repro.core.properties import subset_delay, subset_loss, subset_risk
-from repro.lp import solve
-from repro.netsim.engine import Engine
 from repro.sharing.ramp import RampScheme
 from repro.sharing.reference import (
     scalar_ramp_reconstruct,
@@ -42,139 +31,12 @@ from repro.sharing.reference import (
 )
 from repro.sharing.shamir import ShamirScheme
 from repro.sharing.xor import XorScheme
-from repro.workloads.setups import diverse_setup, lossy_setup
 
 SYMBOL = bytes(range(256)) * 5  # 1280 bytes, ~one datagram payload
 
 #: Regression tolerance for the --check gate: the measured batch/scalar
 #: speedup may not drop below this fraction of the committed speedup.
 CHECK_TOLERANCE = 0.8
-
-
-@pytest.fixture
-def channels():
-    # Function-scoped on purpose: lossy_setup() returns stateful Link
-    # objects, and a module-scoped instance would let one benchmark class
-    # leak mutated link state into the next.
-    return lossy_setup()
-
-
-class TestSharingThroughput:
-    def test_shamir_split_3_of_5(self, benchmark):
-        scheme = ShamirScheme()
-        rng = np.random.default_rng(0)
-        shares = benchmark(scheme.split, SYMBOL, 3, 5, rng)
-        assert len(shares) == 5
-
-    def test_shamir_reconstruct_3_of_5(self, benchmark):
-        scheme = ShamirScheme()
-        shares = scheme.split(SYMBOL, 3, 5, np.random.default_rng(0))[:3]
-        result = benchmark(scheme.reconstruct, shares)
-        assert result == SYMBOL
-
-    def test_shamir_split_high_threshold(self, benchmark):
-        scheme = ShamirScheme()
-        rng = np.random.default_rng(0)
-        shares = benchmark(scheme.split, SYMBOL, 5, 5, rng)
-        assert len(shares) == 5
-
-    def test_shamir_split_many_batch(self, benchmark):
-        scheme = ShamirScheme()
-        rng = np.random.default_rng(0)
-        batch = [SYMBOL] * 16
-        groups = benchmark(scheme.split_many, batch, 3, 5, rng)
-        assert len(groups) == 16
-
-    def test_xor_split_5_of_5(self, benchmark):
-        scheme = XorScheme()
-        rng = np.random.default_rng(0)
-        shares = benchmark(scheme.split, SYMBOL, 5, 5, rng)
-        assert len(shares) == 5
-
-
-class TestScalarOracleThroughput:
-    """The per-byte reference path, for the batch-vs-scalar trend."""
-
-    def test_scalar_shamir_split_3_of_5(self, benchmark):
-        rng = np.random.default_rng(0)
-        shares = benchmark(scalar_shamir_split, SYMBOL, 3, 5, rng)
-        assert len(shares) == 5
-
-    def test_scalar_shamir_reconstruct_3_of_5(self, benchmark):
-        shares = scalar_shamir_split(SYMBOL, 3, 5, np.random.default_rng(0))[:3]
-        result = benchmark(scalar_shamir_reconstruct, shares)
-        assert result == SYMBOL
-
-
-class TestModelEvaluation:
-    def test_subset_risk_full_set(self, benchmark, channels):
-        value = benchmark(subset_risk, channels, 3, range(5))
-        assert 0.0 <= value <= 1.0
-
-    def test_subset_loss_full_set(self, benchmark, channels):
-        value = benchmark(subset_loss, channels, 3, range(5))
-        assert 0.0 <= value <= 1.0
-
-    def test_subset_delay_full_set(self, benchmark, channels):
-        value = benchmark(subset_delay, channels, 3, range(5))
-        assert value >= 0.0
-
-
-class TestLpSolve:
-    def _program(self, channels, at_max_rate):
-        return build_program(
-            channels, Objective.LOSS, kappa=2.0, mu=3.4, at_max_rate=at_max_rate
-        )[0]
-
-    def test_free_program_scipy(self, benchmark, channels):
-        program = self._program(channels, at_max_rate=False)
-        solution = benchmark(solve, program)
-        assert solution.objective >= 0.0
-
-    def test_maxrate_program_scipy(self, benchmark, channels):
-        program = self._program(channels, at_max_rate=True)
-        solution = benchmark(solve, program)
-        assert solution.objective >= 0.0
-
-
-class TestSimulatorThroughput:
-    def test_engine_event_throughput(self, benchmark):
-        def run_events():
-            engine = Engine()
-
-            def chain(remaining):
-                if remaining:
-                    engine.schedule(0.001, chain, remaining - 1)
-
-            chain_count = 20
-            for _ in range(chain_count):
-                engine.schedule(0.0, chain, 500)
-            engine.run()
-            return engine.events_processed
-
-        processed = benchmark(run_events)
-        assert processed == 20 * 501
-
-    def test_protocol_symbol_throughput(self, benchmark):
-        """End-to-end simulated symbols per wall-second (synthetic shares)."""
-        from repro.protocol.config import ProtocolConfig
-        from repro.workloads.iperf import run_iperf
-
-        channels = diverse_setup()
-        config = ProtocolConfig(kappa=2.0, mu=3.0, share_synthetic=True)
-
-        result = benchmark.pedantic(
-            run_iperf,
-            args=(channels, config),
-            kwargs={"offered_rate": 100.0, "duration": 10.0, "warmup": 1.0},
-            rounds=1,
-            iterations=1,
-        )
-        assert result.symbols_delivered > 500
-
-
-# --------------------------------------------------------------------------
-# Committed throughput trend (BENCH_micro.json) and the regression gate.
 
 
 #: Minimum wall time per timing sample; fast kernels (a few us per call)

@@ -83,12 +83,6 @@ class HmmRiskModel:
             ]
         )
 
-    @property
-    def stationary_risk(self) -> float:
-        """Long-run probability of compromise with no observations."""
-        total = self.p_compromise + self.p_recover
-        return self.p_compromise / total if total > 0 else 0.0
-
 
 class HmmRiskEstimator:
     """Filters alert streams into per-channel risk estimates.

@@ -183,19 +183,6 @@ def independent_subset_risk(
     return poisson_binomial_tail(risks, k)
 
 
-def overlap_privacy_penalty(
-    graph: nx.Graph,
-    paths: Sequence[Sequence[Hashable]],
-    k: int,
-) -> float:
-    """How much the true risk exceeds the disjoint-model risk (>= 0-ish).
-
-    Zero for edge-disjoint paths; positive when sharing lets the adversary
-    hit several shares with one tap.
-    """
-    return joint_subset_risk(graph, paths, k) - independent_subset_risk(graph, paths, k)
-
-
 def max_disjoint_rate_scaling(
     graph: nx.Graph,
     paths: Sequence[Sequence[Hashable]],

@@ -66,12 +66,6 @@ class Requirements:
         if self.min_rate is not None and not 0.0 < self.min_rate < math.inf:
             raise ValueError(f"min_rate must be finite and positive, got {self.min_rate}")
 
-    def any_bound(self) -> bool:
-        return any(
-            value is not None
-            for value in (self.max_risk, self.max_loss, self.max_delay)
-        )
-
 
 @dataclass(frozen=True)
 class Plan:

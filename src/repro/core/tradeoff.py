@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.channel import ChannelSet
 from repro.core.program import Objective, optimal_property_value
 from repro.core.rate import optimal_rate
@@ -98,24 +96,3 @@ def sweep_tradeoffs(
                 loss=values.get(Objective.LOSS),
                 delay=values.get(Objective.DELAY),
             )
-
-
-def frontier_matrix(
-    points: Sequence[TradeoffPoint],
-    attribute: str,
-) -> np.ndarray:
-    """Arrange sweep results as a dense (kappa, mu, value) array for reports.
-
-    Args:
-        points: output of :func:`sweep_tradeoffs` (materialised).
-        attribute: one of "rate", "privacy_risk", "loss", "delay".
-
-    Returns:
-        Array of shape (len(points), 3): columns are κ, µ and the value
-        (NaN where the program was infeasible).
-    """
-    rows = []
-    for point in points:
-        value = getattr(point, attribute)
-        rows.append((point.kappa, point.mu, np.nan if value is None else value))
-    return np.array(rows)

@@ -10,7 +10,8 @@ The paper observes the actual loss tracking the optimum closely for most
 parameters, with implementation-specific spikes (e.g. κ=3, µ=3.8) caused
 by the dynamic channel-selection heuristic interacting badly with the
 specific channel proportions; the "fixed" selector ordering reproduces
-that pathology more strongly (see the ablation benchmark).
+that pathology more strongly (the ablation run is
+``tests/test_experiments.py::TestFig5::test_fixed_selector_ablation``).
 
 Like Figure 3, the grid is a :class:`~repro.sweep.SweepSpec` executed by
 :class:`~repro.sweep.SweepRunner`.

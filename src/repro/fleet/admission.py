@@ -53,10 +53,6 @@ class AdmissionController:
         self.stats = AdmissionStats()
         self._counts: Dict[str, int] = {name: 0 for name in self.tenants}
 
-    def flows_admitted(self, tenant: str) -> int:
-        """How many of ``tenant``'s flows this controller has admitted."""
-        return self._counts.get(tenant, 0)
-
     def admit(self, flow: FlowSpec) -> Optional[str]:
         """Decide one flow; returns None on admission, else the reason.
 

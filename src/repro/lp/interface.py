@@ -71,11 +71,6 @@ class LinearProgram:
     def num_vars(self) -> int:
         return len(self.c)
 
-    @property
-    def num_constraints(self) -> int:
-        extra = 0 if self.b_ub is None else len(self.b_ub)
-        return len(self.b_eq) + extra
-
 
 @dataclass(frozen=True)
 class LPSolution:

@@ -110,16 +110,6 @@ class RngRegistry:
             stream = self._streams[name] = RngStream(name, self.root_seed, _stable_hash(name))
         return stream
 
-    def fork(self, suffix: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per repetition of a sweep)."""
-        return RngRegistry(
-            int(
-                np.random.SeedSequence(
-                    entropy=self.root_seed, spawn_key=(_stable_hash(suffix),)
-                ).generate_state(1)[0]
-            )
-        )
-
 
 #: Most words one :class:`RandomBytes` refill draws (4 KiB), unless one
 #: request needs more.

@@ -196,11 +196,6 @@ class Timeline:
         """Time of the last event (0.0 for an empty plan)."""
         return max((e.time for e in self.events), default=0.0)
 
-    def has_action(self, *actions: str) -> bool:
-        """Whether the plan contains any of the given actions."""
-        wanted = set(actions)
-        return any(event.action in wanted for event in self.events)
-
     def __len__(self) -> int:
         return len(self.events)
 

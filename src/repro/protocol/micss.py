@@ -13,8 +13,9 @@ reproduces:
   whole pipeline (head-of-line blocking), which is the behaviour that
   motivates ReMICSS's best-effort redesign.
 
-The baseline exists for the comparison benchmarks; the paper's figures are
-all about ReMICSS, but the MICSS-vs-ReMICSS ablation quantifies what the
+The baseline exists for the comparison; the paper's figures are all about
+ReMICSS, but the MICSS-vs-ReMICSS ablation
+(``tests/test_integration.py::TestMicssVsRemicss``) checks what the
 redesign buys.
 """
 

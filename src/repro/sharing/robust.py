@@ -222,12 +222,3 @@ def reconstruct_with_erasures(
         corrupted=erased,
         agreement=n,
     )
-
-
-def verify_share(reference: Sequence[Share], share: Share) -> bool:
-    """Whether ``share`` lies on the polynomial defined by ``reference``.
-
-    ``reference`` must hold at least k mutually consistent shares.
-    """
-    k = reference[0].k
-    return evaluate_shares_at(list(reference)[:k], share.index) == share.data

@@ -54,10 +54,6 @@ class TestModel:
         np.testing.assert_allclose(model.transition.sum(axis=1), [1.0, 1.0])
         np.testing.assert_allclose(model.emission.sum(axis=1), [1.0, 1.0])
 
-    def test_stationary_risk(self):
-        model = HmmRiskModel(p_compromise=0.02, p_recover=0.08)
-        assert model.stationary_risk == pytest.approx(0.2)
-
 
 class TestForwardFiltering:
     def test_matches_brute_force(self):

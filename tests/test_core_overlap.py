@@ -12,7 +12,6 @@ from repro.core.overlap import (
     independent_subset_risk,
     joint_subset_risk,
     max_disjoint_rate_scaling,
-    overlap_privacy_penalty,
     path_edges,
     shared_edges,
 )
@@ -87,7 +86,6 @@ class TestJointRisk:
             assert joint_subset_risk(diamond, paths, k) == pytest.approx(
                 independent_subset_risk(diamond, paths, k)
             )
-            assert overlap_privacy_penalty(diamond, paths, k) == pytest.approx(0.0)
 
     def test_shared_edge_increases_high_k_risk(self):
         """Two channels over one shared trunk: a single tap reveals both."""
@@ -104,7 +102,9 @@ class TestJointRisk:
         # In reality one tap on the trunk observes both: 0.3.
         assert independent_subset_risk(graph, paths, 2) == pytest.approx(0.09)
         assert joint_subset_risk(graph, paths, 2) == pytest.approx(0.3)
-        assert overlap_privacy_penalty(graph, paths, 2) == pytest.approx(0.21)
+        assert joint_subset_risk(graph, paths, 2) - independent_subset_risk(
+            graph, paths, 2
+        ) == pytest.approx(0.21)
 
     def test_exact_against_monte_carlo(self, rng):
         graph = nx.Graph()

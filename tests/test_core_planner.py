@@ -35,11 +35,6 @@ class TestRequirements:
         with pytest.raises(ValueError):
             Requirements(max_loss=float("nan"))
 
-    def test_any_bound(self):
-        assert not Requirements().any_bound()
-        assert Requirements(max_loss=0.1).any_bound()
-        assert not Requirements(min_rate=5.0).any_bound()
-
 
 class TestConstrainedSchedule:
     def test_unconstrained_matches_plain_program(self, five_channels):

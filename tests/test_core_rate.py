@@ -186,8 +186,10 @@ class TestPackSchedule:
         assert used == [3, 4, 8]
 
     def test_usage_never_exceeds_capacity(self):
-        columns, used = pack_schedule([2, 5, 9, 1], 2)
-        assert all(u <= r for u, r in zip(used, [2, 5, 9, 1]))
+        for rates, m in (([2, 5, 9, 1], 2), ([(i * 37) % 50 + 1 for i in range(12)], 4)):
+            columns, used = pack_schedule(rates, m)
+            assert columns
+            assert all(u <= r for u, r in zip(used, rates))
 
     def test_no_channel_twice_per_symbol(self):
         columns, _ = pack_schedule([5, 5, 5], 3)

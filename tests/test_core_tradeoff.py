@@ -1,12 +1,11 @@
 """Tradeoff sweeps over the (κ, µ) plane."""
 
 
-import numpy as np
 import pytest
 
 from repro.core.program import Objective
 from repro.core.rate import optimal_rate
-from repro.core.tradeoff import frontier_matrix, mu_grid, sweep_tradeoffs
+from repro.core.tradeoff import mu_grid, sweep_tradeoffs
 
 
 class TestMuGrid:
@@ -75,18 +74,6 @@ class TestSweep:
         )
         for p in points:
             assert p.rate == pytest.approx(optimal_rate(five_channels, p.mu))
-
-    def test_frontier_matrix(self, five_channels):
-        points = list(
-            sweep_tradeoffs(
-                five_channels, kappas=[1.0], step=1.0, objectives=[Objective.PRIVACY]
-            )
-        )
-        matrix = frontier_matrix(points, "privacy_risk")
-        assert matrix.shape == (len(points), 3)
-        assert not np.isnan(matrix[:, 2]).any()
-        missing = frontier_matrix(points, "loss")
-        assert np.isnan(missing[:, 2]).all()
 
     def test_privacy_improves_with_kappa(self, five_channels):
         """Higher κ at the same µ gives the adversary a harder job."""

@@ -33,12 +33,12 @@ class TestDecisions:
         assert controller.admit(flow(1, "gold", kappa=2.0, mu=3.0)) is None
         assert controller.admit(flow(2, "gold", kappa=2.0, mu=3.0)) is None
         assert controller.admit(flow(3, "gold", kappa=2.0, mu=3.0)) == "quota"
-        assert controller.flows_admitted("gold") == 2
+        assert controller._counts["gold"] == 2
 
     def test_rejected_flows_do_not_consume_quota(self):
         controller = AdmissionController([GOLD])
         controller.admit(flow(1, "gold", kappa=1.0, mu=3.0))  # below floor
-        assert controller.flows_admitted("gold") == 0
+        assert controller._counts["gold"] == 0
 
     def test_duplicate_tenant_rejected(self):
         with pytest.raises(ValueError, match="duplicate tenant"):

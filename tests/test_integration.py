@@ -11,6 +11,9 @@ from repro.protocol.config import ProtocolConfig
 from repro.protocol.micss import MicssNode
 from repro.protocol.remicss import PointToPointNetwork
 from repro.sharing.blakley import BlakleyScheme
+from repro.sharing.ramp import RampScheme
+from repro.sharing.shamir import ShamirScheme
+from repro.workloads.iperf import practical_max_rate, run_iperf
 from repro.workloads.setups import lossy_setup
 
 
@@ -151,13 +154,41 @@ class TestFaultToleranceEndToEnd:
 class TestMicssVsRemicss:
     """The Sec. V comparison: best-effort threshold transport vs MICSS."""
 
-    def _channels(self):
+    def _channels(self, loss=0.05):
         return ChannelSet.from_vectors(
             risks=[0.0] * 3,
-            losses=[0.05, 0.05, 0.05],
+            losses=[loss] * 3,
             delays=[0.05] * 3,
             rates=[50.0] * 3,
         )
+
+    def _micss_stream(self, channels, symbol_size, seed, symbols, rate, until):
+        """Like :func:`run_stream`, over a MICSS node pair."""
+        registry = RngRegistry(seed)
+        network = PointToPointNetwork(channels, symbol_size, registry)
+        node_a = MicssNode(
+            network.engine, network.ports_a_out, network.ports_a_in, symbol_size, registry,
+            name="a",
+        )
+        node_b = MicssNode(
+            network.engine, network.ports_b_out, network.ports_b_in, symbol_size, registry,
+            name="b",
+        )
+        delivered = {}
+        node_b.on_deliver(lambda seq, payload, delay: delivered.__setitem__(seq, payload))
+        payload_rng = registry.stream("payloads")
+        sent = []
+
+        def offer():
+            payload = payload_rng.bytes(symbol_size)
+            if node_a.send(payload):
+                sent.append(payload)
+
+        engine = network.engine
+        for i in range(symbols):
+            engine.schedule_at(i / rate, offer)
+        engine.run_until(until)
+        return sent, delivered, node_a
 
     def test_remicss_needs_no_retransmission_when_k_below_m(self):
         channels = self._channels()
@@ -170,31 +201,54 @@ class TestMicssVsRemicss:
         assert measured == pytest.approx(expected_loss, abs=0.015)
 
     def test_micss_delivers_everything_but_retransmits(self):
-        channels = self._channels()
-        registry = RngRegistry(2)
-        network = PointToPointNetwork(channels, 100, registry)
-        node_a = MicssNode(
-            network.engine, network.ports_a_out, network.ports_a_in, 100, registry,
-            name="a",
+        sent, delivered, node_a = self._micss_stream(
+            self._channels(), 100, seed=2, symbols=300, rate=30.0, until=100.0
         )
-        node_b = MicssNode(
-            network.engine, network.ports_b_out, network.ports_b_in, 100, registry,
-            name="b",
-        )
-        delivered = {}
-        node_b.on_deliver(lambda seq, payload, delay: delivered.__setitem__(seq, payload))
-        payload_rng = registry.stream("payloads")
-        sent = []
-
-        def offer():
-            payload = payload_rng.bytes(100)
-            if node_a.send(payload):
-                sent.append(payload)
-
-        engine = network.engine
-        for i in range(300):
-            engine.schedule_at(i / 30.0, offer)
-        engine.run_until(100.0)
         assert len(delivered) == len(sent)
         assert all(delivered[i] == sent[i] for i in range(len(sent)))
         assert node_a.stats.retransmissions > 0
+
+    def test_remicss_out_delivers_micss_under_loss(self):
+        """At κ = µ = n, ReMICSS sheds l(n, C) of the symbols but sends
+        faster than reliable MICSS, which stalls on retransmissions."""
+        channels = self._channels(loss=0.03)
+        _, delivered, node_a = self._micss_stream(
+            channels, 1250, seed=11, symbols=4000, rate=100.0, until=60.0
+        )
+        assert node_a.stats.retransmissions > 0
+        config = ProtocolConfig(kappa=3.0, mu=3.0, share_synthetic=True,
+                                reassembly_timeout=10.0)
+        remicss = run_iperf(channels, config, offered_rate=100.0, duration=40.0, warmup=5.0)
+        assert remicss.achieved_rate > len(delivered) / 60.0
+
+
+class TestDesignAblations:
+    """The design choices DESIGN.md calls out, against their alternatives."""
+
+    def test_explicit_lp_schedule_loses_no_more_than_dynamic(self):
+        """Sec. V's readiness heuristic gives up little loss-optimality
+        against an LP-optimal explicit schedule at the same maximum rate."""
+        channels = lossy_setup()
+        config = ProtocolConfig(kappa=2.0, mu=3.0, share_synthetic=True,
+                                reassembly_timeout=10.0)
+        offered = practical_max_rate(channels, config.mu, config.symbol_size)
+        schedule = optimal_schedule(channels, Objective.LOSS, 2.0, 3.0, at_max_rate=True)
+        window = {"offered_rate": offered, "duration": 20.0, "warmup": 4.0}
+        dynamic = run_iperf(channels, config, **window)
+        explicit = run_iperf(channels, config, schedule=schedule, **window)
+        assert explicit.loss_percent <= dynamic.loss_percent + 1.0
+        assert explicit.achieved_rate == pytest.approx(dynamic.achieved_rate, rel=0.1)
+
+    def test_ramp_scheme_nearly_doubles_goodput(self):
+        """Ablation of H(Y) = H(X): a (k, L = 2, m) ramp scheme's half-size
+        shares nearly double Shamir's channel-limited symbol rate."""
+        channels = ChannelSet.from_vectors(
+            risks=[0.0] * 3, losses=[0.0] * 3, delays=[0.005] * 3, rates=[40.0] * 3
+        )
+
+        def delivered(scheme):
+            config = ProtocolConfig(kappa=2.0, mu=3.0, symbol_size=1250, scheme=scheme)
+            return len(run_stream(channels, config, symbols=2000, rate=100.0, seed=3,
+                                  drain=5.0)[1])
+
+        assert delivered(RampScheme(blocks=2)) > 1.6 * delivered(ShamirScheme())

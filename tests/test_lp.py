@@ -28,7 +28,6 @@ class TestLinearProgram:
     def test_properties(self):
         lp = LinearProgram(c=[1.0, 2.0, 3.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
         assert lp.num_vars == 3
-        assert lp.num_constraints == 1
 
 
 SIMPLE_LP = LinearProgram(

@@ -130,11 +130,13 @@ class TestInstrumentedRun:
         assert "sim_engine_events_total" in names
         assert "sim_engine_queue_depth_max" in names
         assert "sim_receiver_occupancy" in names
+        assert len(samples) > 100
         assert any(e.name == "share_tx" for e in obs.tracer.events)
 
-    def test_observability_does_not_perturb_results(self):
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_observability_does_not_perturb_results(self, tracing):
         plain = run(None)
-        observed = run(Observability.create(tracing=True))
+        observed = run(Observability.create(tracing=tracing))
         assert observed.achieved_rate == plain.achieved_rate
         assert observed.symbols_delivered == plain.symbols_delivered
         assert observed.loss_fraction == plain.loss_fraction

@@ -11,7 +11,6 @@ from repro.sharing.robust import (
     max_correctable_errors,
     reconstruct_with_erasures,
     robust_reconstruct,
-    verify_share,
 )
 from repro.sharing.shamir import ShamirScheme
 
@@ -67,16 +66,6 @@ class TestEvaluateAt:
             reconstruct_with_erasures(shares)
         with pytest.raises(ReconstructionError, match="256"):
             reconstruct_with_erasures([shares[0], shares[2], shares[1]])
-
-
-class TestVerifyShare:
-    def test_honest_share_verifies(self):
-        shares = make_shares(k=2, m=4)
-        assert verify_share(shares[:2], shares[2])
-
-    def test_corrupt_share_fails(self):
-        shares = make_shares(k=2, m=4)
-        assert not verify_share(shares[:2], corrupt(shares[2]))
 
 
 class TestRobustReconstruct:
