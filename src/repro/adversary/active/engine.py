@@ -22,9 +22,10 @@ observes shares *as they are sent*, so the adversary may capture --
 and later replay -- a share the receiver never got).
 
 Determinism: all randomness flows through per-link named rng streams
-(``attack.ch<i>.<dir>``) plus one strategy stream, and the periodic
-forge/replay ticks are engine events, so same-seed runs replay
-byte-identically.  Periodic campaigns keep rescheduling until their
+(``attack.ch<i>.<dir>``), each drawn through a
+:class:`~repro.netsim.rng.RandomBytes` built at the link's first draw,
+and the periodic forge/replay ticks are engine events, so same-seed runs
+replay byte-identically.  Periodic campaigns keep rescheduling until their
 ``*_stop`` event fires (a generation counter kills stale ticks), which is
 why attack runs are driven with ``engine.run_until(horizon)``.
 """
@@ -33,12 +34,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Deque, List, Optional, Sequence
 
 from repro.netsim.engine import Engine
 from repro.netsim.link import DuplexChannel, Link
 from repro.netsim.packet import Datagram
-from repro.netsim.rng import RngRegistry
+from repro.netsim.rng import RandomBytes, RngRegistry
 from repro.netsim.timeline import TimelineInjector
 from repro.adversary.active.plan import AttackEvent, AttackPlan
 from repro.adversary.active.primitives import (
@@ -86,7 +88,6 @@ class _LinkAttackState:
         self.channel = channel
         self.direction = direction
         self.link = link
-        self.rng = injector.registry.stream(f"attack.ch{channel}.{direction}")
         # corruption regime
         self.corrupt_rate = 0.0
         self.corrupt_mode = "flip"
@@ -110,19 +111,25 @@ class _LinkAttackState:
         link.watch_transmit(self._capture)
         link.attack_tap = self._tap
 
+    @cached_property
+    def rng(self) -> RandomBytes:
+        """The link's ``attack.ch<i>.<dir>`` stream, wrapped (and so
+        seeded) at its first draw: most attacked links never draw."""
+        return RandomBytes(
+            self.injector.registry.stream(f"attack.ch{self.channel}.{self.direction}")
+        )
+
     # -- observation -----------------------------------------------------------
 
     def _capture(self, datagram: Datagram) -> None:
-        """Transmit-time capture: remember a frozen copy for later replay."""
+        """Transmit-time capture: remember the datagram for later replay.
+
+        Nothing changes a datagram once it is on the wire, and a replay
+        sends a fresh one, so the ring holds the transmitted datagram
+        itself rather than a copy.
+        """
         self.injector.stats.packets_captured += 1
-        self.captured.append(
-            Datagram(
-                size=datagram.size,
-                payload=datagram.payload,
-                sent_at=datagram.sent_at,
-                meta=dict(datagram.meta),
-            )
-        )
+        self.captured.append(datagram)
         if datagram.payload is not None and is_share(datagram.payload):
             self.last_template = datagram.payload
             seq = datagram.meta.get("seq")

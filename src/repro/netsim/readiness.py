@@ -10,8 +10,9 @@ provided:
   that drain fastest re-arm first and so come back ready first, steering
   load toward faster channels in proportion to their rates.
 * ``fixed`` -- ready ports in fixed fd order, the naive epoll iteration.
-  Kept for ablations: it reproduces the pathological interactions the
-  paper observes (e.g. the κ=3, µ=3.8 loss spike in Fig. 5).
+  Kept for ablations.  It does not reproduce the κ=3, µ=3.8 loss spike
+  the paper reports in Fig. 5: there its loss stays within two points of
+  the optimum, as ``headroom``'s does (:mod:`repro.experiments.fig5`).
 
 Ports whose link is down (see :mod:`repro.netsim.faults`) report
 non-writable and are therefore excluded from selection; when a link comes

@@ -22,19 +22,25 @@ stream at its first draw instead moved that cost into the timed run: on
 the ledger's ``fleet_synth`` workload (2-core VM) it cut ``setup_s`` by
 81% but lost 4.4% of ``flows_per_s``.  A link whose loss, jitter or
 corruption a fault or an attack sets later seeds at its first draw, and
-so does a sender's pad, which the sender wraps at its first split.
+so does a sender's pad, which the sender wraps at its first split, and
+each link's attack stream, which the attack injector wraps at that
+link's first draw.
 
-A stream that only ever serves uniform bytes and has one owner (the
-sender's share pad, a workload's payloads, a fleet flow's payloads) can
-be wrapped in :class:`RandomBytes`, which draws the bit generator's raw
-64-bit words in blocks and serves every request byte for byte as a
-direct draw would: the raw words are the 32-bit word stream numpy's
-byte draws read, low half first.  A refill is sized from the request
-that needs it: eight requests' worth at first, then twice the buffer it
-replaces, up to a 1024-word block.  A fleet flow's eight 64-byte
-payloads so cost one 512-byte draw, and a long-lived stream reaches
-whole blocks after a few refills.  Streams that mix draw kinds stay on
-the generator's own methods (see :class:`RandomBytes`).
+A stream with one owner that draws only ``bytes``, ``integers(low,
+high)`` and ``random()`` (the sender's share pad, a workload's payloads,
+a fleet flow's payloads, an attacked link's stream) can be wrapped in
+:class:`RandomBytes`, which draws the bit generator's raw 64-bit words in
+blocks and serves every call exactly as the generator would, in any
+order.  A 64-bit bit generator serves a 32-bit word (a byte draw's word,
+an ``integers`` word) as the low half of its next raw output and buffers
+the high half for the next 32-bit draw, while ``random()`` takes a whole
+output and leaves a buffered half in place; the wrapper models that
+half-word in its buffer.  A refill is sized from the request that needs
+it: eight requests' worth at first, then twice the unread words it
+leaves, up to a 1024-word block.  A fleet flow's eight 64-byte payloads
+so cost one 512-byte draw, and a long-lived stream reaches whole blocks
+after a few refills.  Link loss, jitter and corruption draws stay on the
+generator's own methods (``uniform`` is not modelled).
 """
 
 from __future__ import annotations
@@ -124,46 +130,59 @@ _HALVED_WORD_GENERATORS = (
     np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
 )
 
+#: The span of one 32-bit word: the widest ``integers`` span served.
+_WORD_SPAN = 1 << 32
+
+#: The weight of the lowest of a double's 53 random bits.
+_DOUBLE_UNIT = 1.0 / (1 << 53)
+
 
 class RandomBytes:
-    """Uniform random bytes from a generator, drawn in blocks of raw words.
+    """A generator's ``bytes``, ``random`` and ``integers`` draws, served
+    from its raw words, drawn in blocks.
 
-    ``bytes(n)`` returns exactly what
-    ``generator.integers(0, 256, size=n, dtype=np.uint8).tobytes()``
-    would, and for ``n >= 1`` what ``generator.bytes(n)`` would.  numpy
-    fills such a draw from 32-bit words, low byte first, starting on a
-    fresh word and dropping the rest of the last one, so serving each
-    request from the next ``ceil(n / 4)`` buffered words reproduces every
-    call while paying numpy's per-call cost once per block.  ``bytes(0)``
-    draws nothing, like ``integers`` (``generator.bytes(0)`` draws a word).
+    Every call returns exactly what the same call on the generator would,
+    interleaved in any order, while paying numpy's per-call cost once per
+    block.  A 64-bit bit generator (``default_rng``'s PCG64) serves a
+    32-bit word as the low half of its next raw output (``random_raw``)
+    and buffers the high half for the next 32-bit draw, so the raw
+    outputs, as little-endian bytes, are the word stream:
 
-    A refill appends the bit generator's raw 64-bit outputs
-    (``random_raw``) as little-endian bytes.  A 64-bit bit generator
-    (``default_rng``'s PCG64) serves a 32-bit word as the low half of its
-    next output and buffers the high half for the word after, so the raw
-    outputs are that word stream, low half first, without numpy's
-    bounded-integer path.  An odd refill keeps its trailing half-word at
-    the end of the buffer, where the generator would have buffered it.
-    Any other bit generator (MT19937's raw outputs are 32-bit words, so
-    half their bytes would be zero) is refused.
+    * ``bytes(n)`` is ``generator.integers(0, 256, size=n,
+      dtype=np.uint8).tobytes()``, and for ``n >= 1``
+      ``generator.bytes(n)``: the next ``ceil(n / 4)`` words, low byte
+      first, the rest of the last word dropped.  ``bytes(0)`` draws
+      nothing, like ``integers`` (``generator.bytes(0)`` draws a word).
+    * ``integers(low, high)`` is numpy's unmasked Lemire draw over the
+      span ``high - low``: one word times the span, redrawn while its low
+      32 bits fall below ``2**32 % span``, returns ``low`` plus the high
+      32 bits.  A span of 1 draws nothing.
+    * ``random()`` takes a whole raw output and returns its top 53 bits
+      times ``2**-53``, leaving a buffered half-word in place for the next
+      32-bit draw.
+
+    Raw outputs sit eight-byte aligned in the buffer, so an unread offset
+    of 4 mod 8 is the buffered half-word.  A refill keeps that alignment,
+    and ``random()`` past a buffered half cuts the output it drew out of
+    the buffer, so the half is still the next word.  Any other bit
+    generator (MT19937's raw outputs are 32-bit words, so half their bytes
+    would be zero) is refused, and so are empty spans and spans numpy
+    draws from 64-bit words (above ``2**32``).
 
     A refill draws :data:`_FIRST_REFILL_REQUESTS` times the request's
-    words, or twice the words of the buffer it replaces if that is more,
-    capped at :data:`_BLOCK_WORDS`; a request larger than the cap draws
-    what it needs.  So a short stream buffers a few requests' worth and a
-    long one reaches whole blocks after a few refills.  A request that
-    drains the buffer drops it, so a finished stream holds no bytes.
+    words, or twice the unread words it leaves if that is more, capped at
+    :data:`_BLOCK_WORDS`; a request larger than the cap draws what it
+    needs.  So a short stream buffers a few requests' worth and a long one
+    reaches whole blocks after a few refills.  A request that drains the
+    buffer drops it, so a finished stream holds no bytes.
 
     The wrapper must own its generator from the start: a direct draw would
-    land after the buffered words and move every later byte.  For the same
-    reason a stream that mixes scalar ``integers``, ``random`` and
-    ``bytes`` draws (the link and attack streams) stays on the generator:
-    those draws share its buffered half-word, so a raw draw there would
-    shift every later value.  The wrapper binds ``random_raw`` when built,
-    which seeds a registry stream then; the sender builds its pad at its
-    first split, so a node that never sends never seeds one.  The buffered
-    bytes are future coefficients or payloads, so the repr counts them and
-    shows none (docs/TAINT.md).
+    land after the buffered words and move every later value.  It binds
+    ``random_raw`` when built, which seeds a registry stream then; the
+    sender builds its pad at its first split and the attack injector each
+    link's stream at that link's first draw, so a stream never drawn is
+    never seeded.  The buffered bytes are future coefficients or payloads,
+    so the repr counts them and shows none (docs/TAINT.md).
     """
 
     __slots__ = ("_generator", "_random_raw", "_buffer", "_offset", "_grow")
@@ -178,9 +197,10 @@ class RandomBytes:
         self._generator = generator
         self._random_raw = bit_generator.random_raw
         self._buffer = b""
-        #: Start of the unread bytes; always on a word boundary.
+        #: Start of the unread bytes, on a word boundary; 4 mod 8 while a
+        #: half-word is buffered.
         self._offset = 0
-        #: Twice the words of the last refill's buffer: the least the next
+        #: Twice the unread words the last refill left: the least the next
         #: refill draws (before the cap), kept after the buffer is dropped.
         self._grow = 0
 
@@ -197,7 +217,8 @@ class RandomBytes:
         if end > len(buffer):
             self._refill((end - len(buffer)) >> 2, size >> 2)
             buffer = self._buffer
-            start, end = 0, size
+            start = self._offset
+            end = start + size
         if end == len(buffer):
             self._buffer = b""
             self._offset = 0
@@ -205,14 +226,54 @@ class RandomBytes:
             self._offset = end
         return buffer[start : start + n]
 
+    def integers(self, low: int, high: int) -> int:
+        """A uniform int in ``[low, high)``, for Python int bounds."""
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 < span <= _WORD_SPAN:
+            raise ValueError(
+                f"integers needs 1 <= high - low <= 2**32, got [{low}, {high})"
+            )
+        threshold = (_WORD_SPAN - span) % span
+        product = int.from_bytes(self.bytes(4), "little") * span
+        while product & 0xFFFFFFFF < threshold:
+            product = int.from_bytes(self.bytes(4), "little") * span
+        return low + (product >> 32)
+
+    def random(self) -> float:
+        """A uniform float in ``[0, 1)``."""
+        start = self._offset
+        # Past a buffered half-word, the next whole output is drawn.
+        end = start + 8 + (start & 4)
+        buffer = self._buffer
+        if end > len(buffer):
+            self._refill((end - len(buffer)) >> 2, 2)
+            buffer = self._buffer
+            start = self._offset
+            end = start + 8 + (start & 4)
+        value = int.from_bytes(buffer[end - 8 : end], "little") >> 11
+        if start & 4:
+            # Cut the drawn output out: the half-word stays next, at 4 mod 8.
+            self._buffer = buffer[start - 4 : start + 4] + buffer[end:]
+            self._offset = 4
+        elif end == len(buffer):
+            self._buffer = b""
+            self._offset = 0
+        else:
+            self._offset = end
+        return value * _DOUBLE_UNIT
+
     def _refill(self, missing: int, request: int) -> None:
         """Append at least ``missing`` fresh words to the unread bytes,
         sized from the ``request`` (in words) that needs them."""
         block = min(_BLOCK_WORDS, max(_FIRST_REFILL_REQUESTS * request, self._grow))
         raw = self._random_raw((max(block, missing) + 1) >> 1)
-        self._buffer = self._buffer[self._offset :] + raw.astype("<u8", copy=False).tobytes()
-        self._offset = 0
-        self._grow = len(self._buffer) >> 1
+        # Keep the unread bytes on their raw outputs' alignment.
+        offset = self._offset
+        self._buffer = self._buffer[offset & ~7 :] + raw.astype("<u8", copy=False).tobytes()
+        self._offset = offset & 7
+        self._grow = (len(self._buffer) - self._offset) >> 1
 
     def __repr__(self) -> str:
         return f"RandomBytes({self._generator!r}, buffered={len(self._buffer) - self._offset})"

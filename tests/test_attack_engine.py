@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adversary.active import AttackPlan
+from repro.adversary.active import CANONICAL_ATTACKS, AttackPlan, canonical_attack
 from repro.adversary.active.engine import AttackInjector
 from repro.adversary.active.harness import default_channels, run_under_attack
 from repro.adversary.active.plan import AttackEvent
@@ -144,3 +144,43 @@ class TestCaptureRing:
             state._capture(Datagram(size=8, payload=bytes([i] * 8), sent_at=0.0))
         assert len(state.captured) == 4
         assert injector.stats.packets_captured == 10
+
+    def test_capture_keeps_the_transmitted_datagram(self):
+        network, registry = make_network()
+        injector = AttackInjector(network.engine, network.duplex, AttackPlan(), registry)
+        injector.arm()
+        datagram = Datagram(size=8, payload=b"abcdefgh", sent_at=0.5, meta={"seq": 3})
+        injector._states[0]._capture(datagram)
+        assert injector._states[0].captured[-1] is datagram
+
+
+class TestAttackStreams:
+    def test_arming_wraps_and_seeds_no_stream(self):
+        network, registry = make_network()
+        plan = AttackPlan().corrupt(1.0, rate=0.5, channel=0).end_corrupt(2.0, channel=0)
+        injector = AttackInjector(network.engine, network.duplex, plan, registry)
+        injector.arm()
+        assert len(injector._states) == 10
+        assert not any("rng" in vars(state) for state in injector._states)
+        assert not any("attack." in repr(handle) for handle in registry._streams.values())
+
+    def test_streams_draw_only_through_random_bytes(self, monkeypatch):
+        # A direct generator draw on a wrapped stream would move every
+        # later value the wrapper serves, so the wrapper must be the only
+        # reader: the handle's one forwarded attribute is its bit generator.
+        handles = []
+        stream = RngRegistry.stream
+
+        def recording(self, name):
+            handle = stream(self, name)
+            if name.startswith("attack."):
+                handles.append(handle)
+            return handle
+
+        monkeypatch.setattr(RngRegistry, "stream", recording)
+        for name in sorted(CANONICAL_ATTACKS):
+            plan = canonical_attack(name, 4.0, 64.0)
+            run_under_attack(plan, duration=60.0, warmup=4.0, seed=1, auth=True)
+        forwarded = [{attr for attr in vars(h) if not attr.startswith("_")} for h in handles]
+        assert {"bit_generator"} in forwarded
+        assert all(attrs <= {"bit_generator"} for attrs in forwarded)

@@ -150,13 +150,18 @@ class TestFig5:
         assert k1[-1]["actual_loss_pct"] < k1[0]["actual_loss_pct"]
 
     def test_fixed_selector_ablation(self):
-        """The naive fixed-order selector runs to completion; its
-        deviations from optimal are expected and reported, not bounded."""
-        rows = run_figure(
-            "fig5", kappas=(3.0,), mu_step=0.4, duration=8.0, warmup=2.0,
-            selector_ordering="fixed",
-        )
-        assert rows
+        """Neither selector ordering shows the paper's κ = 3, µ = 3.8 loss
+        spike: every κ = 3 point of the naive fixed order, like the
+        default headroom order, is inside the +3-point tier of
+        ``test_loss_tracks_optimal``."""
+        for ordering in ("headroom", "fixed"):
+            rows = run_figure(
+                "fig5", kappas=(3.0,), mu_step=0.4, duration=40.0, warmup=5.0,
+                selector_ordering=ordering,
+            )
+            assert [row["mu"] for row in rows] == [3.0, 3.4, 3.8, 4.2, 4.6, 5.0]
+            for row in rows:
+                assert row["actual_loss_pct"] <= row["optimal_loss_pct"] + 3.0, (ordering, row)
 
 
 class TestFig67:

@@ -148,6 +148,22 @@ def direct_draw(generator, n):
     return generator.integers(0, 256, size=n, dtype=np.uint8).tobytes()
 
 
+#: ``integers`` spans: 1 draws nothing, 3, 7, 255 and 1000 reject some
+#: words, powers of two reject none, and 2**32 is a whole word.
+integer_spans = st.sampled_from([1, 2, 3, 7, 64, 255, 256, 1000, 2**31, 2**32])
+
+#: Interleaved calls: ``random()``, ``integers(low, low + span)`` with
+#: negative lows too, and ``bytes(n)`` up to past a refill block.
+mixed_calls = st.lists(
+    st.one_of(
+        st.tuples(st.just("random")),
+        st.tuples(st.just("integers"), st.integers(-(2**33), 2**33), integer_spans),
+        st.tuples(st.just("bytes"), st.integers(1, 5000)),
+    ),
+    max_size=60,
+)
+
+
 class TestRandomBytes:
     @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(request_sizes, max_size=30))
     @settings(max_examples=60, deadline=None)
@@ -161,6 +177,60 @@ class TestRandomBytes:
             assert served == direct_draw(twin, n)
             if n:
                 assert served == bytes_twin.bytes(n)
+
+    @given(seed=st.integers(0, 2**32 - 1), calls=mixed_calls)
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_draws_match_the_generator(self, seed, calls):
+        source = RandomBytes(np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        for kind, *args in calls:
+            if kind == "random":
+                assert source.random() == twin.random()
+            elif kind == "integers":
+                low, span = args
+                assert source.integers(low, low + span) == twin.integers(low, low + span)
+            else:
+                assert source.bytes(args[0]) == twin.bytes(args[0])
+
+    def test_random_leaves_a_buffered_half_word_for_the_next_word(self):
+        # A 4-byte draw buffers the high half of raw output 0; random()
+        # takes output 1 whole, and the next 4 bytes are that high half.
+        raw = np.random.default_rng(5).bit_generator.random_raw(3).astype("<u8").tobytes()
+        source = RandomBytes(np.random.default_rng(5))
+        twin = np.random.default_rng(5)
+        assert source.bytes(4) == twin.bytes(4) == raw[0:4]
+        output = int.from_bytes(raw[8:16], "little")
+        assert source.random() == twin.random() == (output >> 11) / 2**53
+        assert source.bytes(4) == twin.bytes(4) == raw[4:8]
+        assert source.bytes(4) == twin.bytes(4) == raw[16:20]
+
+    def test_a_refill_keeps_the_half_word_aligned(self):
+        # A 4-byte request's first refill draws 8 words; 28 bytes leave the
+        # high half of its fourth raw output buffered at the end.  random()
+        # must then draw the output after it from the next refill and leave
+        # the half for the next word.
+        source = RandomBytes(np.random.default_rng(0))
+        twin = np.random.default_rng(0)
+        assert source.bytes(4) + source.bytes(24) == twin.bytes(4) + twin.bytes(24)
+        assert repr(source).endswith("buffered=4)")
+        assert source.random() == twin.random()
+        assert source.integers(0, 2**32) == twin.integers(0, 2**32)
+        assert source.random() == twin.random()
+
+    def test_a_span_of_one_draws_nothing(self):
+        generator = np.random.default_rng(6)
+        source = RandomBytes(generator)
+        assert source.integers(-3, -2) == -3
+        assert repr(source) == f"RandomBytes({generator!r}, buffered=0)"
+        assert source.bytes(8) == np.random.default_rng(6).bytes(8)
+
+    @pytest.mark.parametrize(
+        "low, high", [(5, 5), (5, 4), (0, 2**32 + 1), (-(2**40), 2**40)],
+        ids=["empty", "reversed", "above-a-word", "64-bit"],
+    )
+    def test_empty_and_64_bit_spans_are_refused(self, low, high):
+        with pytest.raises(ValueError, match="high - low"):
+            RandomBytes(np.random.default_rng(0)).integers(low, high)
 
     def test_requests_straddling_refills_and_the_block(self):
         # 313-word payloads do not divide a 1024-word block, so from the
@@ -222,13 +292,18 @@ class TestRandomBytes:
 
     def test_quick_ledger_runs_refill_as_often(self, monkeypatch):
         # The ledger's quick testbed_real, fleet_auth and attack_auth runs at
-        # seed 1.  Every refill of theirs draws an even number of words, so
-        # raw draws refill exactly as often as 32-bit word draws did.
+        # seed 1.  Every pad or payload refill of theirs draws an even number
+        # of words, so raw draws refill exactly as often as 32-bit word draws
+        # did.  The attack runs' attack.ch<i>.<dir> streams are counted apart.
         refills = [0]
+        attack_refills = [0]
         refill = RandomBytes._refill
 
         def counting(self, missing, request):
-            refills[0] += 1
+            if repr(self._generator).startswith("RngStream('attack."):
+                attack_refills[0] += 1
+            else:
+                refills[0] += 1
             refill(self, missing, request)
 
         monkeypatch.setattr(RandomBytes, "_refill", counting)
@@ -242,11 +317,13 @@ class TestRandomBytes:
             symbols_per_flow=8, synthetic=False, auth=True,
         )
         counts.append(refills[0] - sum(counts))
+        assert attack_refills == [0]
         for name in sorted(CANONICAL_ATTACKS):
             plan = canonical_attack(name, 4.0, 204.0)
             run_under_attack(plan, symbol_size=64, duration=200.0, warmup=4.0, seed=1, auth=True)
         counts.append(refills[0] - sum(counts))
         assert counts == [1586, 233, 90]
+        assert attack_refills == [142]
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
