@@ -33,9 +33,6 @@ class AdmissionStats:
         default_factory=lambda: {reason: 0 for reason in REASONS}
     )
 
-    def as_dict(self) -> dict:
-        return {"admitted": self.admitted, "rejected": dict(self.rejected)}
-
 
 class AdmissionController:
     """Admits flows against tenant κ floors and quotas.

@@ -60,13 +60,6 @@ class FlowMuxStats:
             self.flows[flow] = block
         block[name] += delta
 
-    def as_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["flows"] = {
-            str(flow): dict(block) for flow, block in sorted(self.flows.items())
-        }
-        return out
-
 
 class FlowMux:
     """Fair multiplexer in front of one sender's source queue.

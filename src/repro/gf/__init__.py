@@ -11,34 +11,27 @@ scratch and with no external dependencies:
   Blakley hyperplane scheme and by property tests that cross-check Shamir
   over an independent field implementation.
 
-Polynomial utilities (Horner evaluation, Lagrange interpolation) live in
-:mod:`repro.gf.poly` and are generic over any field implementing the
-:class:`~repro.gf.field.Field` interface.
+Horner evaluation lives in :mod:`repro.gf.poly` and is generic over any
+field implementing the :class:`~repro.gf.field.Field` interface.
 
-The scalar GF(2^8) + polynomial path is the *reference oracle* and the
-element-wise field API; the hot path used by the sharing schemes is
-:mod:`repro.gf.batch`, whose ``bytes.translate`` kernels evaluate and
-interpolate whole datagram batches, given as byte rows, at once and are
-bit-identical to the scalar oracle by construction (and by test:
-``tests/test_sharing_batch_equiv.py``).
+The scalar GF(2^8) field is the element-wise API; the hot path used by the
+sharing schemes is :mod:`repro.gf.batch`, whose ``bytes.translate``
+kernels evaluate and interpolate whole datagram batches, given as byte
+rows, at once.  They are bit-identical by construction, and by test, to
+the per-byte oracle in ``tests/sharing_oracle.py``
+(``tests/test_sharing_batch_equiv.py``).  Their speed is gated end to end
+by the ledger (``testbed_real`` runs 1250-B payloads through them), which
+CI runs on the parent commit and on the change in one job.
 """
 
 from repro.gf.batch import eval_poly_at_points
 from repro.gf.field import Field
 from repro.gf.gf256 import GF256
 from repro.gf.gfp import PrimeField
-from repro.gf.poly import (
-    Polynomial,
-    lagrange_interpolate,
-    lagrange_interpolate_at,
-)
 
 __all__ = [
     "Field",
     "GF256",
     "PrimeField",
-    "Polynomial",
-    "lagrange_interpolate",
-    "lagrange_interpolate_at",
     "eval_poly_at_points",
 ]

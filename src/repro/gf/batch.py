@@ -1,18 +1,21 @@
 """Row kernels for whole-batch secret sharing over GF(2^8).
 
-The scalar field in :mod:`repro.gf.gf256` and the generic polynomial code in
-:mod:`repro.gf.poly` are the *reference oracle*: correct, simple, and slow.
-This module re-expresses the two sharing primitives -- polynomial evaluation
-and Lagrange interpolation -- as ``bytes.translate`` passes over whole byte
-rows plus one XOR, so a whole datagram (every byte position x every share
-point) moves through the field in a few C-level passes.
+The scalar field in :mod:`repro.gf.gf256` and the per-byte split and
+interpolation in ``tests/sharing_oracle.py`` are the *reference oracle*:
+correct, simple, and slow.  This module re-expresses the two sharing
+primitives -- polynomial evaluation and Lagrange interpolation -- as
+``bytes.translate`` passes over whole byte rows plus one XOR, so a whole
+datagram (every byte position x every share point) moves through the field
+in a few C-level passes.
 
 Everything here is *exact* field arithmetic derived from the same
 AES-polynomial log/antilog tables the scalar path builds, so batch results
 are bit-identical to the scalar oracle byte for byte -- a property the test
 suite (``tests/test_sharing_batch_equiv.py``) enforces, because the privacy
 model (``H(Y) = H(X)``, Sec. III-C of the paper) assumes exact field
-semantics.
+semantics.  Speed is gated end to end, not against the oracle: CI's ledger
+A/B job runs the ``testbed_real`` workload (1250-B payloads through these
+kernels) on the parent commit and on the change.
 
 Table layout and kernels:
 

@@ -9,7 +9,6 @@ still letting the sharing schemes be generic over the field.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List
 
 
 class Field(abc.ABC):
@@ -71,31 +70,6 @@ class Field(abc.ABC):
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def sum(self, values: Iterable[int]) -> int:
-        """Return the field sum of ``values`` (zero for an empty iterable)."""
-        total = 0
-        for v in values:
-            total = self.add(total, v)
-        return total
-
-    def dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:
-        """Return the inner product of two element sequences."""
-        return self.sum(self.mul(x, y) for x, y in zip(xs, ys))
-
-    def validate(self, a: int) -> int:
-        """Check that ``a`` is a canonical field element and return it.
-
-        Raises:
-            ValueError: if ``a`` is out of range.
-        """
-        if not isinstance(a, int) or not 0 <= a < self.order:
-            raise ValueError(f"{a!r} is not an element of a field of order {self.order}")
-        return a
-
-    def elements(self) -> List[int]:
-        """Return all field elements (only sensible for small fields)."""
-        return list(range(self.order))
 
     def __contains__(self, a: object) -> bool:
         return isinstance(a, int) and 0 <= a < self.order

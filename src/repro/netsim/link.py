@@ -56,23 +56,6 @@ class LinkStats:
     downs: int = 0  # up -> down transitions
     ups: int = 0  # down -> up transitions
 
-    def as_dict(self) -> dict:
-        """Counters as a plain dict (for reports and traces)."""
-        return {
-            "offered": self.offered,
-            "queue_drops": self.queue_drops,
-            "serialized": self.serialized,
-            "loss_drops": self.loss_drops,
-            "delivered": self.delivered,
-            "corruptions": self.corruptions,
-            "bytes_offered": self.bytes_offered,
-            "bytes_delivered": self.bytes_delivered,
-            "down_drops": self.down_drops,
-            "down_losses": self.down_losses,
-            "downs": self.downs,
-            "ups": self.ups,
-        }
-
 
 class LossModel:
     """Interface of pluggable per-packet loss processes (duck-typed).

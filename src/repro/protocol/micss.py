@@ -53,9 +53,6 @@ class MicssStats:
     acks_sent: int = 0
     symbols_delivered: int = 0
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 class _OutstandingShare:
     """A transmitted share awaiting acknowledgement."""

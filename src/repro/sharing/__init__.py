@@ -20,8 +20,9 @@ objects tagged with their index and the (k, m) parameters used.
 
 The GF(2^8) schemes run on the vectorized kernels in
 :mod:`repro.gf.batch` (whole-batch polynomial evaluation and Lagrange
-interpolation); :mod:`repro.sharing.reference` keeps the byte-at-a-time
-scalar oracle they are tested bit-identical against.
+interpolation); ``tests/sharing_oracle.py`` keeps the byte-at-a-time
+scalar oracle they are tested bit-identical against, and CI's ledger A/B
+job gates their speed end to end.
 """
 
 from repro.sharing.base import (

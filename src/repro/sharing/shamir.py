@@ -18,11 +18,13 @@ numpy for a large one -- and returns the share payloads as ``bytes``
 rows, so the shares take them as they are.  ``reconstruct`` passes the
 share payloads as they are to one Lagrange evaluation, whose basis
 coefficients are cached per share-index set, and XORs one translated row
-per share into the secret's bytes.  The scalar path through
-:mod:`repro.gf` (exposed as :mod:`repro.sharing.reference`) is the reference
-oracle: the batch kernels are bit-identical to it byte for byte, which
+per share into the secret's bytes.  The per-byte scalar path in
+``tests/sharing_oracle.py`` is the reference oracle: the batch kernels are
+bit-identical to it byte for byte, which
 ``tests/test_sharing_batch_equiv.py`` and the golden vectors in
-``tests/test_gf_vectors.py`` pin down.
+``tests/test_gf_vectors.py`` pin down.  Their speed is gated by CI's
+ledger A/B job, which times ``testbed_real`` on the parent commit and on
+the change.
 """
 
 from __future__ import annotations

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf.gf256 import GF256_FIELD
-from repro.gf.poly import evaluate, lagrange_interpolate_at
+from repro.gf.poly import evaluate
 from repro.sharing.shamir import ShamirScheme
+from tests.sharing_oracle import lagrange_interpolate_at
 
 
 class TestShamirAgainstGenericPolynomials:
-    """The vectorised GF(256) Shamir vs the generic gf.poly machinery."""
+    """The vectorised GF(256) Shamir vs generic Horner and Lagrange code."""
 
     @given(
         secret_byte=st.integers(0, 255),

@@ -69,7 +69,5 @@ class TestFilter:
         )
         assert [f.flow for f in admitted] == [1]
         assert rejected == {2: "kappa_floor", 3: "unknown_tenant"}
-        assert controller.stats.as_dict() == {
-            "admitted": 1,
-            "rejected": {"unknown_tenant": 1, "kappa_floor": 1, "quota": 0},
-        }
+        assert controller.stats.admitted == 1
+        assert controller.stats.rejected == {"unknown_tenant": 1, "kappa_floor": 1, "quota": 0}

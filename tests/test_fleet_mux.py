@@ -173,7 +173,7 @@ class TestBoundsAndBackpressure:
         _, _, _, mux, _ = build()
         mux.register(1)
         mux.enqueue(1)
-        stats = mux.stats.as_dict()
-        assert stats["enqueued"] == 1
-        assert stats["flows"]["1"]["enqueued"] == 1
-        assert set(stats["flows"]["1"]) == {"enqueued", "offered", "dropped"}
+        stats = mux.stats
+        assert stats.enqueued == 1
+        assert stats.flows[1]["enqueued"] == 1
+        assert set(stats.flows[1]) == {"enqueued", "offered", "dropped"}

@@ -31,12 +31,12 @@ from repro.gf.batch import (
     lagrange_interpolate,
 )
 from repro.gf.gf256 import GF256_FIELD, _carryless_mul
-from repro.gf.poly import evaluate, lagrange_interpolate_at
+from repro.gf.poly import evaluate
 from repro.sharing.base import Share
 from repro.sharing.ramp import RampScheme
-from repro.sharing.reference import scalar_ramp_split, scalar_shamir_split
 from repro.sharing.robust import reconstruct_with_erasures, robust_reconstruct
 from repro.sharing.shamir import ShamirScheme
+from tests.sharing_oracle import lagrange_interpolate_at, scalar_ramp_split, scalar_shamir_split
 
 #: (a, b, a*b) in GF(2^8) under the AES polynomial 0x11b.  The 0x53*0xca=1
 #: pair is the classic AES inverse example (FIPS-197 style).

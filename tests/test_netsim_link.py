@@ -310,8 +310,8 @@ class TestConservationInvariants:
     @staticmethod
     def _assert_conserved(link, queued=0, inflight=0):
         s = link.stats
-        assert s.offered == s.queue_drops + s.down_drops + s.serialized + queued, s.as_dict()
-        assert s.serialized == s.loss_drops + s.down_losses + s.delivered + inflight, s.as_dict()
+        assert s.offered == s.queue_drops + s.down_drops + s.serialized + queued, s
+        assert s.serialized == s.loss_drops + s.down_losses + s.delivered + inflight, s
 
     def test_saturating_sender_tail_drop_accounting(self):
         engine = Engine()

@@ -1,7 +1,7 @@
 """Batch-vs-scalar equivalence for the whole sharing pipeline.
 
 The vectorized kernels in :mod:`repro.gf.batch` power ``split`` and
-``reconstruct`` for the GF(2^8) schemes; :mod:`repro.sharing.reference`
+``reconstruct`` for the GF(2^8) schemes; ``tests/sharing_oracle.py``
 keeps the byte-at-a-time scalar oracle.  This suite asserts the two are
 *bit-identical* -- not approximately equal -- for every scheme (xor,
 shamir, ramp, blakley, robust), payload lengths including 0, 1,
@@ -12,7 +12,9 @@ kernels' int/numpy crossover, and every ``(k, n)`` with
 Exactness is load-bearing: the privacy model treats share bytes as exact
 field elements (``H(Y) = H(X)``, Sec. III-C), so a vectorization bug that
 perturbed even one byte would silently invalidate the leakage analysis
-rather than fail loudly.
+rather than fail loudly.  Speed is not checked here: CI's ledger A/B job
+times the kernels end to end, through the ``testbed_real`` workload, on
+the parent commit and on the change.
 """
 
 from itertools import combinations
@@ -28,16 +30,16 @@ from repro.gf.batch import XOR_CROSSOVER
 from repro.sharing.base import Share
 from repro.sharing.blakley import BlakleyScheme
 from repro.sharing.ramp import RampScheme
-from repro.sharing.reference import (
+from repro.sharing.robust import evaluate_shares_at, robust_reconstruct
+from repro.sharing.shamir import ShamirScheme
+from repro.sharing.xor import XorScheme
+from tests.sharing_oracle import (
     scalar_evaluate_shares_at,
     scalar_ramp_reconstruct,
     scalar_ramp_split,
     scalar_shamir_reconstruct,
     scalar_shamir_split,
 )
-from repro.sharing.robust import evaluate_shares_at, robust_reconstruct
-from repro.sharing.shamir import ShamirScheme
-from repro.sharing.xor import XorScheme
 
 #: Every threshold geometry the protocol model can ask for at n <= 10.
 ALL_KN = [(k, n) for n in range(1, 11) for k in range(1, n + 1)]
