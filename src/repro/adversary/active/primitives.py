@@ -31,9 +31,12 @@ from repro.protocol.wire import (
 from repro.sharing.base import Share
 
 
+_SHARE_MAGIC_BYTES = SHARE_MAGIC.to_bytes(2, "big")
+
+
 def is_share(packet: bytes) -> bool:
     """Whether ``packet`` starts with the share magic."""
-    return len(packet) >= 2 and int.from_bytes(packet[:2], "big") == SHARE_MAGIC
+    return packet[:2] == _SHARE_MAGIC_BYTES
 
 
 def share_body_offset(packet: bytes) -> Optional[int]:

@@ -5,14 +5,16 @@ is observed independently with the channel's risk probability ``z_i`` --
 observation happens at transmission time, so shares lost in transit can
 still be captured (exactly the paper's threat model).  Captured shares are
 grouped by symbol, ``(flow, seq)``, since every flow numbers its symbols
-from 0.  Once at least k shares of a symbol are held, the adversary
-performs a *real* reconstruction, so the compromise counter is ground
-truth rather than an assumption about the sharing scheme.
+from 0, and within a symbol by share index: a repair can send one index
+twice, and a second copy teaches nothing.  Once k distinct indices of a
+symbol are held, the adversary performs a *real* reconstruction, so the
+compromise counter is ground truth rather than an assumption about the
+sharing scheme.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,8 +58,10 @@ class Eavesdropper:
         self.shares_captured = 0
         self.symbols_observed: "set[SymbolKey]" = set()
         self.compromised: Dict[SymbolKey, bytes] = {}
-        self._partial: Dict[SymbolKey, List[Share]] = {}
-        self._synthetic_counts: Dict[SymbolKey, int] = {}
+        #: Captured shares of each open symbol, by share index.
+        self._partial: Dict[SymbolKey, Dict[int, Share]] = {}
+        #: Captured share indices of each open synthetic symbol.
+        self._synthetic_indices: Dict[SymbolKey, Set[object]] = {}
         for index, link in enumerate(links):
             link.watch_transmit(lambda dg, i=index: self._observe(i, dg))
 
@@ -77,11 +81,11 @@ class Eavesdropper:
         self.symbols_observed.add(key)
         if key in self.compromised:
             return
-        captured = self._partial.setdefault(key, [])
-        captured.append(share)
+        captured = self._partial.setdefault(key, {})
+        captured.setdefault(share.index, share)
         if len(captured) >= header.k and self.scheme is not None:
             try:
-                secret = self.scheme.reconstruct(captured)
+                secret = self.scheme.reconstruct(list(captured.values()))
             except ReconstructionError:
                 return
             self.compromised[key] = secret
@@ -94,10 +98,16 @@ class Eavesdropper:
             return
         key = (meta.get("flow", 0), seq)
         self.symbols_observed.add(key)
-        count = self._synthetic_counts.get(key, 0) + 1
-        self._synthetic_counts[key] = count
-        if count >= k:
-            self.compromised.setdefault(key, b"")
+        if key in self.compromised:
+            return
+        captured = self._synthetic_indices.setdefault(key, set())
+        index = meta.get("index")
+        # A share whose meta names no index cannot repeat one: it counts
+        # as a share of its own.
+        captured.add(object() if index is None else index)
+        if len(captured) >= k:
+            self.compromised[key] = b""
+            del self._synthetic_indices[key]
 
     # -- reporting ----------------------------------------------------------------
 

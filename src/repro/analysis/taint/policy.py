@@ -253,13 +253,8 @@ def default_policy() -> TaintPolicy:
             # Keyed-MAC outputs cross the authentication boundary: a
             # BLAKE2b/HMAC tag reveals nothing about the key (PRF
             # assumption), and compare_digest returns a boolean fact.
+            # Keyed states are built through hashlib (above).
             Sanitizer(prefixes=("hmac.",)),
-            Sanitizer(
-                qualnames=(
-                    "repro.protocol.auth.mac.compute_tag",
-                    "compute_tag",
-                )
-            ),
             Sanitizer(
                 qualnames=(
                     "repro.redact.redact_bytes",

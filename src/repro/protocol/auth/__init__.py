@@ -14,21 +14,16 @@ unconditionally under the keyed-MAC assumption.
 Key model: one root key per deployment, per-flow keys derived via the
 SHA-256 identity pattern (:mod:`repro.protocol.auth.keys`), so fleet
 tenants are cryptographically isolated and shards stay byte-identical.
+Each flow key lives only inside the keyed state its config keeps for
+the flow.
 """
 
-from repro.protocol.auth.keys import (
-    AuthConfig,
-    KeyChain,
-    derive_flow_key,
-    derive_root_key,
-)
-from repro.protocol.auth.mac import ShareAuthenticator, compute_tag
+from repro.protocol.auth.keys import AuthConfig, derive_flow_key, derive_root_key
+from repro.protocol.auth.mac import ShareAuthenticator
 
 __all__ = [
     "AuthConfig",
-    "KeyChain",
     "ShareAuthenticator",
-    "compute_tag",
     "derive_flow_key",
     "derive_root_key",
 ]

@@ -1,4 +1,4 @@
-"""Key material for authenticated shares: derivation, chains, config.
+"""Key material for authenticated shares: derivation and config.
 
 The key model is deliberately small (docs/AUTH.md):
 
@@ -12,6 +12,11 @@ The key model is deliberately small (docs/AUTH.md):
   flows are cryptographically isolated from each other: tenant A's key
   authenticates nothing for tenant B.
 
+The flow key itself is never stored: :class:`AuthConfig` keeps one keyed
+BLAKE2b state per flow, built on first use, and every tag is a copy of
+it.  Both ends of a pair share one config, so each flow key is derived
+once per pair.
+
 Key material is *secret*: the taint policy registers ``root_key`` /
 ``mac_key`` / ``auth_key`` parameters as sources (docs/TAINT.md), and
 every ``__repr__`` here redacts.
@@ -20,7 +25,9 @@ every ``__repr__`` here redacts.
 from __future__ import annotations
 
 import hashlib
+from typing import Any, Dict
 
+from repro.protocol.wire import TAG_SIZE
 from repro.sweep.spec import canonical_json
 
 #: Accepted root/flow key lengths in bytes (inclusive).  BLAKE2b keyed
@@ -74,26 +81,6 @@ def derive_flow_key(root_key: bytes, flow: int) -> bytes:
     return digest
 
 
-class KeyChain:
-    """Memoising per-flow key derivation from one root key."""
-
-    def __init__(self, root_key: bytes) -> None:
-        self._root_key = _check_key(root_key, "root_key")
-        self._flow_keys: dict = {}
-
-    def flow_key(self, flow: int) -> bytes:
-        key = self._flow_keys.get(flow)
-        if key is None:
-            key = derive_flow_key(self._root_key, flow)
-            self._flow_keys[flow] = key
-        return key
-
-    def __repr__(self) -> str:
-        # Key material must never leak through logs or pytest output
-        # (docs/TAINT.md); describe the chain, not its bytes.
-        return f"KeyChain(flows={sorted(self._flow_keys)})"
-
-
 class AuthConfig:
     """Configuration for the authenticated-share layer.
 
@@ -106,7 +93,45 @@ class AuthConfig:
 
     def __init__(self, root_key: bytes) -> None:
         self.root_key = _check_key(root_key, "root_key")
+        #: flow id -> the keyed BLAKE2b state of that flow's tags, built
+        #: on first lookup: one entry per flow this config tags.  Every
+        #: :class:`~repro.protocol.auth.ShareAuthenticator` on this config
+        #: shares it, and tags a copy; nothing updates a stored state.
+        self.flow_states: _FlowStates = _FlowStates(self.root_key)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Hash states neither pickle nor belong in a copy: the copy
+        # rebuilds its own from the root key.
+        return {"root_key": self.root_key}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__init__(state["root_key"])
 
     def __repr__(self) -> str:
         # Redacted: the root key is the deployment's whole secret.
         return f"AuthConfig(root_key=<{len(self.root_key)} bytes>)"
+
+
+class _FlowStates(dict):
+    """flow id -> keyed BLAKE2b state over that flow's key.
+
+    A lookup of a new flow derives its key and builds the state; the key
+    lives only inside the state.
+    """
+
+    __slots__ = ("_root_key",)
+
+    def __init__(self, root_key: bytes) -> None:
+        super().__init__()
+        self._root_key = root_key
+
+    def __missing__(self, flow: int) -> Any:
+        state = hashlib.blake2b(
+            key=derive_flow_key(self._root_key, flow), digest_size=TAG_SIZE
+        )
+        self[flow] = state
+        return state
+
+    def __repr__(self) -> str:
+        # Name the flows, never the states (docs/TAINT.md).
+        return f"FlowStates(flows={sorted(self)})"

@@ -7,6 +7,11 @@ truncated to :data:`repro.protocol.wire.TAG_SIZE` bytes, over the share
     tag = BLAKE2b(key=flow_key, digest_size=TAG_SIZE)(
         scheme_id || seq || index || k || m || flow || data)
 
+Each tag is computed on a copy of the flow's keyed state
+(:attr:`AuthConfig.flow_states`), fed the bound fields and then the body:
+an incremental update gives the same digest as the one-shot keyed hash,
+so the key is set up once per flow instead of once per tag.
+
 Binding the header fields means an adversary cannot cut a validly-tagged
 share loose and replant it under another sequence number, index, flow or
 scheme -- the replay/forge primitives in :mod:`repro.adversary.active`
@@ -21,11 +26,10 @@ see :func:`repro.sharing.robust.reconstruct_with_erasures`.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import struct
 
-from repro.protocol.auth.keys import AuthConfig, KeyChain
+from repro.protocol.auth.keys import AuthConfig
 from repro.protocol.wire import TAG_SIZE
 from repro.sharing.base import Share
 
@@ -34,30 +38,22 @@ from repro.sharing.base import Share
 _BIND = struct.Struct(">BQBBBI")
 
 
-def compute_tag(
-    mac_key: bytes, scheme_id: int, seq: int, index: int, k: int, m: int,
-    flow: int, data: bytes,
-) -> bytes:
-    """The truncated keyed-BLAKE2b tag for one share in its slot."""
-    bound = _BIND.pack(scheme_id, seq, index, k, m, flow) + data
-    return hashlib.blake2b(bound, key=mac_key, digest_size=TAG_SIZE).digest()
-
-
 class ShareAuthenticator:
     """Tags and verifies shares with per-flow keys from one root key."""
 
     def __init__(self, config: AuthConfig) -> None:
         self.config = config
-        self._chain = KeyChain(config.root_key)
+        self._states = config.flow_states
 
     def tag(
         self, flow: int, seq: int, share: Share, scheme_id: int
     ) -> bytes:
         """The wire tag for ``share`` carried as (flow, seq, index)."""
-        return compute_tag(
-            self._chain.flow_key(flow), scheme_id, seq,
-            share.index, share.k, share.m, flow, share.data,
-        )
+        index, data, k, m = share
+        mac = self._states[flow].copy()
+        mac.update(_BIND.pack(scheme_id, seq, index, k, m, flow))
+        mac.update(data)
+        return mac.digest()
 
     def verify(
         self, flow: int, seq: int, share: Share, scheme_id: int, tag: bytes

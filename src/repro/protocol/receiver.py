@@ -252,18 +252,17 @@ class ReassemblyBuffer:
             except WireFormatError:
                 self.stats.decode_errors += 1
                 return
-            seq, index, k, m = header.seq, header.index, header.k, header.m
-            flow = header.flow
+            scheme_id, seq, index, k, m, flow, tag = header
         self.stats.shares_received += 1
 
         if self.authenticator is not None and not self.synthetic:
-            if not self.authenticator.verify(flow, seq, share, header.scheme_id, header.tag):
+            if not self.authenticator.verify(flow, seq, share, scheme_id, tag):
                 # Verify before reassembly: an unverified share never opens
                 # or fills an entry (a forged-header flood must not pin
                 # table slots).  If the symbol is already open, the failed
                 # index becomes an erasure -- a known-bad position for the
                 # decoder -- cleared again if a verified copy arrives.
-                if header.tag is None:
+                if tag is None:
                     self.stats.auth_missing_shares += 1
                 else:
                     self.stats.auth_failed_shares += 1

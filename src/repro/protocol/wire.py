@@ -95,11 +95,17 @@ FLAG_AUTH = 0x02
 TAG_SIZE = 16
 _STRUCT = struct.Struct(">HBBQBBBB")
 _FLOW_STRUCT = struct.Struct(">I")
+#: The whole header of each tagged or flow-carrying layout, packed in one
+#: call: the fixed header, then the flow id and/or the tag.
+_FLOW_HEADER = struct.Struct(">HBBQBBBBI")
+_AUTH_HEADER = struct.Struct(f">HBBQBBBB{TAG_SIZE}s")
+_AUTH_FLOW_HEADER = struct.Struct(f">HBBQBBBBI{TAG_SIZE}s")
 #: Largest flow id the 4-byte extension can carry.
 MAX_FLOW = 2**32 - 1
 
 #: Magic for resilience control packets (0x5243, "RC").
 CONTROL_MAGIC = 0x5243
+_CONTROL_MAGIC_BYTES = CONTROL_MAGIC.to_bytes(2, "big")
 #: Control message types.
 CTRL_PROBE = 1
 CTRL_PROBE_ACK = 2
@@ -117,6 +123,11 @@ _CTRL_NACK_V2_STRUCT = struct.Struct(">HBBIQBBB")
 SCHEME_IDS = {"shamir-gf256": 1, "xor-perfect": 2, "blakley-gfp": 3}
 SCHEME_IDS.update({f"ramp-gf256-L{L}": 16 + L for L in range(2, 17)})
 SCHEME_NAMES = {v: k for k, v in SCHEME_IDS.items()}
+
+
+#: Builds a record from a tuple of already-checked fields, skipping the
+#: record's own constructor.
+_new_record = tuple.__new__
 
 
 class WireFormatError(Exception):
@@ -181,36 +192,34 @@ def encode_share(
     Raises:
         ValueError: for out-of-range fields or unknown scheme names.
     """
-    if scheme_name not in SCHEME_IDS:
+    scheme_id = SCHEME_IDS.get(scheme_name)
+    if scheme_id is None:
         raise ValueError(f"unknown scheme {scheme_name!r}")
     if not 0 <= seq < 2**64:
         raise ValueError(f"sequence number out of range: {seq}")
     if not 0 <= flow <= MAX_FLOW:
         raise ValueError(f"flow id out of range: {flow}")
-    if not 1 <= share.index <= 255 or not 1 <= share.k <= 255 or not 1 <= share.m <= 255:
+    index, data, k, m = share
+    if not 1 <= index <= 255 or not 1 <= k <= 255 or not 1 <= m <= 255:
         raise ValueError(
-            f"header fields out of range: index={share.index}, k={share.k}, m={share.m}"
+            f"header fields out of range: index={index}, k={k}, m={m}"
         )
-    if tag is not None and len(tag) != TAG_SIZE:
-        raise ValueError(f"tag must be {TAG_SIZE} bytes, got {len(tag)}")
     if tag is not None:
-        flags = FLAG_AUTH | (FLAG_FLOW if flow != 0 else 0)
-        header = _STRUCT.pack(
-            _MAGIC, _VERSION_AUTH, SCHEME_IDS[scheme_name], seq,
-            share.index, share.k, share.m, flags,
-        )
-        extension = _FLOW_STRUCT.pack(flow) if flow != 0 else b""
-        return header + extension + tag + share.data
+        if len(tag) != TAG_SIZE:
+            raise ValueError(f"tag must be {TAG_SIZE} bytes, got {len(tag)}")
+        if flow == 0:
+            return _AUTH_HEADER.pack(
+                _MAGIC, _VERSION_AUTH, scheme_id, seq, index, k, m, FLAG_AUTH, tag
+            ) + data
+        return _AUTH_FLOW_HEADER.pack(
+            _MAGIC, _VERSION_AUTH, scheme_id, seq, index, k, m,
+            FLAG_AUTH | FLAG_FLOW, flow, tag,
+        ) + data
     if flow == 0:
-        header = _STRUCT.pack(
-            _MAGIC, _VERSION, SCHEME_IDS[scheme_name], seq, share.index, share.k, share.m, 0
-        )
-        return header + share.data
-    header = _STRUCT.pack(
-        _MAGIC, _VERSION_FLOW, SCHEME_IDS[scheme_name], seq,
-        share.index, share.k, share.m, FLAG_FLOW,
-    )
-    return header + _FLOW_STRUCT.pack(flow) + share.data
+        return _STRUCT.pack(_MAGIC, _VERSION, scheme_id, seq, index, k, m, 0) + data
+    return _FLOW_HEADER.pack(
+        _MAGIC, _VERSION_FLOW, scheme_id, seq, index, k, m, FLAG_FLOW, flow
+    ) + data
 
 
 def decode_share(packet: bytes) -> Tuple[ShareHeader, Share]:
@@ -227,28 +236,40 @@ def decode_share(packet: bytes) -> Tuple[ShareHeader, Share]:
         WireFormatError: for truncated packets, bad magic, unsupported
             versions, or a share index outside 1..m.
     """
-    if len(packet) < HEADER_SIZE:
-        raise WireFormatError(f"packet of {len(packet)} bytes is shorter than the header")
+    size = len(packet)
+    if size < HEADER_SIZE:
+        raise WireFormatError(f"packet of {size} bytes is shorter than the header")
     try:
         magic, version, scheme_id, seq, index, k, m, flags = _STRUCT.unpack_from(packet)
     except struct.error as exc:  # belt and braces: adversarial bytes never
         raise WireFormatError(str(exc)) from exc  # escape as struct.error
     if magic != _MAGIC:
         raise WireFormatError(f"bad magic 0x{magic:04x}")
-    if version not in (_VERSION, _VERSION_FLOW, _VERSION_AUTH):
+    # The extensions, as share_layout reads them: the flow id, then the tag.
+    if version == _VERSION:
+        flow, tag, offset = 0, None, HEADER_SIZE
+    elif version == _VERSION_FLOW or version == _VERSION_AUTH:
+        has_flow = flags & FLAG_FLOW
+        tag_at = FLOW_HEADER_SIZE if has_flow else HEADER_SIZE
+        has_tag = version == _VERSION_AUTH and flags & FLAG_AUTH
+        offset = tag_at + TAG_SIZE if has_tag else tag_at
+        if size < offset:
+            raise WireFormatError(
+                f"packet of {size} bytes is shorter than its {offset}-byte header"
+            )
+        flow = _FLOW_STRUCT.unpack_from(packet, HEADER_SIZE)[0] if has_flow else 0
+        tag = packet[tag_at:offset] if has_tag else None
+    else:
         raise WireFormatError(f"unsupported version {version}")
-    flow_at, tag_at, offset = share_layout(version, flags)
-    if len(packet) < offset:
-        raise WireFormatError(
-            f"packet of {len(packet)} bytes is shorter than its {offset}-byte header"
-        )
-    flow = 0 if flow_at is None else _FLOW_STRUCT.unpack_from(packet, flow_at)[0]
-    tag = None if tag_at is None else packet[tag_at:offset]
-    try:
-        share = Share(index, packet[offset:], k, m)
-    except ValueError as exc:
-        raise WireFormatError(str(exc)) from exc
-    return ShareHeader(scheme_id, seq, index, k, m, flow, tag), share
+    # Share's own checks, run once here so both records are built as is.
+    if not 1 <= k <= m:
+        raise WireFormatError(f"invalid threshold parameters k={k}, m={m}")
+    if not 1 <= index <= m:
+        raise WireFormatError(f"share index {index} outside 1..{m}")
+    return (
+        _new_record(ShareHeader, (scheme_id, seq, index, k, m, flow, tag)),
+        _new_record(Share, (index, packet[offset:], k, m)),
+    )
 
 
 # -- resilience control messages ---------------------------------------------------
@@ -332,7 +353,7 @@ def encode_nack(seq: int, k: int, m: int, have: Iterable[int], flow: int = 0) ->
 
 def is_control(packet: bytes) -> bool:
     """Whether ``packet`` starts with the control magic."""
-    return len(packet) >= 2 and int.from_bytes(packet[:2], "big") == CONTROL_MAGIC
+    return packet[:2] == _CONTROL_MAGIC_BYTES
 
 
 def decode_control(packet: bytes) -> ControlMessage:

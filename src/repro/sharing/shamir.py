@@ -42,6 +42,11 @@ from repro.sharing.base import (
 )
 
 
+#: Builds a :class:`Share` from fields already checked, skipping its
+#: constructor's checks.
+_new_share = tuple.__new__
+
+
 def _share_rows(group: Sequence[Share]) -> Tuple[Tuple[int, ...], List[bytes]]:
     """The indices and payloads of ``group``, as the row kernels take them.
 
@@ -108,9 +113,11 @@ class ShamirScheme(SecretSharingScheme):
             secret = memoryview(secret).tobytes()
         # Row 0 is the secret; rows 1..k-1 are uniform random bytes.
         rows = [secret, *_random_rows(rng, k - 1, len(secret))]
-        # Row x-1 of the evaluation is share x of every byte.
+        # Row x-1 of the evaluation is share x of every byte.  The indices
+        # run 1..m and (k, m) passed validate_parameters, which is all
+        # Share's constructor would check, so the shares are built as is.
         evaluations = eval_poly_at_points(rows, range(1, m + 1))
-        return [Share(x, evaluations[x - 1], k, m) for x in range(1, m + 1)]
+        return [_new_share(Share, (x, row, k, m)) for x, row in enumerate(evaluations, 1)]
 
     def reconstruct(self, shares: Sequence[Share]) -> bytes:
         k = check_share_group(shares)

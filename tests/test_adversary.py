@@ -212,6 +212,28 @@ class TestSymbolKeys:
         assert adversary.compromised == {(0, 4): b""}
 
 
+class TestRepeatedIndices:
+    """A repair can resend one share index, and the tap can capture both copies."""
+
+    def test_a_repeated_index_does_not_block_reconstruction(self):
+        engine, link, adversary = tapped_link()
+        first, second = TestSymbolKeys().packets(1)
+        send_shares(engine, link, [first, first])
+        assert adversary.compromised == {}
+        send_shares(engine, link, [second])
+        assert adversary.compromised == {(1, 0): TestSymbolKeys.SECRETS[1]}
+
+    def test_a_repeated_synthetic_index_counts_once(self):
+        engine, link, adversary = tapped_link()
+        for index in (1, 1):
+            link.send(Datagram(size=20, meta={"seq": 3, "k": 2, "index": index}))
+        engine.run()
+        assert adversary.compromised == {}
+        link.send(Datagram(size=20, meta={"seq": 3, "k": 2, "index": 2}))
+        engine.run()
+        assert adversary.compromised == {(0, 3): b""}
+
+
 class TestMonteCarloEstimators:
     def test_subset_estimates_match_formulas(self, five_channels, rng):
         estimate = estimate_subset_properties(five_channels, 3, [0, 1, 2, 3], rng, samples=150_000)

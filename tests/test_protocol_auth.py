@@ -9,14 +9,15 @@ version 3, and auth-off frames stay byte-identical to the pre-auth
 goldens pinned here as hex.
 """
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.protocol.auth import (
     AuthConfig,
-    KeyChain,
     ShareAuthenticator,
-    compute_tag,
     derive_flow_key,
     derive_root_key,
 )
@@ -24,6 +25,7 @@ from repro.protocol.auth.keys import MAX_KEY_SIZE, MIN_KEY_SIZE
 from repro.protocol.wire import SCHEME_IDS, TAG_SIZE, decode_share, encode_share
 from repro.sharing.base import Share
 from repro.sharing.shamir import ShamirScheme
+from tests.auth_oracle import compute_tag
 
 scheme = ShamirScheme()
 SCHEME_ID = SCHEME_IDS[scheme.name]
@@ -44,15 +46,17 @@ class TestKeyDerivation:
         assert derive_root_key(7) != derive_root_key(8)
 
     def test_flow_key_is_deterministic_and_order_free(self):
-        # Deriving flow 3 before or after flow 1 yields the same bytes:
-        # derivation depends only on the (root, flow) identity, which is
-        # what makes fleet shards agree (docs/AUTH.md).
-        chain_a = KeyChain(ROOT)
-        chain_b = KeyChain(ROOT)
-        first = (chain_a.flow_key(1), chain_a.flow_key(3))
-        second = (chain_b.flow_key(3), chain_b.flow_key(1))
-        assert first == (second[1], second[0])
-        assert chain_a.flow_key(1) == derive_flow_key(ROOT, 1)
+        # Building flow 3's keyed state before or after flow 1's yields
+        # the same states: derivation depends only on the (root, flow)
+        # identity, which is what makes fleet shards agree (docs/AUTH.md).
+        # A state's key cannot be read back, so compare what it digests.
+        states_a = AuthConfig(root_key=ROOT).flow_states
+        states_b = AuthConfig(root_key=ROOT).flow_states
+        first = [states_a[flow].copy().digest() for flow in (1, 3)]
+        second = [states_b[flow].copy().digest() for flow in (3, 1)]
+        assert first == second[::-1]
+        keyed = hashlib.blake2b(key=derive_flow_key(ROOT, 1), digest_size=TAG_SIZE)
+        assert states_a[1].copy().digest() == keyed.digest()
 
     def test_flow_keys_isolate_flows(self):
         keys = {derive_flow_key(ROOT, flow) for flow in range(16)}
@@ -87,12 +91,20 @@ class TestAuthConfig:
         assert ROOT.hex() not in text
         assert "32 bytes" in text
 
-    def test_keychain_repr_redacts(self):
-        chain = KeyChain(ROOT)
-        chain.flow_key(4)
-        text = repr(chain)
-        assert ROOT.hex() not in text
-        assert chain.flow_key(4).hex() not in text
+    def test_populated_config_repr_redacts_and_pickles_without_states(self):
+        config = AuthConfig(root_key=ROOT)
+        ShareAuthenticator(config).tag(4, 0, make_share(), SCHEME_ID)
+        assert list(config.flow_states) == [4]
+        for text in (repr(config), repr(config.flow_states)):
+            assert ROOT.hex() not in text
+            assert derive_flow_key(ROOT, 4).hex() not in text
+        assert repr(config) == "AuthConfig(root_key=<32 bytes>)"
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy.root_key == ROOT
+        assert dict(copy.flow_states) == {}
+        assert ShareAuthenticator(copy).tag(4, 0, make_share(), SCHEME_ID) == (
+            ShareAuthenticator(config).tag(4, 0, make_share(), SCHEME_ID)
+        )
 
     def test_authenticator_repr_redacts(self):
         auth = ShareAuthenticator(AuthConfig(root_key=ROOT))
