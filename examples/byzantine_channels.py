@@ -6,13 +6,16 @@ to share *modification* by an adversary controlling a channel.  Shamir
 shares are Reed-Solomon codewords, so with 2e extra shares the receiver can
 correct e corruptions and even name the guilty channel.
 
-This example runs the protocol across four channels, one of which tampers
-with half the shares it carries, and compares plain k-of-m reconstruction
-against Byzantine-tolerant operation (``byzantine_tolerance=1``).
+This example runs the protocol across four channels, one of which an
+on-path attacker holds: it flips one byte in half the shares it carries
+(an attack plan's ``corrupt`` regime).  It compares plain k-of-m
+reconstruction against Byzantine-tolerant operation
+(``byzantine_tolerance=1``).
 
 Run:  python examples/byzantine_channels.py
 """
 
+from repro.adversary.active import AttackPlan
 from repro.core import ChannelSet
 from repro.netsim import RngRegistry
 from repro.protocol import PointToPointNetwork, ProtocolConfig
@@ -32,7 +35,10 @@ def run(byzantine_tolerance: int):
     )
     registry = RngRegistry(17)
     network = PointToPointNetwork(channels, symbol_size=256, rng_registry=registry)
-    network.duplex[TAMPER_CHANNEL].forward.set_corruption(TAMPER_PROBABILITY)
+    network.apply_attack(
+        AttackPlan().corrupt(0.0, rate=TAMPER_PROBABILITY, channel=TAMPER_CHANNEL),
+        registry,
+    )
     config = ProtocolConfig(
         kappa=2.0,
         mu=4.0,

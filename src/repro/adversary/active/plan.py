@@ -16,7 +16,8 @@ benign failures:
   jam, or one of the *strategic* attackers (the budget-bounded adaptive
   low-risk partitioner and the targeted symbol corruptor);
 * an :class:`AttackPlan` is an ordered timeline of events, built fluently
-  or parsed from a JSON spec (the CLI's ``repro attack``);
+  or parsed from a JSON spec (:meth:`AttackPlan.from_json`; the CLI's
+  ``repro attack`` takes no plan file, it runs the canonical scenarios);
 * an :class:`~repro.adversary.active.engine.AttackInjector` schedules the
   plan on the event engine and applies each event through per-link attack
   state, recording every applied event so reports can attribute damage.

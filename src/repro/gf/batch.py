@@ -82,8 +82,8 @@ MUL_TABLE.setflags(write=False)
 MUL_ROWS = tuple([row.tobytes() for row in MUL_TABLE])
 
 #: Rows shorter than this many bytes XOR as Python ints, rows this long or
-#: longer in numpy: where the two engines' kernel calls cost the same
-#: (docs/MODEL.md, "Two XOR engines").
+#: longer in numpy: the shortest measured row at which no kernel call is
+#: slower on numpy (docs/MODEL.md, "Two XOR engines").
 XOR_CROSSOVER = 256
 
 

@@ -12,11 +12,16 @@ from repro.gf.field import Field
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 3.3e24.
+    """Miller-Rabin test with the twelve prime witnesses 2..37.
 
-    The witness set {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37} is known to
-    be sufficient for all 64-bit (and somewhat larger) integers, which covers
-    every modulus this library constructs.
+    Exact for n < 318665857834031151167461 (about 3.18e23): that number,
+    399165290221 * 798330580441, is the smallest composite passing all
+    twelve witnesses, and this function accepts it.  Above the bound the
+    answer means "strong probable prime to these twelve bases": a prime is
+    always accepted, a composite only if it is a strong pseudoprime to
+    every one of them.  The moduli this library builds lie above the
+    bound (``BlakleyScheme``'s default is the first such probable prime
+    above 256**65, 521 bits), so their primality is probable, not proven.
     """
     if n < 2:
         return False

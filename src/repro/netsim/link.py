@@ -48,7 +48,6 @@ class LinkStats:
     serialized: int = 0  # finished serialisation onto the wire
     loss_drops: int = 0  # dropped by the loss process (iid or burst model)
     delivered: int = 0  # handed to the receiver callback
-    corruptions: int = 0  # payloads tampered with in transit
     bytes_offered: int = 0
     bytes_delivered: int = 0
     down_drops: int = 0  # dropped before the wire: sends while down, queue flush, aborted serialisation
@@ -80,13 +79,12 @@ class Link:
         byte_rate: serialisation rate in bytes per unit time (> 0).
         loss: iid probability that a serialised packet is dropped.
         delay: propagation delay added to every surviving packet.
-        rng: random stream for the loss, jitter and corruption draws.
+        rng: random stream for the loss and jitter draws.
         queue_limit: queue capacity in packets; a send() arriving with the
             queue full is tail-dropped.
         name: label used in traces.
 
-    A link starts with no jitter and no corruption; :meth:`set_jitter` and
-    :meth:`set_corruption` turn them on.
+    A link starts with no jitter; :meth:`set_jitter` turns it on.
     """
 
     def __init__(
@@ -112,7 +110,6 @@ class Link:
         self.loss = loss
         self.delay = delay
         self.jitter = 0.0
-        self.corruption = 0.0
         self.rng = rng
         self.queue_limit = queue_limit
         self.name = name
@@ -127,12 +124,12 @@ class Link:
         self._receiver: Optional[Callable[[Datagram], None]] = None
         self._writable_watchers: "list[Callable[[], None]]" = []
         self._transmit_watchers: "list[Callable[[Datagram], None]]" = []
-        #: On-path adversary hook consulted on every delivery, *after* the
-        #: benign corruption model and right before the receiver callback.
-        #: It may pass the datagram through unchanged, substitute a
-        #: mutated copy, or return None to swallow it (e.g. to hold it for
-        #: delayed, reordered re-injection via :meth:`inject`).  Installed
-        #: by :class:`repro.adversary.active.engine.AttackInjector`.
+        #: On-path adversary hook consulted on every delivery, right before
+        #: the receiver callback.  It may pass the datagram through
+        #: unchanged, substitute a mutated copy, or return None to swallow
+        #: it (e.g. to hold it for delayed, reordered re-injection via
+        #: :meth:`inject`).  Installed by
+        #: :class:`repro.adversary.active.engine.AttackInjector`.
         self.attack_tap: Optional[Callable[[Datagram], Optional[Datagram]]] = None
 
     def set_receiver(self, callback: Callable[[Datagram], None]) -> None:
@@ -273,17 +270,6 @@ class Link:
             raise ValueError(f"jitter must be nonnegative, got {jitter}")
         self.jitter = jitter
 
-    def set_corruption(self, corruption: float) -> None:
-        """Change the per-delivery tamper probability.
-
-        A delivered packet's payload is tampered with (one byte flipped)
-        with this probability -- the Byzantine channel of the PSMT threat
-        model.  Applies only to packets carrying real payloads.
-        """
-        if not 0.0 <= corruption <= 1.0:
-            raise ValueError(f"corruption must be a probability, got {corruption}")
-        self.corruption = corruption
-
     def set_loss_model(self, model: Optional[LossModel]) -> None:
         """Install (or with None remove) a pluggable loss process.
 
@@ -340,14 +326,6 @@ class Link:
             return
         self.stats.delivered += 1
         self.stats.bytes_delivered += datagram.size
-        if (
-            self.corruption > 0.0
-            and datagram.payload is not None
-            and len(datagram.payload) > 0
-            and self.rng.random() < self.corruption
-        ):
-            datagram = self._tamper(datagram)
-            self.stats.corruptions += 1
         if self.attack_tap is not None:
             tapped = self.attack_tap(datagram)
             if tapped is None:
@@ -369,18 +347,6 @@ class Link:
             return False
         self._receiver(datagram)
         return True
-
-    def _tamper(self, datagram: Datagram) -> Datagram:
-        """Flip one payload byte (never a no-op: XOR with a nonzero value)."""
-        payload = bytearray(datagram.payload)
-        position = int(self.rng.integers(0, len(payload)))
-        payload[position] ^= int(self.rng.integers(1, 256))
-        return Datagram(
-            size=datagram.size,
-            payload=bytes(payload),
-            sent_at=datagram.sent_at,
-            meta=datagram.meta,
-        )
 
 
 class DuplexChannel:

@@ -20,11 +20,10 @@ seeding counts as set-up rather than run: a
 has more than one atom, and every :class:`RandomBytes`.  Seeding every
 stream at its first draw instead moved that cost into the timed run: on
 the ledger's ``fleet_synth`` workload (2-core VM) it cut ``setup_s`` by
-81% but lost 4.4% of ``flows_per_s``.  A link whose loss, jitter or
-corruption a fault or an attack sets later seeds at its first draw, and
-so does a sender's pad, which the sender wraps at its first split, and
-each link's attack stream, which the attack injector wraps at that
-link's first draw.
+81% but lost 4.4% of ``flows_per_s``.  A link whose loss or jitter a
+fault sets later seeds at its first draw, and so does a sender's pad,
+which the sender wraps at its first split, and each link's attack
+stream, which the attack injector wraps at that link's first draw.
 
 A stream with one owner that draws only ``bytes``, ``integers(low,
 high)`` and ``random()`` (the sender's share pad, a workload's payloads,
@@ -39,8 +38,8 @@ half-word in its buffer.  A refill is sized from the request that needs
 it: eight requests' worth at first, then twice the unread words it
 leaves, up to a 1024-word block.  A fleet flow's eight 64-byte payloads
 so cost one 512-byte draw, and a long-lived stream reaches whole blocks
-after a few refills.  Link loss, jitter and corruption draws stay on the
-generator's own methods (``uniform`` is not modelled).
+after a few refills.  Link loss and jitter draws stay on the generator's
+own methods (``uniform`` is not modelled).
 """
 
 from __future__ import annotations

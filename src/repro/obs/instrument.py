@@ -12,6 +12,8 @@ Instrumentation comes in two flavours, chosen per metric by cost:
   :class:`~repro.protocol.sender.SenderStats`, ...); a *collector*
   registered on the registry copies them into instruments only when a
   snapshot is taken.  Pull sites cost nothing while the simulation runs.
+  Every field of such a record is exported as ``<prefix>_<field>_total``
+  (:func:`_stats_exporter`); no metric name is kept by hand.
 
 The full metric catalogue and naming convention live in
 ``docs/OBSERVABILITY.md``.
@@ -124,37 +126,40 @@ def instrument_engine(obs: Observability, engine) -> None:
     registry.register_collector(collect)
 
 
-# -- links ------------------------------------------------------------------------
+# -- stats records ----------------------------------------------------------------
 
-#: LinkStats field -> exported counter name.
-_LINK_COUNTERS = {
-    "offered": "sim_link_offered_total",
-    "queue_drops": "sim_link_queue_drops_total",
-    "serialized": "sim_link_serialized_total",
-    "loss_drops": "sim_link_loss_drops_total",
-    "delivered": "sim_link_delivered_total",
-    "corruptions": "sim_link_corruptions_total",
-    "bytes_offered": "sim_link_tx_bytes_total",
-    "bytes_delivered": "sim_link_rx_bytes_total",
-    "down_drops": "sim_link_down_drops_total",
-    "down_losses": "sim_link_down_losses_total",
-    "downs": "sim_link_downs_total",
-    "ups": "sim_link_ups_total",
-}
+
+def _stats_exporter(registry: MetricsRegistry, prefix: str, owner, **labels: str):
+    """One ``<prefix>_<field>_total`` counter per field of ``owner.stats``.
+
+    The one naming rule for every plain-int stats record: a metric is
+    named after its field, so a new field is exported with no change
+    here.  Returns the collector step that copies the fields in.
+    """
+    counters = [
+        (field.name, registry.counter(f"{prefix}_{field.name}_total", **labels))
+        for field in fields(owner.stats)
+    ]
+
+    def copy_stats() -> None:
+        stats = owner.stats
+        for name, counter in counters:
+            counter.value = float(getattr(stats, name))
+
+    return copy_stats
+
+
+# -- links ------------------------------------------------------------------------
 
 
 def _link_collector(registry: MetricsRegistry, link, channel: int, direction: str):
     labels = {"channel": str(channel), "direction": direction}
-    counters = {
-        field: registry.counter(name, **labels) for field, name in _LINK_COUNTERS.items()
-    }
+    copy_stats = _stats_exporter(registry, "sim_link", link, **labels)
     up_gauge = registry.gauge("sim_link_up", **labels)
     depth_gauge = registry.gauge("sim_link_queue_depth", **labels)
 
     def collect() -> None:
-        stats = link.stats
-        for field, counter in counters.items():
-            counter.value = float(getattr(stats, field))
+        copy_stats()
         up_gauge.set(1.0 if link.up else 0.0)
         depth_gauge.set(link.queue_depth)
 
@@ -182,37 +187,6 @@ def instrument_network(obs: Observability, network) -> None:
 
 # -- protocol nodes ---------------------------------------------------------------
 
-#: SenderStats field -> exported counter name (labelled by node).
-_SENDER_COUNTERS = {
-    "symbols_offered": "sim_sender_symbols_offered_total",
-    "symbols_sent": "sim_sender_symbols_sent_total",
-    "source_drops": "sim_sender_source_drops_total",
-    "shares_sent": "sim_sender_shares_total",
-    "share_send_failures": "sim_sender_share_send_failures_total",
-    "readiness_stalls": "sim_sender_readiness_stalls_total",
-    "auth_tagged_shares": "sim_sender_auth_tagged_total",
-}
-
-#: ReceiverStats field -> exported counter name (labelled by node).
-_RECEIVER_COUNTERS = {
-    "shares_received": "sim_receiver_shares_total",
-    "symbols_delivered": "sim_receiver_symbols_delivered_total",
-    "late_shares": "sim_receiver_late_shares_total",
-    "duplicate_shares": "sim_receiver_duplicate_shares_total",
-    "evicted_symbols": "sim_receiver_timeout_evictions_total",
-    "evicted_shares": "sim_receiver_evicted_shares_total",
-    "decode_errors": "sim_receiver_decode_errors_total",
-    "reconstruction_errors": "sim_receiver_reconstruction_errors_total",
-    "cpu_rejected_shares": "sim_receiver_cpu_rejected_total",
-    "corrupt_shares_detected": "sim_receiver_corrupt_shares_total",
-    "replayed_shares_dropped": "sim_receiver_replayed_shares_total",
-    "repair_extensions": "sim_receiver_repair_extensions_total",
-    "repair_recovered": "sim_receiver_repair_recovered_total",
-    "auth_verified_shares": "sim_receiver_auth_verified_total",
-    "auth_failed_shares": "sim_receiver_auth_failed_total",
-    "auth_missing_shares": "sim_receiver_auth_missing_total",
-}
-
 
 def instrument_node(obs: Observability, node) -> None:
     """Wire one :class:`~repro.protocol.remicss.RemicssNode`.
@@ -225,22 +199,14 @@ def instrument_node(obs: Observability, node) -> None:
     name = node.name
     sender, receiver = node.sender, node.receiver
 
-    sender_counters = {
-        field: registry.counter(metric, node=name)
-        for field, metric in _SENDER_COUNTERS.items()
-    }
+    copy_sender_stats = _stats_exporter(registry, "sim_sender", sender, node=name)
     backlog_gauge = registry.gauge("sim_sender_backlog", node=name)
-    receiver_counters = {
-        field: registry.counter(metric, node=name)
-        for field, metric in _RECEIVER_COUNTERS.items()
-    }
+    copy_receiver_stats = _stats_exporter(registry, "sim_receiver", receiver, node=name)
     pending_gauge = registry.gauge("sim_receiver_pending", node=name)
     pending_max_gauge = registry.gauge("sim_receiver_pending_max", node=name)
 
     def collect() -> None:
-        sender_stats = sender.stats
-        for field, counter in sender_counters.items():
-            counter.value = float(getattr(sender_stats, field))
+        copy_sender_stats()
         backlog_gauge.set(sender.backlog)
         for channel, shares in enumerate(sender.shares_per_channel):
             registry.counter(
@@ -253,9 +219,7 @@ def instrument_node(obs: Observability, node) -> None:
             registry.counter(
                 "sim_sender_schedule_picks_total", node=name, k=str(k), m=str(m)
             ).value = float(picks)
-        receiver_stats = receiver.stats
-        for field, counter in receiver_counters.items():
-            counter.value = float(getattr(receiver_stats, field))
+        copy_receiver_stats()
         pending_gauge.set(receiver.pending)
         pending_max_gauge.set(receiver.max_pending)
         for channel, fails in sorted(receiver.auth_fail_by_channel.items()):
@@ -280,7 +244,7 @@ def instrument_node(obs: Observability, node) -> None:
 # -- fault and attack timelines ----------------------------------------------------
 
 #: Timeline kind -> (applied-events counter, plan-size gauge, prefix of the
-#: counters exported from the injector's ``stats`` fields, if it keeps any).
+#: counters exported from the injector's ``stats`` record, if it keeps one).
 _TIMELINE_METRICS = {
     "fault": ("sim_fault_events_total", "sim_fault_plan_events", None),
     "attack": ("adv_events_applied_total", "adv_plan_events", "adv"),
@@ -297,18 +261,15 @@ def instrument_timeline(obs: Observability, injector) -> None:
     """
     registry = obs.registry
     events_metric, plan_metric, stats_prefix = _TIMELINE_METRICS[injector.KIND]
-    stat_counters = {}
+    copy_stats = None
     if stats_prefix is not None:
-        stat_counters = {
-            field.name: registry.counter(f"{stats_prefix}_{field.name}_total")
-            for field in fields(injector.stats)
-        }
+        copy_stats = _stats_exporter(registry, stats_prefix, injector)
     plan_gauge = registry.gauge(plan_metric)
     injector.tracer = obs.tracer
 
     def collect() -> None:
-        for field, counter in stat_counters.items():
-            counter.value = float(getattr(injector.stats, field))
+        if copy_stats is not None:
+            copy_stats()
         for action, count in injector.summary()["by_action"].items():
             registry.counter(events_metric, action=action).value = float(count)
         plan_gauge.set(len(injector.plan))
@@ -317,23 +278,6 @@ def instrument_timeline(obs: Observability, injector) -> None:
 
 
 # -- resilience -------------------------------------------------------------------
-
-#: ResilienceStats field -> exported counter name (docs/RESILIENCE.md).
-_RESILIENCE_COUNTERS = {
-    "quarantines": "sim_resilience_quarantines_total",
-    "reinstatements": "sim_resilience_reinstatements_total",
-    "failovers": "sim_resilience_failovers_total",
-    "restores": "sim_resilience_restores_total",
-    "degraded_entries": "sim_resilience_degraded_total",
-    "probes_sent": "sim_resilience_probes_sent_total",
-    "probe_acks_sent": "sim_resilience_probe_acks_sent_total",
-    "probe_acks_received": "sim_resilience_probe_acks_received_total",
-    "nacks_sent": "sim_repair_nacks_total",
-    "nacks_received": "sim_repair_nacks_received_total",
-    "repair_shares_sent": "sim_repair_shares_sent_total",
-    "repair_shares_dropped": "sim_repair_shares_dropped_total",
-    "control_decode_errors": "sim_resilience_control_decode_errors_total",
-}
 
 
 def instrument_resilience(obs: Observability, manager) -> None:
@@ -348,10 +292,7 @@ def instrument_resilience(obs: Observability, manager) -> None:
     from repro.protocol.resilience.manager import STATE_ORDINALS
 
     registry = obs.registry
-    counters = {
-        field: registry.counter(metric)
-        for field, metric in _RESILIENCE_COUNTERS.items()
-    }
+    copy_stats = _stats_exporter(registry, "sim_resilience", manager)
     state_gauges = [
         registry.gauge("sim_resilience_channel_state", channel=str(channel))
         for channel in range(len(manager.guards))
@@ -362,9 +303,7 @@ def instrument_resilience(obs: Observability, manager) -> None:
     ]
 
     def collect() -> None:
-        stats = manager.stats
-        for field, counter in counters.items():
-            counter.value = float(getattr(stats, field))
+        copy_stats()
         for channel, guard in enumerate(manager.guards):
             state_gauges[channel].set(float(STATE_ORDINALS[guard.state]))
             loss_gauges[channel].set(manager.health.channel(channel).loss_ewma)

@@ -142,9 +142,9 @@ class PointToPointNetwork:
         rng_registry: random streams for per-link loss draws.
         queue_limit: per-link queue capacity in packets.
 
-    Links start with no jitter and no corruption; fault and attack plans
-    (:meth:`apply_faults`, :meth:`apply_attack`) or direct
-    :class:`~repro.netsim.link.Link` setters change them mid-run.
+    Links start with no jitter; fault and attack plans (:meth:`apply_faults`,
+    :meth:`apply_attack`) or direct :class:`~repro.netsim.link.Link`
+    setters change them mid-run.
     """
 
     def __init__(

@@ -12,12 +12,14 @@ graded secrecy guarantee:
 * between ``k − L + 1`` and ``k − 1`` shares, *partial* information leaks
   (an L-fold reduction of the candidate space per extra share).
 
-With ``L = 1`` this degenerates to exactly Shamir's scheme.  The scheme
-exists in this library to quantify the paper's rate assumption: plugging a
-ramp scheme into the protocol multiplies the achievable source-symbol rate
-by L while weakening the privacy semantics from "κ − 1 interceptions leak
-nothing" to "κ − L interceptions leak nothing" -- an ablation checked
-end to end in ``tests/test_integration.py`` (L = 2 nearly doubles goodput).
+``L = 1`` would be Shamir's scheme plus a length prefix; that scheme is
+:class:`~repro.sharing.shamir.ShamirScheme`, so a ramp has ``L >= 2``.
+The scheme exists in this library to quantify the paper's rate
+assumption: plugging a ramp scheme into the protocol multiplies the
+achievable source-symbol rate by L while weakening the privacy semantics
+from "κ − 1 interceptions leak nothing" to "κ − L interceptions leak
+nothing" -- an ablation checked end to end in
+``tests/test_integration.py`` (L = 2 nearly doubles goodput).
 
 Construction: for each byte position, a random polynomial of degree
 ``k − 1`` over GF(2^8) whose first L coefficients are the L secret block
@@ -84,7 +86,7 @@ class RampScheme(SecretSharingScheme):
     """(k, L, m) linear ramp sharing over GF(2^8).
 
     Args:
-        blocks: the ramp parameter L >= 1; shares are ~1/L of the secret
+        blocks: the ramp parameter L >= 2; shares are ~1/L of the secret
             size and k - L shares are information-theoretically useless.
 
     Notes:
@@ -96,10 +98,12 @@ class RampScheme(SecretSharingScheme):
     MAX_SHARES = 255
 
     def __init__(self, blocks: int = 2):
-        if blocks < 1:
-            raise ValueError(f"blocks must be at least 1, got {blocks}")
+        if blocks < 2:
+            raise ValueError(
+                f"blocks must be at least 2, got {blocks} (L = 1 is ShamirScheme)"
+            )
         self.blocks = blocks
-        self.name = "shamir-gf256" if blocks == 1 else f"ramp-gf256-L{blocks}"
+        self.name = f"ramp-gf256-L{blocks}"
 
     def supports(self, k: int, m: int) -> bool:
         return (

@@ -120,14 +120,14 @@ def run_iperf(
     obs: Optional[Observability] = None,
     resilience: bool = False,
     requirements: Optional[Requirements] = None,
-    auth: bool = False,
 ) -> IperfResult:
     """Run one iperf-style measurement and return its results.
 
     Args:
         channels: the channel set (its loss/delay/rate shape the links).
         config: protocol configuration (use ``share_synthetic=True`` for
-            pure rate/loss runs; they need no real share payloads).
+            pure rate/loss runs; they need no real share payloads).  Its
+            ``auth`` arms authenticated shares (docs/AUTH.md).
         offered_rate: source symbols offered per unit time.
         duration: measurement window length (unit times).
         warmup: time before the window opens (queues fill, rates settle).
@@ -155,18 +155,8 @@ def run_iperf(
         requirements: deployment bounds for the resilience layer's LP
             failover; without them failover masks the dynamic selector
             instead of re-planning.
-        auth: arm authenticated shares (docs/AUTH.md) under a root key
-            derived from ``seed``.  Overrides ``config.auth`` when set; an
-            explicit key goes in ``config.auth`` instead.  The config must
-            use real share payloads.
     """
     check_run_window(offered_rate, duration, warmup)
-    if auth:
-        from dataclasses import replace
-
-        from repro.protocol.auth import AuthConfig, derive_root_key
-
-        config = replace(config, auth=AuthConfig(root_key=derive_root_key(seed)))
     registry = RngRegistry(seed)
     network = PointToPointNetwork(channels, config.symbol_size, registry)
     engine = network.engine

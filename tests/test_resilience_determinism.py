@@ -85,9 +85,9 @@ class TestPinned:
         "scenario,modes,digest",
         [
             ("partition_heal", ["replanned", "restored"],
-             "b4eed8a32c8d02cbbe15a1d56d140975f959f9e58e8c8b5a683cd28bf7e56d12"),
+             "cb02f8139dce41f67cd388cae8d95c0506229c6a80020821d64d3aaa5cf37e8a"),
             ("burst", [],
-             "3c42574e7a2c23c7f47332151f69e0bfb4b06c7c9fc187e7576fff66e5c5ab0f"),
+             "9810462e8b5676589987c086330582baaeef81c4173d791fb0356759ce58030b"),
         ],
     )
     def test_serialization_digest(self, scenario, modes, digest):

@@ -28,14 +28,6 @@ class TestRoundtrip:
         for subset in combinations(shares, 3):
             assert scheme.reconstruct(list(subset)) == secret
 
-    def test_l_equals_one_matches_shamir_semantics(self):
-        scheme = RampScheme(blocks=1)
-        rng = np.random.default_rng(2)
-        secret = b"degenerate ramp"
-        shares = scheme.split(secret, 2, 4, rng)
-        assert scheme.reconstruct(shares[2:]) == secret
-        assert scheme.name == "shamir-gf256"
-
     def test_empty_secret(self):
         scheme = RampScheme(blocks=3)
         rng = np.random.default_rng(3)
@@ -51,7 +43,7 @@ class TestRoundtrip:
 
     @given(
         secret=st.binary(max_size=120),
-        blocks=st.integers(min_value=1, max_value=4),
+        blocks=st.integers(min_value=2, max_value=4),
         slack=st.integers(min_value=0, max_value=2),
         extra=st.integers(min_value=0, max_value=3),
     )
@@ -89,11 +81,11 @@ class TestSizeAdvantage:
 class TestSecrecy:
     def test_below_ramp_threshold_uniform(self):
         """With k - L shares, share bytes are uniform regardless of secret."""
-        scheme = RampScheme(blocks=1)  # k - L = 1 share reveals nothing
+        scheme = RampScheme(blocks=2)  # k - L = 1 share reveals nothing
         rng = np.random.default_rng(5)
         samples = []
         for _ in range(3000):
-            shares = scheme.split(b"\x00\x00", 2, 2, rng)
+            shares = scheme.split(b"\x00\x00", 3, 3, rng)
             samples.append(shares[0].data[0])
         assert abs(np.mean(samples) - 127.5) < 7.0
 
@@ -114,6 +106,12 @@ class TestValidation:
     def test_blocks_validation(self):
         with pytest.raises(ValueError):
             RampScheme(blocks=0)
+
+    def test_one_block_is_refused(self):
+        # L = 1 is ShamirScheme: a one-block ramp would pass as Shamir for
+        # robust decoding, which cannot strip the ramp's length prefix.
+        with pytest.raises(ValueError, match="ShamirScheme"):
+            RampScheme(blocks=1)
 
     def test_k_below_blocks_rejected(self):
         scheme = RampScheme(blocks=3)

@@ -138,6 +138,7 @@ class TestEndToEndByzantine:
     """A corrupting channel, end to end through the protocol."""
 
     def _run(self, corruption, byzantine_tolerance, kappa=2.0, mu=4.0, symbols=300):
+        from repro.adversary.active import AttackPlan
         from repro.core.channel import ChannelSet
         from repro.netsim.rng import RngRegistry
         from repro.protocol.config import ProtocolConfig
@@ -153,8 +154,11 @@ class TestEndToEndByzantine:
         network = PointToPointNetwork(channels, 100, registry)
         # Channel 0 is the Byzantine one (with identical channels the
         # receiver hears shares in index order, so channel 0 is always
-        # among the k fastest and its corruption actually matters).
-        network.duplex[0].forward.corruption = corruption
+        # among the k fastest and its corruption actually matters): an
+        # on-path attacker flips one byte of each share body it corrupts.
+        network.apply_attack(
+            AttackPlan().corrupt(0.0, rate=corruption, channel=0), registry
+        )
         config = ProtocolConfig(
             kappa=kappa, mu=mu, symbol_size=100,
             byzantine_tolerance=byzantine_tolerance,

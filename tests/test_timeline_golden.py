@@ -83,7 +83,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "ca2d8f6487eeebd2200d67b4ea9564b1300b06bf90b33e316b4098b3e2a20e18",
+            "metrics": "8568fca3dc9d5b9f7b9881991fcd37eef07082bb559161134b2f8956af93f5f2",
             "trace": "c5cf1c2cf0bce8992bc9875d317247a0c9f5d0023364a40107f8684d98d0e0d3",
         },
     },
@@ -93,7 +93,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "dba2817dd90ae57b383fc1ab5b8af1c9f5ce5e7a1aed01e1b60eef849a3827a7",
+            "metrics": "1be83fdc60d81af934601e50d21d7ed2b1c168059b1eb0f51a58915758ba5865",
             "trace": "7b56e6400204371b0f96d81c7e6247237200d58892de2f1f3084816fee980a2e",
         },
     },
@@ -103,7 +103,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "05bcf7111574f7ddb5c0e591669b4c0c4ebfd01a3e212f301c551fca215dd499",
+            "metrics": "1cd212f59eb1bd1f9637d4ca285414d33d67b3e867ee1ab0503b417946913d65",
             "trace": "cae39161ac41e3765543b0b377fe224192dbf7d86ca981d369eae0cfe74fe89f",
         },
     },
@@ -113,7 +113,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "1ad1b7c1d2ee686a4634bfed6af21e13c54e59b7598bfd026e929f82ee3e7ea4",
+            "metrics": "6bc6b022034bdf1f7b800fb09087d61478c7fe89643c04ef15226703fc4d8f85",
             "trace": "efdd249e978ea2fc56bc62e1a6bda87eff818dc349fca14b9f1f82677c87d9fd",
         },
     },
@@ -123,7 +123,7 @@ FAULT_GOLDENS = {
             "first_at": 3.0, "last_at": 8.0,
         },
         "digests": {
-            "metrics": "7245807362e909e48c8354a283093e468a6abe0c18b77c2e768c3c9ca89ffe97",
+            "metrics": "874c8ff9d9b8742a31544cab74b04591a05f2c0ccffc533bbbb1f5b3656ec2c5",
             "trace": "4535fafea538a126cbcb1b2cf318d1bfc7c9d79c7eabdcea1d14ed686c3f608f",
         },
     },
@@ -139,7 +139,7 @@ ATTACK_GOLDENS = {
             "stats": {**ZERO_STATS, "shares_corrupted": 523, "packets_captured": 1992},
         },
         "digests": {
-            "metrics": "b3f5de3d8bb14f08a818ce1c2bbe68fdfc5250b64b08498d71134e2b490844a0",
+            "metrics": "f58e193590e06fe5981b28d1b1165464405f7b2db6395977a1ca7228ca76841b",
             "trace": "2bfe1be3e93fc3b2469279a7ed1d64b54d7f869b2faebc218b8a8b30c4c0578c",
         },
     },
@@ -150,7 +150,7 @@ ATTACK_GOLDENS = {
             "stats": {**ZERO_STATS, "shares_forged": 95, "packets_captured": 1992},
         },
         "digests": {
-            "metrics": "785746afd5f733dd1f4890230fd331eab83e954f867b5dad63ee140ed75f484f",
+            "metrics": "154babdf6559c35740f898b43d4db9830848786f32c373bc4a779642ee30eaf5",
             "trace": "5d712b3c96d9f9c648e70d53facd2b4a7432df7b6aeed1067991b6f9699ffd06",
         },
     },
@@ -161,7 +161,7 @@ ATTACK_GOLDENS = {
             "stats": {**ZERO_STATS, "packets_replayed": 95, "packets_captured": 1992},
         },
         "digests": {
-            "metrics": "9504dcb00ea285fa81164449f4570970a71bce32024f778bb2168ee574368ceb",
+            "metrics": "fe98f72c3c0241d78be458f662ece014896d23dbef1536c5265584bbb834dd0c",
             "trace": "a7f2b512a78a28c9dfba1b6b155c243298caebff564e3e1682d30a219181b02c",
         },
     },
@@ -175,7 +175,7 @@ ATTACK_GOLDENS = {
             },
         },
         "digests": {
-            "metrics": "fba152e073d0e970ebfe4c64349395497ca1f34cc5b11233284e92680ac3a1da",
+            "metrics": "5b6230a4f2bb095c45f815a0e7f3e29ef1c98ca7c53db891cf2462fd3e8ed048",
             "trace": "0789b28e00f8cc6b71116a647f44db65ea14bcc188a5608bf9c263f52a0013ba",
         },
     },
@@ -189,7 +189,7 @@ ATTACK_GOLDENS = {
             },
         },
         "digests": {
-            "metrics": "171f0c69af8498cb146817d4362ce147e48b119fec455c28586a057487aafd56",
+            "metrics": "0839dc239cfaa1fa4de68339c00152657c25a1333e0e3c8ef20885895ab37433",
             "trace": "7f3684c26b30fc18c859e82c0f0522c692149f9f1f8fc500d980d05c3574ec97",
         },
     },

@@ -5,7 +5,7 @@ import pytest
 
 from repro.adversary.active import canonical_attack, run_under_attack
 from repro.core.rate import optimal_rate
-from repro.protocol.auth import AuthConfig
+from repro.protocol.auth import AuthConfig, derive_root_key
 from repro.protocol.config import ProtocolConfig
 from repro.workloads.echo import run_echo
 from repro.workloads.iperf import run_iperf
@@ -155,9 +155,11 @@ class TestIperf:
 
     def test_auth_mode_delivers_and_counts_tags(self):
         channels = identical_setup(50.0)
-        config = ProtocolConfig(kappa=2.0, mu=3.0)
+        config = ProtocolConfig(
+            kappa=2.0, mu=3.0, auth=AuthConfig(root_key=derive_root_key(1))
+        )
         result = run_iperf(
-            channels, config, offered_rate=30.0, duration=5.0, warmup=1.0, auth=True
+            channels, config, offered_rate=30.0, duration=5.0, warmup=1.0
         )
         assert result.symbols_delivered > 0
         assert result.sender_stats["auth_tagged_shares"] > 0
@@ -176,11 +178,10 @@ class TestIperf:
         assert result.receiver_stats["auth_verified_shares"] > 0
 
     def test_auth_rejects_synthetic_shares(self):
-        config = ProtocolConfig(kappa=2.0, mu=3.0, share_synthetic=True)
-        with pytest.raises(ValueError):
-            run_iperf(
-                identical_setup(10.0), config, offered_rate=5.0, duration=2.0,
-                auth=True,
+        with pytest.raises(ValueError, match="real share payloads"):
+            ProtocolConfig(
+                kappa=2.0, mu=3.0, share_synthetic=True,
+                auth=AuthConfig(root_key=derive_root_key(1)),
             )
 
     def test_deterministic_given_seed(self):
