@@ -1,5 +1,6 @@
 """The attack injector: validation, event application, link hooks, ledger."""
 
+import numpy as np
 import pytest
 
 from repro.adversary.active import CANONICAL_ATTACKS, AttackPlan, canonical_attack
@@ -9,6 +10,8 @@ from repro.adversary.active.plan import AttackEvent
 from repro.netsim.packet import Datagram
 from repro.netsim.rng import RngRegistry
 from repro.protocol.remicss import PointToPointNetwork
+from repro.protocol.wire import HEADER_SIZE, decode_share, encode_probe, encode_share
+from repro.sharing.shamir import ShamirScheme
 
 
 def make_network(seed=1):
@@ -102,6 +105,98 @@ class TestEventLog:
         injector = network.apply_attack(AttackPlan().jam(1.0, channel=0), registry)
         network.engine.run_until(6.0)
         assert injector.log and injector.log[0][0] == 5.0
+
+
+class TestCorruptRegime:
+    """In-flight corruption: the attack tap rewrites what a link delivers."""
+
+    @staticmethod
+    def share_packet(seq, secret=b"attack at dawn!!"):
+        scheme = ShamirScheme()
+        share = scheme.split(secret, 2, 4, np.random.default_rng(seq))[0]
+        return encode_share(seq, share, scheme.name)
+
+    @staticmethod
+    def deliver(link, engine, payloads):
+        # One datagram in flight at a time, so the link's queue never drops.
+        received = []
+        link.set_receiver(received.append)
+        for payload in payloads:
+            size = 12 if payload is None else max(len(payload), 1)
+            link.send(Datagram(size=size, payload=payload))
+            engine.run()
+        return [datagram.payload for datagram in received]
+
+    def test_full_rate_flips_one_body_byte_of_every_share(self):
+        network, registry = make_network()
+        injector = network.apply_attack(AttackPlan().corrupt(0.0, rate=1.0, channel=0), registry)
+        sent = [self.share_packet(seq) for seq in range(50)]
+        got = self.deliver(network.duplex[0].forward, network.engine, sent)
+        assert len(got) == 50
+        for before, after in zip(sent, got):
+            diffs = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+            assert len(after) == len(before)
+            assert len(diffs) == 1 and diffs[0] >= HEADER_SIZE
+        assert injector.stats.shares_corrupted == 50
+
+    @pytest.mark.parametrize("mode", ["flip", "rewrite", "zero"])
+    def test_plan_mode_reaches_the_link(self, mode):
+        network, registry = make_network()
+        plan = AttackPlan().corrupt(0.0, rate=1.0, mode=mode, channel=0)
+        network.apply_attack(plan, registry)
+        sent = self.share_packet(3)
+        (got,) = self.deliver(network.duplex[0].forward, network.engine, [sent])
+        header, share = decode_share(sent)
+        header2, share2 = decode_share(got)
+        assert (header2.seq, header2.k, header2.m, share2.index) == (
+            header.seq, header.k, header.m, share.index
+        )
+        assert share2.data != share.data
+        if mode == "zero":
+            assert set(share2.data) == {0}
+
+    def test_regime_spares_datagrams_without_payload(self):
+        network, registry = make_network()
+        injector = network.apply_attack(AttackPlan().corrupt(0.0, rate=1.0, channel=0), registry)
+        got = self.deliver(network.duplex[0].forward, network.engine, [None, b""])
+        assert got == [None, b""]
+        assert injector.stats.shares_corrupted == injector.stats.control_corrupted == 0
+
+    def test_control_packets_lose_one_byte_anywhere(self):
+        network, registry = make_network()
+        injector = network.apply_attack(AttackPlan().corrupt(0.0, rate=1.0, channel=0), registry)
+        probe = encode_probe(0, 77)
+        (got,) = self.deliver(network.duplex[0].forward, network.engine, [probe])
+        assert len(got) == len(probe)
+        assert sum(a != b for a, b in zip(probe, got)) == 1
+        assert injector.stats.control_corrupted == 1
+        assert injector.stats.shares_corrupted == 0
+
+    def test_corruption_rate_statistical(self):
+        network, registry = make_network(seed=4)
+        injector = network.apply_attack(AttackPlan().corrupt(0.0, rate=0.3, channel=0), registry)
+        sent = [self.share_packet(seq % 16) for seq in range(2000)]
+        got = self.deliver(network.duplex[0].forward, network.engine, sent)
+        tampered = sum(before != after for before, after in zip(sent, got))
+        assert tampered == injector.stats.shares_corrupted
+        assert tampered / 2000 == pytest.approx(0.3, abs=0.04)
+
+    def test_end_corrupt_restores_untouched_delivery(self):
+        network, registry = make_network()
+        plan = AttackPlan().corrupt(0.0, rate=1.0, channel=0).end_corrupt(1.0, channel=0)
+        injector = network.apply_attack(plan, registry)
+        network.engine.run_until(2.0)
+        sent = [self.share_packet(seq) for seq in range(10)]
+        assert self.deliver(network.duplex[0].forward, network.engine, sent) == sent
+        assert injector.stats.shares_corrupted == 0
+
+    def test_regime_touches_only_its_channel_and_direction(self):
+        network, registry = make_network()
+        injector = network.apply_attack(AttackPlan().corrupt(0.0, rate=1.0, channel=0), registry)
+        sent = [self.share_packet(seq) for seq in range(10)]
+        for link in (network.duplex[0].reverse, network.duplex[1].forward):
+            assert self.deliver(link, network.engine, sent) == sent
+        assert injector.stats.shares_corrupted == 0
 
 
 class TestHoldAndReorder:

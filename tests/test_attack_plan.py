@@ -31,6 +31,11 @@ class TestEventValidation:
         with pytest.raises(ValueError, match="corrupt rate"):
             AttackEvent(1.0, "corrupt_start", params={"rate": rate})
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_corrupt_rate_must_be_finite(self, rate):
+        with pytest.raises(ValueError, match="rate must be a finite number"):
+            AttackEvent(1.0, "corrupt_start", params={"rate": rate})
+
     def test_corrupt_mode_checked(self):
         with pytest.raises(ValueError, match="corrupt mode"):
             AttackEvent(1.0, "corrupt_start", params={"rate": 0.5, "mode": "melt"})
